@@ -440,8 +440,21 @@ def solve(cfg: PipelineConfig) -> SolveResult:
     """Run subsample -> pairwise relative poses -> graph -> averaging.
 
     Failed pairs are logged and skipped; they only abort the run if the
-    surviving graph splits. Outputs are written by `run_solve`.
+    surviving graph splits. Every warning raised on the way, in the pair
+    pool's threads too, is appended to the result's warnings. Outputs are
+    written by `run_solve`.
     """
+    # One recording block, entered once in the calling thread: the
+    # warnings filters and hook it installs are process-global, so pool
+    # threads report into it while it is open.
+    with _warnings.catch_warnings(record=True) as caught:
+        _warnings.simplefilter("always")
+        result = _solve_stages(cfg)
+    result.warnings.extend(str(w.message) for w in caught)
+    return result
+
+
+def _solve_stages(cfg: PipelineConfig) -> SolveResult:
     timings = {}
     warnings_log = []
     t0 = time.perf_counter()
@@ -536,14 +549,11 @@ def solve(cfg: PipelineConfig) -> SolveResult:
     timings["graph_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    with _warnings.catch_warnings(record=True) as caught:
-        _warnings.simplefilter("always")
-        rotations = rotation_averaging(graph, staircase=cfg.staircase)
-        timings["rotation_s"] = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        translations = translation_averaging(graph, rotations)
-        timings["translation_s"] = time.perf_counter() - t0
-    warnings_log.extend(str(w.message) for w in caught)
+    rotations = rotation_averaging(graph, staircase=cfg.staircase)
+    timings["rotation_s"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    translations = translation_averaging(graph, rotations)
+    timings["translation_s"] = time.perf_counter() - t0
 
     recovered = graph.covered_vertices()
     poses = assemble_global(rotations, translations, recovered)

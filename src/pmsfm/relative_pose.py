@@ -26,7 +26,6 @@ from .geometry import (
     Pointmap,
     RigidTransform,
     axis_angle_matrix,
-    pixel_grid,
 )
 
 _WEISZFELD_ITERS = 50
@@ -86,28 +85,38 @@ def estimate_focal(pm: Pointmap, max_iters: int = _WEISZFELD_ITERS) -> float:
     """
     c_x, c_y = pm.width / 2.0, pm.height / 2.0
     pts = pm.points.reshape(-1, 3)
-    z = pts[:, 2]
-    on_axis = (pts[:, 0] == 0.0) & (pts[:, 1] == 0.0)
-    usable = pm.mask.reshape(-1) & (z > 0) & ~on_axis
-    if int(np.count_nonzero(usable)) < 8:
+    x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
+    on_axis = (x == 0.0) & (y == 0.0)
+    idx = np.flatnonzero(pm.mask.reshape(-1) & (z > 0) & ~on_axis)
+    if len(idx) < 8:
         raise InsufficientDataError(
-            f"focal estimation needs >= 8 usable pixels, got {int(np.count_nonzero(usable))}"
+            f"focal estimation needs >= 8 usable pixels, got {len(idx)}"
         )
 
-    grid = pixel_grid(pm.width, pm.height).reshape(-1, 2)[usable]
-    b = grid - np.array([c_x, c_y])
-    d = pts[usable, :2] / z[usable, None]
+    # Contiguous per-coordinate columns of b and d; every expression below
+    # is the same arithmetic as its row-vector norm/einsum form.
+    bx = idx % pm.width - c_x
+    by = idx // pm.width - c_y
+    z_u = z[idx]
+    dx = x[idx] / z_u
+    dy = y[idx] / z_u
 
-    ratios = np.linalg.norm(b, axis=1) / np.linalg.norm(d, axis=1)
+    ratios = np.sqrt(bx * bx + by * by) / np.sqrt(dx * dx + dy * dy)
     f = float(np.median(ratios))
-    dot_db = np.einsum("ij,ij->i", d, b)
-    dot_dd = np.einsum("ij,ij->i", d, d)
+    dot_db = dx * bx + dy * by
+    dot_dd = dx * dx + dy * dy
 
+    # Each iteration runs in place on three preallocated columns:
+    # w = 1 / max(||b - f d||, 1e-12), then f = sum(w d.b) / sum(w d.d).
+    ex, ey, w = np.empty((3, len(idx)))
     converged = False
     for _ in range(max_iters):
-        residual = np.linalg.norm(b - f * d, axis=1)
-        w = 1.0 / np.maximum(residual, 1e-12)
-        f_new = float((w * dot_db).sum() / (w * dot_dd).sum())
+        np.subtract(bx, np.multiply(dx, f, out=ex), out=ex)
+        np.subtract(by, np.multiply(dy, f, out=ey), out=ey)
+        np.add(np.multiply(ex, ex, out=ex), np.multiply(ey, ey, out=ey), out=ex)
+        np.divide(1.0, np.maximum(np.sqrt(ex, out=ex), 1e-12, out=ex), out=w)
+        f_new = float(np.multiply(w, dot_db, out=ex).sum()
+                      / np.multiply(w, dot_dd, out=ey).sum())
         if abs(f_new - f) <= _WEISZFELD_EPS * max(1.0, abs(f)):
             f = f_new
             converged = True
@@ -200,16 +209,80 @@ def p3p_solve(world_pts: np.ndarray, bearings: np.ndarray) -> list[tuple[np.ndar
 
 def _reproj_errors(points: np.ndarray, pixels: np.ndarray, k: CameraIntrinsics,
                    r: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Per-point reprojection error in pixels; +inf behind the camera."""
-    cam = points @ r.T + t
-    z = cam[:, 2]
-    errs = np.full(len(points), np.inf)
-    front = z > 0
-    if np.any(front):
-        u = k.f * cam[front, 0] / z[front] + k.c_x
-        v = k.f * cam[front, 1] / z[front] + k.c_y
-        errs[front] = np.hypot(u - pixels[front, 0], v - pixels[front, 1])
+    """Per-point reprojection error in pixels; +inf behind the camera.
+
+    Takes coordinate rows, ``points`` (3, N) and ``pixels`` (2, N), so
+    every step is one pass over a contiguous row.
+    """
+    cam = r @ points
+    u, v, z = cam
+    z += t[2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for row, shift, c, px in ((u, t[0], k.c_x, pixels[0]), (v, t[1], k.c_y, pixels[1])):
+            row += shift
+            row *= k.f
+            row /= z
+            row += c
+            row -= px
+            row *= row
+        u += v
+        errs = np.sqrt(u, out=u)
+    errs[~(z > 0)] = np.inf
     return errs
+
+
+def _gn_residuals(points: np.ndarray, pixels: np.ndarray, k: CameraIntrinsics,
+                  r: np.ndarray, t: np.ndarray):
+    """Reprojection residuals (r_u | r_v), shape (2N,), of coordinate rows
+    ``points`` (3, N) and ``pixels`` (2, N) under (r, t), along with the
+    rotated points w = R p, the camera points w + t and their depth
+    clamped to 1e-12, which the Jacobian reuses."""
+    n = points.shape[1]
+    w = r @ points
+    cam = w + t[:, None]
+    z = np.maximum(cam[2], 1e-12)
+    res = np.empty(2 * n)
+    for row, c in ((0, k.c_x), (1, k.c_y)):
+        out = res[row * n:(row + 1) * n]
+        np.multiply(cam[row], k.f, out=out)
+        out /= z
+        out += c
+        out -= pixels[row]
+    return res, w, cam, z
+
+
+def _gn_normal_equations(jac: np.ndarray, res: np.ndarray, w: np.ndarray,
+                         cam: np.ndarray, z: np.ndarray, f: float):
+    """Gauss-Newton system H = J J^T, g = J r from closed-form Jacobian rows.
+
+    With w = R p, (x, y, z) = w + t, a = f/z and b = -f (x, y)/z^2, the
+    rows of (u, v) in the left-multiplicative rotation update omega and
+    the translation are
+
+        J_u = [b_x w_y, a w_z - b_x w_x, -a w_y, a, 0, b_x]
+        J_v = [b_y w_y - a w_z, -b_y w_x, a w_x, 0, a, b_y]
+
+    They are written into the two halves of ``jac`` (6, 2N), matching the
+    (r_u | r_v) layout of ``res``, so H and g are one BLAS call each.
+    """
+    n = z.shape[0]
+    ju, jv = jac[:, :n], jac[:, n:]
+    wx, wy, wz = w
+    a = np.divide(f, z, out=ju[3])
+    jv[4] = a
+    ju[4] = 0.0
+    jv[3] = 0.0
+    minus_f_z2 = -a / z
+    b_x = np.multiply(cam[0], minus_f_z2, out=ju[5])
+    b_y = np.multiply(cam[1], minus_f_z2, out=jv[5])
+    a_wz = a * wz
+    np.multiply(b_x, wy, out=ju[0])
+    np.subtract(a_wz, np.multiply(b_x, wx, out=ju[1]), out=ju[1])
+    np.negative(np.multiply(a, wy, out=ju[2]), out=ju[2])
+    np.subtract(np.multiply(b_y, wy, out=jv[0]), a_wz, out=jv[0])
+    np.negative(np.multiply(b_y, wx, out=jv[1]), out=jv[1])
+    np.multiply(a, wx, out=jv[2])
+    return jac @ jac.T, jac @ res
 
 
 def refine_pose(points: np.ndarray, pixels: np.ndarray, k: CameraIntrinsics,
@@ -218,41 +291,20 @@ def refine_pose(points: np.ndarray, pixels: np.ndarray, k: CameraIntrinsics,
     """Damped Gauss-Newton refinement of reprojection error.
 
     Left-multiplicative axis-angle update on the rotation; the damping
-    factor grows until a step decreases the squared error.
+    factor grows until a step decreases the squared error. ``points``
+    (N, 3) and ``pixels`` (N, 2) are worked on as coordinate rows, which
+    is free when they are transposed views of (3, N)/(2, N) arrays.
     """
+    pts = np.ascontiguousarray(points.T)
+    pix = np.ascontiguousarray(pixels.T)
     r, t = r0.copy(), t0.copy()
     lam = 1e-6
 
-    def residuals(rr, tt):
-        cam = points @ rr.T + tt
-        z = np.maximum(cam[:, 2], 1e-12)
-        u = k.f * cam[:, 0] / z + k.c_x
-        v = k.f * cam[:, 1] / z + k.c_y
-        return np.stack([u - pixels[:, 0], v - pixels[:, 1]], axis=1), cam
-
-    res, cam = residuals(r, t)
-    err = float((res ** 2).sum())
+    jac = np.empty((6, 2 * pts.shape[1]))
+    res, w_pts, cam, z = _gn_residuals(pts, pix, k, r, t)
+    err = float(res @ res)
     for _ in range(max_iters):
-        z = np.maximum(cam[:, 2], 1e-12)
-        inv_z = 1.0 / z
-        # d(pixel)/d(cam point), rows (du, dv)
-        jp = np.zeros((len(points), 2, 3))
-        jp[:, 0, 0] = k.f * inv_z
-        jp[:, 0, 2] = -k.f * cam[:, 0] * inv_z ** 2
-        jp[:, 1, 1] = k.f * inv_z
-        jp[:, 1, 2] = -k.f * cam[:, 1] * inv_z ** 2
-        # cam = exp(w) (R p) + t: d(cam)/dw = -[R p]_x, d(cam)/dt = I
-        w_pts = points @ r.T
-        jw = np.zeros((len(points), 3, 3))
-        jw[:, 0, 1] = w_pts[:, 2]
-        jw[:, 0, 2] = -w_pts[:, 1]
-        jw[:, 1, 0] = -w_pts[:, 2]
-        jw[:, 1, 2] = w_pts[:, 0]
-        jw[:, 2, 0] = w_pts[:, 1]
-        jw[:, 2, 1] = -w_pts[:, 0]
-        j = np.concatenate([jp @ jw, jp], axis=2).reshape(-1, 6)
-        g = j.T @ res.reshape(-1)
-        h = j.T @ j
+        h, g = _gn_normal_equations(jac, res, w_pts, cam, z, k.f)
 
         stepped = False
         for _ in range(8):
@@ -263,11 +315,12 @@ def refine_pose(points: np.ndarray, pixels: np.ndarray, k: CameraIntrinsics,
                 continue
             r_new = axis_angle_matrix(delta[:3], float(np.linalg.norm(delta[:3]))) @ r
             t_new = t + delta[3:]
-            res_new, cam_new = residuals(r_new, t_new)
-            err_new = float((res_new ** 2).sum())
+            res_new, w_new, cam_new, z_new = _gn_residuals(pts, pix, k, r_new, t_new)
+            err_new = float(res_new @ res_new)
             if err_new <= err:
                 improved = err - err_new
-                r, t, res, cam, err = r_new, t_new, res_new, cam_new, err_new
+                r, t, err = r_new, t_new, err_new
+                res, w_pts, cam, z = res_new, w_new, cam_new, z_new
                 lam = max(lam * 0.3, 1e-12)
                 stepped = True
                 if improved <= 1e-16 * max(err, 1.0) or np.linalg.norm(delta) < 1e-14:
@@ -296,8 +349,13 @@ def pnp_ransac(pm2_in_1: Pointmap, k: CameraIntrinsics,
         raise InsufficientDataError(
             f"PnP needs >= {cfg.min_sample} valid pixels, got {n_valid}"
         )
-    points = pm2_in_1.points.reshape(-1, 3)[valid]
-    pixels = pixel_grid(pm2_in_1.width, pm2_in_1.height).reshape(-1, 2)[valid]
+    # Coordinate rows (3, N) and (2, N): scoring and refinement run one
+    # contiguous pass per coordinate.
+    valid_idx = np.flatnonzero(valid)
+    points = np.ascontiguousarray(pm2_in_1.points.reshape(-1, 3)[valid_idx].T)
+    pixels = np.empty((2, n_valid))
+    pixels[0] = valid_idx % pm2_in_1.width
+    pixels[1] = valid_idx // pm2_in_1.width
 
     k_inv = k.inverse_matrix()
     rng = np.random.default_rng(cfg.rng_seed)
@@ -313,8 +371,10 @@ def pnp_ransac(pm2_in_1: Pointmap, k: CameraIntrinsics,
     while it < needed:
         it += 1
         sample = rng.choice(n_valid, size=cfg.min_sample, replace=False)
-        sp = points[sample]
-        spx = pixels[sample]
+        # Row-major samples: small BLAS products can round differently
+        # by layout, and the hypotheses should not depend on it.
+        sp = np.ascontiguousarray(points[:, sample].T)
+        spx = np.ascontiguousarray(pixels[:, sample].T)
         bearings = np.concatenate([spx[:3], np.ones((3, 1))], axis=1) @ k_inv.T
         norms = np.linalg.norm(bearings, axis=1)
         if np.any(norms == 0):
@@ -328,7 +388,7 @@ def pnp_ransac(pm2_in_1: Pointmap, k: CameraIntrinsics,
             behind = int(np.count_nonzero(cam[:, 2] <= 0))
             if behind * 2 > len(sp):
                 continue
-            errs = _reproj_errors(sp, spx, k, r, t)
+            errs = _reproj_errors(sp.T, spx.T, k, r, t)
             total = float(errs.sum())
             if total < cand_err:
                 cand_err = total
@@ -363,7 +423,8 @@ def pnp_ransac(pm2_in_1: Pointmap, k: CameraIntrinsics,
     # hypothesis that was selected.
     pose, inl, count, mean_err = best_pose, best_inl, best_count, best_mean
     for _ in range(_REFINE_ROUNDS):
-        r_ref, t_ref = refine_pose(points[inl], pixels[inl], k, pose[0], pose[1])
+        r_ref, t_ref = refine_pose(points.compress(inl, axis=1).T,
+                                   pixels.compress(inl, axis=1).T, k, pose[0], pose[1])
         errs = _reproj_errors(points, pixels, k, r_ref, t_ref)
         inl_ref = errs < thr
         count_ref = int(np.count_nonzero(inl_ref))
@@ -376,7 +437,7 @@ def pnp_ransac(pm2_in_1: Pointmap, k: CameraIntrinsics,
             break
 
     full_mask = np.zeros(pm2_in_1.height * pm2_in_1.width, dtype=bool)
-    full_mask[np.flatnonzero(valid)[inl]] = True
+    full_mask[valid_idx[inl]] = True
     return RelativePoseResult(
         transform=RigidTransform.from_matrix_parts(pose[0], pose[1]),
         inlier_mask=full_mask.reshape(pm2_in_1.height, pm2_in_1.width),

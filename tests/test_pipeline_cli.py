@@ -1,4 +1,6 @@
+import functools
 import hashlib
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -6,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pmsfm import io_formats, pipeline
+from pmsfm import io_formats, pipeline, relative_pose
 from pmsfm.cli import main
 from pmsfm.errors import ConfigError, InsufficientDataError
 from pmsfm.geometry import compose, geodesic_deg, inverse
@@ -112,6 +114,23 @@ class TestSolveStage:
         gt, _ = io_formats.read_poses(out / "gt_poses.txt")
         expected = compose(gt.pose(1), inverse(gt.pose(0)))
         assert geodesic_deg(result.poses.rotations[1], expected.rotation) <= 1e-4
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_pair_stage_warnings_reach_run_log(self, tmp_path, monkeypatch, jobs):
+        # A one-iteration focal budget makes every pair's IRLS warn, in
+        # the pool's threads when jobs > 1.
+        out = tmp_path / "bundle"
+        pipeline.synthesize(small_spec(point_noise_sigma=0.01), out)
+        monkeypatch.setattr(pipeline, "estimate_focal",
+                            functools.partial(relative_pose.estimate_focal, max_iters=1))
+        cfg = pipeline.PipelineConfig(manifest=str(out / "manifest.txt"),
+                                      output_dir=str(tmp_path / "run"), jobs=jobs)
+        result, run_dir = pipeline.run_solve(cfg)
+        log = (run_dir / pipeline.RUN_LOG_FILENAME).read_text(encoding="utf-8")
+        budget_lines = [line for line in log.splitlines()
+                        if line.startswith("# warning: focal IRLS hit its iteration budget")]
+        assert result.n_pairs_failed == 0
+        assert len(budget_lines) == result.n_pairs_attempted == 15
 
     def test_all_masked_frame_skipped(self, tmp_path):
         out = tmp_path / "bundle"
@@ -337,8 +356,13 @@ class TestCli:
         assert (tmp_path / "envout" / "manifest.txt").exists()
 
     def test_entry_point_subprocess(self, tmp_path):
+        # The child finds the package where this process imported it from,
+        # installed or not.
+        src = str(Path(pipeline.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run([sys.executable, "-m", "pmsfm.cli", "formats"],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert "DMAP1" in proc.stdout
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,16 +9,22 @@ from pmsfm.geometry import (
     DepthMap,
     Pointmap,
     RigidTransform,
+    axis_angle_matrix,
     geodesic_deg,
+    pixel_grid,
     pointmap_from_depth,
     random_rotation,
 )
 from pmsfm.relative_pose import (
     RansacConfig,
+    _gn_normal_equations,
+    _gn_residuals,
+    _reproj_errors,
     estimate_focal,
     make_intrinsics,
     p3p_solve,
     pnp_ransac,
+    refine_pose,
 )
 
 from conftest import stable_rot_err_deg
@@ -291,3 +299,139 @@ def test_pnp_with_exactly_min_sample_pixels():
     res = pnp_ransac(pm4, k)
     assert res.inlier_count == 4
     assert geodesic_deg(res.transform.rotation, pose.rotation) <= 1e-4
+
+
+# ---------------------------------------------------------------------------
+# Kernels against their row-vector reference forms
+
+
+def _reference_focal(pm: Pointmap, max_iters: int = 50) -> float:
+    """Weiszfeld focal IRLS in its (N, 2) row form with norm(axis=1)."""
+    c_x, c_y = pm.width / 2.0, pm.height / 2.0
+    pts = pm.points.reshape(-1, 3)
+    z = pts[:, 2]
+    on_axis = (pts[:, 0] == 0.0) & (pts[:, 1] == 0.0)
+    usable = pm.mask.reshape(-1) & (z > 0) & ~on_axis
+    ii, jj = np.meshgrid(np.arange(pm.width, dtype=float), np.arange(pm.height, dtype=float))
+    grid = np.stack([ii, jj], axis=-1).reshape(-1, 2)[usable]
+    b = grid - np.array([c_x, c_y])
+    d = pts[usable, :2] / z[usable, None]
+    f = float(np.median(np.linalg.norm(b, axis=1) / np.linalg.norm(d, axis=1)))
+    dot_db = np.einsum("ij,ij->i", d, b)
+    dot_dd = np.einsum("ij,ij->i", d, d)
+    for _ in range(max_iters):
+        residual = np.linalg.norm(b - f * d, axis=1)
+        w = 1.0 / np.maximum(residual, 1e-12)
+        f_new = float((w * dot_db).sum() / (w * dot_dd).sum())
+        if abs(f_new - f) <= 1e-11 * max(1.0, abs(f)):
+            return f_new
+        f = f_new
+    return f
+
+
+def _reference_normal_equations(points, pixels, k, r, t):
+    """H = J^T J and g = J^T r from per-point (2, 3) and (3, 3) Jacobian
+    tensors, residuals interleaved per point."""
+    cam = points @ r.T + t
+    z = np.maximum(cam[:, 2], 1e-12)
+    res = np.stack([k.f * cam[:, 0] / z + k.c_x - pixels[:, 0],
+                    k.f * cam[:, 1] / z + k.c_y - pixels[:, 1]], axis=1)
+    inv_z = 1.0 / z
+    jp = np.zeros((len(points), 2, 3))
+    jp[:, 0, 0] = k.f * inv_z
+    jp[:, 0, 2] = -k.f * cam[:, 0] * inv_z ** 2
+    jp[:, 1, 1] = k.f * inv_z
+    jp[:, 1, 2] = -k.f * cam[:, 1] * inv_z ** 2
+    w_pts = points @ r.T
+    jw = np.zeros((len(points), 3, 3))
+    jw[:, 0, 1] = w_pts[:, 2]
+    jw[:, 0, 2] = -w_pts[:, 1]
+    jw[:, 1, 0] = -w_pts[:, 2]
+    jw[:, 1, 2] = w_pts[:, 0]
+    jw[:, 2, 0] = w_pts[:, 1]
+    jw[:, 2, 1] = -w_pts[:, 0]
+    j = np.concatenate([jp @ jw, jp], axis=2).reshape(-1, 6)
+    return j.T @ j, j.T @ res.reshape(-1)
+
+
+def _seeded_correspondences(seed, n=500):
+    rng = np.random.default_rng(seed)
+    k = make_intrinsics(64, 48, 80.0)
+    pose = small_pose(rng)
+    pm = grid_pointmap_for_pose(k, 64, 48, pose, rng)
+    idx = rng.choice(64 * 48, size=n, replace=False)
+    points = pm.points.reshape(-1, 3)[idx]
+    pixels = pixel_grid(64, 48).reshape(-1, 2)[idx] + rng.normal(scale=0.5, size=(n, 2))
+    return k, pose, points, pixels, rng
+
+
+class TestKernels:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_normal_equations_match_tensor_reference(self, seed):
+        k, pose, points, pixels, rng = _seeded_correspondences(seed)
+        r = axis_angle_matrix(rng.normal(size=3) * 0.05, 0.05) @ pose.rotation
+        t = pose.translation + rng.normal(scale=0.05, size=3)
+        pts, pix = np.ascontiguousarray(points.T), np.ascontiguousarray(pixels.T)
+        res, w, cam, z = _gn_residuals(pts, pix, k, r, t)
+        h, g = _gn_normal_equations(np.empty((6, 2 * len(points))), res, w, cam, z, k.f)
+        h_ref, g_ref = _reference_normal_equations(points, pixels, k, r, t)
+        assert np.abs(h - h_ref).max() <= 1e-9 * np.abs(h_ref).max()
+        assert np.abs(g - g_ref).max() <= 1e-9 * np.abs(g_ref).max()
+
+    def test_refine_recovers_noiseless_pose(self):
+        rng = np.random.default_rng(5)
+        k = make_intrinsics(48, 36, 60.0)
+        pose = small_pose(rng)
+        pm = grid_pointmap_for_pose(k, 48, 36, pose, rng)
+        points = pm.points.reshape(-1, 3)
+        pixels = pixel_grid(48, 36).reshape(-1, 2)
+        w = rng.normal(size=3)
+        r0 = axis_angle_matrix(w / np.linalg.norm(w), 0.05) @ pose.rotation
+        t0 = pose.translation + rng.normal(scale=0.05, size=3)
+        r, t = refine_pose(points, pixels, k, r0, t0)
+        assert stable_rot_err_deg(r, pose.rotation) <= 1e-8
+        assert np.abs(t - pose.translation).max() <= 1e-9
+
+    def test_reproj_errors_formula_and_behind_camera(self):
+        k = make_intrinsics(40, 30, 50.0)
+        r = axis_angle_matrix(np.array([0.6, 0.0, 0.8]), 0.1)
+        t = np.array([0.1, -0.2, 0.3])
+        rng = np.random.default_rng(3)
+        points = rng.uniform(-1.0, 1.0, size=(3, 12))
+        points[2] = rng.uniform(1.0, 3.0, size=12)
+        points[:, 0] = r.T @ np.array([0.0, 0.0, -1.0]) - r.T @ t    # behind the camera
+        pixels = rng.uniform(0.0, 40.0, size=(2, 12))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            errs = _reproj_errors(points, pixels, k, r, t)
+        assert np.isposinf(errs[0])
+        cam = r @ points[:, 1:] + t[:, None]
+        u = k.f * cam[0] / cam[2] + k.c_x
+        v = k.f * cam[1] / cam[2] + k.c_y
+        expected = np.sqrt((u - pixels[0, 1:]) ** 2 + (v - pixels[1, 1:]) ** 2)
+        np.testing.assert_allclose(errs[1:], expected, rtol=1e-12)
+
+    def test_reproj_errors_zero_depth(self):
+        # An exact quarter turn keeps the camera coordinates exact: the
+        # first point lands on the camera center (0/0), the second on the
+        # z = 0 plane (x/0).
+        k = make_intrinsics(40, 30, 50.0)
+        r = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        t = np.array([0.1, -0.2, 0.5])
+        points = np.array([[0.2, 0.7, 0.3], [0.1, 0.4, 0.2], [-0.5, -0.5, 1.5]])
+        pixels = np.full((2, 3), 20.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            errs = _reproj_errors(points, pixels, k, r, t)
+        assert np.all(np.isposinf(errs[:2]))
+        assert np.isfinite(errs[2])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_focal_bitwise_equal_to_row_form(self, seed):
+        rng = np.random.default_rng(seed)
+        pm = TestEstimateFocal().make_pm(rng.uniform(60.0, 600.0), rng, width=48,
+                                         height=36, depth_noise=0.05)
+        mask = pm.mask & (rng.uniform(size=pm.mask.shape) < 0.8)
+        pm = Pointmap(pm.width, pm.height, pm.points, pm.confidence, mask)
+        assert estimate_focal(pm) == _reference_focal(pm)
+        assert estimate_focal(pm, max_iters=3) == _reference_focal(pm, max_iters=3)
