@@ -9,8 +9,10 @@ malformed input, never repair it.
 
 from __future__ import annotations
 
+import dataclasses
 import struct
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -81,11 +83,56 @@ The edge transform maps frame-j camera coordinates to frame-i camera
 coordinates; weight is the averaging concentration, quality the inlier
 fraction that passed filtering.
 
+Key-value documents
+-------------------
+The manifest, pair-validity, config, scene-spec and sequence-report
+documents share one grammar. A content line is `<key> <value>`: the key
+is the first word, the value the rest of the line. A value is read by
+the type of the field it fills: decimal integers; floats with
+shortest-round-trip decimals (Python repr, so nan and inf too); strings
+as the rest of the line; booleans as 0 or 1, nothing else; fixed pairs
+as two words (`focal_range 110.0 180.0`). A key appears at most once,
+unknown keys are rejected, and absent keys take their defaults. Record
+lines repeat their key, one record per line, each with a fixed number
+of whitespace-separated fields. Every read error names its line.
+Writers emit a "# pmsfm <document> v1" comment, then the keys in the
+order listed below, leaving out empty strings.
+
+Manifest ("pmsfm manifest v1")
+    mode <views|pairs>             required
+    n_frames <int>                 required
+    focal <float>                  views mode: the shared focal, > 0
+    gt_poses <path>                views mode: poses document
+    scene_scale, outlier_fraction, point_noise_sigma <float>
+    rng_seed <int>                 views mode: pair simulation settings
+    view <frame> <depth.dmap> <pointmap.pmap>      record, views mode
+    pair <i> <j> <ref.pmap> <src.pmap>             record, pairs mode
+Paths are relative to the manifest's directory. A pair record's
+source map is expressed in its reference view's camera frame.
+
+Pair validity (no header)
+    pair <i> <j> <0|1>             record; 0 keeps the pair out of the
+                                   graph unless it is a rescued
+                                   temporal neighbor (|i - j| = 1)
+
+Config ("pmsfm pipeline config v1")
+The fields of PipelineConfig, all optional: manifest, output_dir,
+ransac_max_iterations, ransac_inlier_threshold_px, ransac_confidence,
+ransac_min_sample, quality_threshold, pair_policy (auto|all|window),
+window, weight_mode (inlier|constant), staircase (0/1), align_mode
+(rigid|similarity), acc1_dist, acc1_deg, acc2_dist, acc2_deg, n_keep,
+rng_seed, jobs (0 = one pool thread per core), pair_validity.
+
+Scene spec ("pmsfm scene spec v1")
+The fields of SceneSpec, all optional: n_points, object_shape,
+scene_scale, n_views, trajectory, focal_range <lo> <hi>,
+image_size <width> <height>, depth_noise_sigma, point_noise_sigma,
+outlier_fraction, occlusion_fraction, rng_seed.
+
 Sequence report ("pmsfm sequence report v1")
---------------------------------------------
-Flat key-value lines: n_frames, rot_error_deg, trans_error, trans_rmse,
-det_rate_pct, acc_15_15_pct, acc_30_30_pct, partial (0/1). Error means
-cover recovered frames only when partial is 1.
+All required: rot_error_deg, trans_error, det_rate_pct, acc_15_15_pct,
+acc_30_30_pct, n_frames, trans_rmse, partial (0/1). Error means cover
+recovered frames only when partial is 1.
 """
 
 
@@ -262,14 +309,33 @@ class _Lines:
         return self.pos >= len(self.lines)
 
 
-def _parse_floats(lineno: int, line: str, n: int, what: str) -> list[float]:
-    parts = line.split()
-    if len(parts) != n:
-        raise FormatError(f"line {lineno}: expected {n} {what} fields, got {len(parts)}")
+def _flag(text: str) -> bool:
+    if text not in ("0", "1"):
+        raise ValueError(f"expected 0 or 1, got {text!r}")
+    return text == "1"
+
+
+def _fields(lineno: int, parts: list[str], kinds, what: str) -> tuple:
+    """`parts` read one per entry of `kinds`: a type, or `_flag` for 0/1."""
+    if len(parts) != len(kinds):
+        raise FormatError(f"line {lineno}: expected {len(kinds)} {what} fields,"
+                          f" got {len(parts)}")
     try:
-        return [float(p) for p in parts]
+        return tuple([kind(p) for kind, p in zip(kinds, parts)])
     except ValueError as exc:
-        raise FormatError(f"line {lineno}: {exc}") from None
+        raise FormatError(f"line {lineno}: {what}: {exc}") from None
+
+
+_MATRIX_ROW = (float,) * 4
+_EDGE = (str, int, int) + (float,) * 14
+
+
+def _frames_header(lines: _Lines) -> int:
+    lineno, line = lines.next("frames header")
+    word, n = _fields(lineno, line.split(), (str, int), "frames header")
+    if word != "frames":
+        raise FormatError(f"line {lineno}: expected 'frames <count>', got {line!r}")
+    return n
 
 
 def poses_to_text(poses: GlobalPoses, frame_ids=None) -> str:
@@ -290,37 +356,24 @@ def poses_to_text(poses: GlobalPoses, frame_ids=None) -> str:
 
 def poses_from_text(text: str) -> tuple[GlobalPoses, list[int]]:
     lines = _Lines(text)
-    lineno, line = lines.next("frames header")
-    parts = line.split()
-    if len(parts) != 2 or parts[0] != "frames":
-        raise FormatError(f"line {lineno}: expected 'frames <count>', got {line!r}")
-    try:
-        n = int(parts[1])
-    except ValueError:
-        raise FormatError(f"line {lineno}: bad frame count {parts[1]!r}") from None
-
+    n = _frames_header(lines)
     rotations = np.zeros((n, 3, 3))
     translations = np.zeros((n, 3))
     recovered = np.zeros(n, dtype=bool)
     frame_ids = []
     for k in range(n):
         lineno, line = lines.next("frame header")
-        parts = line.split()
-        if len(parts) != 4 or parts[0] != "frame" or parts[2] != "recovered":
+        word, frame_id, word2, flag = _fields(lineno, line.split(),
+                                              (str, int, str, _flag), "frame header")
+        if (word, word2) != ("frame", "recovered"):
             raise FormatError(
                 f"line {lineno}: expected 'frame <id> recovered <0|1>', got {line!r}")
-        try:
-            frame_ids.append(int(parts[1]))
-            flag = int(parts[3])
-        except ValueError:
-            raise FormatError(f"line {lineno}: bad integer in {line!r}") from None
-        if flag not in (0, 1):
-            raise FormatError(f"line {lineno}: recovered flag must be 0 or 1")
-        recovered[k] = bool(flag)
+        frame_ids.append(frame_id)
+        recovered[k] = flag
         m = np.zeros((4, 4))
         for r in range(4):
             lineno, line = lines.next("matrix row")
-            m[r] = _parse_floats(lineno, line, 4, "matrix")
+            m[r] = _fields(lineno, line.split(), _MATRIX_ROW, "matrix")
         if not np.allclose(m[3], [0, 0, 0, 1], atol=1e-12):
             raise FormatError(f"line {lineno}: last matrix row must be 0 0 0 1")
         rotations[k] = m[:3, :3]
@@ -347,32 +400,20 @@ def graph_to_text(graph: PoseGraph) -> str:
 
 def graph_from_text(text: str) -> PoseGraph:
     lines = _Lines(text)
-    lineno, line = lines.next("frames header")
-    parts = line.split()
-    if len(parts) != 2 or parts[0] != "frames":
-        raise FormatError(f"line {lineno}: expected 'frames <count>', got {line!r}")
-    try:
-        n = int(parts[1])
-    except ValueError:
-        raise FormatError(f"line {lineno}: bad frame count {parts[1]!r}") from None
+    n = _frames_header(lines)
     edges = []
     while not lines.done():
         lineno, line = lines.next("edge")
-        parts = line.split()
-        if parts[0] != "edge" or len(parts) != 17:
+        rec = _fields(lineno, line.split(), _EDGE, "edge")
+        if rec[0] != "edge":
             raise FormatError(
                 f"line {lineno}: expected 'edge i j r00..r22 t0..t2 weight quality'")
         try:
-            i, j = int(parts[1]), int(parts[2])
-        except ValueError:
-            raise FormatError(f"line {lineno}: bad edge endpoints") from None
-        vals = _parse_floats(lineno, " ".join(parts[3:]), 14, "edge")
-        try:
             edges.append(Edge(
-                i=i, j=j,
-                rotation=np.array(vals[:9]).reshape(3, 3),
-                translation=np.array(vals[9:12]),
-                weight=vals[12], quality=vals[13],
+                i=rec[1], j=rec[2],
+                rotation=np.array(rec[3:12]).reshape(3, 3),
+                translation=np.array(rec[12:15]),
+                weight=rec[15], quality=rec[16],
             ))
         except ValueError as exc:
             raise FormatError(f"line {lineno}: invalid edge: {exc}") from None
@@ -382,50 +423,90 @@ def graph_from_text(text: str) -> PoseGraph:
         raise FormatError(f"invalid pose graph: {exc}") from None
 
 
-_REPORT_FIELDS = ("n_frames", "rot_error_deg", "trans_error", "trans_rmse",
-                  "det_rate_pct", "acc_15_15_pct", "acc_30_30_pct", "partial")
+# ---------------------------------------------------------------------------
+# key-value documents
 
 
-def report_to_text(report: SequenceReport) -> str:
-    out = ["# pmsfm sequence report v1",
-           f"n_frames {report.n_frames}",
-           f"rot_error_deg {_fmt(report.rot_error_deg)}",
-           f"trans_error {_fmt(report.trans_error)}",
-           f"trans_rmse {_fmt(report.trans_rmse)}",
-           f"det_rate_pct {_fmt(report.det_rate_pct)}",
-           f"acc_15_15_pct {_fmt(report.acc_15_15_pct)}",
-           f"acc_30_30_pct {_fmt(report.acc_30_30_pct)}",
-           f"partial {int(report.partial)}"]
+def _kinds(types) -> tuple:
+    return tuple(_flag if t is bool else t for t in types)
+
+
+def _value_text(hint, v) -> str:
+    if get_origin(hint) is tuple:
+        return " ".join(_value_text(t, x) for t, x in zip(get_args(hint), v))
+    if hint is float:
+        return _fmt(v)
+    return str(int(v)) if hint in (bool, int) else str(v)
+
+
+def kv_to_text(obj, title: str, omit=()) -> str:
+    """The dataclass `obj` as a key-value document: ``# <title>``, then one
+    ``<field> <value>`` line per field in declaration order. A record field
+    writes one ``<key> <values>`` line per element. Fields named in `omit`
+    and empty strings, which the reader defaults to, are left out."""
+    hints = get_type_hints(type(obj))
+    out = [f"# {title}"]
+    for f in dataclasses.fields(obj):
+        v = getattr(obj, f.name)
+        if f.name in omit or v == "":
+            continue
+        if "record" in f.metadata:
+            hint = get_args(hints[f.name])[0]
+            out += [f"{f.metadata['record']} {_value_text(hint, r)}" for r in v]
+        else:
+            out.append(f"{f.name} {_value_text(hints[f.name], v)}")
     return "\n".join(out) + "\n"
 
 
-def report_from_text(text: str) -> SequenceReport:
-    values = {}
-    lines = _Lines(text)
-    while not lines.done():
-        lineno, line = lines.next("key value")
-        parts = line.split()
+def kv_from_text(cls, text: str, **given):
+    """Read a key-value document into the dataclass `cls`.
+
+    Each value is read by its field's type: int, float, str (the rest of
+    the line), bool as 0/1, or a fixed tuple of those as whitespace-separated
+    fields. A field whose metadata names a ``record`` key collects every
+    line with that key, in order. `given` supplies the fields the document
+    does not carry; absent fields take their defaults.
+    """
+    hints = get_type_hints(cls)
+    slots = {}  # line key -> (field name, value type, record field?)
+    for f in dataclasses.fields(cls):
+        if "record" in f.metadata:
+            slots[f.metadata["record"]] = (f.name, get_args(hints[f.name])[0], True)
+        elif f.name not in given:
+            slots[f.name] = (f.name, hints[f.name], False)
+    values = dict(given)
+    records = {name: [] for name, _, is_record in slots.values() if is_record}
+    for lineno, line in _Lines(text).lines:
+        parts = line.split(None, 1)
         if len(parts) != 2:
             raise FormatError(f"line {lineno}: expected 'key value', got {line!r}")
-        if parts[0] not in _REPORT_FIELDS:
-            raise FormatError(f"line {lineno}: unknown report field {parts[0]!r}")
-        values[parts[0]] = parts[1]
-    missing = [f for f in _REPORT_FIELDS if f not in values]
-    if missing:
-        raise FormatError(f"missing report fields: {missing}")
+        key, value = parts
+        if key not in slots:
+            raise FormatError(f"line {lineno}: unknown key {key!r}")
+        name, hint, is_record = slots[key]
+        if not is_record and name in values:
+            raise FormatError(f"line {lineno}: repeated key {key!r}")
+        if get_origin(hint) is tuple:
+            v = _fields(lineno, value.split(), _kinds(get_args(hint)), key)
+        else:
+            v = _fields(lineno, [value], _kinds((hint,)), key)[0]
+        if is_record:
+            records[name].append(v)
+        else:
+            values[name] = v
+    values.update((name, tuple(rows)) for name, rows in records.items())
     try:
-        return SequenceReport(
-            n_frames=int(values["n_frames"]),
-            rot_error_deg=float(values["rot_error_deg"]),
-            trans_error=float(values["trans_error"]),
-            trans_rmse=float(values["trans_rmse"]),
-            det_rate_pct=float(values["det_rate_pct"]),
-            acc_15_15_pct=float(values["acc_15_15_pct"]),
-            acc_30_30_pct=float(values["acc_30_30_pct"]),
-            partial=bool(int(values["partial"])),
-        )
-    except ValueError as exc:
-        raise FormatError(f"bad report value: {exc}") from None
+        return cls(**values)
+    except (TypeError, ValueError) as exc:  # a missing key or an invalid value
+        raise FormatError(f"invalid {cls.__name__} document: {exc}") from None
+
+
+def report_to_text(report: SequenceReport) -> str:
+    return kv_to_text(report, "pmsfm sequence report v1")
+
+
+def report_from_text(text: str) -> SequenceReport:
+    return kv_from_text(SequenceReport, text)
 
 
 def write_poses(path, poses: GlobalPoses, frame_ids=None):

@@ -10,11 +10,12 @@ via a pairs-mode manifest.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import os
 import time
 import warnings as _warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ from .errors import (
     FormatError,
     InsufficientDataError,
     PmsfmError,
+    ValidationError,
 )
 from .geometry import CameraIntrinsics, pointmap_from_depth
 from .metrics import (
@@ -113,59 +115,19 @@ class PipelineConfig:
 
 
 # ---------------------------------------------------------------------------
-# key-value documents: config, scene spec, manifest, pair validity
-
-
-def _kv_lines(text: str):
-    for n, raw in enumerate(text.splitlines()):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split(None, 1)
-        if len(parts) != 2:
-            raise FormatError(f"line {n + 1}: expected 'key value', got {line!r}")
-        yield n + 1, parts[0], parts[1]
-
-
-def _coerce(name: str, kind, value: str):
-    try:
-        if kind is bool:
-            iv = int(value)
-            if iv not in (0, 1):
-                raise ValueError("expected 0 or 1")
-            return bool(iv)
-        return kind(value)
-    except ValueError as exc:
-        raise ConfigError(f"{name}: cannot parse {value!r} ({exc})") from None
+# key-value documents (grammar and codec in io_formats): config, scene spec,
+# manifest, pair validity
 
 
 def config_to_text(cfg: PipelineConfig) -> str:
-    out = ["# pmsfm pipeline config v1"]
-    for f in dataclasses.fields(cfg):
-        v = getattr(cfg, f.name)
-        if isinstance(v, str) and v == "":
-            continue  # loader default is the empty string
-        if f.type == "bool" or isinstance(v, bool):
-            v = int(v)
-        elif isinstance(v, float):
-            v = repr(v)
-        out.append(f"{f.name} {v}")
-    return "\n".join(out) + "\n"
+    return io_formats.kv_to_text(cfg, "pmsfm pipeline config v1")
 
 
 def config_from_text(text: str) -> PipelineConfig:
-    fields = {f.name: f for f in dataclasses.fields(PipelineConfig)}
-    values = {}
     try:
-        for lineno, key, value in _kv_lines(text):
-            if key not in fields:
-                raise ConfigError(f"line {lineno}: unknown config key {key!r}")
-            f = fields[key]
-            kind = {"int": int, "float": float, "str": str, "bool": bool}[f.type]
-            values[key] = _coerce(key, kind, value)
+        return io_formats.kv_from_text(PipelineConfig, text)
     except FormatError as exc:
         raise ConfigError(f"malformed config file: {exc}") from None
-    return PipelineConfig(**values)
 
 
 def load_config(path) -> PipelineConfig:
@@ -176,44 +138,12 @@ def save_config(path, cfg: PipelineConfig):
     Path(path).write_text(config_to_text(cfg), encoding="utf-8")
 
 
-_SPEC_SCALARS = {
-    "n_points": int, "object_shape": str, "scene_scale": float, "n_views": int,
-    "trajectory": str, "depth_noise_sigma": float, "point_noise_sigma": float,
-    "outlier_fraction": float, "occlusion_fraction": float, "rng_seed": int,
-}
-
-
 def scene_spec_to_text(spec: SceneSpec) -> str:
-    out = ["# pmsfm scene spec v1"]
-    for name, kind in _SPEC_SCALARS.items():
-        v = getattr(spec, name)
-        out.append(f"{name} {repr(v) if kind is float else v}")
-    out.append(f"focal_min {repr(spec.focal_range[0])}")
-    out.append(f"focal_max {repr(spec.focal_range[1])}")
-    out.append(f"image_width {spec.image_size[0]}")
-    out.append(f"image_height {spec.image_size[1]}")
-    return "\n".join(out) + "\n"
+    return io_formats.kv_to_text(spec, "pmsfm scene spec v1")
 
 
 def scene_spec_from_text(text: str) -> SceneSpec:
-    values = {}
-    extras = {}
-    for lineno, key, value in _kv_lines(text):
-        if key in _SPEC_SCALARS:
-            values[key] = _coerce(key, _SPEC_SCALARS[key], value)
-        elif key in ("focal_min", "focal_max"):
-            extras[key] = _coerce(key, float, value)
-        elif key in ("image_width", "image_height"):
-            extras[key] = _coerce(key, int, value)
-        else:
-            raise ConfigError(f"line {lineno}: unknown scene spec key {key!r}")
-    if "focal_min" in extras or "focal_max" in extras:
-        values["focal_range"] = (extras.get("focal_min", 110.0),
-                                 extras.get("focal_max", 180.0))
-    if "image_width" in extras or "image_height" in extras:
-        values["image_size"] = (extras.get("image_width", 128),
-                                extras.get("image_height", 96))
-    return SceneSpec(**values)
+    return io_formats.kv_from_text(SceneSpec, text)
 
 
 def load_scene_spec(path) -> SceneSpec:
@@ -229,7 +159,7 @@ class Manifest:
     externally produced (reference, source) pointmap files per pair.
     """
 
-    mode: str
+    mode: str  # views | pairs
     n_frames: int
     base_dir: Path
     focal: float = 0.0
@@ -238,69 +168,22 @@ class Manifest:
     outlier_fraction: float = 0.0
     point_noise_sigma: float = 0.0
     rng_seed: int = 0
-    views: tuple[tuple[int, str, str], ...] = ()  # (frame, depth, pointmap)
-    pairs: tuple[tuple[int, int, str, str], ...] = ()  # (i, j, ref, src)
+    views: tuple[tuple[int, str, str], ...] = field(  # (frame, depth, pointmap)
+        default=(), metadata={"record": "view"})
+    pairs: tuple[tuple[int, int, str, str], ...] = field(  # (i, j, ref, src)
+        default=(), metadata={"record": "pair"})
+
+    def __post_init__(self):
+        if self.mode not in ("views", "pairs"):
+            raise ValidationError(f"mode: unknown manifest mode {self.mode!r}")
 
 
 def manifest_to_text(m: Manifest) -> str:
-    out = ["# pmsfm manifest v1", f"mode {m.mode}", f"n_frames {m.n_frames}"]
-    if m.mode == "views":
-        out += [f"focal {repr(m.focal)}", f"gt_poses {m.gt_poses}",
-                f"scene_scale {repr(m.scene_scale)}",
-                f"outlier_fraction {repr(m.outlier_fraction)}",
-                f"point_noise_sigma {repr(m.point_noise_sigma)}",
-                f"rng_seed {m.rng_seed}"]
-        for frame, depth, pm in m.views:
-            out.append(f"view {frame} {depth} {pm}")
-    else:
-        for i, j, ref, src in m.pairs:
-            out.append(f"pair {i} {j} {ref} {src}")
-    return "\n".join(out) + "\n"
+    return io_formats.kv_to_text(m, "pmsfm manifest v1", omit=("base_dir",))
 
 
 def manifest_from_text(text: str, base_dir: Path) -> Manifest:
-    mode = None
-    scalars = {"n_frames": None}
-    views = []
-    pairs = []
-    floats = {"focal": 0.0, "scene_scale": 1.0, "outlier_fraction": 0.0,
-              "point_noise_sigma": 0.0}
-    ints = {"rng_seed": 0}
-    gt_poses = ""
-    for lineno, key, value in _kv_lines(text):
-        if key == "mode":
-            if value not in ("views", "pairs"):
-                raise FormatError(f"line {lineno}: unknown manifest mode {value!r}")
-            mode = value
-        elif key == "n_frames":
-            scalars["n_frames"] = _coerce(key, int, value)
-        elif key == "gt_poses":
-            gt_poses = value
-        elif key in floats:
-            floats[key] = _coerce(key, float, value)
-        elif key in ints:
-            ints[key] = _coerce(key, int, value)
-        elif key == "view":
-            parts = value.split()
-            if len(parts) != 3:
-                raise FormatError(f"line {lineno}: expected 'view <k> <depth> <pointmap>'")
-            views.append((int(parts[0]), parts[1], parts[2]))
-        elif key == "pair":
-            parts = value.split()
-            if len(parts) != 4:
-                raise FormatError(f"line {lineno}: expected 'pair <i> <j> <ref> <src>'")
-            pairs.append((int(parts[0]), int(parts[1]), parts[2], parts[3]))
-        else:
-            raise FormatError(f"line {lineno}: unknown manifest key {key!r}")
-    if mode is None or scalars["n_frames"] is None:
-        raise FormatError("manifest must declare 'mode' and 'n_frames'")
-    return Manifest(mode=mode, n_frames=scalars["n_frames"], base_dir=base_dir,
-                    focal=floats["focal"], gt_poses=gt_poses,
-                    scene_scale=floats["scene_scale"],
-                    outlier_fraction=floats["outlier_fraction"],
-                    point_noise_sigma=floats["point_noise_sigma"],
-                    rng_seed=ints["rng_seed"],
-                    views=tuple(views), pairs=tuple(pairs))
+    return io_formats.kv_from_text(Manifest, text, base_dir=base_dir)
 
 
 def load_manifest(path) -> Manifest:
@@ -308,16 +191,15 @@ def load_manifest(path) -> Manifest:
     return manifest_from_text(p.read_text(encoding="utf-8"), p.parent)
 
 
+@dataclass(frozen=True)
+class _PairValidity:
+    pairs: tuple[tuple[int, int, bool], ...] = field(  # (i, j, valid)
+        default=(), metadata={"record": "pair"})
+
+
 def load_pair_validity(path) -> dict[tuple[int, int], bool]:
-    verdicts = {}
-    for lineno, key, value in _kv_lines(Path(path).read_text(encoding="utf-8")):
-        if key != "pair":
-            raise FormatError(f"line {lineno}: expected 'pair <i> <j> <0|1>'")
-        parts = value.split()
-        if len(parts) != 3 or parts[2] not in ("0", "1"):
-            raise FormatError(f"line {lineno}: expected 'pair <i> <j> <0|1>'")
-        verdicts[(int(parts[0]), int(parts[1]))] = parts[2] == "1"
-    return verdicts
+    doc = io_formats.kv_from_text(_PairValidity, Path(path).read_text(encoding="utf-8"))
+    return {(i, j): ok for i, j, ok in doc.pairs}
 
 
 # ---------------------------------------------------------------------------
@@ -417,23 +299,23 @@ def _load_views_bundle(manifest: Manifest, kept: np.ndarray) -> SceneBundle:
     return SceneBundle(spec=spec, views=tuple(views))
 
 
-def _solve_pair_views(bundle: SceneBundle, a: int, b: int,
-                      ransac: RansacConfig):
+def _simulate_pair(bundle: SceneBundle, a: int, b: int):
     pair = make_pair_pointmaps(bundle, a, b)
-    focal = estimate_focal(pair.view1)
-    k = make_intrinsics(pair.view2.width, pair.view2.height, focal)
-    res = pnp_ransac(pair.view2, k, ransac)
-    return a, b, res, pair.view2.n_valid
+    return pair.view1, pair.view2
 
 
-def _solve_pair_files(base: Path, a: int, b: int, ref_file: str, src_file: str,
-                      ransac: RansacConfig):
-    ref = io_formats.read_pointmap(base / ref_file)
-    src = io_formats.read_pointmap(base / src_file)
+def _read_pair(base: Path, ref_file: str, src_file: str):
+    return (io_formats.read_pointmap(base / ref_file),
+            io_formats.read_pointmap(base / src_file))
+
+
+def _solve_pair(load, ransac: RansacConfig):
+    """PnP result and valid source pixels for the (reference, source)
+    pointmaps that `load()` returns."""
+    ref, src = load()
     focal = estimate_focal(ref)
     k = make_intrinsics(src.width, src.height, focal)
-    res = pnp_ransac(src, k, ransac)
-    return a, b, res, src.n_valid
+    return pnp_ransac(src, k, ransac), src.n_valid
 
 
 def solve(cfg: PipelineConfig) -> SolveResult:
@@ -480,58 +362,34 @@ def _solve_stages(cfg: PipelineConfig) -> SolveResult:
             if i in local_of and j in local_of:
                 validity[(local_of[i], local_of[j])] = ok
 
-    ransac = cfg.ransac()
-    tasks = []
+    # The pair source: (a, b, load) per candidate pair, in manifest order.
     if manifest.mode == "views":
         bundle = _load_views_bundle(manifest, kept)
-        pairs = _candidate_pairs(n_local, cfg.pair_policy, cfg.window)
-        for a, b in pairs:
-            tasks.append((_solve_pair_views, (bundle, a, b, ransac)))
+        source = [(a, b, functools.partial(_simulate_pair, bundle, a, b))
+                  for a, b in _candidate_pairs(n_local, cfg.pair_policy, cfg.window)]
     else:
         if not manifest.pairs:
             raise InsufficientDataError("pairs manifest lists no pairs")
-        for i, j, ref, src in manifest.pairs:
-            if i not in local_of or j not in local_of:
-                continue
-            tasks.append((_solve_pair_files,
-                          (manifest.base_dir, local_of[i], local_of[j], ref, src,
-                           ransac)))
-        if not tasks:
+        source = [(local_of[i], local_of[j],
+                   functools.partial(_read_pair, manifest.base_dir, ref, src))
+                  for i, j, ref, src in manifest.pairs
+                  if i in local_of and j in local_of]
+        if not source:
             raise InsufficientDataError("no pairs survive frame subsampling")
     timings["load_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    jobs = cfg.jobs or os.cpu_count() or 1
+    ransac = cfg.ransac()
+    with ThreadPoolExecutor(max_workers=cfg.jobs or os.cpu_count() or 1) as pool:
+        futures = [pool.submit(_solve_pair, load, ransac) for _, _, load in source]
     results = []
     n_failed = 0
-
-    def run_task(task):
-        fn, args = task
-        return fn(*args)
-
-    if jobs == 1:
-        raw_results = []
-        for task in tasks:
-            try:
-                raw_results.append(run_task(task))
-            except (PmsfmError, OSError) as exc:
-                raw_results.append(exc)
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(run_task, t) for t in tasks]
-            raw_results = []
-            for fut in futures:  # manifest order, schedule-independent
-                try:
-                    raw_results.append(fut.result())
-                except (PmsfmError, OSError) as exc:
-                    raw_results.append(exc)
-    for task, outcome in zip(tasks, raw_results):
-        if isinstance(outcome, Exception):
+    for (a, b, _), fut in zip(source, futures):  # manifest order, schedule-independent
+        try:
+            results.append((a, b, *fut.result()))
+        except (PmsfmError, OSError) as exc:
             n_failed += 1
-            a, b = task[1][1], task[1][2]
-            warnings_log.append(f"pair ({kept[a]},{kept[b]}) skipped: {outcome}")
-        else:
-            results.append(outcome)
+            warnings_log.append(f"pair ({kept[a]},{kept[b]}) skipped: {exc}")
     timings["pairs_s"] = time.perf_counter() - t0
 
     if not results:
@@ -561,7 +419,7 @@ def _solve_stages(cfg: PipelineConfig) -> SolveResult:
     return SolveResult(
         poses=poses, graph=graph, frame_ids=[int(f) for f in kept],
         objective=objective, warnings=warnings_log, timings=timings,
-        n_pairs_attempted=len(tasks), n_pairs_failed=n_failed,
+        n_pairs_attempted=len(source), n_pairs_failed=n_failed,
     )
 
 

@@ -246,8 +246,18 @@ class TestReportDocument:
     def test_nan_fields_survive(self):
         r = SequenceReport(float("nan"), float("nan"), 0.0, 0.0, 0.0, 3,
                            float("nan"), True)
-        back = report_from_text(report_to_text(r))
-        assert np.isnan(back.rot_error_deg) and np.isnan(back.trans_error)
+        text = report_to_text(r)
+        back = report_from_text(text)
+        assert np.isnan([back.rot_error_deg, back.trans_error, back.trans_rmse]).all()
+        assert (back.det_rate_pct, back.n_frames, back.partial) == (0.0, 3, True)
+        assert report_to_text(back) == text
+
+    def test_rejects_non_flag_and_repeated_key(self):
+        text = report_to_text(SequenceReport(1.5, 0.01, 95.0, 80.0, 90.0, 20, 0.1, True))
+        with pytest.raises(FormatError, match="expected 0 or 1"):
+            report_from_text(text.replace("partial 1", "partial 7"))
+        with pytest.raises(FormatError, match="repeated key 'n_frames'"):
+            report_from_text(text + "n_frames 21\n")
 
     def test_missing_field(self):
         with pytest.raises(FormatError):

@@ -1,16 +1,20 @@
+import dataclasses
 import functools
 import hashlib
 import os
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pmsfm import io_formats, pipeline, relative_pose
 from pmsfm.cli import main
-from pmsfm.errors import ConfigError, InsufficientDataError
+from pmsfm.errors import ConfigError, FormatError, InsufficientDataError
 from pmsfm.geometry import compose, geodesic_deg, inverse
 from pmsfm.pose_graph import GlobalPoses
 from pmsfm.synth import SceneSpec, generate, make_pair_pointmaps
@@ -38,6 +42,48 @@ def bundle_dir(tmp_path):
     return out
 
 
+def write_pairs_bundle(bundle, pair_dir: Path, pairs) -> Path:
+    """Pair pointmap files plus a pairs-mode manifest listing them."""
+    pair_dir.mkdir()
+    lines = ["# pairs", "mode pairs", f"n_frames {bundle.n_views}"]
+    for i, j in pairs:
+        pair = make_pair_pointmaps(bundle, i, j)
+        ref, src = f"p{i}{j}_ref.pmap", f"p{i}{j}_src.pmap"
+        io_formats.write_pointmap(pair_dir / ref, pair.view1)
+        io_formats.write_pointmap(pair_dir / src, pair.view2)
+        lines.append(f"pair {i} {j} {ref} {src}")
+    (pair_dir / "manifest.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return pair_dir / "manifest.txt"
+
+
+def solve_with_jobs(manifest: Path, out: Path, jobs: int):
+    """Solve with `jobs` pool threads and again with one; both must write
+    the same poses and graph bytes. Returns the first run."""
+    runs = [pipeline.run_solve(pipeline.PipelineConfig(
+                manifest=str(manifest), output_dir=str(out / f"run{k}"), jobs=n))
+            for k, n in enumerate((jobs, 1))]
+    written = [{f: (run_dir / f).read_bytes()
+                for f in (pipeline.POSES_FILENAME, pipeline.GRAPH_FILENAME)}
+               for _, run_dir in runs]
+    assert written[0] == written[1]
+    return runs[0]
+
+
+_TEXT = st.from_regex(r"[\w./-]+( [\w./-]+)*", fullmatch=True) | st.just("")
+_BY_TYPE = {int: st.integers(), float: st.floats(allow_nan=False),
+            bool: st.booleans(), str: _TEXT}
+
+
+def dataclass_values(cls, **overrides):
+    """Instances of `cls` with every field drawn by its type unless overridden."""
+    hints = typing.get_type_hints(cls)
+    return st.builds(cls, **{f.name: overrides.get(f.name, _BY_TYPE.get(hints[f.name]))
+                             for f in dataclasses.fields(cls)})
+
+
+_NON_NEGATIVE = st.floats(min_value=0.0, allow_infinity=False)
+
+
 class TestConfigAndManifest:
     def test_config_round_trip_lossless(self, tmp_path):
         cfg = pipeline.PipelineConfig(manifest="m.txt", output_dir="out dir with space",
@@ -55,17 +101,54 @@ class TestConfigAndManifest:
         with pytest.raises(ConfigError):
             pipeline.PipelineConfig(pair_policy="ring")
 
+    @given(dataclass_values(
+        pipeline.PipelineConfig, window=st.integers(min_value=1),
+        n_keep=st.integers(min_value=0), jobs=st.integers(min_value=0),
+        pair_policy=st.sampled_from(["auto", "all", "window"]),
+        weight_mode=st.sampled_from(["inlier", "constant"]),
+        align_mode=st.sampled_from(["rigid", "similarity"])))
+    def test_config_round_trip_property(self, cfg):
+        assert pipeline.config_from_text(pipeline.config_to_text(cfg)) == cfg
+
     def test_scene_spec_round_trip(self, tmp_path):
         spec = small_spec(depth_noise_sigma=0.01, object_shape="blob")
         path = tmp_path / "spec.txt"
-        path.write_text(pipeline.scene_spec_to_text(spec), encoding="utf-8")
+        text = pipeline.scene_spec_to_text(spec)
+        assert "focal_range 60.0 90.0\n" in text and "image_size 64 48\n" in text
+        path.write_text(text, encoding="utf-8")
         assert pipeline.load_scene_spec(path) == spec
 
-    def test_manifest_round_trip(self, bundle_dir):
-        m = pipeline.load_manifest(bundle_dir / "manifest.txt")
-        text = pipeline.manifest_to_text(m)
-        again = pipeline.manifest_from_text(text, m.base_dir)
-        assert again == m
+    @given(dataclass_values(
+        SceneSpec, n_points=st.integers(min_value=1), n_views=st.integers(min_value=2),
+        object_shape=st.sampled_from(["sphere-cluster", "box-cluster", "blob"]),
+        trajectory=st.sampled_from(["orbit", "random-hemisphere"]),
+        scene_scale=st.floats(min_value=0.0, exclude_min=True),
+        focal_range=st.tuples(st.floats(min_value=0.0, exclude_min=True),
+                              st.floats(min_value=0.0, exclude_min=True)).map(
+                                  lambda r: tuple(sorted(r))),
+        image_size=st.tuples(st.integers(min_value=2), st.integers(min_value=2)),
+        depth_noise_sigma=_NON_NEGATIVE, point_noise_sigma=_NON_NEGATIVE,
+        outlier_fraction=st.floats(min_value=0.0, max_value=1.0),
+        occlusion_fraction=st.floats(min_value=0.0, max_value=1.0, exclude_max=True)))
+    def test_scene_spec_round_trip_property(self, spec):
+        assert pipeline.scene_spec_from_text(pipeline.scene_spec_to_text(spec)) == spec
+
+    def test_manifest_round_trip(self, bundle_dir, tmp_path):
+        views = pipeline.load_manifest(bundle_dir / "manifest.txt")
+        pairs = pipeline.load_manifest(write_pairs_bundle(
+            generate(small_spec(n_views=3)), tmp_path / "pairs", [(0, 1), (1, 2)]))
+        assert pairs.mode == "pairs" and len(pairs.pairs) == 2
+        for m in (views, pairs):
+            again = pipeline.manifest_from_text(pipeline.manifest_to_text(m), m.base_dir)
+            assert again == m
+
+    def test_repeated_key_rejected(self, tmp_path):
+        with pytest.raises(FormatError, match="line 2: repeated key 'mode'"):
+            pipeline.manifest_from_text("mode pairs\nmode views\nn_frames 2\n", tmp_path)
+        with pytest.raises(FormatError, match="repeated key"):
+            pipeline.scene_spec_from_text("n_views 3\nn_views 4\n")
+        with pytest.raises(ConfigError, match="repeated key"):
+            pipeline.config_from_text("window 3\nwindow 4\n")
 
 
 class TestSynthStage:
@@ -94,10 +177,9 @@ class TestSynthStage:
 
 
 class TestSolveStage:
-    def test_noiseless_recovers_gt(self, bundle_dir, tmp_path):
-        cfg = pipeline.PipelineConfig(manifest=str(bundle_dir / "manifest.txt"),
-                                      output_dir=str(tmp_path / "run"), jobs=1)
-        result, out = pipeline.run_solve(cfg)
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_noiseless_recovers_gt(self, bundle_dir, tmp_path, jobs):
+        result, out = solve_with_jobs(bundle_dir / "manifest.txt", tmp_path / "run", jobs)
         assert result.poses.recovered.all()
         report = pipeline.evaluate_pose_files(out / pipeline.POSES_FILENAME,
                                               bundle_dir / "gt_poses.txt")
@@ -216,24 +298,13 @@ class TestSolveStage:
         assert (0, 2) not in edge_set and (1, 3) not in edge_set
         assert result.poses.recovered.all()
 
-    def test_pairs_mode_manifest(self, tmp_path):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_pairs_mode_manifest(self, tmp_path, jobs):
         # externally produced pair pointmaps stand in for a network
         bundle = generate(small_spec(n_views=4))
-        pair_dir = tmp_path / "pairs"
-        pair_dir.mkdir()
-        lines = ["# pairs", "mode pairs", "n_frames 4"]
-        for i in range(4):
-            for j in range(i + 1, 4):
-                pair = make_pair_pointmaps(bundle, i, j)
-                ref, src = f"p{i}{j}_ref.pmap", f"p{i}{j}_src.pmap"
-                io_formats.write_pointmap(pair_dir / ref, pair.view1)
-                io_formats.write_pointmap(pair_dir / src, pair.view2)
-                lines.append(f"pair {i} {j} {ref} {src}")
-        (pair_dir / "manifest.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-        cfg = pipeline.PipelineConfig(manifest=str(pair_dir / "manifest.txt"),
-                                      output_dir=str(tmp_path / "run"), jobs=1)
-        result, _ = pipeline.run_solve(cfg)
+        manifest = write_pairs_bundle(bundle, tmp_path / "pairs",
+                                      [(i, j) for i in range(4) for j in range(i + 1, 4)])
+        result, _ = solve_with_jobs(manifest, tmp_path / "run", jobs)
         assert result.poses.recovered.all()
         # float32 container quantization keeps this from being exact
         gt = compose(bundle.views[1].pose, inverse(bundle.views[0].pose))
@@ -241,22 +312,12 @@ class TestSolveStage:
 
     def test_corrupt_pair_file_skipped(self, tmp_path):
         bundle = generate(small_spec(n_views=3))
-        pair_dir = tmp_path / "pairs"
-        pair_dir.mkdir()
-        lines = ["mode pairs", "n_frames 3"]
-        for i in range(3):
-            for j in range(i + 1, 3):
-                pair = make_pair_pointmaps(bundle, i, j)
-                ref, src = f"p{i}{j}_ref.pmap", f"p{i}{j}_src.pmap"
-                io_formats.write_pointmap(pair_dir / ref, pair.view1)
-                io_formats.write_pointmap(pair_dir / src, pair.view2)
-                lines.append(f"pair {i} {j} {ref} {src}")
-        (pair_dir / "manifest.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        manifest = write_pairs_bundle(bundle, tmp_path / "pairs", [(0, 1), (0, 2), (1, 2)])
         # truncate one pair file
-        f = pair_dir / "p02_src.pmap"
+        f = manifest.parent / "p02_src.pmap"
         f.write_bytes(f.read_bytes()[:-10])
 
-        cfg = pipeline.PipelineConfig(manifest=str(pair_dir / "manifest.txt"),
+        cfg = pipeline.PipelineConfig(manifest=str(manifest),
                                       output_dir=str(tmp_path / "run"), jobs=1)
         result, _ = pipeline.run_solve(cfg)
         assert result.n_pairs_failed == 1
@@ -321,6 +382,21 @@ class TestCli:
         assert main(["solve", "--manifest", str(missing),
                      "--out", str(cfg_out)]) == 5
 
+    @pytest.mark.parametrize("manifest, validity, line", [
+        ("mode pairs\nn_frames 2\npair x 1 a.pmap b.pmap\n", "", 3),
+        ("mode pairs\nn_frames abc\npair 0 1 a.pmap b.pmap\n", "", 2),
+        ("mode pairs\nn_frames 2\npair 0 1 a.pmap b.pmap\n", "pair 0 y 1\n", 1),
+    ], ids=["manifest-record", "manifest-scalar", "pair-validity"])
+    def test_exit_code_malformed_input(self, tmp_path, capsys, manifest, validity, line):
+        (tmp_path / "manifest.txt").write_text(manifest, encoding="utf-8")
+        args = ["solve", "--manifest", str(tmp_path / "manifest.txt"),
+                "--out", str(tmp_path / "run")]
+        if validity:
+            (tmp_path / "validity.txt").write_text(validity, encoding="utf-8")
+            args += ["--pair-validity", str(tmp_path / "validity.txt")]
+        assert main(args) == 5
+        assert f"line {line}:" in capsys.readouterr().err
+
     def test_exit_code_insufficient(self, tmp_path, capsys):
         p = tmp_path / "manifest.txt"
         p.write_text("mode pairs\nn_frames 0\n", encoding="utf-8")
@@ -329,18 +405,9 @@ class TestCli:
 
     def test_exit_code_disconnected(self, tmp_path, capsys):
         bundle = generate(small_spec(n_views=4))
-        pair_dir = tmp_path / "pairs"
-        pair_dir.mkdir()
-        lines = ["mode pairs", "n_frames 4"]
-        for i, j in [(0, 1), (2, 3)]:  # two islands
-            pair = make_pair_pointmaps(bundle, i, j)
-            ref, src = f"p{i}{j}_ref.pmap", f"p{i}{j}_src.pmap"
-            io_formats.write_pointmap(pair_dir / ref, pair.view1)
-            io_formats.write_pointmap(pair_dir / src, pair.view2)
-            lines.append(f"pair {i} {j} {ref} {src}")
-        (pair_dir / "manifest.txt").write_text("\n".join(lines) + "\n",
-                                               encoding="utf-8")
-        assert main(["solve", "--manifest", str(pair_dir / "manifest.txt"),
+        manifest = write_pairs_bundle(bundle, tmp_path / "pairs",
+                                      [(0, 1), (2, 3)])  # two islands
+        assert main(["solve", "--manifest", str(manifest),
                      "--out", str(tmp_path / "run")]) == 4
 
     def test_formats_prints_doc(self, capsys):
