@@ -64,7 +64,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--n-keep", type=int, dest="n_keep",
                          help="subsample to this many evenly spaced frames")
     p_solve.add_argument("--seed", type=int, dest="rng_seed")
-    p_solve.add_argument("--jobs", type=int, help="pair-solver pool size (0 = cores)")
+    p_solve.add_argument("--jobs", type=int,
+                         help="pair-solver pool size (0 = auto: one thread per core"
+                              " for pair maps of at least 3000 pixels, else one)")
     p_solve.add_argument("--pair-validity", dest="pair_validity",
                          help="external pair-validity verdict file")
 

@@ -121,7 +121,8 @@ ransac_max_iterations, ransac_inlier_threshold_px, ransac_confidence,
 ransac_min_sample, quality_threshold, pair_policy (auto|all|window),
 window, weight_mode (inlier|constant), staircase (0/1), align_mode
 (rigid|similarity), acc1_dist, acc1_deg, acc2_dist, acc2_deg, n_keep,
-rng_seed, jobs (0 = one pool thread per core), pair_validity.
+rng_seed, jobs (pair-stage pool size; 0 = one thread per core when a
+pair map has at least 3000 pixels, else one), pair_validity.
 
 Scene spec ("pmsfm scene spec v1")
 The fields of SceneSpec, all optional: n_points, object_shape,
@@ -276,6 +277,14 @@ def write_pointmap(path, pm: Pointmap, with_confidence: bool = True,
 
 def read_pointmap(path, frame_id: str = "") -> Pointmap:
     return pointmap_from_bytes(Path(path).read_bytes(), frame_id=frame_id)
+
+
+def read_pointmap_size(path) -> tuple[int, int]:
+    """(width, height) of a pointmap container, read from its header alone."""
+    with open(path, "rb") as fh:
+        head = fh.read(_HEADER_END)
+    width, height, _ = _read_header(_Cursor(head), MAGIC_POINTMAP)
+    return width, height
 
 
 def write_depthmap(path, dm: DepthMap, with_mask: bool = True):

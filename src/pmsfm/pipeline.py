@@ -29,7 +29,7 @@ from .errors import (
     PmsfmError,
     ValidationError,
 )
-from .geometry import CameraIntrinsics, pointmap_from_depth
+from .geometry import CameraIntrinsics
 from .metrics import (
     DEFAULT_THRESHOLDS,
     SequenceReport,
@@ -86,7 +86,7 @@ class PipelineConfig:
     acc2_deg: float = DEFAULT_THRESHOLDS[1][1]
     n_keep: int = 0  # 0 keeps every frame
     rng_seed: int = 0
-    jobs: int = 0  # 0 sizes the pool to the logical core count
+    jobs: int = 0  # 0 picks one pool thread or one per core from the input
     pair_validity: str = ""
 
     def __post_init__(self):
@@ -218,8 +218,7 @@ def synthesize(spec: SceneSpec, out_dir) -> Path:
         depth_name = f"view_{k:03d}.dmap"
         pm_name = f"view_{k:03d}.pmap"
         io_formats.write_depthmap(out / depth_name, view.depth)
-        io_formats.write_pointmap(out / pm_name,
-                                  pointmap_from_depth(view.depth, view.intrinsics))
+        io_formats.write_pointmap(out / pm_name, bundle.view_pointmaps[k])
         views.append((k, depth_name, pm_name))
 
     gt = GlobalPoses(
@@ -255,6 +254,36 @@ class SolveResult:
     timings: dict[str, float]
     n_pairs_attempted: int = 0
     n_pairs_failed: int = 0
+    pair_workers: int = 0
+
+
+# Pixels per pair map from which `jobs 0` runs the pair stage on one pool
+# thread per core. Below it a pair is many short numpy calls that hold the
+# GIL, so a second thread only queues for it; above it the O(N) kernels
+# release the GIL for long enough to overlap. On a 2-vCPU VM two threads
+# lost to one by 6-33% at 700-2500 valid pixels, tied at 2600-7000 and won
+# by 15-33% from 3400 on.
+POOL_MIN_PIXELS_PER_MAP = 3_000
+
+
+def _pair_workers(jobs: int, pixels_per_map: int) -> int:
+    """Pool size of the pair stage: `jobs` when given, else one thread per
+    core for maps of at least POOL_MIN_PIXELS_PER_MAP pixels and one below."""
+    if jobs:
+        return jobs
+    return (os.cpu_count() or 1) if pixels_per_map >= POOL_MIN_PIXELS_PER_MAP else 1
+
+
+def _header_pixels(base: Path, pairs) -> int:
+    """Width x height of the first listed reference map whose container
+    header reads; 0 when none does (then every pair fails on its own)."""
+    for _, _, ref, _ in pairs:
+        try:
+            width, height = io_formats.read_pointmap_size(base / ref)
+        except (PmsfmError, OSError):
+            continue
+        return width * height
+    return 0
 
 
 def _candidate_pairs(n: int, policy: str, window: int) -> list[tuple[int, int]]:
@@ -362,32 +391,38 @@ def _solve_stages(cfg: PipelineConfig) -> SolveResult:
             if i in local_of and j in local_of:
                 validity[(local_of[i], local_of[j])] = ok
 
-    # The pair source: (a, b, load) per candidate pair, in manifest order.
+    # The pair source: (a, b, load) per candidate pair, in manifest order,
+    # and the pixels per pair map that size the pool: the views' mean
+    # valid count, or the container size of dense pairs-mode maps.
     if manifest.mode == "views":
         bundle = _load_views_bundle(manifest, kept)
         source = [(a, b, functools.partial(_simulate_pair, bundle, a, b))
                   for a, b in _candidate_pairs(n_local, cfg.pair_policy, cfg.window)]
+        pixels = sum(int(np.count_nonzero(v.depth.mask))
+                     for v in bundle.views) // len(bundle.views)
     else:
         if not manifest.pairs:
             raise InsufficientDataError("pairs manifest lists no pairs")
+        listed = [p for p in manifest.pairs if p[0] in local_of and p[1] in local_of]
         source = [(local_of[i], local_of[j],
                    functools.partial(_read_pair, manifest.base_dir, ref, src))
-                  for i, j, ref, src in manifest.pairs
-                  if i in local_of and j in local_of]
+                  for i, j, ref, src in listed]
         if not source:
             raise InsufficientDataError("no pairs survive frame subsampling")
+        pixels = _header_pixels(manifest.base_dir, listed) if not cfg.jobs else 0
+    workers = _pair_workers(cfg.jobs, pixels)
     timings["load_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     ransac = cfg.ransac()
-    with ThreadPoolExecutor(max_workers=cfg.jobs or os.cpu_count() or 1) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(_solve_pair, load, ransac) for _, _, load in source]
     results = []
     n_failed = 0
     for (a, b, _), fut in zip(source, futures):  # manifest order, schedule-independent
         try:
             results.append((a, b, *fut.result()))
-        except (PmsfmError, OSError) as exc:
+        except (PmsfmError, OSError, np.linalg.LinAlgError) as exc:
             n_failed += 1
             warnings_log.append(f"pair ({kept[a]},{kept[b]}) skipped: {exc}")
     timings["pairs_s"] = time.perf_counter() - t0
@@ -419,7 +454,7 @@ def _solve_stages(cfg: PipelineConfig) -> SolveResult:
     return SolveResult(
         poses=poses, graph=graph, frame_ids=[int(f) for f in kept],
         objective=objective, warnings=warnings_log, timings=timings,
-        n_pairs_attempted=len(source), n_pairs_failed=n_failed,
+        n_pairs_attempted=len(source), n_pairs_failed=n_failed, pair_workers=workers,
     )
 
 
@@ -438,6 +473,7 @@ def run_log_text(result: SolveResult, cfg: PipelineConfig) -> str:
            "frames_kept " + " ".join(str(f) for f in result.frame_ids),
            f"n_pairs_attempted {result.n_pairs_attempted}",
            f"n_pairs_failed {result.n_pairs_failed}",
+           f"pair_workers {result.pair_workers}",
            f"n_edges {len(result.graph.edges)}",
            f"n_rescued {sum(1 for e in result.graph.edges if e.rescued)}",
            f"n_recovered {int(np.count_nonzero(result.poses.recovered))}",

@@ -13,7 +13,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .errors import (
     ConvergenceWarning,
@@ -33,6 +32,9 @@ _WEISZFELD_ITERS = 50
 # 1e-11 relative is still five orders tighter than the accuracy contract.
 _WEISZFELD_EPS = 1e-11
 _REFINE_ROUNDS = 3
+# RANSAC samples drawn and solved per P3P batch: about the adaptive stop
+# of a 10%-outlier map, so few samples are solved past it.
+_P3P_CHUNK = 8
 
 
 @dataclass(frozen=True)
@@ -128,83 +130,157 @@ def estimate_focal(pm: Pointmap, max_iters: int = _WEISZFELD_ITERS) -> float:
     return f
 
 
-def _kabsch(world: np.ndarray, cam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rigid fit cam = R @ world + t for matched point sets (N, 3)."""
-    w_mean = world.mean(axis=0)
-    c_mean = cam.mean(axis=0)
-    m = (cam - c_mean).T @ (world - w_mean)
-    u, _, vt = np.linalg.svd(m)
-    d = np.sign(np.linalg.det(u @ vt))
-    if d < 0:
-        u = u.copy()
-        u[:, -1] *= -1.0
-    r = u @ vt
-    return r, c_mean - r @ w_mean
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row-wise dot product of (K, n) arrays through BLAS, which rounds
+    the way np.dot does for one pair of vectors."""
+    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
 
 
-def p3p_solve(world_pts: np.ndarray, bearings: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Minimal absolute-pose solutions from 3 points and 3 unit bearings.
+def _dot2(x0, x1, y0, y1) -> np.ndarray:
+    """x0 y0 + x1 y1 per row, summed by the BLAS dot (see `_dot`)."""
+    return _dot(np.stack(np.broadcast_arrays(x0, x1), axis=1),
+                np.stack(np.broadcast_arrays(y0, y1), axis=1))
+
+
+def _p3p_batch(world: np.ndarray, bearings: np.ndarray):
+    """Minimal absolute-pose candidates for K samples at once.
+
+    ``world`` (K, 3, 3) holds three world points per sample and
+    ``bearings`` (K, 3, 3) their unit bearings. Returns rotations
+    (K, 4, 3, 3), translations (K, 4, 3) with cam = R @ world + t, and a
+    (K, 4) mask of the candidates that exist, in ascending root order;
+    entries outside the mask are finite but meaningless.
 
     Classical three-point resection: with camera-to-point distances
     s1, s2 = u*s1, s3 = v*s1, the law of cosines in the three point
     triangles gives a linear expression for u in v and a quartic in v.
-    The quartic is built by polynomial elimination rather than hardcoded
-    coefficients. Returns up to 4 (R, t) candidates with cam = R @ world + t.
+    The quartic's coefficients are its elimination in closed form, its
+    roots are the eigenvalues of one (K, 4, 4) stack of companion
+    matrices, and every root's pose comes from one batched Kabsch fit.
+    Coincident or collinear points, a zero bearing and a quartic whose
+    monic form is not finite (a zero leading coefficient included) yield
+    no candidate.
     """
-    p1, p2, p3 = world_pts
-    a2 = float(np.dot(p2 - p3, p2 - p3))
-    b2 = float(np.dot(p1 - p3, p1 - p3))
-    c2 = float(np.dot(p1 - p2, p1 - p2))
-    if min(a2, b2, c2) <= 0.0:
-        return []
+    k_count = world.shape[0]
+    p1, p2, p3 = world[:, 0], world[:, 1], world[:, 2]
+    a2 = _dot(p2 - p3, p2 - p3)
+    b2 = _dot(p1 - p3, p1 - p3)
+    c2 = _dot(p1 - p2, p1 - p2)
+    longest = np.maximum(np.maximum(a2, b2), c2)
     # Collinear world points leave a one-parameter pose family; reject.
-    if np.linalg.norm(np.cross(p2 - p1, p3 - p1)) ** 2 < 1e-18 * max(a2, b2, c2) ** 2:
-        return []
+    cross = np.cross(p2 - p1, p3 - p1)
+    area2 = np.sqrt(_dot(cross, cross)) ** 2
+    ok = ((np.minimum(np.minimum(a2, b2), c2) > 0.0) & ~(area2 < 1e-18 * longest ** 2)
+          & np.all(np.any(bearings != 0.0, axis=2), axis=1))
 
-    f1, f2, f3 = bearings
-    cos_a = float(np.dot(f2, f3))
-    cos_b = float(np.dot(f1, f3))
-    cos_g = float(np.dot(f1, f2))
+    f1, f2, f3 = bearings[:, 0], bearings[:, 1], bearings[:, 2]
+    cos_a = _dot(f2, f3)
+    cos_b = _dot(f1, f3)
+    cos_g = _dot(f1, f2)
 
     # Law-of-cosines system, eliminating s1 and u:
     #   u^2 + v^2 - 2uv cos_a = (a2/b2) * q(v)
     #   1 + u^2 - 2u cos_g    = (c2/b2) * q(v)      with q(v) = 1 + v^2 - 2v cos_b
-    # Subtracting gives u = u_num(v) / den(v); substituting back into the
-    # second equation and clearing den^2 yields a quartic in v.
-    big_a = (a2 - c2) / b2
-    q = np.array([1.0, -2.0 * cos_b, 1.0])                      # q(v), low->high
-    u_num = np.array([big_a + 1.0, -2.0 * big_a * cos_b, big_a - 1.0])
-    den = np.array([2.0 * cos_g, -2.0 * cos_a])
+    # Subtracting gives u = u_num(v) / den(v) with u_num = n0 + n1 v + n2 v^2
+    # and den = e0 + e1 v; substituting back into the second equation and
+    # clearing den^2 yields the quartic
+    #   den^2 + u_num^2 - 2 cos_g u_num den - (c2/b2) q den^2 = 0.
+    # Each product coefficient is summed the way np.convolve sums it (a
+    # BLAS dot at the ends, plain left-to-right sums in the middle), so
+    # the coefficients are bit-identical to the numpy.polynomial
+    # elimination.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        big_a = (a2 - c2) / b2
+        n0, n1, n2 = big_a + 1.0, -2.0 * big_a * cos_b, big_a - 1.0
+        e0, e1 = 2.0 * cos_g, -2.0 * cos_a
+        qb = -2.0 * cos_b
+        d0, d1, d2 = e0 * e0, e0 * e1 + e1 * e0, e1 * e1
+        # Coefficients, low to high, of den^2, u_num^2, u_num den, q den^2.
+        den2 = (d0, d1, d2, 0.0, 0.0)
+        uu = (n0 * n0, _dot2(n0, n1, n1, n0), n0 * n2 + n1 * n1 + n2 * n0,
+              _dot2(n1, n2, n2, n1), n2 * n2)
+        ud = (n0 * e0, n0 * e1 + n1 * e0, n1 * e1 + n2 * e0, n2 * e1, 0.0)
+        qd = (d0, _dot2(1.0, qb, d1, d0), d2 + qb * d1 + d0, _dot2(qb, 1.0, d2, d1), d2)
+        two_cg, ratio = 2.0 * cos_g, c2 / b2
+        coeffs = np.stack([uu[i] + den2[i] - two_cg * ud[i] - ratio * qd[i]
+                           for i in range(5)], axis=1)
+        # Companion matrices in numpy.polynomial's layout: ones on the
+        # subdiagonal, last column -c[:4] / c[4].
+        last = -coeffs[:, :4] / coeffs[:, 4:]
+        ok &= np.all(np.isfinite(coeffs), axis=1) & np.all(np.isfinite(last), axis=1)
+        companion = np.zeros((k_count, 4, 4))
+        companion[:, [1, 2, 3], [0, 1, 2]] = 1.0
+        companion[:, :, 3] = np.where(ok[:, None], last, 0.0)
+        roots = np.sort(np.linalg.eigvals(companion), axis=1)
 
-    den2 = npoly.polymul(den, den)
-    quartic = npoly.polyadd(den2, npoly.polymul(u_num, u_num))
-    quartic = npoly.polysub(quartic, 2.0 * cos_g * npoly.polymul(u_num, den))
-    quartic = npoly.polysub(quartic, (c2 / b2) * npoly.polymul(q, den2))
-    if not np.all(np.isfinite(quartic)) or np.max(np.abs(quartic)) == 0.0:
-        return []
-    roots = npoly.polyroots(quartic)
+        v = roots.real
+        # Root-level filters: real, positive v with a finite, positive u
+        # and a positive q(v), so the distance s1 is real.
+        den_v = e0[:, None] + e1[:, None] * v
+        u = (n0[:, None] + (n1[:, None] + n2[:, None] * v) * v) / den_v
+        q_v = 1.0 + v * v - 2.0 * v * cos_b[:, None]
+        cand = (ok[:, None] & (np.abs(roots.imag) <= 1e-8 * np.maximum(1.0, np.abs(v)))
+                & (v > 0) & (np.abs(den_v) >= 1e-12) & (u > 0) & (q_v > 0))
+        s1 = np.sqrt(b2[:, None] / q_v)
+        # Camera-frame points per root; roots outside the mask get a unit
+        # triangle on both sides so the batched SVD sees only finite input.
+        cam = np.stack([s1[..., None] * f1[:, None],
+                        (u * s1)[..., None] * f2[:, None],
+                        (v * s1)[..., None] * f3[:, None]], axis=2)
+    unit = np.eye(3)
+    cam = np.where(cand[..., None, None], cam, unit)
+    wld = np.where(cand[..., None, None], world[:, None], unit)
 
-    solutions = []
-    for v in roots:
-        if abs(v.imag) > 1e-8 * max(1.0, abs(v.real)):
-            continue
-        v = float(v.real)
-        if v <= 0:
-            continue
-        den_v = float(npoly.polyval(v, den))
-        if abs(den_v) < 1e-12:
-            continue
-        u = float(npoly.polyval(v, u_num)) / den_v
-        if u <= 0:
-            continue
-        q_v = 1.0 + v * v - 2.0 * v * cos_b
-        if q_v <= 0:
-            continue
-        s1 = math.sqrt(b2 / q_v)
-        cam_pts = np.array([s1 * f1, u * s1 * f2, v * s1 * f3])
-        r, t = _kabsch(world_pts, cam_pts)
-        solutions.append((r, t))
-    return solutions
+    # Kabsch: cam = R @ world + t for every root at once.
+    w_mean = wld.mean(axis=2)
+    c_mean = cam.mean(axis=2)
+    m = (cam - c_mean[..., None, :]).swapaxes(-1, -2) @ (wld - w_mean[..., None, :])
+    u_m, _, vt = np.linalg.svd(m)
+    flip = np.linalg.det(u_m @ vt) < 0
+    u_m[..., :, 2] *= np.where(flip, -1.0, 1.0)[..., None]
+    rot = u_m @ vt
+    trans = c_mean - (rot @ w_mean[..., None])[..., 0]
+    return rot, trans, cand
+
+
+def p3p_solve(world_pts: np.ndarray, bearings: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Minimal absolute-pose solutions from 3 points and 3 unit bearings:
+    up to 4 (R, t) candidates with cam = R @ world + t, in ascending
+    root order. A batch of one on `_p3p_batch`."""
+    rot, trans, cand = _p3p_batch(np.asarray(world_pts, dtype=np.float64)[None],
+                                  np.asarray(bearings, dtype=np.float64)[None])
+    return [(rot[0, r], trans[0, r]) for r in np.flatnonzero(cand[0])]
+
+
+def _sample_hypotheses(sp: np.ndarray, spx: np.ndarray, k: CameraIntrinsics):
+    """Best P3P candidate per sample on the sample's own points.
+
+    ``sp`` (K, m, 3) and ``spx`` (K, m, 2) hold each sample's points and
+    pixels; the first three solve P3P and all m score it. A candidate is
+    eligible when every sample point lies in front of the camera, and
+    the least summed reprojection error wins, the earlier root on ties.
+    Returns rotations (K, 3, 3), translations (K, 3) and a (K,) mask of
+    the samples that have a winner.
+    """
+    homog = np.concatenate([spx[:, :3], np.ones((len(spx), 3, 1))], axis=2)
+    rays = homog @ k.inverse_matrix().T
+    norms = np.linalg.norm(rays, axis=2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bearings = rays / norms[..., None]
+    rot, trans, cand = _p3p_batch(sp[:, :3], bearings)
+
+    # Reprojection of every sample point under every candidate, in the
+    # arithmetic order of `_reproj_errors`.
+    cam = rot @ sp.swapaxes(1, 2)[:, None]                     # (K, 4, 3, m)
+    z = cam[:, :, 2] + trans[:, :, 2:3]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        du = (cam[:, :, 0] + trans[:, :, 0:1]) * k.f / z + k.c_x - spx[:, None, :, 0]
+        dv = (cam[:, :, 1] + trans[:, :, 1:2]) * k.f / z + k.c_y - spx[:, None, :, 1]
+        total = np.sqrt(du * du + dv * dv).sum(axis=2)
+    total[~(cand & np.all(z > 0, axis=2))] = np.inf
+    best = np.argmin(total, axis=1)
+    rows = np.arange(len(best))
+    return rot[rows, best], trans[rows, best], np.isfinite(total[rows, best])
 
 
 def _reproj_errors(points: np.ndarray, pixels: np.ndarray, k: CameraIntrinsics,
@@ -357,7 +433,6 @@ def pnp_ransac(pm2_in_1: Pointmap, k: CameraIntrinsics,
     pixels[0] = valid_idx % pm2_in_1.width
     pixels[1] = valid_idx // pm2_in_1.width
 
-    k_inv = k.inverse_matrix()
     rng = np.random.default_rng(cfg.rng_seed)
     thr = cfg.inlier_threshold_px
 
@@ -369,49 +444,40 @@ def pnp_ransac(pm2_in_1: Pointmap, k: CameraIntrinsics,
 
     it = 0
     while it < needed:
-        it += 1
-        sample = rng.choice(n_valid, size=cfg.min_sample, replace=False)
+        # Draw a chunk of samples, one choice call each so the stream is
+        # the one-at-a-time stream, and solve their P3P in one batch;
+        # then walk them in order. Samples past an adaptive stop inside
+        # the chunk are drawn but never scored.
+        samples = np.stack([rng.choice(n_valid, size=cfg.min_sample, replace=False)
+                            for _ in range(min(_P3P_CHUNK, needed - it))])
         # Row-major samples: small BLAS products can round differently
         # by layout, and the hypotheses should not depend on it.
-        sp = np.ascontiguousarray(points[:, sample].T)
-        spx = np.ascontiguousarray(pixels[:, sample].T)
-        bearings = np.concatenate([spx[:3], np.ones((3, 1))], axis=1) @ k_inv.T
-        norms = np.linalg.norm(bearings, axis=1)
-        if np.any(norms == 0):
-            continue
-        bearings /= norms[:, None]
-
-        cand_pose = None
-        cand_err = np.inf
-        for r, t in p3p_solve(sp[:3], bearings):
-            cam = sp @ r.T + t
-            behind = int(np.count_nonzero(cam[:, 2] <= 0))
-            if behind * 2 > len(sp):
+        rots, trans, found = _sample_hypotheses(
+            np.ascontiguousarray(points[:, samples].transpose(1, 2, 0)),
+            np.ascontiguousarray(pixels[:, samples].transpose(1, 2, 0)), k)
+        for s in range(len(samples)):
+            if it >= needed:
+                break
+            it += 1
+            if not found[s]:
                 continue
-            errs = _reproj_errors(sp.T, spx.T, k, r, t)
-            total = float(errs.sum())
-            if total < cand_err:
-                cand_err = total
-                cand_pose = (r, t)
-        if cand_pose is None:
-            continue
-
-        errs = _reproj_errors(points, pixels, k, *cand_pose)
-        inl = errs < thr
-        count = int(np.count_nonzero(inl))
-        if count == 0:
-            continue
-        mean_err = float(errs[inl].mean())
-        if count > best_count or (count == best_count and mean_err < best_mean):
-            best_count, best_mean = count, mean_err
-            best_pose, best_inl = cand_pose, inl
-            # Adaptive stop: enough iterations to hit an all-inlier
-            # minimal sample with the configured confidence.
-            w = min(count / n_valid, 1.0 - 1e-12)
-            denom = math.log1p(-(w ** cfg.min_sample))
-            if denom < 0:
-                needed = min(cfg.max_iterations,
-                             max(it, int(math.ceil(math.log1p(-cfg.confidence) / denom))))
+            cand_pose = (rots[s], trans[s])
+            errs = _reproj_errors(points, pixels, k, *cand_pose)
+            inl = errs < thr
+            count = int(np.count_nonzero(inl))
+            if count == 0:
+                continue
+            mean_err = float(errs[inl].mean())
+            if count > best_count or (count == best_count and mean_err < best_mean):
+                best_count, best_mean = count, mean_err
+                best_pose, best_inl = cand_pose, inl
+                # Adaptive stop: enough iterations to hit an all-inlier
+                # minimal sample with the configured confidence.
+                w = min(count / n_valid, 1.0 - 1e-12)
+                denom = math.log1p(-(w ** cfg.min_sample))
+                if denom < 0:
+                    needed = min(cfg.max_iterations,
+                                 max(it, int(math.ceil(math.log1p(-cfg.confidence) / denom))))
 
     if best_pose is None or best_count < cfg.min_sample:
         raise NoPoseFoundError(

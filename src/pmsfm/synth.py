@@ -20,6 +20,7 @@ single-camera video; intrinsics vary across scenes through the seed.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -119,6 +120,15 @@ class SceneBundle:
     @property
     def n_views(self) -> int:
         return len(self.views)
+
+    @functools.cached_property
+    def view_pointmaps(self) -> tuple[Pointmap, ...]:
+        """Each view's stored depth back-projected into its own camera
+        frame (``frame_id`` ``view<k>``), computed once per bundle; the
+        maps are read-only, so every pair shares them."""
+        return tuple(
+            replace(pointmap_from_depth(v.depth, v.intrinsics), frame_id=f"view{k}")
+            for k, v in enumerate(self.views))
 
     def exact_pointmap(self, k: int) -> Pointmap:
         """Pointmap whose entries are the exact (noise-free) coordinates
@@ -400,11 +410,9 @@ def make_pair_pointmaps(bundle: SceneBundle, i: int, j: int,
         point_noise_sigma = bundle.spec.point_noise_sigma
     noise_abs = point_noise_sigma * bundle.spec.scene_scale
     view_i, view_j = bundle.views[i], bundle.views[j]
-    pm1 = pointmap_from_depth(view_i.depth, view_i.intrinsics)
-    pm1 = Pointmap(pm1.width, pm1.height, pm1.points, pm1.confidence, pm1.mask,
-                   frame_id=f"view{i}")
-    pm2_own = pointmap_from_depth(view_j.depth, view_j.intrinsics)
-    pm2 = change_frame(pm2_own, view_j.pose, view_i.pose, frame_id=f"view{i}")
+    pm1 = bundle.view_pointmaps[i]
+    pm2 = change_frame(bundle.view_pointmaps[j], view_j.pose, view_i.pose,
+                       frame_id=f"view{i}")
 
     all_valid = np.concatenate([pm1.points[pm1.mask], pm2.points[pm2.mask]], axis=0)
     if len(all_valid):
@@ -417,10 +425,7 @@ def make_pair_pointmaps(bundle: SceneBundle, i: int, j: int,
 
     rel = compose(view_j.pose, inverse(view_i.pose))  # view-i frame -> view-j frame
     k2 = view_j.intrinsics
-    grid_u, grid_v = np.meshgrid(np.arange(pm2.width, dtype=np.float64),
-                                 np.arange(pm2.height, dtype=np.float64))
-    grid_u = grid_u.reshape(-1)
-    grid_v = grid_v.reshape(-1)
+    width = pm2.width
 
     def far_from_pixel(samples: np.ndarray, flat_idx: np.ndarray) -> np.ndarray:
         cam = rel.apply(samples)
@@ -430,7 +435,8 @@ def make_pair_pointmaps(bundle: SceneBundle, i: int, j: int,
         if np.any(front):
             u = k2.f * cam[front, 0] / z[front] + k2.c_x
             v = k2.f * cam[front, 1] / z[front] + k2.c_y
-            err = np.hypot(u - grid_u[flat_idx[front]], v - grid_v[flat_idx[front]])
+            pix = flat_idx[front]
+            err = np.hypot(u - pix % width, v - pix // width)
             ok[front] = err > _OUTLIER_MIN_REPROJ_PX
         return ok
 

@@ -14,6 +14,7 @@ from pmsfm.io_formats import (
     poses_from_text,
     poses_to_text,
     read_pointmap,
+    read_pointmap_size,
     report_from_text,
     report_to_text,
     write_pointmap,
@@ -130,6 +131,18 @@ class TestPointmapContainer:
         write_pointmap(tmp_path / "x.pmap", pm)
         back = read_pointmap(tmp_path / "x.pmap")
         np.testing.assert_array_equal(back.points, pm.points)
+
+    def test_size_from_header_alone(self, rng, tmp_path):
+        write_pointmap(tmp_path / "x.pmap", random_pointmap(rng, width=16, height=12))
+        data = (tmp_path / "x.pmap").read_bytes()
+        (tmp_path / "head.pmap").write_bytes(data[:17])  # magic + width/height/flags
+        assert read_pointmap_size(tmp_path / "head.pmap") == (16, 12)
+        (tmp_path / "short.pmap").write_bytes(data[:16])
+        with pytest.raises(FormatError):
+            read_pointmap_size(tmp_path / "short.pmap")
+        (tmp_path / "depth.pmap").write_bytes(depthmap_to_bytes(random_depthmap(rng)))
+        with pytest.raises(FormatError, match="bad magic"):
+            read_pointmap_size(tmp_path / "depth.pmap")
 
     def test_little_endian_layout(self):
         pts = np.zeros((1, 1, 3))

@@ -56,9 +56,17 @@ def write_pairs_bundle(bundle, pair_dir: Path, pairs) -> Path:
     return pair_dir / "manifest.txt"
 
 
+def run_log_value(run_dir: Path, key: str) -> str:
+    for line in (run_dir / pipeline.RUN_LOG_FILENAME).read_text(encoding="utf-8").splitlines():
+        if line.startswith(key + " "):
+            return line.split(" ", 1)[1]
+    raise AssertionError(f"run log has no {key} line")
+
+
 def solve_with_jobs(manifest: Path, out: Path, jobs: int):
     """Solve with `jobs` pool threads and again with one; both must write
-    the same poses and graph bytes. Returns the first run."""
+    the same poses and graph bytes and log their pool size. Returns the
+    first run."""
     runs = [pipeline.run_solve(pipeline.PipelineConfig(
                 manifest=str(manifest), output_dir=str(out / f"run{k}"), jobs=n))
             for k, n in enumerate((jobs, 1))]
@@ -66,6 +74,9 @@ def solve_with_jobs(manifest: Path, out: Path, jobs: int):
                 for f in (pipeline.POSES_FILENAME, pipeline.GRAPH_FILENAME)}
                for _, run_dir in runs]
     assert written[0] == written[1]
+    for (result, run_dir), n in zip(runs, (jobs, 1)):
+        assert result.pair_workers == n
+        assert run_log_value(run_dir, "pair_workers") == str(n)
     return runs[0]
 
 
@@ -213,6 +224,54 @@ class TestSolveStage:
                         if line.startswith("# warning: focal IRLS hit its iteration budget")]
         assert result.n_pairs_failed == 0
         assert len(budget_lines) == result.n_pairs_attempted == 15
+
+    def test_linalg_error_skips_only_its_pair(self, tmp_path, monkeypatch):
+        out = tmp_path / "bundle"
+        pipeline.synthesize(small_spec(), out)
+        simulate = pipeline.make_pair_pointmaps
+
+        def failing(bundle, a, b, **kw):
+            if (a, b) == (1, 3):
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return simulate(bundle, a, b, **kw)
+
+        monkeypatch.setattr(pipeline, "make_pair_pointmaps", failing)
+        cfg = pipeline.PipelineConfig(manifest=str(out / "manifest.txt"),
+                                      output_dir=str(tmp_path / "run"))
+        result, run_dir = pipeline.run_solve(cfg)
+        assert result.n_pairs_attempted == 15
+        assert result.n_pairs_failed == 1
+        assert result.poses.recovered.all()
+        log = (run_dir / pipeline.RUN_LOG_FILENAME).read_text(encoding="utf-8")
+        assert "# warning: pair (1,3) skipped: SVD did not converge\n" in log
+        assert run_log_value(run_dir, "n_pairs_failed") == "1"
+
+    def test_auto_jobs_sizes_pool_from_input(self, bundle_dir, tmp_path, monkeypatch):
+        # jobs 0 on small sparse maps: one pool thread.
+        cfg = pipeline.PipelineConfig(manifest=str(bundle_dir / "manifest.txt"),
+                                      output_dir=str(tmp_path / "run"), jobs=0)
+        result, run_dir = pipeline.run_solve(cfg)
+        assert result.pair_workers == 1
+        assert run_log_value(run_dir, "pair_workers") == "1"
+        # Maps at the threshold get one thread per core; in pairs mode
+        # the size comes from the first container's header.
+        bundle = generate(small_spec(n_views=3))
+        manifest = write_pairs_bundle(bundle, tmp_path / "pairs", [(0, 1), (0, 2), (1, 2)])
+        monkeypatch.setattr(pipeline, "POOL_MIN_PIXELS_PER_MAP", 64 * 48)
+        cfg = pipeline.PipelineConfig(manifest=str(manifest),
+                                      output_dir=str(tmp_path / "run_pairs"), jobs=0)
+        result, run_dir = pipeline.run_solve(cfg)
+        assert result.pair_workers == (os.cpu_count() or 1)
+        assert run_log_value(run_dir, "pair_workers") == str(result.pair_workers)
+        # An unreadable first container leaves the choice to the next one
+        # and fails only its own pair.
+        (manifest.parent / "p01_ref.pmap").unlink()
+        result, _ = pipeline.run_solve(cfg)
+        assert result.pair_workers == (os.cpu_count() or 1)
+        assert result.n_pairs_failed == 1
+        monkeypatch.setattr(pipeline, "POOL_MIN_PIXELS_PER_MAP", 64 * 48 + 1)
+        result, _ = pipeline.run_solve(cfg)
+        assert result.pair_workers == 1
 
     def test_all_masked_frame_skipped(self, tmp_path):
         out = tmp_path / "bundle"

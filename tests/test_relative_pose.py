@@ -1,7 +1,11 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from numpy.polynomial import polynomial as npoly
 
 from pmsfm.errors import InsufficientDataError, NoPoseFoundError, ValidationError
 from pmsfm.geometry import (
@@ -19,6 +23,7 @@ from pmsfm.relative_pose import (
     RansacConfig,
     _gn_normal_equations,
     _gn_residuals,
+    _p3p_batch,
     _reproj_errors,
     estimate_focal,
     make_intrinsics,
@@ -365,6 +370,96 @@ def _seeded_correspondences(seed, n=500):
     return k, pose, points, pixels, rng
 
 
+def _reference_kabsch(world, cam):
+    """Rigid fit cam = R @ world + t for matched point sets (N, 3)."""
+    w_mean = world.mean(axis=0)
+    c_mean = cam.mean(axis=0)
+    m = (cam - c_mean).T @ (world - w_mean)
+    u, _, vt = np.linalg.svd(m)
+    d = np.sign(np.linalg.det(u @ vt))
+    if d < 0:
+        u = u.copy()
+        u[:, -1] *= -1.0
+    r = u @ vt
+    return r, c_mean - r @ w_mean
+
+
+def _reference_p3p(world_pts, bearings):
+    """Scalar three-point resection: the quartic in v from numpy.polynomial
+    elimination, polyroots, and one Kabsch fit per accepted root."""
+    p1, p2, p3 = world_pts
+    a2 = float(np.dot(p2 - p3, p2 - p3))
+    b2 = float(np.dot(p1 - p3, p1 - p3))
+    c2 = float(np.dot(p1 - p2, p1 - p2))
+    if min(a2, b2, c2) <= 0.0:
+        return []
+    if np.linalg.norm(np.cross(p2 - p1, p3 - p1)) ** 2 < 1e-18 * max(a2, b2, c2) ** 2:
+        return []
+
+    f1, f2, f3 = bearings
+    cos_a = float(np.dot(f2, f3))
+    cos_b = float(np.dot(f1, f3))
+    cos_g = float(np.dot(f1, f2))
+
+    big_a = (a2 - c2) / b2
+    q = np.array([1.0, -2.0 * cos_b, 1.0])
+    u_num = np.array([big_a + 1.0, -2.0 * big_a * cos_b, big_a - 1.0])
+    den = np.array([2.0 * cos_g, -2.0 * cos_a])
+
+    den2 = npoly.polymul(den, den)
+    quartic = npoly.polyadd(den2, npoly.polymul(u_num, u_num))
+    quartic = npoly.polysub(quartic, 2.0 * cos_g * npoly.polymul(u_num, den))
+    quartic = npoly.polysub(quartic, (c2 / b2) * npoly.polymul(q, den2))
+    if not np.all(np.isfinite(quartic)) or np.max(np.abs(quartic)) == 0.0:
+        return []
+    roots = npoly.polyroots(quartic)
+
+    solutions = []
+    for v in roots:
+        if abs(v.imag) > 1e-8 * max(1.0, abs(v.real)):
+            continue
+        v = float(v.real)
+        if v <= 0:
+            continue
+        den_v = float(npoly.polyval(v, den))
+        if abs(den_v) < 1e-12:
+            continue
+        u = float(npoly.polyval(v, u_num)) / den_v
+        if u <= 0:
+            continue
+        q_v = 1.0 + v * v - 2.0 * v * cos_b
+        if q_v <= 0:
+            continue
+        s1 = math.sqrt(b2 / q_v)
+        cam_pts = np.array([s1 * f1, u * s1 * f2, v * s1 * f3])
+        solutions.append(_reference_kabsch(world_pts, cam_pts))
+    return solutions
+
+
+def _resection_problem(rot_vec, t, cam):
+    """World points and unit bearings of camera-frame points ``cam`` under
+    the pose (axis-angle ``rot_vec``, ``t``)."""
+    angle = float(np.linalg.norm(rot_vec))
+    r = axis_angle_matrix(rot_vec / angle, angle) if angle > 0 else np.eye(3)
+    world = (cam - t) @ r
+    return world, cam / np.linalg.norm(cam, axis=1, keepdims=True)
+
+
+# pnp_ransac on views pair (1, 4) of SceneSpec(n_views=6,
+# point_noise_sigma=0.005, outlier_fraction=0.1, rng_seed=3), as the
+# one-sample-at-a-time P3P loop computed it.
+PINNED_INLIERS = 473
+PINNED_R = np.array([
+    [-0.9999993467354062, 0.0009844919236873515, 0.0005807791431267967],
+    [0.00048352959731389703, 0.8247492402576918, -0.56549841458088],
+    [-0.0010357257790642167, -0.5654977643368826, -0.8247491775091976]])
+PINNED_T = np.array([-0.0007893562159861214, 1.4143801295709009, 4.5519731725043036])
+
+_COORD = st.floats(-1.0, 1.0, allow_nan=False)
+_DEPTH = st.floats(2.0, 6.0, allow_nan=False)
+_CAM_POINT = st.tuples(_COORD, _COORD, _DEPTH)
+
+
 class TestKernels:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_normal_equations_match_tensor_reference(self, seed):
@@ -435,3 +530,74 @@ class TestKernels:
         pm = Pointmap(pm.width, pm.height, pm.points, pm.confidence, mask)
         assert estimate_focal(pm) == _reference_focal(pm)
         assert estimate_focal(pm, max_iters=3) == _reference_focal(pm, max_iters=3)
+
+    @settings(max_examples=200, deadline=None)
+    @given(rot_vec=st.tuples(_COORD, _COORD, _COORD), t=st.tuples(_COORD, _COORD, _COORD),
+           cam=st.tuples(_CAM_POINT, _CAM_POINT, _CAM_POINT))
+    def test_p3p_batch_matches_scalar_reference(self, rot_vec, t, cam):
+        cam = np.array(cam)
+        # Well-conditioned triangles: no short side, no sliver.
+        sides = np.linalg.norm(cam - np.roll(cam, 1, axis=0), axis=1)
+        assume(sides.min() > 0.2)
+        assume(np.linalg.norm(np.cross(cam[1] - cam[0], cam[2] - cam[0])) > 0.05)
+        world, bearings = _resection_problem(np.array(rot_vec), np.array(t), cam)
+        expected = _reference_p3p(world, bearings)
+        got = p3p_solve(world, bearings)
+        assert len(got) == len(expected)
+        for (r, tt), (r_ref, t_ref) in zip(got, expected):
+            assert np.abs(r - r_ref).max() <= 1e-9
+            assert np.abs(tt - t_ref).max() <= 1e-9 * max(1.0, np.abs(t_ref).max())
+
+    def test_p3p_batch_of_many_equals_batches_of_one(self):
+        rng = np.random.default_rng(4)
+        problems = [_resection_problem(rng.normal(size=3), rng.normal(size=3),
+                                       rng.uniform([-1, -1, 2.0], [1, 1, 6.0], size=(3, 3)))
+                    for _ in range(16)]
+        rot, trans, cand = _p3p_batch(np.stack([w for w, _ in problems]),
+                                      np.stack([b for _, b in problems]))
+        for k, (world, bearings) in enumerate(problems):
+            expected = _reference_p3p(world, bearings)
+            assert cand[k].sum() == len(expected)
+            for r, (r_ref, t_ref) in zip(np.flatnonzero(cand[k]), expected):
+                assert np.array_equal(rot[k, r], r_ref)
+                assert np.array_equal(trans[k, r], t_ref)
+
+    def test_p3p_rejects_degenerate_samples(self):
+        rng = np.random.default_rng(2)
+        world, bearings = _resection_problem(rng.normal(size=3), rng.normal(size=3),
+                                             rng.uniform([-1, -1, 2.0], [1, 1, 6.0],
+                                                         size=(3, 3)))
+        coincident = world.copy()
+        coincident[2] = coincident[0]
+        collinear = world.copy()
+        collinear[2] = 2.0 * world[1] - world[0]
+        for bad in (coincident, collinear):
+            assert _reference_p3p(bad, bearings) == []
+            assert p3p_solve(bad, bearings) == []
+        # A zero bearing never reached the scalar solver (pnp_ransac
+        # skipped the sample first); the batched kernel rejects it itself.
+        for k in range(3):
+            zero = bearings.copy()
+            zero[k] = 0.0
+            assert p3p_solve(world, zero) == []
+        # One degenerate sample leaves the others in its batch untouched.
+        rot, trans, cand = _p3p_batch(np.stack([world, coincident, world]),
+                                      np.stack([bearings, bearings, bearings]))
+        assert not cand[1].any()
+        assert np.array_equal(cand[0], cand[2]) and cand[0].any()
+        assert np.array_equal(rot[0][cand[0]], rot[2][cand[2]])
+        assert np.all(np.isfinite(rot)) and np.all(np.isfinite(trans))
+
+    def test_pnp_ransac_pinned_on_views_pair(self):
+        # Inlier count and pose of one noisy views pair, as the scalar
+        # P3P loop computed them; the batched hypotheses must agree.
+        from pmsfm.synth import SceneSpec, generate, make_pair_pointmaps
+        bundle = generate(SceneSpec(n_views=6, point_noise_sigma=0.005,
+                                    outlier_fraction=0.1, rng_seed=3))
+        pair = make_pair_pointmaps(bundle, 1, 4)
+        k = make_intrinsics(pair.view2.width, pair.view2.height, estimate_focal(pair.view1))
+        res = pnp_ransac(pair.view2, k, RansacConfig(rng_seed=0))
+        assert res.inlier_count == PINNED_INLIERS
+        np.testing.assert_allclose(res.transform.rotation, PINNED_R, rtol=0, atol=1e-8)
+        np.testing.assert_allclose(res.transform.translation, PINNED_T, rtol=0,
+                                   atol=1e-8 * np.linalg.norm(PINNED_T))

@@ -1,8 +1,11 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
 from pmsfm.errors import ValidationError
-from pmsfm.geometry import change_frame, compose, geodesic_deg, inverse
+from pmsfm.geometry import change_frame, compose, geodesic_deg, inverse, pointmap_from_depth
 from pmsfm.relative_pose import estimate_focal, make_intrinsics, pnp_ransac
 from pmsfm.synth import SceneSpec, generate, make_pair_pointmaps
 
@@ -157,3 +160,79 @@ class TestMakePairPointmaps:
             axis=1)
         # isotropic 3-sigma: mean |dev| ~ sigma * sqrt(8/pi)
         assert 0.005 <= float(dev.mean()) <= 0.05
+
+
+def pair_bytes(pair) -> bytes:
+    return b"".join(a.tobytes() for pm in (pair.view1, pair.view2)
+                    for a in (pm.points, pm.confidence, pm.mask))
+
+
+class TestViewPointmapReuse:
+    """Each bundle back-projects each view once and every pair reuses it."""
+
+    SPEC = SceneSpec(n_views=4, rng_seed=11, outlier_fraction=0.1, point_noise_sigma=0.01)
+    PAIRS = [(0, 1), (2, 0), (1, 3), (3, 2), (0, 0)]
+
+    def test_repeated_and_reordered_calls_byte_identical(self):
+        b = generate(self.SPEC)
+        first = {p: pair_bytes(make_pair_pointmaps(b, *p)) for p in self.PAIRS}
+        again = {p: pair_bytes(make_pair_pointmaps(b, *p)) for p in self.PAIRS}
+        fresh = generate(self.SPEC)
+        reordered = {p: pair_bytes(make_pair_pointmaps(fresh, *p))
+                     for p in reversed(self.PAIRS)}
+        assert first == again == reordered
+
+    def test_maps_equal_fresh_back_projection(self):
+        b = generate(self.SPEC)
+        for k, view in enumerate(b.views):
+            own = pointmap_from_depth(view.depth, view.intrinsics)
+            cached = b.view_pointmaps[k]
+            assert cached.frame_id == f"view{k}"
+            for name in ("points", "confidence", "mask"):
+                assert getattr(cached, name).tobytes() == getattr(own, name).tobytes()
+        clean = make_pair_pointmaps(b, 2, 1, outlier_fraction=0.0, point_noise_sigma=0.0)
+        own = pointmap_from_depth(b.views[2].depth, b.views[2].intrinsics)
+        assert clean.view1.points.tobytes() == own.points.tobytes()
+        moved = change_frame(pointmap_from_depth(b.views[1].depth, b.views[1].intrinsics),
+                             b.views[1].pose, b.views[2].pose)
+        assert clean.view2.points.tobytes() == moved.points.tobytes()
+
+    def test_cached_arrays_read_only(self):
+        b = generate(self.SPEC)
+        make_pair_pointmaps(b, 0, 1)
+        for pm in b.view_pointmaps:
+            for arr in (pm.points, pm.confidence, pm.mask):
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr.reshape(-1)[0] = 1
+
+    def test_bundles_built_in_turn_never_share_maps(self):
+        # Bundles built and dropped one after another can reuse an object
+        # id; each must still see its own views' back-projection.
+        previous = []
+        for seed in range(4):
+            b = generate(SceneSpec(n_views=2, rng_seed=seed))
+            pair = make_pair_pointmaps(b, 0, 1, outlier_fraction=0.0, point_noise_sigma=0.0)
+            own = pointmap_from_depth(b.views[0].depth, b.views[0].intrinsics)
+            assert pair.view1.points.tobytes() == own.points.tobytes()
+            assert not any(np.shares_memory(pair.view1.points, p) for p in previous)
+            previous.append(pair.view1.points)
+            del b, pair
+
+    def test_concurrent_first_use_gives_serial_maps(self):
+        # Pool threads may hit a bundle's cache first at the same time;
+        # every pair must still come out as in a serial run.
+        pairs = [(i, j) for i in range(4) for j in range(4)] * 3
+        expected = {p: pair_bytes(make_pair_pointmaps(generate(self.SPEC), *p))
+                    for p in set(pairs)}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                b = generate(self.SPEC)
+                with ThreadPoolExecutor(max_workers=8) as pool:
+                    got = list(pool.map(lambda p: pair_bytes(make_pair_pointmaps(b, *p)),
+                                        pairs, timeout=60))
+                assert got == [expected[p] for p in pairs]
+        finally:
+            sys.setswitchinterval(interval)
