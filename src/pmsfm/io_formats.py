@@ -80,8 +80,9 @@ Pose graph document ("pmsfm pose graph v1")
     frames <n_frames>
     edge <i> <j> <r00 r01 r02 r10 r11 r12 r20 r21 r22> <t0 t1 t2> <weight> <quality>
 The edge transform maps frame-j camera coordinates to frame-i camera
-coordinates; weight is the averaging concentration, quality the inlier
-fraction that passed filtering.
+coordinates; weight is the averaging concentration, a finite positive
+number (an edge line with any other weight is rejected), and quality the
+inlier fraction that passed filtering.
 
 Key-value documents
 -------------------

@@ -13,6 +13,9 @@ world-to-camera poses.
 
 from __future__ import annotations
 
+import functools
+import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 
@@ -27,7 +30,7 @@ from .errors import (
     InsufficientDataError,
     ValidationError,
 )
-from .geometry import RigidTransform, inverse, so3_project
+from .geometry import RigidTransform, _freeze, inverse, so3_project
 from .relative_pose import RelativePoseResult
 
 _SWEEP_TOL = 1e-10
@@ -50,11 +53,29 @@ class Edge:
     def __post_init__(self):
         if self.i == self.j:
             raise ValidationError(f"self-loop edge at frame {self.i}")
-        if not self.weight > 0:
-            raise ValidationError("edge weight must be positive")
+        if not (math.isfinite(self.weight) and self.weight > 0):
+            raise ValidationError(f"edge weight must be finite and positive, got {self.weight}")
         rt = RigidTransform(self.rotation, self.translation)  # validates SO(3)
         object.__setattr__(self, "rotation", rt.rotation)
         object.__setattr__(self, "translation", rt.translation)
+
+
+@dataclass(frozen=True)
+class EdgeArrays:
+    """A graph's edges stacked in edge order, with its support.
+
+    ``components`` are the connected components of the undirected
+    support graph over the covered vertices: each one ascending, and
+    ordered by its lowest vertex.
+    """
+
+    i: np.ndarray            # (E,) frame indices
+    j: np.ndarray            # (E,)
+    weight: np.ndarray       # (E,)
+    rotation: np.ndarray     # (E, 3, 3)
+    translation: np.ndarray  # (E, 3)
+    covered: np.ndarray      # (n_frames,) bool
+    components: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -72,20 +93,19 @@ class PoseGraph:
             seen.add((e.i, e.j))
         object.__setattr__(self, "edges", tuple(self.edges))
 
-    def covered_vertices(self) -> np.ndarray:
+    @functools.cached_property
+    def edge_arrays(self) -> EdgeArrays:
+        """The edges stacked once per graph, with its connected
+        components; the arrays are read-only, so every solve shares them."""
+        i = np.array([e.i for e in self.edges], dtype=np.intp)
+        j = np.array([e.j for e in self.edges], dtype=np.intp)
         covered = np.zeros(self.n_frames, dtype=bool)
-        for e in self.edges:
-            covered[e.i] = covered[e.j] = True
-        return covered
-
-    def components(self) -> list[list[int]]:
-        """Connected components of the undirected support graph,
-        restricted to vertices incident to at least one edge."""
+        covered[i] = covered[j] = True
         adj: dict[int, set[int]] = {}
         for e in self.edges:
             adj.setdefault(e.i, set()).add(e.j)
             adj.setdefault(e.j, set()).add(e.i)
-        comps = []
+        components = []
         visited = set()
         for v in sorted(adj):
             if v in visited:
@@ -99,8 +119,23 @@ class PoseGraph:
                     if w not in visited:
                         visited.add(w)
                         stack.append(w)
-            comps.append(sorted(comp))
-        return comps
+            components.append(tuple(sorted(comp)))
+        return EdgeArrays(
+            i=_freeze(i), j=_freeze(j),
+            weight=_freeze(np.array([e.weight for e in self.edges], dtype=np.float64)),
+            rotation=_freeze(np.array([e.rotation for e in self.edges]).reshape(-1, 3, 3)),
+            translation=_freeze(np.array([e.translation for e in self.edges]).reshape(-1, 3)),
+            covered=_freeze(covered),
+            components=tuple(components),
+        )
+
+    def covered_vertices(self) -> np.ndarray:
+        return self.edge_arrays.covered.copy()
+
+    def components(self) -> list[list[int]]:
+        """Connected components of the undirected support graph,
+        restricted to vertices incident to at least one edge."""
+        return [list(c) for c in self.edge_arrays.components]
 
 
 @dataclass(frozen=True)
@@ -205,34 +240,83 @@ def build_graph(pair_results: list[tuple[int, int, RelativePoseResult, int]],
                           weight=weight, quality=quality, rescued=rescued))
 
     graph = PoseGraph(n_frames=n_frames, edges=tuple(edges))
-    comps = graph.components()
-    if len(comps) > 1:
-        raise DisconnectedGraphError(
-            f"pose graph splits into {len(comps)} components: {comps}",
-            components=comps,
-        )
+    _require_connected(graph)
     return graph
+
+
+def _chordal_objective(rot: np.ndarray, i: np.ndarray, j: np.ndarray,
+                       meas: np.ndarray, weight: np.ndarray) -> float:
+    """sum_k w_k * ||R_j - R_i @ M_k||_F^2 over stacked edges, the terms
+    added left to right in edge order."""
+    diff = rot[j] - rot[i] @ meas
+    per_edge = (diff * diff).reshape(-1, diff.shape[-1] ** 2).sum(axis=1)
+    return functools.reduce(operator.add, (weight * per_edge).tolist(), 0.0)
 
 
 def rotation_objective(graph: PoseGraph, rotations: np.ndarray) -> float:
     """Weighted chordal objective sum_k w * ||R_j - R_i @ R_ij||_F^2."""
-    total = 0.0
-    for e in graph.edges:
-        diff = rotations[e.j] - rotations[e.i] @ e.rotation
-        total += e.weight * float((diff * diff).sum())
-    return total
+    a = graph.edge_arrays
+    return _chordal_objective(np.asarray(rotations), a.i, a.j, a.rotation, a.weight)
 
 
-def _check_connected(graph: PoseGraph) -> np.ndarray:
-    if not graph.edges:
-        raise InsufficientDataError("pose graph has no edges")
-    comps = graph.components()
-    if len(comps) > 1:
+def _require_connected(graph: PoseGraph) -> EdgeArrays:
+    a = graph.edge_arrays
+    if len(a.components) > 1:
+        comps = graph.components()
         raise DisconnectedGraphError(
             f"pose graph splits into {len(comps)} components: {comps}",
             components=comps,
         )
-    return graph.covered_vertices()
+    return a
+
+
+def _check_connected(graph: PoseGraph) -> EdgeArrays:
+    if not graph.edges:
+        raise InsufficientDataError("pose graph has no edges")
+    return _require_connected(graph)
+
+
+def _block_columns(covered: np.ndarray, anchor: int) -> tuple[np.ndarray, np.ndarray]:
+    """The non-anchor measured vertices and each frame's first column
+    among their 3-wide blocks (-1 for the rest)."""
+    vertices = np.flatnonzero(covered)
+    vertices = vertices[vertices != anchor]
+    col = np.full(len(covered), -1, dtype=np.intp)
+    col[vertices] = 3 * np.arange(len(vertices))
+    return vertices, col
+
+
+def _chordal_system(graph: PoseGraph, covered: np.ndarray,
+                    anchor: int) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
+    """Sparse matrix, right-hand sides and unknown vertices of the
+    block-linear relaxation R_j - R_i @ R_ij = 0 with R_anchor = I,
+    transposed so each unknown block is R_v^T.
+
+    Each edge contributes a 3-row block: the identity at column j, then
+    -R_ij^T at column i (row-major); an anchor endpoint moves to the
+    right-hand side instead.
+    """
+    a = graph.edge_arrays
+    n_edges = len(a.weight)
+    vertices, col = _block_columns(covered, anchor)
+    w = np.sqrt(a.weight)
+    rt = a.rotation.transpose(0, 2, 1)
+    r = 3 * np.arange(n_edges)[:, None]
+    a3, b9 = np.arange(3), np.tile(np.arange(3), 3)
+    rows = np.hstack([r + a3, r + np.repeat(a3, 3)])
+    cols = np.hstack([col[a.j][:, None] + a3, col[a.i][:, None] + b9])
+    vals = np.hstack([np.repeat(w[:, None], 3, axis=1),
+                      (-w[:, None, None] * rt).reshape(n_edges, 9)])
+    keep = np.hstack([np.repeat((a.j != anchor)[:, None], 3, axis=1),
+                      np.repeat((a.i != anchor)[:, None], 9, axis=1)])
+    mat = sp.coo_matrix((vals[keep], (rows[keep], cols[keep])),
+                        shape=(3 * n_edges, 3 * len(vertices))).tocsr()
+
+    rhs = np.zeros((n_edges, 3, 3))
+    at_j, at_i = a.j == anchor, a.i == anchor
+    rhs[at_j] -= w[at_j, None, None] * np.eye(3)
+    rhs[at_i] += w[at_i, None, None] * rt[at_i]
+    return mat, rhs.reshape(3 * n_edges, 3), vertices
 
 
 def _chordal_init(graph: PoseGraph, covered: np.ndarray, anchor: int) -> np.ndarray:
@@ -243,50 +327,17 @@ def _chordal_init(graph: PoseGraph, covered: np.ndarray, anchor: int) -> np.ndar
     systems share one matrix and differ only in the anchor's right-hand
     side, so the normal equations are factorized once.
     """
-    vertices = [v for v in np.flatnonzero(covered) if v != anchor]
-    col = {v: 3 * k for k, v in enumerate(vertices)}
-    m = 3 * len(vertices)
-
-    rows, cols, vals = [], [], []
-    rhs = np.zeros((0, 3))
-    rhs_rows = []
-    r = 0
-    for e in graph.edges:
-        w = np.sqrt(e.weight)
-        rt = e.rotation.T
-        block_rhs = np.zeros((3, 3))
-        if e.j != anchor:
-            for a in range(3):
-                rows.append(r + a)
-                cols.append(col[e.j] + a)
-                vals.append(w)
-        else:
-            block_rhs -= w * np.eye(3)
-        if e.i != anchor:
-            for a in range(3):
-                for b in range(3):
-                    rows.append(r + a)
-                    cols.append(col[e.i] + b)
-                    vals.append(-w * rt[a, b])
-        else:
-            block_rhs += w * rt
-        rhs_rows.append(block_rhs)
-        r += 3
-    rhs = np.concatenate(rhs_rows, axis=0)
-
-    a = sp.coo_matrix((vals, (rows, cols)), shape=(r, m)).tocsr()
+    a, rhs, vertices = _chordal_system(graph, covered, anchor)
     ata = (a.T @ a).tocsc()
     atb = a.T @ rhs
     try:
         solution = spla.spsolve(ata, atb)
     except RuntimeError:
         solution = np.linalg.lstsq(ata.toarray(), atb, rcond=None)[0]
-    solution = np.asarray(solution).reshape(m, 3)
+    blocks = np.asarray(solution).reshape(len(vertices), 3, 3)
 
-    n = graph.n_frames
-    rotations = np.tile(np.eye(3), (n, 1, 1))
-    for v in vertices:
-        block = solution[col[v]:col[v] + 3, :]
+    rotations = np.tile(np.eye(3), (graph.n_frames, 1, 1))
+    for v, block in zip(vertices, blocks):
         rotations[v] = so3_project(block.T)
     return rotations
 
@@ -301,44 +352,34 @@ def _block_descent(graph: PoseGraph, rotations: np.ndarray, covered: np.ndarray,
     beyond round-off is a bug and raises AssertionError.
     """
     p = embed_dim
+    a = graph.edge_arrays
     if p == 3:
-        meas = {idx: e.rotation for idx, e in enumerate(graph.edges)}
+        meas = a.rotation
     else:
-        meas = {}
-        for idx, e in enumerate(graph.edges):
-            m = np.eye(p)
-            m[:3, :3] = e.rotation
-            meas[idx] = m
+        meas = np.tile(np.eye(p), (len(a.weight), 1, 1))
+        meas[:, :3, :3] = a.rotation
 
-    incident: dict[int, list[tuple[int, bool]]] = {}
-    for idx, e in enumerate(graph.edges):
-        incident.setdefault(e.i, []).append((idx, True))
-        incident.setdefault(e.j, []).append((idx, False))
-
-    def objective(rot):
-        total = 0.0
-        for idx, e in enumerate(graph.edges):
-            diff = rot[e.j] - rot[e.i] @ meas[idx]
-            total += e.weight * float((diff * diff).sum())
-        return total
+    # Per vertex, its incident edges in edge order: the neighbours, the
+    # weights and the coupling M^T (outgoing) or M (incoming), so the
+    # Procrustes target sum_k w_k R_nbr @ C_k is one batched product.
+    updates = []
+    for v in np.flatnonzero(covered):
+        k = np.flatnonzero((a.i == v) | (a.j == v))
+        outgoing = a.i[k] == v
+        coupling = np.where(outgoing[:, None, None], meas[k].transpose(0, 2, 1), meas[k])
+        updates.append((v, np.where(outgoing, a.j[k], a.i[k]),
+                        a.weight[k, None, None], coupling))
 
     rot = rotations.copy()
-    obj = objective(rot)
+    obj = _chordal_objective(rot, a.i, a.j, meas, a.weight)
     # All tolerances scale with the problem so weight rescaling cannot
     # change the sweep count (the argmin is scale-invariant).
-    weight_scale = sum(e.weight for e in graph.edges)
+    weight_scale = sum(a.weight.tolist())
     converged = False
     for _ in range(max_sweeps):
-        for v in np.flatnonzero(covered):
-            m = np.zeros((p, p))
-            for idx, outgoing in incident.get(v, ()):
-                e = graph.edges[idx]
-                if outgoing:
-                    m += e.weight * rot[e.j] @ meas[idx].T
-                else:
-                    m += e.weight * rot[e.i] @ meas[idx]
-            rot[v] = so3_project(m)
-        new_obj = objective(rot)
+        for v, nbr, w, coupling in updates:
+            rot[v] = so3_project(((w * rot[nbr]) @ coupling).sum(axis=0))
+        new_obj = _chordal_objective(rot, a.i, a.j, meas, a.weight)
         if new_obj > obj + 1e-9 * (obj + weight_scale):
             raise AssertionError(
                 f"block-descent objective increased: {obj} -> {new_obj}"
@@ -376,7 +417,7 @@ def rotation_averaging(graph: PoseGraph, staircase: bool = False,
     objective. The gauge is fixed so the lowest measured frame carries
     the identity; frames with no edges also carry the identity.
     """
-    covered = _check_connected(graph)
+    covered = _check_connected(graph).covered
     anchor = int(np.flatnonzero(covered)[0])
 
     rotations = _chordal_init(graph, covered, anchor)
@@ -411,6 +452,30 @@ def rotation_averaging(graph: PoseGraph, staircase: bool = False,
     return rotations
 
 
+def _translation_system(graph: PoseGraph, rotations: np.ndarray, covered: np.ndarray,
+                        anchor: int) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
+    """Sparse matrix, right-hand side and unknown vertices of
+    sqrt(w) * (u_j - u_i) = sqrt(w) * R_i @ t_ij with u_anchor = 0.
+
+    Each edge contributes a 3-row block: +I at column j, then -I at
+    column i; an anchor endpoint contributes nothing.
+    """
+    a = graph.edge_arrays
+    n_edges = len(a.weight)
+    vertices, col = _block_columns(covered, anchor)
+    w = np.sqrt(a.weight)
+    r = 3 * np.arange(n_edges)[:, None]
+    a3 = np.arange(3)
+    rows = np.hstack([r + a3, r + a3])
+    cols = np.hstack([col[a.j][:, None] + a3, col[a.i][:, None] + a3])
+    vals = np.repeat(np.stack([w, -w], axis=1), 3, axis=1)
+    keep = np.repeat(np.stack([a.j != anchor, a.i != anchor], axis=1), 3, axis=1)
+    mat = sp.coo_matrix((vals[keep], (rows[keep], cols[keep])),
+                        shape=(3 * n_edges, 3 * len(vertices))).tocsr()
+    b = w[:, None] * (np.asarray(rotations)[a.i] @ a.translation[:, :, None])[:, :, 0]
+    return mat, b.reshape(-1), vertices
+
+
 def translation_averaging(graph: PoseGraph, rotations: np.ndarray) -> np.ndarray:
     """Positions minimizing sum_k w * ||R_i @ t_ij - (u_j - u_i)||^2.
 
@@ -419,32 +484,9 @@ def translation_averaging(graph: PoseGraph, rotations: np.ndarray) -> np.ndarray
     the normal equations; a singular system falls back to a least-norm
     solve with a warning.
     """
-    covered = _check_connected(graph)
+    covered = _check_connected(graph).covered
     anchor = int(np.flatnonzero(covered)[0])
-    vertices = [v for v in np.flatnonzero(covered) if v != anchor]
-    col = {v: 3 * k for k, v in enumerate(vertices)}
-    m = 3 * len(vertices)
-
-    n_rows = 3 * len(graph.edges)
-    rows, cols, vals = [], [], []
-    b = np.zeros(n_rows)
-    r = 0
-    for e in graph.edges:
-        w = np.sqrt(e.weight)
-        b[r:r + 3] = w * (rotations[e.i] @ e.translation)
-        if e.j != anchor:
-            for a in range(3):
-                rows.append(r + a)
-                cols.append(col[e.j] + a)
-                vals.append(w)
-        if e.i != anchor:
-            for a in range(3):
-                rows.append(r + a)
-                cols.append(col[e.i] + a)
-                vals.append(-w)
-        r += 3
-
-    a = sp.coo_matrix((vals, (rows, cols)), shape=(n_rows, m)).tocsr()
+    a, b, vertices = _translation_system(graph, rotations, covered, anchor)
     ata = (a.T @ a).tocsc()
     atb = a.T @ b
     least_norm = False
@@ -466,8 +508,7 @@ def translation_averaging(graph: PoseGraph, rotations: np.ndarray) -> np.ndarray
                           "exceeds 1e-10", ConvergenceWarning)
 
     translations = np.zeros((graph.n_frames, 3))
-    for v in vertices:
-        translations[v] = x[col[v]:col[v] + 3]
+    translations[vertices] = x.reshape(-1, 3)
     return translations
 
 

@@ -249,6 +249,14 @@ class TestGraphDocument:
         with pytest.raises(FormatError):
             graph_from_text("frames 2\nedge 0 1 1 2 3\n")
 
+    @pytest.mark.parametrize("weight", ["inf", "-inf", "nan", "0", "-1"])
+    def test_rejects_non_finite_or_non_positive_weight(self, weight):
+        good = "edge 0 1 1 0 0 0 1 0 0 0 1 0 0 1 1 1"
+        text = f"# pmsfm pose graph v1\nframes 3\n{good}\nedge 1 2 1 0 0 0 1 0 0 0 1 1 0 0 {weight} 1\n"
+        assert len(graph_from_text(text.replace(f" {weight} 1\n", " 1 1\n")).edges) == 2
+        with pytest.raises(FormatError, match="line 4: invalid edge: edge weight must be finite"):
+            graph_from_text(text)
+
 
 class TestReportDocument:
     def test_round_trip(self):
