@@ -59,8 +59,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--window", type=int)
     p_solve.add_argument("--weight-mode", choices=("inlier", "constant"),
                          dest="weight_mode")
-    p_solve.add_argument("--staircase", action="store_true", default=None,
-                         help="try SO(4)/SO(5) lifts after local descent")
     p_solve.add_argument("--n-keep", type=int, dest="n_keep",
                          help="subsample to this many evenly spaced frames")
     p_solve.add_argument("--seed", type=int, dest="rng_seed")

@@ -85,14 +85,6 @@ class RigidTransform:
         return cls(so3_project(np.asarray(rotation, dtype=np.float64)),
                    np.asarray(translation, dtype=np.float64))
 
-    @classmethod
-    def from_matrix(cls, m: np.ndarray) -> "RigidTransform":
-        """Build from a 4x4 (or 3x4) homogeneous matrix."""
-        m = np.asarray(m, dtype=np.float64)
-        if m.shape not in ((4, 4), (3, 4)):
-            raise ShapeMismatchError(f"expected 4x4 or 3x4 matrix, got {m.shape}")
-        return cls.from_matrix_parts(m[:3, :3], m[:3, 3])
-
     def renormalized(self) -> "RigidTransform":
         """Re-project the rotation onto SO(3). Idempotent on valid inputs."""
         return RigidTransform.from_matrix_parts(self.rotation, self.translation)
@@ -282,18 +274,6 @@ def geodesic_deg(ra: np.ndarray, rb: np.ndarray) -> float:
         return 0.0
     cos_angle = (np.trace(ra.T @ rb) - 1.0) / 2.0
     return math.degrees(math.acos(min(1.0, max(-1.0, cos_angle))))
-
-
-def rot_x(deg: float) -> np.ndarray:
-    a = math.radians(deg)
-    c, s = math.cos(a), math.sin(a)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
-
-
-def rot_y(deg: float) -> np.ndarray:
-    a = math.radians(deg)
-    c, s = math.cos(a), math.sin(a)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
 
 
 def rot_z(deg: float) -> np.ndarray:

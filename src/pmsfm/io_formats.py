@@ -72,7 +72,8 @@ Poses document ("pmsfm poses v1")
     <m00> <m01> <m02> <m03>        4 rows: the 4x4 row-major
     ...                            world-to-camera matrix
 Repeated per frame, ascending file order. Frame ids may be any
-non-negative integers (e.g. original video frame numbers).
+non-negative integers (e.g. original video frame numbers); an id
+appears at most once.
 
 Pose graph document ("pmsfm pose graph v1")
 -------------------------------------------
@@ -109,7 +110,10 @@ Manifest ("pmsfm manifest v1")
     view <frame> <depth.dmap> <pointmap.pmap>      record, views mode
     pair <i> <j> <ref.pmap> <src.pmap>             record, pairs mode
 Paths are relative to the manifest's directory. A pair record's
-source map is expressed in its reference view's camera frame.
+source map is expressed in its reference view's camera frame. Record
+frames lie in 0..n_frames-1; a view frame appears at most once, and a
+pair (i, j) at most once with i != j ((i, j) and (j, i) are distinct
+pairs).
 
 Pair validity (no header)
     pair <i> <j> <0|1>             record; 0 keeps the pair out of the
@@ -120,10 +124,12 @@ Config ("pmsfm pipeline config v1")
 The fields of PipelineConfig, all optional: manifest, output_dir,
 ransac_max_iterations, ransac_inlier_threshold_px, ransac_confidence,
 ransac_min_sample, quality_threshold, pair_policy (auto|all|window),
-window, weight_mode (inlier|constant), staircase (0/1), align_mode
-(rigid|similarity), acc1_dist, acc1_deg, acc2_dist, acc2_deg, n_keep,
-rng_seed, jobs (pair-stage pool size; 0 = one thread per core when a
-pair map has at least 3000 pixels, else one), pair_validity.
+window, weight_mode (inlier|constant), align_mode (rigid|similarity),
+acc1_dist, acc1_deg, acc2_dist, acc2_deg, n_keep, rng_seed, jobs
+(pair-stage pool size; 0 = one thread per core when a pair map has at
+least 3000 pixels, else one), pair_validity. Config files written by
+earlier versions carry a `staircase 0` line for a removed option; it is
+rejected as an unknown key, so delete that line.
 
 Scene spec ("pmsfm scene spec v1")
 The fields of SceneSpec, all optional: n_points, object_shape,
@@ -371,6 +377,7 @@ def poses_from_text(text: str) -> tuple[GlobalPoses, list[int]]:
     translations = np.zeros((n, 3))
     recovered = np.zeros(n, dtype=bool)
     frame_ids = []
+    seen = set()
     for k in range(n):
         lineno, line = lines.next("frame header")
         word, frame_id, word2, flag = _fields(lineno, line.split(),
@@ -378,6 +385,9 @@ def poses_from_text(text: str) -> tuple[GlobalPoses, list[int]]:
         if (word, word2) != ("frame", "recovered"):
             raise FormatError(
                 f"line {lineno}: expected 'frame <id> recovered <0|1>', got {line!r}")
+        if frame_id in seen:
+            raise FormatError(f"line {lineno}: repeated frame {frame_id}")
+        seen.add(frame_id)
         frame_ids.append(frame_id)
         recovered[k] = flag
         m = np.zeros((4, 4))

@@ -102,14 +102,6 @@ def regr_loss(batch: PointmapPairBatch) -> RegressionLossGrids:
     return RegressionLossGrids(losses=(losses[0], losses[1]), valid=masks)
 
 
-def effective_confidence(raw_conf: np.ndarray) -> np.ndarray:
-    """Map raw scores to strictly positive confidences: ``1 + exp(raw)``."""
-    raw = np.asarray(raw_conf, dtype=np.float64)
-    if not np.all(np.isfinite(raw)):
-        raise ValidationError("raw confidence scores must be finite")
-    return 1.0 + np.exp(raw)
-
-
 def _log1p_exp(x: np.ndarray) -> np.ndarray:
     # log(1 + exp(x)) without overflow for large positive x.
     return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))

@@ -44,6 +44,8 @@ from .pose_graph import (
     assemble_global,
     build_graph,
     rotation_averaging,
+    rotation_certificate,
+    rotation_certified,
     rotation_objective,
     translation_averaging,
 )
@@ -61,7 +63,6 @@ EXIT_IO = 5
 POSES_FILENAME = "poses_est.txt"
 GRAPH_FILENAME = "graph.txt"
 RUN_LOG_FILENAME = "run_log.txt"
-REPORT_FILENAME = "report.txt"
 MANIFEST_FILENAME = "manifest.txt"
 GT_POSES_FILENAME = "gt_poses.txt"
 
@@ -78,7 +79,6 @@ class PipelineConfig:
     pair_policy: str = "auto"  # auto | all | window
     window: int = 10
     weight_mode: str = "inlier"  # inlier | constant
-    staircase: bool = False
     align_mode: str = "rigid"  # rigid | similarity
     acc1_dist: float = DEFAULT_THRESHOLDS[0][0]
     acc1_deg: float = DEFAULT_THRESHOLDS[0][1]
@@ -176,6 +176,18 @@ class Manifest:
     def __post_init__(self):
         if self.mode not in ("views", "pairs"):
             raise ValidationError(f"mode: unknown manifest mode {self.mode!r}")
+        for kind, keys in (("view", [r[:1] for r in self.views]),
+                           ("pair", [r[:2] for r in self.pairs])):
+            seen = set()
+            for key in keys:
+                record = f"{kind} record {' '.join(map(str, key))}"
+                if not all(0 <= f < self.n_frames for f in key):
+                    raise ValidationError(f"{record}: frame outside 0..{self.n_frames - 1}")
+                if len(set(key)) < len(key):
+                    raise ValidationError(f"{record}: self-pair")
+                if key in seen:
+                    raise ValidationError(f"{record}: repeated {kind}")
+                seen.add(key)
 
 
 def manifest_to_text(m: Manifest) -> str:
@@ -250,6 +262,8 @@ class SolveResult:
     graph: PoseGraph
     frame_ids: list[int]
     objective: float
+    rotation_lambda_min: float
+    rotation_certified: bool
     warnings: list[str]
     timings: dict[str, float]
     n_pairs_attempted: int = 0
@@ -442,8 +456,13 @@ def _solve_stages(cfg: PipelineConfig) -> SolveResult:
     timings["graph_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    rotations = rotation_averaging(graph, staircase=cfg.staircase)
+    rotations = rotation_averaging(graph)
     timings["rotation_s"] = time.perf_counter() - t0
+    lambda_min = rotation_certificate(graph, rotations)
+    certified = rotation_certified(graph, lambda_min)
+    if not certified:
+        warnings_log.append("rotation averaging stopped at a stationary point not"
+                            f" certified globally optimal (lambda_min {lambda_min!r})")
     t0 = time.perf_counter()
     translations = translation_averaging(graph, rotations)
     timings["translation_s"] = time.perf_counter() - t0
@@ -453,7 +472,8 @@ def _solve_stages(cfg: PipelineConfig) -> SolveResult:
     objective = rotation_objective(graph, rotations)
     return SolveResult(
         poses=poses, graph=graph, frame_ids=[int(f) for f in kept],
-        objective=objective, warnings=warnings_log, timings=timings,
+        objective=objective, rotation_lambda_min=lambda_min,
+        rotation_certified=certified, warnings=warnings_log, timings=timings,
         n_pairs_attempted=len(source), n_pairs_failed=n_failed, pair_workers=workers,
     )
 
@@ -467,7 +487,7 @@ def sra_objective_from_outputs(graph: PoseGraph, poses: GlobalPoses) -> float:
     return rotation_objective(graph, np.transpose(poses.rotations, (0, 2, 1)))
 
 
-def run_log_text(result: SolveResult, cfg: PipelineConfig) -> str:
+def run_log_text(result: SolveResult) -> str:
     out = ["# pmsfm run log",
            f"n_frames_solved {len(result.frame_ids)}",
            "frames_kept " + " ".join(str(f) for f in result.frame_ids),
@@ -478,7 +498,8 @@ def run_log_text(result: SolveResult, cfg: PipelineConfig) -> str:
            f"n_rescued {sum(1 for e in result.graph.edges if e.rescued)}",
            f"n_recovered {int(np.count_nonzero(result.poses.recovered))}",
            f"objective_sra {repr(result.objective)}",
-           f"staircase {int(cfg.staircase)}"]
+           f"rotation_lambda_min {result.rotation_lambda_min!r}",
+           f"rotation_certified {int(result.rotation_certified)}"]
     for stage, seconds in result.timings.items():
         out.append(f"timing_{stage} {seconds:.6f}")
     for msg in result.warnings:
@@ -497,7 +518,7 @@ def run_solve(cfg: PipelineConfig) -> tuple[SolveResult, Path]:
     result = solve(cfg)
     io_formats.write_poses(out / POSES_FILENAME, result.poses, result.frame_ids)
     io_formats.write_graph(out / GRAPH_FILENAME, result.graph)
-    (out / RUN_LOG_FILENAME).write_text(run_log_text(result, cfg), encoding="utf-8")
+    (out / RUN_LOG_FILENAME).write_text(run_log_text(result), encoding="utf-8")
     save_config(out / "config_used.txt", cfg)
     return result, out
 

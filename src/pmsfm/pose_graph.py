@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import expm
+from scipy.linalg import eigh
 
 from .errors import (
     ConvergenceWarning,
@@ -35,7 +35,7 @@ from .relative_pose import RelativePoseResult
 
 _SWEEP_TOL = 1e-10
 _MAX_SWEEPS = 500
-_STAIRCASE_ACCEPT_TOL = 1e-9
+_CERTIFICATE_REL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -182,15 +182,12 @@ class GlobalPoses:
 class EdgeFilterConfig:
     quality_threshold: float = 0.25
     weight_mode: str = "inlier"  # or "constant"
-    max_weight: float = 1.0
     rescue_temporal: bool = True
     pair_validity: dict | None = field(default=None)
 
     def __post_init__(self):
         if self.weight_mode not in ("inlier", "constant"):
             raise ValidationError(f"unknown weight mode {self.weight_mode!r}")
-        if not self.max_weight > 0:
-            raise ValidationError("max_weight must be positive")
 
 
 def build_graph(pair_results: list[tuple[int, int, RelativePoseResult, int]],
@@ -232,10 +229,9 @@ def build_graph(pair_results: list[tuple[int, int, RelativePoseResult, int]],
     for (i, j), (res, quality, rescued) in sorted(kept.items()):
         rel = inverse(res.transform)  # frame-j coords -> frame-i coords
         if filter_cfg.weight_mode == "inlier":
-            weight = filter_cfg.max_weight * res.inlier_count / max(max_inliers, 1)
-            weight = max(weight, 1e-12)
+            weight = max(res.inlier_count / max(max_inliers, 1), 1e-12)
         else:
-            weight = filter_cfg.max_weight
+            weight = 1.0
         edges.append(Edge(i=i, j=j, rotation=rel.rotation, translation=rel.translation,
                           weight=weight, quality=quality, rescued=rescued))
 
@@ -249,7 +245,7 @@ def _chordal_objective(rot: np.ndarray, i: np.ndarray, j: np.ndarray,
     """sum_k w_k * ||R_j - R_i @ M_k||_F^2 over stacked edges, the terms
     added left to right in edge order."""
     diff = rot[j] - rot[i] @ meas
-    per_edge = (diff * diff).reshape(-1, diff.shape[-1] ** 2).sum(axis=1)
+    per_edge = (diff * diff).reshape(-1, 9).sum(axis=1)
     return functools.reduce(operator.add, (weight * per_edge).tolist(), 0.0)
 
 
@@ -343,35 +339,30 @@ def _chordal_init(graph: PoseGraph, covered: np.ndarray, anchor: int) -> np.ndar
 
 
 def _block_descent(graph: PoseGraph, rotations: np.ndarray, covered: np.ndarray,
-                   embed_dim: int = 3, max_sweeps: int = _MAX_SWEEPS,
+                   max_sweeps: int = _MAX_SWEEPS,
                    rel_tol: float = _SWEEP_TOL) -> tuple[np.ndarray, bool]:
-    """Block-coordinate descent on the chordal objective in SO(p).
+    """Block-coordinate descent on the chordal objective in SO(3).
 
     Each update sets one block to the orthogonal-Procrustes optimum of
     its incident terms, so the objective is non-increasing; a violation
     beyond round-off is a bug and raises AssertionError.
     """
-    p = embed_dim
     a = graph.edge_arrays
-    if p == 3:
-        meas = a.rotation
-    else:
-        meas = np.tile(np.eye(p), (len(a.weight), 1, 1))
-        meas[:, :3, :3] = a.rotation
 
     # Per vertex, its incident edges in edge order: the neighbours, the
-    # weights and the coupling M^T (outgoing) or M (incoming), so the
-    # Procrustes target sum_k w_k R_nbr @ C_k is one batched product.
+    # weights and the coupling R_ij^T (outgoing) or R_ij (incoming), so
+    # the Procrustes target sum_k w_k R_nbr @ C_k is one batched product.
     updates = []
     for v in np.flatnonzero(covered):
         k = np.flatnonzero((a.i == v) | (a.j == v))
         outgoing = a.i[k] == v
-        coupling = np.where(outgoing[:, None, None], meas[k].transpose(0, 2, 1), meas[k])
+        coupling = np.where(outgoing[:, None, None], a.rotation[k].transpose(0, 2, 1),
+                            a.rotation[k])
         updates.append((v, np.where(outgoing, a.j[k], a.i[k]),
                         a.weight[k, None, None], coupling))
 
     rot = rotations.copy()
-    obj = _chordal_objective(rot, a.i, a.j, meas, a.weight)
+    obj = _chordal_objective(rot, a.i, a.j, a.rotation, a.weight)
     # All tolerances scale with the problem so weight rescaling cannot
     # change the sweep count (the argmin is scale-invariant).
     weight_scale = sum(a.weight.tolist())
@@ -379,7 +370,7 @@ def _block_descent(graph: PoseGraph, rotations: np.ndarray, covered: np.ndarray,
     for _ in range(max_sweeps):
         for v, nbr, w, coupling in updates:
             rot[v] = so3_project(((w * rot[nbr]) @ coupling).sum(axis=0))
-        new_obj = _chordal_objective(rot, a.i, a.j, meas, a.weight)
+        new_obj = _chordal_objective(rot, a.i, a.j, a.rotation, a.weight)
         if new_obj > obj + 1e-9 * (obj + weight_scale):
             raise AssertionError(
                 f"block-descent objective increased: {obj} -> {new_obj}"
@@ -401,21 +392,14 @@ def _gauge_fix(rotations: np.ndarray, covered: np.ndarray, anchor: int) -> np.nd
     return out
 
 
-def _skew(p: int, rng: np.random.Generator) -> np.ndarray:
-    m = rng.standard_normal((p, p))
-    return (m - m.T) / 2.0
-
-
-def rotation_averaging(graph: PoseGraph, staircase: bool = False,
-                       max_sweeps: int = _MAX_SWEEPS) -> np.ndarray:
+def rotation_averaging(graph: PoseGraph, max_sweeps: int = _MAX_SWEEPS) -> np.ndarray:
     """Absolute rotations minimizing the weighted chordal objective.
 
-    Chordal initialization followed by block-coordinate descent; with
-    ``staircase`` the descent is re-run lifted to SO(4) and SO(5)
-    (a seeded perturbation lets the lift leave the SO(3) stationary
-    point) and the rounded result is kept only when it lowers the SO(3)
-    objective. The gauge is fixed so the lowest measured frame carries
-    the identity; frames with no edges also carry the identity.
+    Chordal initialization followed by block-coordinate descent, which
+    stops at a stationary point; `rotation_certificate` tells whether it
+    is the global minimum. The gauge is fixed so the lowest measured
+    frame carries the identity; frames with no edges also carry the
+    identity.
     """
     covered = _check_connected(graph).covered
     anchor = int(np.flatnonzero(covered)[0])
@@ -426,30 +410,46 @@ def rotation_averaging(graph: PoseGraph, staircase: bool = False,
     if not converged:
         warnings.warn("rotation averaging hit its sweep budget; "
                       "returning best iterate", ConvergenceWarning)
-    rotations = _gauge_fix(rotations, covered, anchor)
-    best_obj = rotation_objective(graph, rotations)
+    return _gauge_fix(rotations, covered, anchor)
 
-    if staircase:
-        rng = np.random.default_rng(0)
-        for p in (4, 5):
-            lifted = np.tile(np.eye(p), (graph.n_frames, 1, 1))
-            for v in np.flatnonzero(covered):
-                lifted[v][:3, :3] = rotations[v]
-                lifted[v] = lifted[v] @ expm(1e-2 * _skew(p, rng))
-            lifted, _ = _block_descent(graph, lifted, covered, embed_dim=p,
-                                       max_sweeps=max_sweeps)
-            rounded = np.tile(np.eye(3), (graph.n_frames, 1, 1))
-            for v in np.flatnonzero(covered):
-                rounded[v] = so3_project(lifted[v][:3, :3])
-            rounded, _ = _block_descent(graph, rounded, covered,
-                                        max_sweeps=max_sweeps)
-            rounded = _gauge_fix(rounded, covered, anchor)
-            obj = rotation_objective(graph, rounded)
-            if obj < best_obj * (1.0 - _STAIRCASE_ACCEPT_TOL):
-                rotations, best_obj = rounded, obj
-            else:
-                break
-    return rotations
+
+def rotation_certificate(graph: PoseGraph, rotations: np.ndarray) -> float:
+    """lambda_min(Lambda - A) at the camera-to-world ``rotations``, over
+    the covered vertices: A is symmetric with block (i, j) = w R_ij and
+    block (j, i) = w R_ij^T summed over the edges, Y stacks the R_k^T,
+    and Lambda is block diagonal with Lambda_k = sym((A Y)_k Y_k^T).
+
+    At a stationary point (Lambda - A) Y = 0, so the value is about zero
+    or below. The rotations are certified globally optimal when it is at
+    least -1e-6 times the largest weighted vertex degree (see
+    `rotation_certified`), a floor that scales with the weights as the
+    value does (Eriksson et al., "Rotation Averaging and Strong
+    Duality", CVPR 2018).
+    """
+    a = graph.edge_arrays
+    n, m = graph.n_frames, int(np.count_nonzero(a.covered))
+    weighted = a.weight[:, None, None] * a.rotation
+    blocks = np.zeros((n, n, 3, 3))
+    np.add.at(blocks, (a.i, a.j), weighted)
+    np.add.at(blocks, (a.j, a.i), weighted.transpose(0, 2, 1))
+    blocks = blocks[a.covered][:, a.covered]
+    adjacency = blocks.transpose(0, 2, 1, 3).reshape(3 * m, 3 * m)
+
+    y = np.asarray(rotations)[a.covered].transpose(0, 2, 1)  # the blocks of Y
+    lam = (adjacency @ y.reshape(3 * m, 3)).reshape(m, 3, 3) @ y.transpose(0, 2, 1)
+    diag = np.arange(m)
+    blocks[diag, diag] -= (lam + lam.transpose(0, 2, 1)) / 2.0
+    cert = -blocks.transpose(0, 2, 1, 3).reshape(3 * m, 3 * m)
+    return float(eigh(cert, subset_by_index=[0, 0], eigvals_only=True)[0])
+
+
+def rotation_certified(graph: PoseGraph, lambda_min: float) -> bool:
+    """Whether a `rotation_certificate` value is at least -1e-6 times the
+    largest weighted vertex degree (the sum of a vertex's edge weights)."""
+    a = graph.edge_arrays
+    degree = np.bincount(np.concatenate([a.i, a.j]),
+                         weights=np.concatenate([a.weight, a.weight]))
+    return lambda_min >= -_CERTIFICATE_REL_TOL * float(degree.max())
 
 
 def _translation_system(graph: PoseGraph, rotations: np.ndarray, covered: np.ndarray,

@@ -448,6 +448,3 @@ def make_pair_pointmaps(bundle: SceneBundle, i: int, j: int,
     return PairPointmaps(view1=pm1_c, view2=pm2_c,
                          outlier_mask1=out1, outlier_mask2=out2)
 
-
-def with_seed(spec: SceneSpec, seed: int) -> SceneSpec:
-    return replace(spec, rng_seed=seed)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from pmsfm.geometry import RigidTransform, random_rotation
+from pmsfm.geometry import RigidTransform, random_rotation, rot_z
+from pmsfm.pose_graph import Edge, PoseGraph
 
 
 def stable_rot_err_deg(ra: np.ndarray, rb: np.ndarray) -> float:
@@ -16,6 +17,17 @@ def stable_rot_err_deg(ra: np.ndarray, rb: np.ndarray) -> float:
 
 def random_rigid(rng: np.random.Generator, t_scale: float = 1.0) -> RigidTransform:
     return RigidTransform(random_rotation(rng), rng.normal(size=3) * t_scale)
+
+
+def winding_cycle(n: int = 12) -> tuple[PoseGraph, np.ndarray]:
+    """The n-cycle of identity edges (k, k+1 mod n) and the rotations
+    R_k = Rz(360 k / n degrees): a stationary point of the chordal
+    objective that winds once around the cycle, with objective
+    n * ||Rz(360/n) - I||_F^2 against 0 at the identity. Its certificate
+    reads 2 cos(2 pi / n) - 2 (-0.268 for n = 12)."""
+    graph = PoseGraph(n, tuple(Edge(k, (k + 1) % n, np.eye(3), np.zeros(3), 1.0, 1.0)
+                               for k in range(n)))
+    return graph, np.stack([rot_z(360.0 * k / n) for k in range(n)])
 
 
 @pytest.fixture

@@ -217,6 +217,10 @@ class TestPosesDocument:
             poses_from_text("frames 1\nframe 0 recovered 2\n")
         with pytest.raises(FormatError):
             poses_from_text("frames 1\nframe 0 recovered 1\n1 0 0 0\n")
+        identity = "1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n"
+        with pytest.raises(FormatError, match="line 7: repeated frame 0"):
+            poses_from_text("frames 2\nframe 0 recovered 1\n" + identity
+                            + "frame 0 recovered 1\n" + identity)
 
     def test_rejects_non_rotation(self):
         text = ("frames 1\nframe 0 recovered 1\n"

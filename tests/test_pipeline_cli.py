@@ -19,6 +19,8 @@ from pmsfm.geometry import compose, geodesic_deg, inverse
 from pmsfm.pose_graph import GlobalPoses
 from pmsfm.synth import SceneSpec, generate, make_pair_pointmaps
 
+from conftest import winding_cycle
+
 
 def tree_digest(root: Path) -> dict:
     out = {}
@@ -98,7 +100,7 @@ _NON_NEGATIVE = st.floats(min_value=0.0, allow_infinity=False)
 class TestConfigAndManifest:
     def test_config_round_trip_lossless(self, tmp_path):
         cfg = pipeline.PipelineConfig(manifest="m.txt", output_dir="out dir with space",
-                                      ransac_inlier_threshold_px=3.25, staircase=True,
+                                      ransac_inlier_threshold_px=3.25,
                                       n_keep=60, weight_mode="constant")
         path = tmp_path / "cfg.txt"
         pipeline.save_config(path, cfg)
@@ -310,6 +312,34 @@ class TestSolveStage:
         assert logged is not None
         assert abs(logged - reeval) <= 1e-12
 
+    def test_run_log_records_certificate(self, bundle_dir, tmp_path):
+        cfg = pipeline.PipelineConfig(manifest=str(bundle_dir / "manifest.txt"),
+                                      output_dir=str(tmp_path / "run"), jobs=1)
+        result, out = pipeline.run_solve(cfg)
+        assert result.rotation_certified
+        assert run_log_value(out, "rotation_certified") == "1"
+        assert float(run_log_value(out, "rotation_lambda_min")) == result.rotation_lambda_min
+        assert not any("certified" in w for w in result.warnings)
+
+    def test_uncertified_rotations_warn_in_run_log(self, tmp_path, monkeypatch):
+        # The solve's graph and rotations are replaced by the winding
+        # 12-cycle and its stationary point, which the certificate rejects.
+        out = tmp_path / "bundle"
+        pipeline.synthesize(small_spec(n_views=12), out)
+        graph, rotations = winding_cycle(12)
+        monkeypatch.setattr(pipeline, "build_graph", lambda *args: graph)
+        monkeypatch.setattr(pipeline, "rotation_averaging", lambda g: rotations)
+        cfg = pipeline.PipelineConfig(manifest=str(out / "manifest.txt"),
+                                      output_dir=str(tmp_path / "run"),
+                                      pair_policy="window", window=1, jobs=1)
+        result, run_dir = pipeline.run_solve(cfg)
+        assert not result.rotation_certified
+        assert abs(result.rotation_lambda_min - (np.sqrt(3.0) - 2.0)) <= 1e-6
+        assert run_log_value(run_dir, "rotation_certified") == "0"
+        log = (run_dir / pipeline.RUN_LOG_FILENAME).read_text(encoding="utf-8")
+        assert sum(line.startswith("# warning: rotation averaging stopped at a stationary"
+                                   " point not certified") for line in log.splitlines()) == 1
+
     def test_deterministic_outputs(self, bundle_dir, tmp_path):
         # literally identical config run twice; the run log is excluded
         # from the contract (it carries wall-clock timings)
@@ -441,12 +471,23 @@ class TestCli:
         assert main(["solve", "--manifest", str(missing),
                      "--out", str(cfg_out)]) == 5
 
-    @pytest.mark.parametrize("manifest, validity, line", [
-        ("mode pairs\nn_frames 2\npair x 1 a.pmap b.pmap\n", "", 3),
-        ("mode pairs\nn_frames abc\npair 0 1 a.pmap b.pmap\n", "", 2),
-        ("mode pairs\nn_frames 2\npair 0 1 a.pmap b.pmap\n", "pair 0 y 1\n", 1),
-    ], ids=["manifest-record", "manifest-scalar", "pair-validity"])
-    def test_exit_code_malformed_input(self, tmp_path, capsys, manifest, validity, line):
+    @pytest.mark.parametrize("manifest, validity, where", [
+        ("mode pairs\nn_frames 2\npair x 1 a.pmap b.pmap\n", "", "line 3:"),
+        ("mode pairs\nn_frames abc\npair 0 1 a.pmap b.pmap\n", "", "line 2:"),
+        ("mode pairs\nn_frames 2\npair 0 1 a.pmap b.pmap\n", "pair 0 y 1\n", "line 1:"),
+        ("mode pairs\nn_frames 4\npair 0 1 a.pmap b.pmap\npair 2 7 c.pmap d.pmap\n", "",
+         "pair record 2 7: frame outside 0..3"),
+        ("mode pairs\nn_frames 4\npair 0 1 a.pmap b.pmap\npair 1 1 c.pmap d.pmap\n", "",
+         "pair record 1 1: self-pair"),
+        ("mode pairs\nn_frames 4\npair 0 1 a.pmap b.pmap\npair 1 0 c.pmap d.pmap\n"
+         "pair 0 1 e.pmap f.pmap\n", "", "pair record 0 1: repeated pair"),
+        ("mode views\nn_frames 2\nview 0 a.dmap a.pmap\nview 2 b.dmap b.pmap\n", "",
+         "view record 2: frame outside 0..1"),
+        ("mode views\nn_frames 2\nview 0 a.dmap a.pmap\nview 0 b.dmap b.pmap\n", "",
+         "view record 0: repeated view"),
+    ], ids=["manifest-record", "manifest-scalar", "pair-validity", "pair-out-of-range",
+            "self-pair", "repeated-pair", "view-out-of-range", "repeated-view"])
+    def test_exit_code_malformed_input(self, tmp_path, capsys, manifest, validity, where):
         (tmp_path / "manifest.txt").write_text(manifest, encoding="utf-8")
         args = ["solve", "--manifest", str(tmp_path / "manifest.txt"),
                 "--out", str(tmp_path / "run")]
@@ -454,7 +495,24 @@ class TestCli:
             (tmp_path / "validity.txt").write_text(validity, encoding="utf-8")
             args += ["--pair-validity", str(tmp_path / "validity.txt")]
         assert main(args) == 5
-        assert f"line {line}:" in capsys.readouterr().err
+        assert where in capsys.readouterr().err
+
+    def test_eval_rejects_repeated_frame(self, bundle_dir, tmp_path, capsys):
+        text = (bundle_dir / "gt_poses.txt").read_text(encoding="utf-8")
+        est = tmp_path / "est.txt"
+        est.write_text(text.replace("frame 1 recovered", "frame 0 recovered"),
+                       encoding="utf-8")
+        assert main(["eval", "--est", str(est),
+                     "--gt", str(bundle_dir / "gt_poses.txt")]) == 5
+        assert "repeated frame 0" in capsys.readouterr().err
+
+    def test_retired_staircase_key_rejected(self, bundle_dir, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("# pmsfm pipeline config v1\nstaircase 0\n", encoding="utf-8")
+        assert main(["solve", "--config", str(cfg),
+                     "--manifest", str(bundle_dir / "manifest.txt"),
+                     "--out", str(tmp_path / "run")]) == 2
+        assert "unknown key 'staircase'" in capsys.readouterr().err
 
     def test_exit_code_insufficient(self, tmp_path, capsys):
         p = tmp_path / "manifest.txt"
@@ -509,16 +567,6 @@ class TestDegradedEval:
         assert report.det_rate_pct == 25.0
         assert report.rot_error_deg <= 1e-5  # rotations identical
         assert report.partial
-
-
-class TestStaircaseThroughConfig:
-    def test_solve_with_staircase(self, bundle_dir, tmp_path):
-        cfg = pipeline.PipelineConfig(manifest=str(bundle_dir / "manifest.txt"),
-                                      output_dir=str(tmp_path / "run"),
-                                      staircase=True, jobs=1)
-        result, _ = pipeline.run_solve(cfg)
-        assert result.poses.recovered.all()
-        assert result.objective <= 1e-6  # noiseless bundle stays near zero
 
 
 class TestEvalConfigFile:

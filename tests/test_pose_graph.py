@@ -3,7 +3,6 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import expm
 
 from pmsfm import pose_graph
 from pmsfm.errors import DisconnectedGraphError, InsufficientDataError, ValidationError
@@ -23,13 +22,15 @@ from pmsfm.pose_graph import (
     assemble_global,
     build_graph,
     rotation_averaging,
+    rotation_certificate,
+    rotation_certified,
     rotation_objective,
     translation_averaging,
 )
 from pmsfm.pose_graph import _block_descent, _chordal_init, _chordal_system, _translation_system
 from pmsfm.relative_pose import RelativePoseResult
 
-from conftest import random_rigid, stable_rot_err_deg
+from conftest import random_rigid, stable_rot_err_deg, winding_cycle
 
 
 def fake_result(transform: RigidTransform, inlier_count: int,
@@ -119,47 +120,34 @@ def benchmark_shaped_graph(rng, n, window=None, outlier_fraction=0.03):
 # Python loops over graph.edges. The stacked solvers must reproduce them
 # bit for bit.
 
-def _reference_objective(graph, rot, meas):
+def _reference_objective(graph, rot):
     total = 0.0
-    for idx, e in enumerate(graph.edges):
-        diff = rot[e.j] - rot[e.i] @ meas[idx]
+    for e in graph.edges:
+        diff = rot[e.j] - rot[e.i] @ e.rotation
         total += e.weight * float((diff * diff).sum())
     return total
 
 
-def _reference_lifted(graph, p):
-    if p == 3:
-        return [e.rotation for e in graph.edges]
-    meas = []
-    for e in graph.edges:
-        m = np.eye(p)
-        m[:3, :3] = e.rotation
-        meas.append(m)
-    return meas
-
-
-def _reference_block_descent(graph, rotations, covered, embed_dim=3,
-                             max_sweeps=500, rel_tol=1e-10):
-    meas = _reference_lifted(graph, embed_dim)
+def _reference_block_descent(graph, rotations, covered, max_sweeps=500, rel_tol=1e-10):
     incident = {}
     for idx, e in enumerate(graph.edges):
         incident.setdefault(e.i, []).append((idx, True))
         incident.setdefault(e.j, []).append((idx, False))
     rot = rotations.copy()
-    obj = _reference_objective(graph, rot, meas)
+    obj = _reference_objective(graph, rot)
     weight_scale = sum(e.weight for e in graph.edges)
     converged = False
     for _ in range(max_sweeps):
         for v in np.flatnonzero(covered):
-            m = np.zeros((embed_dim, embed_dim))
+            m = np.zeros((3, 3))
             for idx, outgoing in incident.get(v, ()):
                 e = graph.edges[idx]
                 if outgoing:
-                    m += e.weight * rot[e.j] @ meas[idx].T
+                    m += e.weight * rot[e.j] @ e.rotation.T
                 else:
-                    m += e.weight * rot[e.i] @ meas[idx]
+                    m += e.weight * rot[e.i] @ e.rotation
             rot[v] = so3_project(m)
-        new_obj = _reference_objective(graph, rot, meas)
+        new_obj = _reference_objective(graph, rot)
         if new_obj > obj + 1e-9 * (obj + weight_scale):
             raise AssertionError(f"block-descent objective increased: {obj} -> {new_obj}")
         if obj - new_obj <= rel_tol * obj:
@@ -416,14 +404,6 @@ class TestRotationAveraging:
         t2 = translation_averaging(g2, r2)
         assert np.max(np.abs(t1 - t2)) <= 1e-9
 
-    def test_staircase_never_worse(self, rng):
-        poses = [random_rigid(rng) for _ in range(8)]
-        pairs = random_connected_pairs(8, rng)
-        g = PoseGraph(8, tuple(consistent_edges(poses, pairs, noise_deg=5.0, rng=rng)))
-        plain = rotation_objective(g, rotation_averaging(g, staircase=False))
-        lifted = rotation_objective(g, rotation_averaging(g, staircase=True))
-        assert lifted <= plain + 1e-9 * max(plain, 1.0)
-
     def test_no_edges_raises(self):
         with pytest.raises(InsufficientDataError):
             rotation_averaging(PoseGraph(3, ()))
@@ -439,6 +419,77 @@ class TestRotationAveraging:
         g = PoseGraph(3, tuple(consistent_edges(poses, [(0, 1)])))
         rot = rotation_averaging(g)
         assert np.array_equal(rot[2], np.eye(3))
+
+
+def _reference_certificate(graph, rotations):
+    """lambda_min(Lambda - A) over the covered vertices, assembled one
+    edge and one vertex at a time and solved densely."""
+    vertices = [int(v) for v in np.flatnonzero(graph.covered_vertices())]
+    block = {v: 3 * k for k, v in enumerate(vertices)}
+    a = np.zeros((3 * len(vertices), 3 * len(vertices)))
+    for e in graph.edges:
+        bi, bj = block[e.i], block[e.j]
+        a[bi:bi + 3, bj:bj + 3] += e.weight * e.rotation
+        a[bj:bj + 3, bi:bi + 3] += e.weight * e.rotation.T
+    y = np.vstack([rotations[v].T for v in vertices])
+    ay = a @ y
+    cert = -a
+    for v in vertices:
+        b = block[v]
+        lam = ay[b:b + 3] @ y[b:b + 3].T
+        cert[b:b + 3, b:b + 3] += (lam + lam.T) / 2.0
+    return np.linalg.eigvalsh(cert)[0]
+
+
+class TestRotationCertificate:
+    def test_winding_cycle_fails(self):
+        g, rot = winding_cycle(12)
+        lam = rotation_certificate(g, rot)
+        assert abs(lam - (2.0 * np.cos(2.0 * np.pi / 12) - 2.0)) <= 1e-6
+        assert not rotation_certified(g, lam)
+        # the identity is the global minimum of the same graph
+        assert rotation_certified(g, rotation_certificate(g, rotation_averaging(g)))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_noisy_consistent_graph_certifies(self, seed):
+        # frame 0 is isolated and (1, 2) is measured in both orientations
+        rng = np.random.default_rng(seed)
+        n = 10
+        poses = [random_rigid(rng) for _ in range(n)]
+        pairs = [(i + 1, j + 1) for i, j in random_connected_pairs(n - 1, rng)]
+        pairs = sorted(set(pairs) | {(1, 2), (2, 1)})
+        edges = consistent_edges(poses, pairs, noise_deg=5.0, rng=rng)
+        g = PoseGraph(n, tuple(Edge(e.i, e.j, e.rotation, e.translation,
+                                    float(rng.uniform(0.2, 2.0)), 1.0) for e in edges))
+        rot = rotation_averaging(g)
+        lam = rotation_certificate(g, rot)
+        assert abs(lam - _reference_certificate(g, rot)) <= 1e-9
+        assert rotation_certified(g, lam)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**16), n=st.integers(3, 9),
+           scale=st.floats(1e-4, 1e4), start=st.sampled_from(["chordal", "averaged",
+                                                               "winding"]))
+    def test_verdict_invariant_to_weight_scale(self, seed, n, scale, start):
+        """Rescaling every weight scales lambda_min and the floor alike,
+        at the optimum, at the chordal start (not yet stationary) and at
+        the winding stationary point."""
+        rng = np.random.default_rng(seed)
+        if start == "winding":
+            g, rot = winding_cycle(n)
+        else:
+            poses = [random_rigid(rng) for _ in range(n)]
+            edges = consistent_edges(poses, random_connected_pairs(n, rng),
+                                     noise_deg=10.0, rng=rng)
+            g = PoseGraph(n, tuple(Edge(e.i, e.j, e.rotation, e.translation,
+                                        float(rng.uniform(0.2, 2.0)), 1.0)
+                                   for e in edges))
+            rot = (rotation_averaging(g) if start == "averaged"
+                   else _chordal_init(g, g.covered_vertices(), 0))
+        h = PoseGraph(n, tuple(Edge(e.i, e.j, e.rotation, e.translation,
+                                    scale * e.weight, e.quality) for e in g.edges))
+        assert (rotation_certified(g, rotation_certificate(g, rot))
+                == rotation_certified(h, rotation_certificate(h, rot)))
 
 
 class TestTranslationAveraging:
@@ -591,39 +642,24 @@ class TestEdgeValidation:
             Edge(0, 1, np.eye(3), np.zeros(3), weight, 1.0)
 
 
-def _lift(rotations, covered, p, rng):
-    """SO(3) blocks embedded in SO(p) and perturbed, as the staircase
-    does before a lifted descent."""
-    lifted = np.tile(np.eye(p), (len(rotations), 1, 1))
-    for v in np.flatnonzero(covered):
-        m = rng.standard_normal((p, p))
-        lifted[v][:3, :3] = rotations[v]
-        lifted[v] = lifted[v] @ expm(1e-2 * (m - m.T) / 2.0)
-    return lifted
-
-
 class TestStackedSolvers:
     """The stacked-array solvers against the per-edge references above."""
 
     SHAPES = {"complete": (14, None), "chain": (30, 4)}
 
-    @pytest.mark.parametrize("p", [3, 4, 5])
     @pytest.mark.parametrize("shape", ["complete", "chain"])
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_descent_bit_equal_to_edge_loop(self, seed, shape, p):
+    def test_descent_bit_equal_to_edge_loop(self, seed, shape):
         n, window = self.SHAPES[shape]
-        rng = np.random.default_rng([seed, p])
+        rng = np.random.default_rng([seed, 3])
         g = benchmark_shaped_graph(rng, n, window)
         covered = g.covered_vertices()
         start = _chordal_init(g, covered, 0)
-        if p > 3:
-            start = _lift(start, covered, p, rng)
-        rot, converged = _block_descent(g, start, covered, embed_dim=p)
-        ref_rot, ref_converged = _reference_block_descent(g, start, covered, embed_dim=p)
+        rot, converged = _block_descent(g, start, covered)
+        ref_rot, ref_converged = _reference_block_descent(g, start, covered)
         assert np.array_equal(rot, ref_rot)
         assert converged == ref_converged
-        if p == 3:
-            assert converged
+        assert converged
 
     def test_sweep_budget_flag_matches_edge_loop(self):
         g = benchmark_shaped_graph(np.random.default_rng(3), 30, 4)
@@ -639,7 +675,7 @@ class TestStackedSolvers:
         rng = np.random.default_rng(seed)
         g = benchmark_shaped_graph(rng, 12, None)
         rot = np.stack([random_rotation(rng) for _ in range(12)])
-        assert rotation_objective(g, rot) == _reference_objective(g, rot, _reference_lifted(g, 3))
+        assert rotation_objective(g, rot) == _reference_objective(g, rot)
 
     def test_objective_of_edgeless_graph_is_zero(self):
         assert rotation_objective(PoseGraph(2, ()), np.tile(np.eye(3), (2, 1, 1))) == 0.0
