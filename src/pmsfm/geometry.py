@@ -35,17 +35,33 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 
 def so3_project(m: np.ndarray) -> np.ndarray:
-    """Nearest rotation to a 3x3 (or pxp) matrix in Frobenius norm.
+    """Nearest rotation in Frobenius norm to each matrix of a (..., 3, 3) stack.
 
     Polar decomposition via SVD with a determinant sign fix, so the
     result is a proper rotation even when ``m`` is reflected.
     """
     u, _, vt = np.linalg.svd(m)
-    d = np.sign(np.linalg.det(u @ vt))
-    if d < 0:
-        u = u.copy()
-        u[:, -1] *= -1.0
+    flip = np.linalg.det(u @ vt) < 0
+    # A single matrix gives a numpy bool, whose .any() costs more than the test.
+    if flip.any() if flip.ndim else flip:
+        np.negative(u[..., -1], out=u[..., -1], where=flip[..., None])
     return u @ vt
+
+
+def check_rigid(rotations: np.ndarray, translations: np.ndarray, name) -> None:
+    """Raise ValidationError naming ``name(k)`` for the first transform k of the stacks
+    (N, 3, 3), (N, 3) that is not finite or has ||R'R - I||_F or |det R - 1| over 1e-9."""
+    # A non-finite rotation entry fails both tests; its FP warnings are noise.
+    with np.errstate(invalid="ignore", over="ignore"):
+        d = rotations.transpose(0, 2, 1) @ rotations - np.eye(3)
+        ortho = np.sqrt((d * d).sum(axis=(1, 2)))
+        det_off = np.abs(np.linalg.det(rotations) - 1.0)
+    ok = (ortho <= _ORTHONORMALITY_TOL) & (det_off <= _ORTHONORMALITY_TOL)
+    bad = np.flatnonzero(~(ok & np.isfinite(translations).all(axis=1)))
+    if len(bad):
+        k = bad[0]
+        raise ValidationError(f"{name(k)}: not finite or off SO(3) (||R'R - I|| = {ortho[k]:.3e},"
+                              f" |det R - 1| = {det_off[k]:.3e}, t = {translations[k]})")
 
 
 @dataclass(frozen=True)
@@ -62,16 +78,7 @@ class RigidTransform:
             raise ShapeMismatchError(f"rotation must be 3x3, got {r.shape}")
         if t.shape != (3,):
             raise ShapeMismatchError(f"translation must be a 3-vector, got {t.shape}")
-        if not (np.all(np.isfinite(r)) and np.all(np.isfinite(t))):
-            raise ValidationError("transform entries must be finite")
-        ortho = np.linalg.norm(r.T @ r - np.eye(3))
-        if ortho > _ORTHONORMALITY_TOL:
-            raise ValidationError(
-                f"rotation is not orthonormal (||R'R - I||_F = {ortho:.3e}); "
-                "use RigidTransform.from_matrix_parts to renormalize"
-            )
-        if abs(np.linalg.det(r) - 1.0) > _ORTHONORMALITY_TOL:
-            raise ValidationError("rotation determinant is not +1")
+        check_rigid(r[None], t[None], lambda k: "transform")
         object.__setattr__(self, "rotation", _freeze(r))
         object.__setattr__(self, "translation", _freeze(t))
 
@@ -84,10 +91,6 @@ class RigidTransform:
         """Build a transform, projecting ``rotation`` to the nearest SO(3) element."""
         return cls(so3_project(np.asarray(rotation, dtype=np.float64)),
                    np.asarray(translation, dtype=np.float64))
-
-    def renormalized(self) -> "RigidTransform":
-        """Re-project the rotation onto SO(3). Idempotent on valid inputs."""
-        return RigidTransform.from_matrix_parts(self.rotation, self.translation)
 
     def as_matrix(self) -> np.ndarray:
         m = np.eye(4)

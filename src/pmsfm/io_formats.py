@@ -71,19 +71,25 @@ Poses document ("pmsfm poses v1")
     frame <id> recovered <0|1>
     <m00> <m01> <m02> <m03>        4 rows: the 4x4 row-major
     ...                            world-to-camera matrix
-Repeated per frame, ascending file order. Frame ids may be any
+Repeated per frame, ascending file order. The count is non-negative
+and equals the number of frames that follow. Frame ids may be any
 non-negative integers (e.g. original video frame numbers); an id
-appears at most once.
+appears at most once. Every matrix entry is finite and each rotation
+block lies in SO(3) (||R'R - I||_F and |det R - 1| at most 1e-9); the
+reader names a frame that breaks this by its position, counted from 0.
 
 Pose graph document ("pmsfm pose graph v1")
 -------------------------------------------
     # pmsfm pose graph v1
     frames <n_frames>
     edge <i> <j> <r00 r01 r02 r10 r11 r12 r20 r21 r22> <t0 t1 t2> <weight> <quality>
-The edge transform maps frame-j camera coordinates to frame-i camera
-coordinates; weight is the averaging concentration, a finite positive
-number (an edge line with any other weight is rejected), and quality the
-inlier fraction that passed filtering.
+n_frames is a non-negative count. The edge transform maps frame-j
+camera coordinates to frame-i camera coordinates; an edge whose
+rotation is not in SO(3) (the poses document's tolerance) or whose
+entries are not finite is rejected, naming its (i, j). weight is the
+averaging concentration, a finite positive number (an edge line with
+any other weight is rejected), and quality the inlier fraction that
+passed filtering.
 
 Key-value documents
 -------------------
@@ -119,6 +125,8 @@ Pair validity (no header)
     pair <i> <j> <0|1>             record; 0 keeps the pair out of the
                                    graph unless it is a rescued
                                    temporal neighbor (|i - j| = 1)
+Its records follow the manifest's pair record rules, with the
+manifest's n_frames.
 
 Config ("pmsfm pipeline config v1")
 The fields of PipelineConfig, all optional: manifest, output_dir,
@@ -346,12 +354,14 @@ _MATRIX_ROW = (float,) * 4
 _EDGE = (str, int, int) + (float,) * 14
 
 
-def _frames_header(lines: _Lines) -> int:
+def _frames_header(lines: _Lines) -> tuple[int, int]:
+    """The header's line number and its non-negative frame count."""
     lineno, line = lines.next("frames header")
     word, n = _fields(lineno, line.split(), (str, int), "frames header")
-    if word != "frames":
-        raise FormatError(f"line {lineno}: expected 'frames <count>', got {line!r}")
-    return n
+    if word != "frames" or n < 0:
+        raise FormatError(f"line {lineno}: expected 'frames <count>' with a"
+                          f" non-negative count, got {line!r}")
+    return lineno, n
 
 
 def poses_to_text(poses: GlobalPoses, frame_ids=None) -> str:
@@ -372,14 +382,13 @@ def poses_to_text(poses: GlobalPoses, frame_ids=None) -> str:
 
 def poses_from_text(text: str) -> tuple[GlobalPoses, list[int]]:
     lines = _Lines(text)
-    n = _frames_header(lines)
-    rotations = np.zeros((n, 3, 3))
-    translations = np.zeros((n, 3))
-    recovered = np.zeros(n, dtype=bool)
-    frame_ids = []
+    header, n = _frames_header(lines)
+    rotations, translations, recovered, frame_ids = [], [], [], []
     seen = set()
-    for k in range(n):
+    while not lines.done():
         lineno, line = lines.next("frame header")
+        if len(frame_ids) == n:
+            raise FormatError(f"line {lineno}: trailing content {line!r}")
         word, frame_id, word2, flag = _fields(lineno, line.split(),
                                               (str, int, str, _flag), "frame header")
         if (word, word2) != ("frame", "recovered"):
@@ -389,20 +398,21 @@ def poses_from_text(text: str) -> tuple[GlobalPoses, list[int]]:
             raise FormatError(f"line {lineno}: repeated frame {frame_id}")
         seen.add(frame_id)
         frame_ids.append(frame_id)
-        recovered[k] = flag
+        recovered.append(flag)
         m = np.zeros((4, 4))
         for r in range(4):
             lineno, line = lines.next("matrix row")
             m[r] = _fields(lineno, line.split(), _MATRIX_ROW, "matrix")
         if not np.allclose(m[3], [0, 0, 0, 1], atol=1e-12):
             raise FormatError(f"line {lineno}: last matrix row must be 0 0 0 1")
-        rotations[k] = m[:3, :3]
-        translations[k] = m[:3, 3]
-    if not lines.done():
-        lineno, line = lines.next("")
-        raise FormatError(f"line {lineno}: trailing content {line!r}")
+        rotations.append(m[:3, :3])
+        translations.append(m[:3, 3])
+    if len(frame_ids) < n:
+        raise FormatError(f"line {header}: {n} frames declared, {len(frame_ids)} present")
+    rotations = np.array(rotations).reshape(-1, 3, 3)
+    translations = np.array(translations).reshape(-1, 3)
     try:
-        return GlobalPoses(rotations, translations, recovered), frame_ids
+        return GlobalPoses(rotations, translations, np.array(recovered, dtype=bool)), frame_ids
     except ValueError as exc:
         raise FormatError(f"invalid pose document: {exc}") from None
 
@@ -420,7 +430,7 @@ def graph_to_text(graph: PoseGraph) -> str:
 
 def graph_from_text(text: str) -> PoseGraph:
     lines = _Lines(text)
-    n = _frames_header(lines)
+    _, n = _frames_header(lines)
     edges = []
     while not lines.done():
         lineno, line = lines.next("edge")

@@ -92,16 +92,12 @@ def apply_gauge(poses: GlobalPoses, gauge: GaugeAlignment) -> GlobalPoses:
     """Move an estimate by a global similarity: centers map through the
     gauge, orientations pick up its rotation. Unrecovered placeholders
     are left untouched."""
+    rec = poses.recovered
     rotations = poses.rotations.copy()
     translations = poses.translations.copy()
-    centers = poses.centers()
-    for k in range(poses.n_frames):
-        if not poses.recovered[k]:
-            continue
-        r_new = so3_project(rotations[k] @ gauge.rotation.T)
-        c_new = gauge.scale * gauge.rotation @ centers[k] + gauge.translation
-        rotations[k] = r_new
-        translations[k] = -r_new @ c_new
+    rotations[rec] = so3_project(rotations[rec] @ gauge.rotation.T)
+    c_new = ((gauge.scale * gauge.rotation) @ poses.centers()[rec][:, :, None])[:, :, 0]
+    translations[rec] = ((-rotations[rec]) @ (c_new + gauge.translation)[:, :, None])[:, :, 0]
     return GlobalPoses(rotations=rotations, translations=translations,
                        recovered=poses.recovered)
 

@@ -176,18 +176,23 @@ class Manifest:
     def __post_init__(self):
         if self.mode not in ("views", "pairs"):
             raise ValidationError(f"mode: unknown manifest mode {self.mode!r}")
-        for kind, keys in (("view", [r[:1] for r in self.views]),
-                           ("pair", [r[:2] for r in self.pairs])):
-            seen = set()
-            for key in keys:
-                record = f"{kind} record {' '.join(map(str, key))}"
-                if not all(0 <= f < self.n_frames for f in key):
-                    raise ValidationError(f"{record}: frame outside 0..{self.n_frames - 1}")
-                if len(set(key)) < len(key):
-                    raise ValidationError(f"{record}: self-pair")
-                if key in seen:
-                    raise ValidationError(f"{record}: repeated {kind}")
-                seen.add(key)
+        _check_records("view", [r[:1] for r in self.views], self.n_frames)
+        _check_records("pair", [r[:2] for r in self.pairs], self.n_frames)
+
+
+def _check_records(kind: str, keys, n_frames: int):
+    """Each record's frames lie in 0..n_frames-1, a pair joins two
+    distinct frames, and no key repeats."""
+    seen = set()
+    for key in keys:
+        record = f"{kind} record {' '.join(map(str, key))}"
+        if not all(0 <= f < n_frames for f in key):
+            raise ValidationError(f"{record}: frame outside 0..{n_frames - 1}")
+        if len(set(key)) < len(key):
+            raise ValidationError(f"{record}: self-pair")
+        if key in seen:
+            raise ValidationError(f"{record}: repeated {kind}")
+        seen.add(key)
 
 
 def manifest_to_text(m: Manifest) -> str:
@@ -205,12 +210,19 @@ def load_manifest(path) -> Manifest:
 
 @dataclass(frozen=True)
 class _PairValidity:
+    n_frames: int  # the manifest's, not a key of the document
     pairs: tuple[tuple[int, int, bool], ...] = field(  # (i, j, valid)
         default=(), metadata={"record": "pair"})
 
+    def __post_init__(self):
+        _check_records("pair", [r[:2] for r in self.pairs], self.n_frames)
 
-def load_pair_validity(path) -> dict[tuple[int, int], bool]:
-    doc = io_formats.kv_from_text(_PairValidity, Path(path).read_text(encoding="utf-8"))
+
+def load_pair_validity(path, n_frames: int) -> dict[tuple[int, int], bool]:
+    """Pair verdicts whose records pass the manifest's record checks
+    for `n_frames` frames."""
+    doc = io_formats.kv_from_text(_PairValidity, Path(path).read_text(encoding="utf-8"),
+                                  n_frames=n_frames)
     return {(i, j): ok for i, j, ok in doc.pairs}
 
 
@@ -400,7 +412,7 @@ def _solve_stages(cfg: PipelineConfig) -> SolveResult:
 
     validity = {}
     if cfg.pair_validity:
-        raw = load_pair_validity(cfg.pair_validity)
+        raw = load_pair_validity(cfg.pair_validity, manifest.n_frames)
         for (i, j), ok in raw.items():
             if i in local_of and j in local_of:
                 validity[(local_of[i], local_of[j])] = ok

@@ -28,9 +28,10 @@ from .errors import (
     ConvergenceWarning,
     DisconnectedGraphError,
     InsufficientDataError,
+    ShapeMismatchError,
     ValidationError,
 )
-from .geometry import RigidTransform, _freeze, inverse, so3_project
+from .geometry import RigidTransform, _freeze, check_rigid, so3_project
 from .relative_pose import RelativePoseResult
 
 _SWEEP_TOL = 1e-10
@@ -55,9 +56,11 @@ class Edge:
             raise ValidationError(f"self-loop edge at frame {self.i}")
         if not (math.isfinite(self.weight) and self.weight > 0):
             raise ValidationError(f"edge weight must be finite and positive, got {self.weight}")
-        rt = RigidTransform(self.rotation, self.translation)  # validates SO(3)
-        object.__setattr__(self, "rotation", rt.rotation)
-        object.__setattr__(self, "translation", rt.translation)
+        r, t = np.asarray(self.rotation, np.float64), np.asarray(self.translation, np.float64)
+        if (r.shape, t.shape) != ((3, 3), (3,)):
+            raise ShapeMismatchError(f"edge ({self.i},{self.j}): shapes {r.shape}, {t.shape}")
+        object.__setattr__(self, "rotation", _freeze(r))
+        object.__setattr__(self, "translation", _freeze(t))
 
 
 @dataclass(frozen=True)
@@ -92,6 +95,8 @@ class PoseGraph:
                 raise ValidationError(f"duplicate edge ({e.i},{e.j})")
             seen.add((e.i, e.j))
         object.__setattr__(self, "edges", tuple(self.edges))
+        a = self.edge_arrays
+        check_rigid(a.rotation, a.translation, lambda k: f"edge ({a.i[k]},{a.j[k]})")
 
     @functools.cached_property
     def edge_arrays(self) -> EdgeArrays:
@@ -160,8 +165,7 @@ class GlobalPoses:
                 f"expected ({n},3,3) rotations and ({n},3) translations, "
                 f"got {r.shape} and {t.shape}"
             )
-        for k in range(n):
-            RigidTransform(r[k], t[k])  # validates SO(3)
+        check_rigid(r, t, lambda k: f"frame {k}")
         object.__setattr__(self, "rotations", r)
         object.__setattr__(self, "translations", t)
         object.__setattr__(self, "recovered", rec)
@@ -225,14 +229,17 @@ def build_graph(pair_results: list[tuple[int, int, RelativePoseResult, int]],
         return PoseGraph(n_frames=n_frames, edges=())
 
     max_inliers = max(res.inlier_count for res, _, _ in kept.values())
+    items = sorted(kept.items())
+    rt = np.array([res.transform.rotation for _, (res, _, _) in items]).transpose(0, 2, 1)
+    trans = np.array([res.transform.translation for _, (res, _, _) in items])
+    inverses = zip(so3_project(rt), ((-rt) @ trans[:, :, None])[:, :, 0])  # j -> i coords
     edges = []
-    for (i, j), (res, quality, rescued) in sorted(kept.items()):
-        rel = inverse(res.transform)  # frame-j coords -> frame-i coords
+    for ((i, j), (res, quality, rescued)), (r, t) in zip(items, inverses):
         if filter_cfg.weight_mode == "inlier":
             weight = max(res.inlier_count / max(max_inliers, 1), 1e-12)
         else:
             weight = 1.0
-        edges.append(Edge(i=i, j=j, rotation=rel.rotation, translation=rel.translation,
+        edges.append(Edge(i=i, j=j, rotation=r, translation=t,
                           weight=weight, quality=quality, rescued=rescued))
 
     graph = PoseGraph(n_frames=n_frames, edges=tuple(edges))
@@ -333,8 +340,7 @@ def _chordal_init(graph: PoseGraph, covered: np.ndarray, anchor: int) -> np.ndar
     blocks = np.asarray(solution).reshape(len(vertices), 3, 3)
 
     rotations = np.tile(np.eye(3), (graph.n_frames, 1, 1))
-    for v, block in zip(vertices, blocks):
-        rotations[v] = so3_project(block.T)
+    rotations[vertices] = so3_project(blocks.transpose(0, 2, 1))
     return rotations
 
 
@@ -384,10 +390,8 @@ def _block_descent(graph: PoseGraph, rotations: np.ndarray, covered: np.ndarray,
 
 
 def _gauge_fix(rotations: np.ndarray, covered: np.ndarray, anchor: int) -> np.ndarray:
-    q = rotations[anchor].T
     out = rotations.copy()
-    for v in np.flatnonzero(covered):
-        out[v] = so3_project(q @ rotations[v])
+    out[covered] = so3_project(rotations[anchor].T @ rotations[covered])
     out[anchor] = np.eye(3)  # exact, not within round-off
     return out
 
@@ -525,8 +529,7 @@ def assemble_global(rotations: np.ndarray, translations: np.ndarray,
     n = len(recovered)
     r_out = np.tile(np.eye(3), (n, 1, 1))
     t_out = np.zeros((n, 3))
-    for k in range(n):
-        if recovered[k]:
-            r_out[k] = rotations[k].T
-            t_out[k] = -rotations[k].T @ translations[k]
+    rt = rotations[recovered].transpose(0, 2, 1)
+    r_out[recovered] = rt
+    t_out[recovered] = ((-rt) @ translations[recovered][:, :, None])[:, :, 0]
     return GlobalPoses(rotations=r_out, translations=t_out, recovered=recovered)

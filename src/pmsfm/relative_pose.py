@@ -25,6 +25,7 @@ from .geometry import (
     Pointmap,
     RigidTransform,
     axis_angle_matrix,
+    so3_project,
 )
 
 _WEISZFELD_ITERS = 50
@@ -235,10 +236,7 @@ def _p3p_batch(world: np.ndarray, bearings: np.ndarray):
     w_mean = wld.mean(axis=2)
     c_mean = cam.mean(axis=2)
     m = (cam - c_mean[..., None, :]).swapaxes(-1, -2) @ (wld - w_mean[..., None, :])
-    u_m, _, vt = np.linalg.svd(m)
-    flip = np.linalg.det(u_m @ vt) < 0
-    u_m[..., :, 2] *= np.where(flip, -1.0, 1.0)[..., None]
-    rot = u_m @ vt
+    rot = so3_project(m)
     trans = c_mean - (rot @ w_mean[..., None])[..., 0]
     return rot, trans, cand
 

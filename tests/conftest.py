@@ -15,6 +15,15 @@ def stable_rot_err_deg(ra: np.ndarray, rb: np.ndarray) -> float:
     return float(np.degrees(2.0 * np.arcsin(min(1.0, f / (2.0 * np.sqrt(2.0))))))
 
 
+def assert_same_bits(a, b):
+    """Equal dtype, shape and bytes. Unlike np.array_equal this tells
+    -0.0 from 0.0 and a NaN payload from another."""
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.dtype == b.dtype, f"dtype {a.dtype} != {b.dtype}"
+    assert a.shape == b.shape, f"shape {a.shape} != {b.shape}"
+    assert a.tobytes() == b.tobytes(), "arrays differ in their bits"
+
+
 def random_rigid(rng: np.random.Generator, t_scale: float = 1.0) -> RigidTransform:
     return RigidTransform(random_rotation(rng), rng.normal(size=3) * t_scale)
 

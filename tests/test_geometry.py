@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from pmsfm.geometry import (
     Pointmap,
     RigidTransform,
     change_frame,
+    check_rigid,
     compose,
     geodesic_deg,
     inverse,
@@ -18,7 +21,7 @@ from pmsfm.geometry import (
     so3_project,
 )
 
-from conftest import random_rigid
+from conftest import assert_same_bits, random_rigid
 
 
 def random_depth(rng, width=8, height=6):
@@ -198,7 +201,7 @@ class TestRigidTransformInvariants:
 
     def test_renormalization_idempotent(self, rng):
         a = random_rigid(rng)
-        b = a.renormalized()
+        b = RigidTransform.from_matrix_parts(a.rotation, a.translation)
         assert np.max(np.abs(a.rotation - b.rotation)) <= 1e-12
         assert np.max(np.abs(a.translation - b.translation)) <= 1e-12
 
@@ -215,6 +218,58 @@ class TestRigidTransformInvariants:
         for _ in range(20):
             other = random_rotation(rng)
             assert np.linalg.norm(m - r) <= np.linalg.norm(m - other) + 1e-12
+
+
+def reference_so3_project(m):
+    """One 3x3 matrix at a time: SVD, the sign of det(U V'), and a flip
+    of U's last column on a copy."""
+    u, _, vt = np.linalg.svd(m)
+    if np.sign(np.linalg.det(u @ vt)) < 0:
+        u = u.copy()
+        u[:, -1] *= -1.0
+    return u @ vt
+
+
+class TestStackedSo3:
+    def test_projection_bit_equal_to_matrix_loop(self, rng):
+        m = rng.normal(size=(5, 4, 3, 3))
+        m[0, 0] = np.diag([1.0, 1.0, -1.0])          # an exact reflection
+        m[1, 2] = -random_rotation(rng)                 # a reflected rotation
+        dets = np.linalg.det(m)
+        assert (dets < 0).sum() >= 5 and (dets > 0).sum() >= 5
+        got = so3_project(m)
+        ref = np.stack([reference_so3_project(x) for x in m.reshape(-1, 3, 3)])
+        assert_same_bits(got, ref.reshape(m.shape))
+        assert np.all(np.linalg.det(got) > 0)
+        for x, r in zip(m.reshape(-1, 3, 3), ref):
+            assert_same_bits(so3_project(x), r)
+        # a transposed view projects like its contiguous copy
+        assert_same_bits(so3_project(m.swapaxes(-1, -2)),
+                         so3_project(np.ascontiguousarray(m.swapaxes(-1, -2))))
+
+    def test_projection_of_empty_stack(self):
+        assert so3_project(np.zeros((0, 3, 3))).shape == (0, 3, 3)
+
+    @pytest.mark.parametrize("bad, reason", [
+        (lambda r, t: r.__setitem__((0, 0), 1.5), r"\|\|R'R - I\|\| = [1-9]"),
+        (lambda r, t: r.__setitem__(slice(None), -r), r"\|\|R'R - I\|\| = .*e-1.*"
+                                                      r"\|det R - 1\| = 2.000e\+00"),
+        (lambda r, t: t.__setitem__(1, np.nan), r"t = \[.*nan"),
+        (lambda r, t: r.__setitem__((2, 1), np.inf), r"\|\|R'R - I\|\| = (nan|inf)"),
+    ], ids=["non-orthonormal", "reflection", "nan-translation", "inf-rotation"])
+    def test_check_names_first_bad_transform(self, rng, bad, reason):
+        rot = np.stack([random_rotation(rng) for _ in range(6)])
+        trans = rng.normal(size=(6, 3))
+        check_rigid(rot, trans, lambda k: f"item {k}")
+        bad(rot[3], trans[3])
+        bad(rot[5], trans[5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=r"^item 3: not finite or off SO\(3\) .*"
+                                                      + reason):
+                check_rigid(rot, trans, lambda k: f"item {k}")
+        with pytest.raises(ValidationError, match="^transform: .*" + reason):
+            RigidTransform(rot[3], trans[3])
 
 
 class TestTypeValidation:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -228,6 +230,28 @@ class TestPosesDocument:
         with pytest.raises(FormatError):
             poses_from_text(text)
 
+    @pytest.mark.parametrize("x, t", [("1.5", "0.0"), ("-1.0", "0.0"), ("1.0", "nan")],
+                             ids=["non-orthonormal", "det-minus-one", "nan-translation"])
+    def test_rejects_bad_frame_by_position(self, rng, x, t):
+        ids = [10, 20, 30, 40]
+        lines = poses_to_text(random_poses(rng, 4), ids).splitlines()
+        assert lines[12].startswith("frame 30 recovered ")
+        lines[13:16] = [f"{x} 0.0 0.0 {t}", "0.0 1.0 0.0 0.0", "0.0 0.0 1.0 0.0"]
+        with pytest.raises(FormatError, match=r"document: frame 2: not finite or off SO\(3\)"):
+            poses_from_text("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("count, message", [
+        ("-1", "line 2: expected 'frames <count>' with a non-negative count"),
+        ("100000000000", "line 2: 100000000000 frames declared, 1 present"),
+        ("2", "line 2: 2 frames declared, 1 present"),
+    ])
+    def test_rejects_bad_frame_count(self, count, message):
+        text = poses_to_text(GlobalPoses(np.eye(3)[None], np.zeros((1, 3)), np.ones(1, bool)))
+        with pytest.raises(FormatError, match=re.escape(message)):
+            poses_from_text(text.replace("frames 1", f"frames {count}"))
+        empty = text.replace("frames 1\n", "frames 0\n").split("frame 0")[0]
+        assert poses_from_text(empty)[0].n_frames == 0
+
 
 class TestGraphDocument:
     @pytest.mark.parametrize("seed", range(5))
@@ -252,6 +276,23 @@ class TestGraphDocument:
     def test_rejects_malformed(self):
         with pytest.raises(FormatError):
             graph_from_text("frames 2\nedge 0 1 1 2 3\n")
+
+    @pytest.mark.parametrize("rotation, translation", [
+        ("1 0 0 0 1 0 0 0 1.001", "0 0 1"),
+        ("1 0 0 0 1 0 0 0 -1", "0 0 1"),
+        ("1 0 0 0 1 0 0 0 1", "0 inf 1"),
+        ("1 0 0 0 nan 0 0 0 1", "0 0 1"),
+    ], ids=["non-orthonormal", "det-minus-one", "inf-translation", "nan-rotation"])
+    def test_rejects_bad_edge_transform_by_name(self, rotation, translation):
+        good = "1 0 0 0 1 0 0 0 1 1 0 0 1 1"
+        text = (f"# pmsfm pose graph v1\nframes 4\nedge 0 1 {good}\n"
+                f"edge 1 2 {rotation} {translation} 1 1\nedge 2 3 {good}\n")
+        with pytest.raises(FormatError, match=r"pose graph: edge \(1,2\): not finite or off SO"):
+            graph_from_text(text)
+
+    def test_rejects_negative_frame_count(self):
+        with pytest.raises(FormatError, match="line 2: expected 'frames <count>' with a"):
+            graph_from_text("# pmsfm pose graph v1\nframes -1\n")
 
     @pytest.mark.parametrize("weight", ["inf", "-inf", "nan", "0", "-1"])
     def test_rejects_non_finite_or_non_positive_weight(self, weight):

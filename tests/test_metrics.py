@@ -16,7 +16,7 @@ from pmsfm.metrics import (
 )
 from pmsfm.pose_graph import GlobalPoses
 
-from conftest import stable_rot_err_deg
+from conftest import assert_same_bits, stable_rot_err_deg
 
 
 def random_global_poses(rng, n=8, recovered=None):
@@ -131,6 +131,24 @@ class TestAlignGauge:
     def test_frame_count_mismatch(self, rng):
         with pytest.raises(ShapeMismatchError):
             align_gauge(random_global_poses(rng, 3), random_global_poses(rng, 4))
+
+    @pytest.mark.parametrize("mode", ["rigid", "similarity"])
+    def test_apply_gauge_bit_equal_to_frame_loop(self, mode, rng):
+        rec = np.array([True, False, True, True, True, False, True, True])
+        gt = random_global_poses(rng, 8)
+        est = transformed_copy(gt, random_rotation(rng), rng.normal(size=3), s=1.7)
+        est = GlobalPoses(est.rotations, est.translations, rec)
+        moved, gauge = align_gauge(est, gt, mode=mode)
+        rotations = est.rotations.copy()
+        translations = est.translations.copy()
+        centers = est.centers()
+        for k in np.flatnonzero(rec):
+            r_new = so3_project(rotations[k] @ gauge.rotation.T)
+            c_new = gauge.scale * gauge.rotation @ centers[k] + gauge.translation
+            rotations[k] = r_new
+            translations[k] = -r_new @ c_new
+        assert_same_bits(moved.rotations, rotations)
+        assert_same_bits(moved.translations, translations)
 
 
 class TestEvaluate:

@@ -485,8 +485,15 @@ class TestCli:
          "view record 2: frame outside 0..1"),
         ("mode views\nn_frames 2\nview 0 a.dmap a.pmap\nview 0 b.dmap b.pmap\n", "",
          "view record 0: repeated view"),
+        ("mode pairs\nn_frames 4\npair 0 1 a.pmap b.pmap\n", "pair 0 9 0\n",
+         "pair record 0 9: frame outside 0..3"),
+        ("mode pairs\nn_frames 4\npair 0 1 a.pmap b.pmap\n", "pair 2 2 0\n",
+         "pair record 2 2: self-pair"),
+        ("mode pairs\nn_frames 4\npair 0 1 a.pmap b.pmap\n", "pair 0 1 0\npair 0 1 1\n",
+         "pair record 0 1: repeated pair"),
     ], ids=["manifest-record", "manifest-scalar", "pair-validity", "pair-out-of-range",
-            "self-pair", "repeated-pair", "view-out-of-range", "repeated-view"])
+            "self-pair", "repeated-pair", "view-out-of-range", "repeated-view",
+            "validity-out-of-range", "validity-self-pair", "validity-repeated-pair"])
     def test_exit_code_malformed_input(self, tmp_path, capsys, manifest, validity, where):
         (tmp_path / "manifest.txt").write_text(manifest, encoding="utf-8")
         args = ["solve", "--manifest", str(tmp_path / "manifest.txt"),
@@ -505,6 +512,19 @@ class TestCli:
         assert main(["eval", "--est", str(est),
                      "--gt", str(bundle_dir / "gt_poses.txt")]) == 5
         assert "repeated frame 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("count, where", [
+        ("-1", "line 2: expected 'frames <count>' with a non-negative count"),
+        ("100000000000", "line 2: 100000000000 frames declared, 6 present"),
+    ], ids=["negative", "huge"])
+    def test_eval_rejects_bad_frame_count(self, bundle_dir, tmp_path, capsys, count, where):
+        text = (bundle_dir / "gt_poses.txt").read_text(encoding="utf-8")
+        assert text.splitlines()[1] == "frames 6"
+        est = tmp_path / "est.txt"
+        est.write_text(text.replace("frames 6\n", f"frames {count}\n"), encoding="utf-8")
+        assert main(["eval", "--est", str(est),
+                     "--gt", str(bundle_dir / "gt_poses.txt")]) == 5
+        assert where in capsys.readouterr().err
 
     def test_retired_staircase_key_rejected(self, bundle_dir, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"

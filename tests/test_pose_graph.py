@@ -5,7 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pmsfm import pose_graph
-from pmsfm.errors import DisconnectedGraphError, InsufficientDataError, ValidationError
+from pmsfm.errors import (
+    DisconnectedGraphError,
+    InsufficientDataError,
+    ShapeMismatchError,
+    ValidationError,
+)
 from pmsfm.geometry import (
     RigidTransform,
     axis_angle_matrix,
@@ -18,6 +23,7 @@ from pmsfm.geometry import (
 from pmsfm.pose_graph import (
     Edge,
     EdgeFilterConfig,
+    GlobalPoses,
     PoseGraph,
     assemble_global,
     build_graph,
@@ -27,10 +33,16 @@ from pmsfm.pose_graph import (
     rotation_objective,
     translation_averaging,
 )
-from pmsfm.pose_graph import _block_descent, _chordal_init, _chordal_system, _translation_system
+from pmsfm.pose_graph import (
+    _block_descent,
+    _chordal_init,
+    _chordal_system,
+    _gauge_fix,
+    _translation_system,
+)
 from pmsfm.relative_pose import RelativePoseResult
 
-from conftest import random_rigid, stable_rot_err_deg, winding_cycle
+from conftest import assert_same_bits, random_rigid, stable_rot_err_deg, winding_cycle
 
 
 def fake_result(transform: RigidTransform, inlier_count: int,
@@ -219,7 +231,7 @@ def assert_same_csr(a, b):
     assert a.shape == b.shape
     np.testing.assert_array_equal(a.indptr, b.indptr)
     np.testing.assert_array_equal(a.indices, b.indices)
-    np.testing.assert_array_equal(a.data, b.data)
+    assert_same_bits(a.data, b.data)
 
 
 def aligned_mean_rot_err(est: np.ndarray, gt: np.ndarray) -> float:
@@ -641,6 +653,32 @@ class TestEdgeValidation:
         with pytest.raises(ValidationError, match="finite and positive"):
             Edge(0, 1, np.eye(3), np.zeros(3), weight, 1.0)
 
+    @pytest.mark.parametrize("bad", [
+        lambda r, t: (r * 1.001, t),
+        lambda r, t: (r @ np.diag([1.0, 1.0, -1.0]), t),
+        lambda r, t: (r, np.array([t[0], np.inf, t[2]])),
+    ], ids=["non-orthonormal", "det-minus-one", "inf-translation"])
+    def test_graph_rejects_bad_edge_by_name(self, rng, bad):
+        poses = [random_rigid(rng) for _ in range(5)]
+        edges = consistent_edges(poses, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 3)])
+        r, t = bad(edges[2].rotation, edges[2].translation)
+        edges[2] = Edge(2, 3, r, t, 1.0, 1.0)  # an Edge alone checks no rotation
+        with pytest.raises(ValidationError, match=r"^edge \(2,3\): not finite or off SO\(3\)"):
+            PoseGraph(5, tuple(edges))
+
+    def test_edge_checks_shapes(self):
+        with pytest.raises(ShapeMismatchError, match=r"edge \(0,1\)"):
+            Edge(0, 1, np.eye(4), np.zeros(3), 1.0, 1.0)
+        with pytest.raises(ShapeMismatchError, match=r"edge \(0,1\)"):
+            Edge(0, 1, np.eye(3), np.zeros(2), 1.0, 1.0)
+
+    def test_global_poses_reject_bad_frame_by_index(self, rng):
+        rot = np.stack([random_rotation(rng) for _ in range(4)])
+        trans = rng.normal(size=(4, 3))
+        rot[2] = -rot[2]
+        with pytest.raises(ValidationError, match=r"^frame 2: not finite or off SO\(3\)"):
+            GlobalPoses(rot, trans, np.array([True, True, False, True]))
+
 
 class TestStackedSolvers:
     """The stacked-array solvers against the per-edge references above."""
@@ -657,7 +695,7 @@ class TestStackedSolvers:
         start = _chordal_init(g, covered, 0)
         rot, converged = _block_descent(g, start, covered)
         ref_rot, ref_converged = _reference_block_descent(g, start, covered)
-        assert np.array_equal(rot, ref_rot)
+        assert_same_bits(rot, ref_rot)
         assert converged == ref_converged
         assert converged
 
@@ -667,7 +705,7 @@ class TestStackedSolvers:
         start = _chordal_init(g, covered, 0)
         rot, converged = _block_descent(g, start, covered, max_sweeps=2)
         ref_rot, ref_converged = _reference_block_descent(g, start, covered, max_sweeps=2)
-        assert np.array_equal(rot, ref_rot)
+        assert_same_bits(rot, ref_rot)
         assert converged is ref_converged is False
 
     @pytest.mark.parametrize("seed", range(3))
@@ -675,7 +713,7 @@ class TestStackedSolvers:
         rng = np.random.default_rng(seed)
         g = benchmark_shaped_graph(rng, 12, None)
         rot = np.stack([random_rotation(rng) for _ in range(12)])
-        assert rotation_objective(g, rot) == _reference_objective(g, rot)
+        assert_same_bits(rotation_objective(g, rot), _reference_objective(g, rot))
 
     def test_objective_of_edgeless_graph_is_zero(self):
         assert rotation_objective(PoseGraph(2, ()), np.tile(np.eye(3), (2, 1, 1))) == 0.0
@@ -708,14 +746,14 @@ class TestStackedSolvers:
         a, rhs, vertices = _chordal_system(g, covered, anchor)
         ref_a, ref_rhs, ref_vertices = _reference_chordal_system(g, covered, anchor)
         assert_same_csr(a, ref_a)
-        assert np.array_equal(rhs, ref_rhs)
+        assert_same_bits(rhs, ref_rhs)
         assert list(vertices) == ref_vertices
 
         rot = np.stack([random_rotation(rng) for _ in range(n)])
         a, b, vertices = _translation_system(g, rot, covered, anchor)
         ref_a, ref_b, ref_vertices = _reference_translation_system(g, rot, covered, anchor)
         assert_same_csr(a, ref_a)
-        assert np.array_equal(b, ref_b)
+        assert_same_bits(b, ref_b)
         assert list(vertices) == ref_vertices
 
     def test_edge_arrays_built_once_and_read_only(self, rng):
@@ -730,6 +768,79 @@ class TestStackedSolvers:
         covered = g.covered_vertices()
         covered[0] = False  # a caller's copy, not the cache
         assert list(g.covered_vertices()) == [True, True, True, True, False]
+
+
+def _reference_chordal_init(graph, covered, anchor):
+    """`_chordal_init` projecting one vertex block at a time."""
+    a, rhs, vertices = _chordal_system(graph, covered, anchor)
+    ata = (a.T @ a).tocsc()
+    blocks = np.asarray(pose_graph.spla.spsolve(ata, a.T @ rhs)).reshape(len(vertices), 3, 3)
+    rotations = np.tile(np.eye(3), (graph.n_frames, 1, 1))
+    for v, block in zip(vertices, blocks):
+        rotations[v] = so3_project(block.T)
+    return rotations
+
+
+def _reference_gauge_fix(rotations, covered, anchor):
+    q = rotations[anchor].T
+    out = rotations.copy()
+    for v in np.flatnonzero(covered):
+        out[v] = so3_project(q @ rotations[v])
+    out[anchor] = np.eye(3)
+    return out
+
+
+def _reference_assemble(rotations, translations, recovered):
+    n = len(recovered)
+    r_out = np.tile(np.eye(3), (n, 1, 1))
+    t_out = np.zeros((n, 3))
+    for k in range(n):
+        if recovered[k]:
+            r_out[k] = rotations[k].T
+            t_out[k] = -rotations[k].T @ translations[k]
+    return r_out, t_out
+
+
+class TestStackedProjections:
+    """The stacked SO(3) projections and inverses against per-edge,
+    per-vertex and per-frame loops, bit for bit."""
+
+    def test_build_graph_inverse_bit_equal_to_edge_loop(self, rng):
+        results = [(i, j, fake_result(random_rigid(rng, t_scale=3.0), int(rng.integers(30, 90))),
+                    100) for i, j in random_connected_pairs(9, rng, extra=1.5)]
+        g = build_graph(results, 9, EdgeFilterConfig(quality_threshold=0.0))
+        assert len(g.edges) == len(results)
+        by_pair = {(i, j): res for i, j, res, _ in results}
+        for e in g.edges:
+            ref = inverse(by_pair[(e.i, e.j)].transform)
+            assert_same_bits(e.rotation, ref.rotation)
+            assert_same_bits(e.translation, ref.translation)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_chordal_init_and_gauge_fix_bit_equal_to_vertex_loop(self, seed):
+        # frame 0 is isolated, so the anchor is frame 1
+        rng = np.random.default_rng(seed)
+        g = benchmark_shaped_graph(rng, 12, 3)
+        g = PoseGraph(13, tuple(Edge(e.i + 1, e.j + 1, e.rotation, e.translation, e.weight,
+                                     e.quality) for e in g.edges))
+        covered = g.covered_vertices()
+        init = _chordal_init(g, covered, 1)
+        assert_same_bits(init, _reference_chordal_init(g, covered, 1))
+        rot = np.stack([random_rotation(rng) for _ in range(13)])
+        rot[5] = so3_project(rot[5] + rng.normal(scale=1e-3, size=(3, 3)))
+        assert_same_bits(_gauge_fix(rot, covered, 1), _reference_gauge_fix(rot, covered, 1))
+
+    def test_assemble_global_bit_equal_to_frame_loop(self, rng):
+        g = benchmark_shaped_graph(rng, 10, 2)
+        rot = rotation_averaging(g)
+        u = translation_averaging(g, rot)
+        recovered = np.ones(10, dtype=bool)
+        recovered[[3, 7]] = False
+        gp = assemble_global(rot, u, recovered)
+        ref_r, ref_t = _reference_assemble(rot, u, recovered)
+        assert_same_bits(gp.rotations, ref_r)
+        assert_same_bits(gp.translations, ref_t)
+        assert_same_bits(gp.translations[0], np.zeros(3))  # the anchor: +0.0, not -0.0
 
 
 class TestFrameRelabelling:

@@ -32,7 +32,7 @@ from pmsfm.relative_pose import (
     refine_pose,
 )
 
-from conftest import stable_rot_err_deg
+from conftest import assert_same_bits, stable_rot_err_deg
 
 
 def grid_pointmap_for_pose(k: CameraIntrinsics, width, height, pose: RigidTransform,
@@ -559,8 +559,8 @@ class TestKernels:
             expected = _reference_p3p(world, bearings)
             assert cand[k].sum() == len(expected)
             for r, (r_ref, t_ref) in zip(np.flatnonzero(cand[k]), expected):
-                assert np.array_equal(rot[k, r], r_ref)
-                assert np.array_equal(trans[k, r], t_ref)
+                assert_same_bits(rot[k, r], r_ref)
+                assert_same_bits(trans[k, r], t_ref)
 
     def test_p3p_rejects_degenerate_samples(self):
         rng = np.random.default_rng(2)
@@ -585,7 +585,7 @@ class TestKernels:
                                       np.stack([bearings, bearings, bearings]))
         assert not cand[1].any()
         assert np.array_equal(cand[0], cand[2]) and cand[0].any()
-        assert np.array_equal(rot[0][cand[0]], rot[2][cand[2]])
+        assert_same_bits(rot[0][cand[0]], rot[2][cand[2]])
         assert np.all(np.isfinite(rot)) and np.all(np.isfinite(trans))
 
     def test_pnp_ransac_pinned_on_views_pair(self):
