@@ -399,11 +399,16 @@ def poses_from_text(text: str) -> tuple[GlobalPoses, list[int]]:
         seen.add(frame_id)
         frame_ids.append(frame_id)
         recovered.append(flag)
-        m = np.zeros((4, 4))
-        for r in range(4):
+        m = np.empty((3, 4))
+        for r in range(3):
             lineno, line = lines.next("matrix row")
             m[r] = _fields(lineno, line.split(), _MATRIX_ROW, "matrix")
-        if not np.allclose(m[3], [0, 0, 0, 1], atol=1e-12):
+        lineno, line = lines.next("matrix row")
+        x, y, z, one = _fields(lineno, line.split(), _MATRIX_ROW, "matrix")
+        # np.allclose(row, [0, 0, 0, 1], atol=1e-12) as plain float tests,
+        # which are false for NaN as allclose is.
+        if not (abs(x) <= 1e-12 and abs(y) <= 1e-12 and abs(z) <= 1e-12
+                and abs(one - 1.0) <= 1e-12 + 1e-5):
             raise FormatError(f"line {lineno}: last matrix row must be 0 0 0 1")
         rotations.append(m[:3, :3])
         translations.append(m[:3, 3])

@@ -33,6 +33,9 @@ _WEISZFELD_ITERS = 50
 # 1e-11 relative is still five orders tighter than the accuracy contract.
 _WEISZFELD_EPS = 1e-11
 _REFINE_ROUNDS = 3
+# Relative change of the squared reprojection error at which refinement
+# has converged: four orders above the rounding of a sum over many points.
+_REFINE_RTOL = 1e-12
 # RANSAC samples drawn and solved per P3P batch: about the adaptive stop
 # of a 10%-outlier map, so few samples are solved past it.
 _P3P_CHUNK = 8
@@ -368,6 +371,18 @@ def refine_pose(points: np.ndarray, pixels: np.ndarray, k: CameraIntrinsics,
     factor grows until a step decreases the squared error. ``points``
     (N, 3) and ``pixels`` (N, 2) are worked on as coordinate rows, which
     is free when they are transposed views of (3, N)/(2, N) arrays.
+
+    Refinement stops at a step that changes the squared pixel error E
+    by at most 1e-12 * max(E, 1), and that step is taken:
+
+    - a step that lowers E that little has converged;
+    - a step that raises E that little is at the rounding floor of E,
+      where more damping would only shorten a step that changes
+      nothing. E no longer tells the two poses apart there, and the
+      step, solved from the gradient, is the better estimate.
+
+    Both rules test pixel-space quantities only, so the result does not
+    depend on the scene's scale.
     """
     pts = np.ascontiguousarray(points.T)
     pix = np.ascontiguousarray(pixels.T)
@@ -391,13 +406,14 @@ def refine_pose(points: np.ndarray, pixels: np.ndarray, k: CameraIntrinsics,
             t_new = t + delta[3:]
             res_new, w_new, cam_new, z_new = _gn_residuals(pts, pix, k, r_new, t_new)
             err_new = float(res_new @ res_new)
-            if err_new <= err:
-                improved = err - err_new
+            if abs(err_new - err) <= _REFINE_RTOL * max(err, 1.0):
+                return r_new, t_new
+            if err_new < err:
                 r, t, err = r_new, t_new, err_new
                 res, w_pts, cam, z = res_new, w_new, cam_new, z_new
                 lam = max(lam * 0.3, 1e-12)
                 stepped = True
-                if improved <= 1e-16 * max(err, 1.0) or np.linalg.norm(delta) < 1e-14:
+                if np.linalg.norm(delta) < 1e-14:
                     return r, t
                 break
             lam *= 10.0
@@ -483,8 +499,8 @@ def pnp_ransac(pm2_in_1: Pointmap, k: CameraIntrinsics,
         )
 
     # Local optimization: refine on the inlier set, re-extract inliers,
-    # repeat while it keeps paying; never return fewer inliers than the
-    # hypothesis that was selected.
+    # repeat while it keeps paying and the inlier set changes; never
+    # return fewer inliers than the hypothesis that was selected.
     pose, inl, count, mean_err = best_pose, best_inl, best_count, best_mean
     for _ in range(_REFINE_ROUNDS):
         r_ref, t_ref = refine_pose(points.compress(inl, axis=1).T,
@@ -495,9 +511,13 @@ def pnp_ransac(pm2_in_1: Pointmap, k: CameraIntrinsics,
         if count_ref == 0:
             break
         mean_ref = float(errs[inl_ref].mean())
-        if count_ref > count or (count_ref == count and mean_ref < mean_err):
-            pose, inl, count, mean_err = (r_ref, t_ref), inl_ref, count_ref, mean_ref
-        else:
+        if not (count_ref > count or (count_ref == count and mean_ref < mean_err)):
+            break
+        # A repeated inlier set would be refined again from refine's own
+        # converged output, which cannot move the pose.
+        repeated = np.array_equal(inl_ref, inl)
+        pose, inl, count, mean_err = (r_ref, t_ref), inl_ref, count_ref, mean_ref
+        if repeated:
             break
 
     full_mask = np.zeros(pm2_in_1.height * pm2_in_1.width, dtype=bool)

@@ -240,6 +240,23 @@ class TestPosesDocument:
         with pytest.raises(FormatError, match=r"document: frame 2: not finite or off SO\(3\)"):
             poses_from_text("\n".join(lines) + "\n")
 
+    @pytest.mark.parametrize("position", range(4))
+    @pytest.mark.parametrize("value", ["1.000009", "1.0000101", "1e-12", "-1e-12", "2e-12",
+                                       "nan", "inf"])
+    def test_last_row_accepted_as_allclose_does(self, rng, position, value):
+        row = [0.0, 0.0, 0.0, 1.0]
+        row[position] = float(value)
+        lines = poses_to_text(random_poses(rng, 3)).splitlines()
+        assert lines[12].startswith("frame 2 recovered ")
+        lines[11] = " ".join(str(x) for x in row)
+        text = "\n".join(lines) + "\n"
+        if np.allclose(row, [0, 0, 0, 1], atol=1e-12):
+            poses_from_text(text)
+        else:
+            with pytest.raises(FormatError,
+                               match="^line 12: last matrix row must be 0 0 0 1$"):
+                poses_from_text(text)
+
     @pytest.mark.parametrize("count, message", [
         ("-1", "line 2: expected 'frames <count>' with a non-negative count"),
         ("100000000000", "line 2: 100000000000 frames declared, 1 present"),

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
+from pmsfm import relative_pose
 from pmsfm.errors import InsufficientDataError, NoPoseFoundError, ValidationError
 from pmsfm.geometry import (
     CameraIntrinsics,
@@ -18,6 +19,7 @@ from pmsfm.geometry import (
     pixel_grid,
     pointmap_from_depth,
     random_rotation,
+    so3_project,
 )
 from pmsfm.relative_pose import (
     RansacConfig,
@@ -486,6 +488,63 @@ class TestKernels:
         r, t = refine_pose(points, pixels, k, r0, t0)
         assert stable_rot_err_deg(r, pose.rotation) <= 1e-8
         assert np.abs(t - pose.translation).max() <= 1e-9
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_refine_from_converged_output_evaluates_residual_at_most_twice(
+            self, seed, monkeypatch):
+        k, pose, points, pixels, rng = _seeded_correspondences(seed)
+        r0 = axis_angle_matrix(np.array([0.6, 0.0, 0.8]), 0.05) @ pose.rotation
+        converged = refine_pose(points, pixels, k, r0, pose.translation + 0.05)
+        calls = []
+        residuals = relative_pose._gn_residuals
+        monkeypatch.setattr(relative_pose, "_gn_residuals",
+                            lambda *a: calls.append(1) or residuals(*a))
+        r, t = refine_pose(points, pixels, k, *converged)
+        # The start's residual and one step at the rounding floor.
+        assert len(calls) <= 2
+        assert np.abs(r - converged[0]).max() <= 1e-9
+        assert np.linalg.norm(t - converged[1]) <= 1e-9 * np.linalg.norm(converged[1])
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_local_optimization_stops_on_repeated_inlier_set(self, seed, monkeypatch):
+        # A dense noisy pair whose first refinement is accepted and
+        # re-extracts the inlier set it was refined on.
+        rng = np.random.default_rng(seed)
+        k = make_intrinsics(64, 48, 60.0)
+        pm = grid_pointmap_for_pose(k, 64, 48, small_pose(rng), rng)
+        pts = pm.points + rng.normal(scale=0.01, size=pm.points.shape)
+        outliers = rng.uniform(size=(48, 64)) < 0.1
+        pts[outliers] += rng.normal(size=(int(outliers.sum()), 3))
+        pm = Pointmap(64, 48, pts, pm.confidence, pm.mask)
+        calls = []
+        refine = relative_pose.refine_pose
+
+        def recording(points, pixels, *args):
+            calls.append((points, refine(points, pixels, *args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(relative_pose, "refine_pose", recording)
+        res = pnp_ransac(pm, k)
+        assert len(calls) == 1
+        refined_on, (r, t) = calls[0]
+        # The result is the refined pose (its rotation re-projected to SO(3)).
+        assert_same_bits(res.transform.rotation, so3_project(r))
+        assert_same_bits(res.transform.translation, t)
+        np.testing.assert_array_equal(pts[res.inlier_mask], refined_on)
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 4), scale=st.floats(1e-3, 1e3))
+    def test_refine_is_scale_free(self, seed, scale):
+        # Scaling the world points and the start translation by s leaves
+        # every pixel-space quantity unchanged, so the refined pose must
+        # be the unscaled one with its translation scaled by s.
+        k, pose, points, pixels, _ = _seeded_correspondences(seed)
+        r0 = axis_angle_matrix(np.array([0.6, 0.0, 0.8]), 0.05) @ pose.rotation
+        t0 = pose.translation + 0.05
+        r, t = refine_pose(points, pixels, k, r0, t0)
+        r_s, t_s = refine_pose(points * scale, pixels, k, r0, t0 * scale)
+        assert np.abs(r_s - r).max() <= 1e-9
+        assert np.linalg.norm(t_s / scale - t) <= 1e-9 * np.linalg.norm(t)
 
     def test_reproj_errors_formula_and_behind_camera(self):
         k = make_intrinsics(40, 30, 50.0)
