@@ -47,7 +47,6 @@ from .metrics import (
 )
 from .pose_graph import (
     Edge,
-    EdgeFilterConfig,
     GlobalPoses,
     PoseGraph,
     assemble_global,

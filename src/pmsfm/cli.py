@@ -52,13 +52,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--ransac-inlier-threshold-px", type=float,
                          dest="ransac_inlier_threshold_px")
     p_solve.add_argument("--ransac-confidence", type=float, dest="ransac_confidence")
-    p_solve.add_argument("--ransac-min-sample", type=int, dest="ransac_min_sample")
     p_solve.add_argument("--quality-threshold", type=float, dest="quality_threshold")
     p_solve.add_argument("--pair-policy", choices=("auto", "all", "window"),
                          dest="pair_policy")
     p_solve.add_argument("--window", type=int)
-    p_solve.add_argument("--weight-mode", choices=("inlier", "constant"),
-                         dest="weight_mode")
     p_solve.add_argument("--n-keep", type=int, dest="n_keep",
                          help="subsample to this many evenly spaced frames")
     p_solve.add_argument("--seed", type=int, dest="rng_seed")
@@ -71,12 +68,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="score estimated poses against a reference")
     p_eval.add_argument("--est", required=True, help="estimated poses document")
     p_eval.add_argument("--gt", required=True, help="reference poses document")
-    p_eval.add_argument("--config", help="pipeline config supplying alignment "
-                                         "mode and thresholds; flags override")
+    p_eval.add_argument("--config", help="pipeline config supplying the alignment "
+                                         "mode; --mode overrides it")
     p_eval.add_argument("--mode", choices=("rigid", "similarity"), default=None)
-    p_eval.add_argument("--thresholds", default=None,
-                        help="accuracy thresholds as dist:deg,dist:deg "
-                             "(default 0.15:15,0.30:30)")
     p_eval.add_argument("--out", help="also write the report here")
 
     sub.add_parser("formats", help="print the on-disk format documentation")
@@ -126,30 +120,11 @@ def _cmd_solve(args) -> int:
     return pipeline.EXIT_OK
 
 
-def _parse_thresholds(text: str):
-    pairs = []
-    for part in text.split(","):
-        dist, _, deg = part.partition(":")
-        try:
-            pairs.append((float(dist), float(deg)))
-        except ValueError:
-            raise ConfigError(f"thresholds: cannot parse {part!r}") from None
-    if len(pairs) != 2:
-        raise ConfigError("thresholds: expected exactly two dist:deg pairs")
-    return tuple(pairs)
-
-
 def _cmd_eval(args) -> int:
     mode = args.mode
-    kwargs = {}
     if args.config:
-        cfg = pipeline.load_config(args.config)
-        mode = mode or cfg.align_mode
-        kwargs["thresholds"] = cfg.thresholds()
-    if args.thresholds:
-        kwargs["thresholds"] = _parse_thresholds(args.thresholds)
-    report = pipeline.evaluate_pose_files(args.est, args.gt, mode=mode or "rigid",
-                                          **kwargs)
+        mode = mode or pipeline.load_config(args.config).align_mode
+    report = pipeline.evaluate_pose_files(args.est, args.gt, mode=mode or "rigid")
     if args.out:
         io_formats.write_report(args.out, report)
     print("rot_error_deg trans_error det_rate_pct acc_15_15_pct acc_30_30_pct")

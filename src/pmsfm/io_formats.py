@@ -131,13 +131,13 @@ manifest's n_frames.
 Config ("pmsfm pipeline config v1")
 The fields of PipelineConfig, all optional: manifest, output_dir,
 ransac_max_iterations, ransac_inlier_threshold_px, ransac_confidence,
-ransac_min_sample, quality_threshold, pair_policy (auto|all|window),
-window, weight_mode (inlier|constant), align_mode (rigid|similarity),
-acc1_dist, acc1_deg, acc2_dist, acc2_deg, n_keep, rng_seed, jobs
-(pair-stage pool size; 0 = one thread per core when a pair map has at
-least 3000 pixels, else one), pair_validity. Config files written by
-earlier versions carry a `staircase 0` line for a removed option; it is
-rejected as an unknown key, so delete that line.
+quality_threshold, pair_policy (auto|all|window), window, align_mode
+(rigid|similarity), n_keep, rng_seed, jobs (pair-stage pool size; 0 =
+one thread per core when a pair map has at least 3000 pixels, else
+one), pair_validity. Config files written by earlier versions carry
+lines for removed options: staircase, ransac_min_sample, weight_mode,
+acc1_dist, acc1_deg, acc2_dist and acc2_deg. Each is rejected as an
+unknown key, so delete those lines.
 
 Scene spec ("pmsfm scene spec v1")
 The fields of SceneSpec, all optional: n_points, object_shape,

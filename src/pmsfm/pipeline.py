@@ -38,7 +38,7 @@ from .metrics import (
     subsample_frames,
 )
 from .pose_graph import (
-    EdgeFilterConfig,
+    QUALITY_THRESHOLD,
     GlobalPoses,
     PoseGraph,
     assemble_global,
@@ -71,19 +71,13 @@ GT_POSES_FILENAME = "gt_poses.txt"
 class PipelineConfig:
     manifest: str = ""
     output_dir: str = ""
-    ransac_max_iterations: int = 1024
-    ransac_inlier_threshold_px: float = 5.0
-    ransac_confidence: float = 0.999
-    ransac_min_sample: int = 4
-    quality_threshold: float = 0.25
+    ransac_max_iterations: int = RansacConfig.max_iterations
+    ransac_inlier_threshold_px: float = RansacConfig.inlier_threshold_px
+    ransac_confidence: float = RansacConfig.confidence
+    quality_threshold: float = QUALITY_THRESHOLD
     pair_policy: str = "auto"  # auto | all | window
     window: int = 10
-    weight_mode: str = "inlier"  # inlier | constant
     align_mode: str = "rigid"  # rigid | similarity
-    acc1_dist: float = DEFAULT_THRESHOLDS[0][0]
-    acc1_deg: float = DEFAULT_THRESHOLDS[0][1]
-    acc2_dist: float = DEFAULT_THRESHOLDS[1][0]
-    acc2_deg: float = DEFAULT_THRESHOLDS[1][1]
     n_keep: int = 0  # 0 keeps every frame
     rng_seed: int = 0
     jobs: int = 0  # 0 picks one pool thread or one per core from the input
@@ -92,8 +86,6 @@ class PipelineConfig:
     def __post_init__(self):
         if self.pair_policy not in ("auto", "all", "window"):
             raise ConfigError(f"pair_policy: unknown policy {self.pair_policy!r}")
-        if self.weight_mode not in ("inlier", "constant"):
-            raise ConfigError(f"weight_mode: unknown mode {self.weight_mode!r}")
         if self.align_mode not in ("rigid", "similarity"):
             raise ConfigError(f"align_mode: unknown mode {self.align_mode!r}")
         if self.window < 1:
@@ -106,12 +98,8 @@ class PipelineConfig:
             max_iterations=self.ransac_max_iterations,
             inlier_threshold_px=self.ransac_inlier_threshold_px,
             confidence=self.ransac_confidence,
-            min_sample=self.ransac_min_sample,
             rng_seed=self.rng_seed,
         )
-
-    def thresholds(self):
-        return ((self.acc1_dist, self.acc1_deg), (self.acc2_dist, self.acc2_deg))
 
 
 # ---------------------------------------------------------------------------
@@ -457,12 +445,7 @@ def _solve_stages(cfg: PipelineConfig) -> SolveResult:
         raise InsufficientDataError("every candidate pair failed")
 
     t0 = time.perf_counter()
-    filter_cfg = EdgeFilterConfig(
-        quality_threshold=cfg.quality_threshold,
-        weight_mode=cfg.weight_mode,
-        pair_validity=validity or None,
-    )
-    graph = build_graph(results, n_local, filter_cfg)
+    graph = build_graph(results, n_local, cfg.quality_threshold, validity)
     if not graph.edges:
         raise InsufficientDataError("no edges survive filtering")
     timings["graph_s"] = time.perf_counter() - t0
@@ -539,8 +522,7 @@ def run_solve(cfg: PipelineConfig) -> tuple[SolveResult, Path]:
 # eval stage
 
 
-def evaluate_pose_files(est_path, gt_path, mode: str = "rigid",
-                        thresholds=DEFAULT_THRESHOLDS) -> SequenceReport:
+def evaluate_pose_files(est_path, gt_path, mode: str = "rigid") -> SequenceReport:
     """Align and score an estimated pose document against a reference.
 
     Estimated frames are matched to reference frames by frame id; the
@@ -560,13 +542,12 @@ def evaluate_pose_files(est_path, gt_path, mode: str = "rigid",
                          recovered=gt.recovered[sel])
     try:
         aligned, _ = align_gauge(est, gt_sub, mode=mode)
-        return evaluate(aligned, gt_sub, thresholds=thresholds)
+        return evaluate(aligned, gt_sub)
     except AlignmentError:
-        return _evaluate_rotation_only(est, gt_sub, thresholds)
+        return _evaluate_rotation_only(est, gt_sub)
 
 
-def _evaluate_rotation_only(est: GlobalPoses, gt: GlobalPoses,
-                            thresholds) -> SequenceReport:
+def _evaluate_rotation_only(est: GlobalPoses, gt: GlobalPoses) -> SequenceReport:
     """Degraded scoring when the translation gauge cannot be fixed:
     rotations are aligned on the first commonly recovered frame and the
     accuracy columns count the rotation criterion alone; translation
@@ -580,7 +561,7 @@ def _evaluate_rotation_only(est: GlobalPoses, gt: GlobalPoses,
             rotations[k] = est.rotations[k] @ w
     est_aligned = GlobalPoses(rotations=rotations, translations=est.translations,
                               recovered=est.recovered)
-    inf_thresholds = tuple((np.inf, deg) for _, deg in thresholds)
+    inf_thresholds = tuple((np.inf, deg) for _, deg in DEFAULT_THRESHOLDS)
     report = evaluate(est_aligned, gt, thresholds=inf_thresholds)
     return dataclasses.replace(report, trans_error=float("nan"),
                                trans_rmse=float("nan"))

@@ -17,12 +17,13 @@ import functools
 import math
 import operator
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import eigh
+from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     ConvergenceWarning,
@@ -37,6 +38,8 @@ from .relative_pose import RelativePoseResult
 _SWEEP_TOL = 1e-10
 _MAX_SWEEPS = 500
 _CERTIFICATE_REL_TOL = 1e-6
+# Least inlier fraction of a pair that becomes an edge without rescue.
+QUALITY_THRESHOLD = 0.25
 
 
 @dataclass(frozen=True)
@@ -106,25 +109,12 @@ class PoseGraph:
         j = np.array([e.j for e in self.edges], dtype=np.intp)
         covered = np.zeros(self.n_frames, dtype=bool)
         covered[i] = covered[j] = True
-        adj: dict[int, set[int]] = {}
-        for e in self.edges:
-            adj.setdefault(e.i, set()).add(e.j)
-            adj.setdefault(e.j, set()).add(e.i)
-        components = []
-        visited = set()
-        for v in sorted(adj):
-            if v in visited:
-                continue
-            stack, comp = [v], []
-            visited.add(v)
-            while stack:
-                u = stack.pop()
-                comp.append(u)
-                for w in adj[u]:
-                    if w not in visited:
-                        visited.add(w)
-                        stack.append(w)
-            components.append(tuple(sorted(comp)))
+        support = sp.coo_matrix((np.ones(len(i)), (i, j)), shape=(self.n_frames,) * 2)
+        labels = connected_components(support, directed=False)[1][covered]
+        order = np.argsort(labels, kind="stable")  # stable: each group stays ascending
+        groups = np.split(np.flatnonzero(covered)[order],
+                          np.flatnonzero(np.diff(labels[order])) + 1)
+        components = sorted(tuple(g.tolist()) for g in groups if len(g))
         return EdgeArrays(
             i=_freeze(i), j=_freeze(j),
             weight=_freeze(np.array([e.weight for e in self.edges], dtype=np.float64)),
@@ -182,33 +172,23 @@ class GlobalPoses:
         return RigidTransform(self.rotations[k], self.translations[k])
 
 
-@dataclass(frozen=True)
-class EdgeFilterConfig:
-    quality_threshold: float = 0.25
-    weight_mode: str = "inlier"  # or "constant"
-    rescue_temporal: bool = True
-    pair_validity: dict | None = field(default=None)
-
-    def __post_init__(self):
-        if self.weight_mode not in ("inlier", "constant"):
-            raise ValidationError(f"unknown weight mode {self.weight_mode!r}")
-
-
 def build_graph(pair_results: list[tuple[int, int, RelativePoseResult, int]],
-                n_frames: int,
-                filter_cfg: EdgeFilterConfig = EdgeFilterConfig()) -> PoseGraph:
+                n_frames: int, quality_threshold: float = QUALITY_THRESHOLD,
+                pair_validity: dict[tuple[int, int], bool] | None = None) -> PoseGraph:
     """Filter pairwise measurements into a connected pose graph.
 
     ``pair_results`` entries are (i, j, result, n_valid) with ``result``
     the PnP output for reference view i and ``n_valid`` the pair's valid
-    pixel count. Edges keep pairs whose inlier fraction reaches the
-    quality threshold; temporal-neighbor edges (i, i+1) are force-included
-    (flagged rescued) so a weak but measured neighbor never disconnects
-    the sequence. Vertices with no measurement at all are tolerated and
-    left for assemble_global to flag; two or more measured components
-    raise DisconnectedGraphError.
+    pixel count. Edges keep pairs whose inlier fraction reaches
+    ``quality_threshold`` and that ``pair_validity`` (keyed by either
+    order of the pair) does not mark invalid; temporal-neighbor edges
+    (i, i+1) are force-included (flagged rescued) so a weak but measured
+    neighbor never disconnects the sequence. Each edge is weighted by its
+    inlier count over the largest kept one. Vertices with no measurement
+    at all are tolerated and left for assemble_global to flag; two or
+    more measured components raise DisconnectedGraphError.
     """
-    validity = filter_cfg.pair_validity or {}
+    validity = pair_validity or {}
     kept: dict[tuple[int, int], tuple[RelativePoseResult, float, bool]] = {}
     candidates: dict[tuple[int, int], tuple[RelativePoseResult, float]] = {}
     for i, j, res, n_valid in pair_results:
@@ -217,13 +197,12 @@ def build_graph(pair_results: list[tuple[int, int, RelativePoseResult, int]],
         quality = res.inlier_count / max(n_valid, 1)
         candidates[(i, j)] = (res, quality)
         valid_pair = validity.get((i, j), validity.get((j, i), True))
-        if valid_pair and quality >= filter_cfg.quality_threshold:
+        if valid_pair and quality >= quality_threshold:
             kept[(i, j)] = (res, quality, False)
 
-    if filter_cfg.rescue_temporal:
-        for (i, j), (res, quality) in candidates.items():
-            if abs(i - j) == 1 and (i, j) not in kept and (j, i) not in kept:
-                kept[(i, j)] = (res, quality, True)
+    for (i, j), (res, quality) in candidates.items():
+        if abs(i - j) == 1 and (i, j) not in kept and (j, i) not in kept:
+            kept[(i, j)] = (res, quality, True)
 
     if not kept:
         return PoseGraph(n_frames=n_frames, edges=())
@@ -235,10 +214,7 @@ def build_graph(pair_results: list[tuple[int, int, RelativePoseResult, int]],
     inverses = zip(so3_project(rt), ((-rt) @ trans[:, :, None])[:, :, 0])  # j -> i coords
     edges = []
     for ((i, j), (res, quality, rescued)), (r, t) in zip(items, inverses):
-        if filter_cfg.weight_mode == "inlier":
-            weight = max(res.inlier_count / max(max_inliers, 1), 1e-12)
-        else:
-            weight = 1.0
+        weight = max(res.inlier_count / max(max_inliers, 1), 1e-12)
         edges.append(Edge(i=i, j=j, rotation=r, translation=t,
                           weight=weight, quality=quality, rescued=rescued))
 
@@ -431,15 +407,16 @@ def rotation_certificate(graph: PoseGraph, rotations: np.ndarray) -> float:
     Duality", CVPR 2018).
     """
     a = graph.edge_arrays
-    n, m = graph.n_frames, int(np.count_nonzero(a.covered))
+    vertices = np.flatnonzero(a.covered)
+    m = len(vertices)
+    i, j = np.searchsorted(vertices, a.i), np.searchsorted(vertices, a.j)  # block rows
     weighted = a.weight[:, None, None] * a.rotation
-    blocks = np.zeros((n, n, 3, 3))
-    np.add.at(blocks, (a.i, a.j), weighted)
-    np.add.at(blocks, (a.j, a.i), weighted.transpose(0, 2, 1))
-    blocks = blocks[a.covered][:, a.covered]
+    blocks = np.zeros((m, m, 3, 3))
+    np.add.at(blocks, (i, j), weighted)
+    np.add.at(blocks, (j, i), weighted.transpose(0, 2, 1))
     adjacency = blocks.transpose(0, 2, 1, 3).reshape(3 * m, 3 * m)
 
-    y = np.asarray(rotations)[a.covered].transpose(0, 2, 1)  # the blocks of Y
+    y = np.asarray(rotations)[vertices].transpose(0, 2, 1)  # the blocks of Y
     lam = (adjacency @ y.reshape(3 * m, 3)).reshape(m, 3, 3) @ y.transpose(0, 2, 1)
     diag = np.arange(m)
     blocks[diag, diag] -= (lam + lam.transpose(0, 2, 1)) / 2.0

@@ -39,6 +39,9 @@ _REFINE_RTOL = 1e-12
 # RANSAC samples drawn and solved per P3P batch: about the adaptive stop
 # of a 10%-outlier map, so few samples are solved past it.
 _P3P_CHUNK = 8
+# Points per RANSAC sample: three for P3P and one to choose among its
+# roots; more would only lower the odds of an all-inlier sample.
+_MIN_SAMPLE = 4
 
 
 @dataclass(frozen=True)
@@ -49,7 +52,6 @@ class RansacConfig:
     max_iterations: int = 1024
     inlier_threshold_px: float = 5.0
     confidence: float = 0.999
-    min_sample: int = 4
     rng_seed: int = 0
 
     def __post_init__(self):
@@ -59,8 +61,6 @@ class RansacConfig:
             raise ValidationError("confidence must lie strictly between 0 and 1")
         if not self.inlier_threshold_px > 0:
             raise ValidationError("inlier_threshold_px must be positive")
-        if self.min_sample < 4:
-            raise ValidationError("min_sample must be >= 4 (3 for P3P + 1 to disambiguate)")
 
 
 @dataclass(frozen=True)
@@ -435,9 +435,9 @@ def pnp_ransac(pm2_in_1: Pointmap, k: CameraIntrinsics,
     """
     valid = pm2_in_1.mask.reshape(-1)
     n_valid = int(np.count_nonzero(valid))
-    if n_valid < cfg.min_sample:
+    if n_valid < _MIN_SAMPLE:
         raise InsufficientDataError(
-            f"PnP needs >= {cfg.min_sample} valid pixels, got {n_valid}"
+            f"PnP needs >= {_MIN_SAMPLE} valid pixels, got {n_valid}"
         )
     # Coordinate rows (3, N) and (2, N): scoring and refinement run one
     # contiguous pass per coordinate.
@@ -462,7 +462,7 @@ def pnp_ransac(pm2_in_1: Pointmap, k: CameraIntrinsics,
         # the one-at-a-time stream, and solve their P3P in one batch;
         # then walk them in order. Samples past an adaptive stop inside
         # the chunk are drawn but never scored.
-        samples = np.stack([rng.choice(n_valid, size=cfg.min_sample, replace=False)
+        samples = np.stack([rng.choice(n_valid, size=_MIN_SAMPLE, replace=False)
                             for _ in range(min(_P3P_CHUNK, needed - it))])
         # Row-major samples: small BLAS products can round differently
         # by layout, and the hypotheses should not depend on it.
@@ -488,14 +488,14 @@ def pnp_ransac(pm2_in_1: Pointmap, k: CameraIntrinsics,
                 # Adaptive stop: enough iterations to hit an all-inlier
                 # minimal sample with the configured confidence.
                 w = min(count / n_valid, 1.0 - 1e-12)
-                denom = math.log1p(-(w ** cfg.min_sample))
+                denom = math.log1p(-(w ** _MIN_SAMPLE))
                 if denom < 0:
                     needed = min(cfg.max_iterations,
                                  max(it, int(math.ceil(math.log1p(-cfg.confidence) / denom))))
 
-    if best_pose is None or best_count < cfg.min_sample:
+    if best_pose is None or best_count < _MIN_SAMPLE:
         raise NoPoseFoundError(
-            f"no consensus set of >= {cfg.min_sample} inliers after {it} iterations"
+            f"no consensus set of >= {_MIN_SAMPLE} inliers after {it} iterations"
         )
 
     # Local optimization: refine on the inlier set, re-extract inliers,

@@ -101,7 +101,7 @@ class TestConfigAndManifest:
     def test_config_round_trip_lossless(self, tmp_path):
         cfg = pipeline.PipelineConfig(manifest="m.txt", output_dir="out dir with space",
                                       ransac_inlier_threshold_px=3.25,
-                                      n_keep=60, weight_mode="constant")
+                                      n_keep=60, quality_threshold=0.125)
         path = tmp_path / "cfg.txt"
         pipeline.save_config(path, cfg)
         assert pipeline.load_config(path) == cfg
@@ -118,7 +118,6 @@ class TestConfigAndManifest:
         pipeline.PipelineConfig, window=st.integers(min_value=1),
         n_keep=st.integers(min_value=0), jobs=st.integers(min_value=0),
         pair_policy=st.sampled_from(["auto", "all", "window"]),
-        weight_mode=st.sampled_from(["inlier", "constant"]),
         align_mode=st.sampled_from(["rigid", "similarity"])))
     def test_config_round_trip_property(self, cfg):
         assert pipeline.config_from_text(pipeline.config_to_text(cfg)) == cfg
@@ -526,13 +525,28 @@ class TestCli:
                      "--gt", str(bundle_dir / "gt_poses.txt")]) == 5
         assert where in capsys.readouterr().err
 
-    def test_retired_staircase_key_rejected(self, bundle_dir, tmp_path, capsys):
+    @pytest.mark.parametrize("line", ["staircase 0", "ransac_min_sample 4",
+                                      "weight_mode inlier", "acc1_dist 0.15"],
+                             ids=["staircase", "ransac_min_sample", "weight_mode",
+                                  "acc1_dist"])
+    def test_retired_key_rejected(self, bundle_dir, tmp_path, capsys, line):
         cfg = tmp_path / "cfg.txt"
-        cfg.write_text("# pmsfm pipeline config v1\nstaircase 0\n", encoding="utf-8")
+        cfg.write_text(f"# pmsfm pipeline config v1\n{line}\n", encoding="utf-8")
         assert main(["solve", "--config", str(cfg),
                      "--manifest", str(bundle_dir / "manifest.txt"),
                      "--out", str(tmp_path / "run")]) == 2
-        assert "unknown key 'staircase'" in capsys.readouterr().err
+        assert f"unknown key '{line.split()[0]}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [
+        ["solve", "--weight-mode", "inlier"],
+        ["solve", "--ransac-min-sample", "4"],
+        ["eval", "--est", "e.txt", "--gt", "g.txt", "--thresholds", "0.15:15,0.3:30"],
+    ], ids=["weight-mode", "ransac-min-sample", "thresholds"])
+    def test_retired_flag_rejected(self, capsys, args):
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {args[-2]}" in capsys.readouterr().err
 
     def test_exit_code_insufficient(self, tmp_path, capsys):
         p = tmp_path / "manifest.txt"
@@ -590,17 +604,20 @@ class TestDegradedEval:
 
 
 class TestEvalConfigFile:
-    def test_config_supplies_mode_and_thresholds(self, bundle_dir, tmp_path, capsys):
-        cfg = pipeline.PipelineConfig(align_mode="similarity",
-                                      acc1_dist=0.05, acc1_deg=5.0,
-                                      acc2_dist=0.10, acc2_deg=10.0)
+    def test_config_supplies_mode(self, bundle_dir, tmp_path, capsys):
+        cfg = pipeline.PipelineConfig(align_mode="similarity")
         pipeline.save_config(tmp_path / "cfg.txt", cfg)
         gt_path = bundle_dir / "gt_poses.txt"
-        assert main(["eval", "--est", str(gt_path), "--gt", str(gt_path),
+        gt, ids = io_formats.read_poses(gt_path)
+        est_path = tmp_path / "est.txt"  # the reference at twice its scale
+        io_formats.write_poses(est_path, GlobalPoses(gt.rotations, 2.0 * gt.translations,
+                                                     gt.recovered), ids)
+        assert main(["eval", "--est", str(est_path), "--gt", str(gt_path),
                      "--config", str(tmp_path / "cfg.txt"),
                      "--out", str(tmp_path / "report.txt")]) == 0
         report = io_formats.read_report(tmp_path / "report.txt")
-        assert report.acc_15_15_pct == 100.0  # perfect poses pass any threshold
+        assert report.trans_error <= 1e-12  # the similarity gauge absorbs the scale
+        assert report.acc_15_15_pct == 100.0
 
     def test_flag_overrides_config(self, bundle_dir, tmp_path):
         cfg = pipeline.PipelineConfig(align_mode="similarity")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -22,7 +24,6 @@ from pmsfm.geometry import (
 )
 from pmsfm.pose_graph import (
     Edge,
-    EdgeFilterConfig,
     GlobalPoses,
     PoseGraph,
     assemble_global,
@@ -241,12 +242,35 @@ def aligned_mean_rot_err(est: np.ndarray, gt: np.ndarray) -> float:
     return float(np.mean([geodesic_deg(q @ e, g) for e, g in zip(est, gt)]))
 
 
+def _reference_components(pairs):
+    """Connected components of the measured frames by depth-first search
+    from each lowest unvisited frame."""
+    adj = {}
+    for i, j in pairs:
+        adj.setdefault(i, set()).add(j)
+        adj.setdefault(j, set()).add(i)
+    components, visited = [], set()
+    for v in sorted(adj):
+        if v in visited:
+            continue
+        stack, comp = [v], []
+        visited.add(v)
+        while stack:
+            u = stack.pop()
+            comp.append(u)
+            for w in adj[u] - visited:
+                visited.add(w)
+                stack.append(w)
+        components.append(sorted(comp))
+    return components
+
+
 class TestBuildGraph:
     def test_triangle_all_pass(self, rng):
         results = []
         for i, j in [(0, 1), (0, 2), (1, 2)]:
             results.append((i, j, fake_result(random_rigid(rng), 90), 100))
-        g = build_graph(results, 3, EdgeFilterConfig(quality_threshold=0.5))
+        g = build_graph(results, 3, quality_threshold=0.5)
         assert len(g.edges) == 3
         assert not any(e.rescued for e in g.edges)
 
@@ -256,8 +280,7 @@ class TestBuildGraph:
             (1, 2, fake_result(random_rigid(rng), 80), 100),
             (0, 2, fake_result(random_rigid(rng), 5), 100),  # fails threshold
         ]
-        g = build_graph(results, 3, EdgeFilterConfig(quality_threshold=0.5,
-                                                     rescue_temporal=False))
+        g = build_graph(results, 3, quality_threshold=0.5)
         assert sorted((e.i, e.j) for e in g.edges) == [(0, 1), (1, 2)]
         assert len(g.components()) == 1
 
@@ -268,7 +291,7 @@ class TestBuildGraph:
             for j in range(i + 1, 10):
                 quality = 2 if (i == 7 or j == 7) else 95
                 results.append((i, j, fake_result(random_rigid(rng), quality), 100))
-        g = build_graph(results, 10, EdgeFilterConfig(quality_threshold=0.5))
+        g = build_graph(results, 10, quality_threshold=0.5)
         rescued = sorted((e.i, e.j) for e in g.edges if e.rescued)
         assert rescued == [(6, 7), (7, 8)]
         assert len(g.components()) == 1
@@ -279,17 +302,33 @@ class TestBuildGraph:
             (2, 3, fake_result(random_rigid(rng), 90), 100),
         ]
         with pytest.raises(DisconnectedGraphError) as exc:
-            build_graph(results, 4, EdgeFilterConfig())
+            build_graph(results, 4)
         assert exc.value.components == [[0, 1], [2, 3]]
+        # pairs listed out of vertex order, frames 4 and 6 unmeasured
+        results = [(i, j, fake_result(random_rigid(rng), 90), 100)
+                   for i, j in [(5, 2), (3, 0), (7, 2), (1, 3)]]
+        with pytest.raises(DisconnectedGraphError) as exc:
+            build_graph(results, 8)
+        assert exc.value.components == [[0, 1, 3], [2, 5, 7]]
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 12), data=st.data())
+    def test_components_match_depth_first_search(self, n, data):
+        frame = st.integers(0, n - 1)
+        pairs = data.draw(st.lists(st.tuples(frame, frame).filter(lambda p: p[0] != p[1]),
+                                   unique=True, max_size=20))
+        g = PoseGraph(n, tuple(Edge(i, j, np.eye(3), np.zeros(3), 1.0, 1.0)
+                               for i, j in pairs))
+        assert g.components() == _reference_components(pairs)
 
     def test_isolated_vertex_tolerated(self, rng):
         results = [(0, 1, fake_result(random_rigid(rng), 90), 100)]
-        g = build_graph(results, 3, EdgeFilterConfig())
+        g = build_graph(results, 3)
         assert list(g.covered_vertices()) == [True, True, False]
 
     def test_edge_measurement_is_inverted_pnp(self, rng):
         t = random_rigid(rng)
-        g = build_graph([(0, 1, fake_result(t, 90), 100)], 2, EdgeFilterConfig())
+        g = build_graph([(0, 1, fake_result(t, 90), 100)], 2)
         inv = inverse(t)
         np.testing.assert_allclose(g.edges[0].rotation, inv.rotation, atol=1e-12)
         np.testing.assert_allclose(g.edges[0].translation, inv.translation, atol=1e-12)
@@ -299,19 +338,10 @@ class TestBuildGraph:
             (0, 1, fake_result(random_rigid(rng), 50), 100),
             (1, 2, fake_result(random_rigid(rng), 100), 100),
         ]
-        g = build_graph(results, 3, EdgeFilterConfig(quality_threshold=0.1))
+        g = build_graph(results, 3, quality_threshold=0.1)
         weights = {(e.i, e.j): e.weight for e in g.edges}
         assert weights[(1, 2)] == pytest.approx(1.0)
         assert weights[(0, 1)] == pytest.approx(0.5)
-
-    def test_constant_weight_mode(self, rng):
-        results = [
-            (0, 1, fake_result(random_rigid(rng), 50), 100),
-            (1, 2, fake_result(random_rigid(rng), 100), 100),
-        ]
-        g = build_graph(results, 3, EdgeFilterConfig(quality_threshold=0.1,
-                                                     weight_mode="constant"))
-        assert all(e.weight == 1.0 for e in g.edges)
 
     def test_validity_injection_drops_pair(self, rng):
         results = [
@@ -319,14 +349,12 @@ class TestBuildGraph:
             (1, 2, fake_result(random_rigid(rng), 90), 100),
             (0, 2, fake_result(random_rigid(rng), 90), 100),
         ]
-        cfg = EdgeFilterConfig(pair_validity={(0, 2): False})
-        g = build_graph(results, 3, cfg)
+        g = build_graph(results, 3, pair_validity={(0, 2): False})
         assert sorted((e.i, e.j) for e in g.edges) == [(0, 1), (1, 2)]
 
     def test_self_pair_rejected(self, rng):
         with pytest.raises(ValidationError):
-            build_graph([(1, 1, fake_result(random_rigid(rng), 9), 10)], 2,
-                        EdgeFilterConfig())
+            build_graph([(1, 1, fake_result(random_rigid(rng), 9), 10)], 2)
 
 
 class TestRotationAveraging:
@@ -503,6 +531,25 @@ class TestRotationCertificate:
         assert (rotation_certified(g, rotation_certificate(g, rot))
                 == rotation_certified(h, rotation_certificate(h, rot)))
 
+    def test_memory_scales_with_covered_frames(self, rng):
+        """A million frames of which three are measured certify in a few
+        MB: the dual blocks span the covered frames only."""
+        n = 10**6
+        a, b, c = 0, n // 2, n - 1
+        rot = np.tile(np.eye(3), (n, 1, 1))
+        for f in (a, b, c):
+            rot[f] = random_rotation(rng)
+        g = PoseGraph(n, tuple(Edge(i, j, rot[i].T @ rot[j], np.zeros(3), 1.0, 1.0)
+                               for i, j in [(a, b), (b, c), (a, c)]))
+        tracemalloc.start()
+        try:
+            lam = rotation_certificate(g, rot)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rotation_certified(g, lam)
+        assert peak < 50 * 2**20
+
 
 class TestTranslationAveraging:
     def test_two_frames_exact(self):
@@ -601,7 +648,7 @@ class TestAssembleGlobal:
         # set-union oracle over a mixed fixture
         results = [(0, 1, fake_result(random_rigid(rng), 90), 100),
                    (1, 3, fake_result(random_rigid(rng), 90), 100)]
-        g = build_graph(results, 5, EdgeFilterConfig())
+        g = build_graph(results, 5)
         incident = set()
         for i, j, _, _ in results:
             incident |= {i, j}
@@ -808,7 +855,7 @@ class TestStackedProjections:
     def test_build_graph_inverse_bit_equal_to_edge_loop(self, rng):
         results = [(i, j, fake_result(random_rigid(rng, t_scale=3.0), int(rng.integers(30, 90))),
                     100) for i, j in random_connected_pairs(9, rng, extra=1.5)]
-        g = build_graph(results, 9, EdgeFilterConfig(quality_threshold=0.0))
+        g = build_graph(results, 9, quality_threshold=0.0)
         assert len(g.edges) == len(results)
         by_pair = {(i, j): res for i, j, res, _ in results}
         for e in g.edges:

@@ -291,8 +291,6 @@ class TestPnPRansac:
             RansacConfig(confidence=1.0)
         with pytest.raises(ValidationError):
             RansacConfig(inlier_threshold_px=0.0)
-        with pytest.raises(ValidationError):
-            RansacConfig(min_sample=3)
 
 
 def test_pnp_with_exactly_min_sample_pixels():
