@@ -197,9 +197,11 @@ class Pointmap:
             )
         if c.shape != (self.height, self.width) or m.shape != (self.height, self.width):
             raise ShapeMismatchError("confidence/mask shape must be (height, width)")
-        if not np.all(np.isfinite(c)) or np.any(c <= 0):
+        if not (np.isfinite(c) & (c > 0)).all():
             raise ValidationError("confidence values must be strictly positive and finite")
-        if not np.all(np.isfinite(p[m])):
+        # One pass over the whole map; masked-out pixels may hold NaN/inf,
+        # so only a failure there needs the masked-in points gathered.
+        if not (np.isfinite(p).all() or np.isfinite(p[m]).all()):
             raise ValidationError("valid points must be finite")
         object.__setattr__(self, "points", _freeze(p))
         object.__setattr__(self, "confidence", _freeze(c))

@@ -221,18 +221,19 @@ def pointmap_from_bytes(data: bytes, frame_id: str = "") -> Pointmap:
     width, height, flags = _read_header(cur, MAGIC_POINTMAP)
     n = width * height
 
+    # Planes are validated as read, before widening to float64, which
+    # keeps finiteness and sign.
     points_off = cur.pos
-    points = np.frombuffer(cur.take(n * 12), dtype="<f4").astype(np.float64)
-    points = points.reshape(height, width, 3)
+    points = np.frombuffer(cur.take(n * 12), dtype="<f4")
     if flags & FLAG_CONFIDENCE:
         conf_off = cur.pos
-        conf = np.frombuffer(cur.take(n * 4), dtype="<f4").astype(np.float64)
-        bad = np.flatnonzero(~np.isfinite(conf) | (conf <= 0))
-        if len(bad):
+        conf = np.frombuffer(cur.take(n * 4), dtype="<f4")
+        if not (np.isfinite(conf) & (conf > 0)).all():
+            bad = int(np.flatnonzero(~np.isfinite(conf) | (conf <= 0))[0])
             raise FormatError(
-                f"confidence value {conf[bad[0]]} is not strictly positive"
-                " and finite", offset=conf_off + int(bad[0]) * 4)
-        conf = conf.reshape(height, width)
+                f"confidence value {np.float64(conf[bad])} is not strictly positive"
+                " and finite", offset=conf_off + bad * 4)
+        conf = conf.astype(np.float64).reshape(height, width)
     else:
         conf = np.ones((height, width))
     if flags & FLAG_MASK:
@@ -241,11 +242,14 @@ def pointmap_from_bytes(data: bytes, frame_id: str = "") -> Pointmap:
         mask = np.ones((height, width), dtype=bool)
     _expect_end(cur)
 
-    bad = np.flatnonzero(~np.isfinite(points.reshape(-1, 3)[mask.reshape(-1)]).all(axis=1))
-    if len(bad):
-        flat_idx = int(np.flatnonzero(mask.reshape(-1))[bad[0]])
-        raise FormatError("NaN/inf in a masked-in point",
-                          offset=points_off + flat_idx * 12)
+    if not np.isfinite(points).all():
+        # Masked-out pixels may hold NaN/inf; report the first masked-in one.
+        masked_in = np.flatnonzero(mask.reshape(-1))
+        bad = np.flatnonzero(~np.isfinite(points.reshape(-1, 3)[masked_in]).all(axis=1))
+        if len(bad):
+            raise FormatError("NaN/inf in a masked-in point",
+                              offset=points_off + int(masked_in[bad[0]]) * 12)
+    points = points.astype(np.float64).reshape(height, width, 3)
     return Pointmap(width, height, points, conf, mask, frame_id=frame_id)
 
 

@@ -28,10 +28,10 @@ from .geometry import (
     so3_project,
 )
 
-_WEISZFELD_ITERS = 50
-# IRLS with 1/r weights crawls sublinearly once a residual hits zero;
-# 1e-11 relative is still five orders tighter than the accuracy contract.
-_WEISZFELD_EPS = 1e-11
+_FOCAL_ITERS = 50
+# Relative step at which the focal solve stops, five orders tighter than
+# the accuracy contract.
+_FOCAL_RTOL = 1e-11
 _REFINE_ROUNDS = 3
 # Relative change of the squared reprojection error at which refinement
 # has converged: four orders above the rounding of a sum over many points.
@@ -81,13 +81,19 @@ def make_intrinsics(width: int, height: int, f: float) -> CameraIntrinsics:
     return CameraIntrinsics(f=float(f), c_x=width / 2.0, c_y=height / 2.0)
 
 
-def estimate_focal(pm: Pointmap, max_iters: int = _WEISZFELD_ITERS) -> float:
+def estimate_focal(pm: Pointmap, max_iters: int = _FOCAL_ITERS) -> float:
     """Recover the focal length from a pointmap in its own camera frame.
 
-    Minimizes the robust objective sum_i ||b_i - f * d_i|| with
-    b_i = pixel - center and d_i = (x/z, y/z), by iteratively reweighted
-    least squares (Weiszfeld) from a median-of-ratios start. Pixels on
-    the principal ray carry no focal information and are dropped.
+    Minimizes the convex robust objective F(f) = sum_i ||b_i - f * d_i||
+    with b_i = pixel - center and d_i = (x/z, y/z), from a
+    median-of-ratios start, by safeguarded Newton iteration. With
+    e_i = b_i - f d_i and w_i = 1 / max(||e_i||, 1e-12),
+    F' = -sum w (d.e) and F'' = sum w (d.d - w^2 (d.e)^2). The sign of F'
+    narrows a bracket around the minimum. A Newton step is taken when
+    F'' > 0 and it stays inside the bracket, moving at most half its
+    width; otherwise the Weiszfeld step f - F' / sum w d.d, which always
+    descends, is taken. Pixels on the principal ray carry no focal
+    information and are dropped.
     """
     c_x, c_y = pm.width / 2.0, pm.height / 2.0
     pts = pm.points.reshape(-1, 3)
@@ -99,8 +105,7 @@ def estimate_focal(pm: Pointmap, max_iters: int = _WEISZFELD_ITERS) -> float:
             f"focal estimation needs >= 8 usable pixels, got {len(idx)}"
         )
 
-    # Contiguous per-coordinate columns of b and d; every expression below
-    # is the same arithmetic as its row-vector norm/einsum form.
+    # Contiguous per-coordinate columns of b and d.
     bx = idx % pm.width - c_x
     by = idx // pm.width - c_y
     z_u = z[idx]
@@ -109,26 +114,40 @@ def estimate_focal(pm: Pointmap, max_iters: int = _WEISZFELD_ITERS) -> float:
 
     ratios = np.sqrt(bx * bx + by * by) / np.sqrt(dx * dx + dy * dy)
     f = float(np.median(ratios))
-    dot_db = dx * bx + dy * by
     dot_dd = dx * dx + dy * dy
 
-    # Each iteration runs in place on three preallocated columns:
-    # w = 1 / max(||b - f d||, 1e-12), then f = sum(w d.b) / sum(w d.d).
-    ex, ey, w = np.empty((3, len(idx)))
+    # Each iteration runs in place on preallocated columns; u = w (d.e)
+    # obeys u^2 <= d.d, so every term of F'' is non-negative.
+    ex, ey, w, u = np.empty((4, len(idx)))
+    lo, hi = -math.inf, math.inf
     converged = False
     for _ in range(max_iters):
         np.subtract(bx, np.multiply(dx, f, out=ex), out=ex)
         np.subtract(by, np.multiply(dy, f, out=ey), out=ey)
+        np.add(np.multiply(dx, ex, out=u), np.multiply(dy, ey, out=w), out=u)
         np.add(np.multiply(ex, ex, out=ex), np.multiply(ey, ey, out=ey), out=ex)
         np.divide(1.0, np.maximum(np.sqrt(ex, out=ex), 1e-12, out=ex), out=w)
-        f_new = float(np.multiply(w, dot_db, out=ex).sum()
-                      / np.multiply(w, dot_dd, out=ey).sum())
-        if abs(f_new - f) <= _WEISZFELD_EPS * max(1.0, abs(f)):
+        np.multiply(w, u, out=u)
+        grad = -float(u.sum())
+        curv_dd = float(np.multiply(w, dot_dd, out=ex).sum())
+        if not curv_dd > 0.0:  # f is not finite, or every d.d underflowed
+            f = math.nan
+            break
+        curv = curv_dd - float(np.multiply(np.multiply(u, u, out=ey), w, out=ey).sum())
+        if grad > 0.0:
+            hi = f
+        elif grad < 0.0:
+            lo = f
+        f_new = f - grad / curv if curv > 0.0 else math.nan
+        if not (lo < f_new < hi and abs(f_new - f) <= 0.5 * (hi - lo)):
+            f_new = f - grad / curv_dd
+        if abs(f_new - f) <= _FOCAL_RTOL * max(1.0, abs(f)):
             f = f_new
             converged = True
             break
         f = f_new
     if not converged:
+        # The text predates the Newton solve; run logs are matched on it.
         warnings.warn("focal IRLS hit its iteration budget; returning best iterate",
                       ConvergenceWarning)
     return f

@@ -281,6 +281,26 @@ class TestTypeValidation:
         with pytest.raises(ValidationError):
             Pointmap(2, 2, np.zeros((2, 2, 3)), np.zeros((2, 2)), np.ones((2, 2), bool))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -1.0])
+    def test_pointmap_confidence_rejected_at_any_pixel(self, value):
+        conf = np.ones((2, 3))
+        conf[1, 2] = value
+        with pytest.raises(ValidationError, match="confidence"):
+            Pointmap(3, 2, np.zeros((2, 3, 3)), conf, np.ones((2, 3), bool))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_pointmap_non_finite_point_only_where_masked_in(self, value):
+        pts = np.zeros((2, 3, 3))
+        pts[0, 1, 2] = value
+        mask = np.ones((2, 3), bool)
+        mask[0, 1] = False
+        pm = Pointmap(3, 2, pts, np.ones((2, 3)), mask)
+        assert pm.points[0, 1, 2] != 0.0
+        pts = pts.copy()  # the accepted map froze the array it was given
+        pts[1, 2, 0] = value  # a later, masked-in pixel
+        with pytest.raises(ValidationError, match="valid points must be finite"):
+            Pointmap(3, 2, pts, np.ones((2, 3)), mask)
+
     def test_depthmap_rejects_negative(self):
         d = np.array([[1.0, -0.5]])
         with pytest.raises(ValidationError):

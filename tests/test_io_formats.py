@@ -103,6 +103,41 @@ class TestPointmapContainer:
         back = pointmap_from_bytes(bytes(data))
         assert np.isnan(back.points.reshape(-1, 3)[masked_out[0], 0])
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_masked_out_point_allowed(self, value):
+        pts = np.zeros((3, 4, 3))
+        mask = np.ones((3, 4), bool)
+        mask[1, 2] = False
+        data = bytearray(pointmap_to_bytes(Pointmap(4, 3, pts, np.ones((3, 4)), mask)))
+        off = 17 + 6 * 12 + 8  # z of pixel 6, the masked-out one
+        data[off:off + 4] = np.float32(value).tobytes()
+        back = pointmap_from_bytes(bytes(data))
+        assert back.points[1, 2, 2] != 0.0
+        np.testing.assert_array_equal(back.mask, mask)
+
+    def test_masked_in_inf_reported_past_masked_out_nan(self):
+        pts = np.zeros((3, 4, 3))
+        mask = np.ones((3, 4), bool)
+        mask[0, 1] = False
+        data = bytearray(pointmap_to_bytes(Pointmap(4, 3, pts, np.ones((3, 4)), mask)))
+        data[17 + 12:17 + 16] = np.float32("nan").tobytes()  # pixel 1, masked out
+        off = 17 + 9 * 12 + 4  # y of pixel 9, masked in
+        data[off:off + 4] = np.float32("inf").tobytes()
+        with pytest.raises(FormatError, match="NaN/inf in a masked-in point") as exc:
+            pointmap_from_bytes(bytes(data))
+        assert exc.value.offset == 17 + 9 * 12
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -2.5, 0.0])
+    def test_bad_confidence_reported_at_its_own_offset(self, value):
+        data = bytearray(pointmap_to_bytes(Pointmap(4, 3, np.zeros((3, 4, 3)),
+                                                    np.ones((3, 4)), np.ones((3, 4), bool))))
+        off = 17 + 12 * 12 + 7 * 4  # confidence of pixel 7
+        data[off:off + 4] = np.float32(value).tobytes()
+        with pytest.raises(FormatError) as exc:
+            pointmap_from_bytes(bytes(data))
+        assert exc.value.offset == off
+        assert str(exc.value).startswith(f"confidence value {value} is not strictly positive")
+
     def test_nonpositive_confidence_rejected(self, rng):
         pm = random_pointmap(rng, width=4, height=3)
         data = bytearray(pointmap_to_bytes(pm))

@@ -623,6 +623,13 @@ class TestEvalConfigFile:
         cfg = pipeline.PipelineConfig(align_mode="similarity")
         pipeline.save_config(tmp_path / "cfg.txt", cfg)
         gt_path = bundle_dir / "gt_poses.txt"
-        assert main(["eval", "--est", str(gt_path), "--gt", str(gt_path),
-                     "--config", str(tmp_path / "cfg.txt"),
-                     "--mode", "rigid"]) == 0
+        gt, ids = io_formats.read_poses(gt_path)
+        est_path = tmp_path / "est.txt"  # the reference at twice its scale
+        io_formats.write_poses(est_path, GlobalPoses(gt.rotations, 2.0 * gt.translations,
+                                                     gt.recovered), ids)
+        assert main(["eval", "--est", str(est_path), "--gt", str(gt_path),
+                     "--config", str(tmp_path / "cfg.txt"), "--mode", "rigid",
+                     "--out", str(tmp_path / "report.txt")]) == 0
+        report = io_formats.read_report(tmp_path / "report.txt")
+        # Rigid alignment keeps the doubled scale; similarity would absorb it.
+        assert report.trans_error == pytest.approx(5.70, abs=0.01)

@@ -8,7 +8,12 @@ from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
 from pmsfm import relative_pose
-from pmsfm.errors import InsufficientDataError, NoPoseFoundError, ValidationError
+from pmsfm.errors import (
+    ConvergenceWarning,
+    InsufficientDataError,
+    NoPoseFoundError,
+    ValidationError,
+)
 from pmsfm.geometry import (
     CameraIntrinsics,
     DepthMap,
@@ -107,12 +112,30 @@ class TestEstimateFocal:
         with pytest.raises(InsufficientDataError):
             estimate_focal(pm)
 
-    def test_scale_equivariance(self, rng):
-        pm = self.make_pm(440.0, rng)
+    def test_underflowing_directions_give_no_focal(self, rng):
+        # Half the pixels have x/z and y/z whose squares underflow to 0, so
+        # the median-of-ratios start divides by zero. The solve returns NaN,
+        # which make_intrinsics rejects, rather than raising mid-iteration.
+        pts = rng.normal(size=(4, 4, 3))
+        pts[..., 2] = 1.0
+        pts[:2, :, :2] *= 1e-300
+        pm = Pointmap(4, 4, pts, np.ones((4, 4)), np.ones((4, 4), bool))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.warns(ConvergenceWarning):
+                f = estimate_focal(pm)
+        assert math.isnan(f)
+        with pytest.raises(ValidationError):
+            make_intrinsics(4, 4, f)
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 3), s=st.floats(1e-3, 1e3))
+    def test_scale_equivariance(self, seed, s):
+        # d = (x/z, y/z) is scale-free, so scaling moves f by rounding only.
+        pm = _noisy_focal_map(seed, outlier_fraction=0.3)
         f0 = estimate_focal(pm)
-        for s in (1e-3, 7.0, 1e3):
-            scaled = Pointmap(pm.width, pm.height, pm.points * s, pm.confidence, pm.mask)
-            assert abs(estimate_focal(scaled) - f0) <= 1e-9 * f0
+        scaled = Pointmap(pm.width, pm.height, pm.points * s, pm.confidence, pm.mask)
+        assert abs(estimate_focal(scaled) - f0) <= 1e-10 * f0
 
 
 class TestMakeIntrinsics:
@@ -310,8 +333,9 @@ def test_pnp_with_exactly_min_sample_pixels():
 # Kernels against their row-vector reference forms
 
 
-def _reference_focal(pm: Pointmap, max_iters: int = 50) -> float:
-    """Weiszfeld focal IRLS in its (N, 2) row form with norm(axis=1)."""
+def _focal_rows(pm: Pointmap) -> tuple[np.ndarray, np.ndarray]:
+    """(N, 2) rows b = pixel - center and d = (x/z, y/z) of the pixels
+    the focal solve uses."""
     c_x, c_y = pm.width / 2.0, pm.height / 2.0
     pts = pm.points.reshape(-1, 3)
     z = pts[:, 2]
@@ -319,8 +343,17 @@ def _reference_focal(pm: Pointmap, max_iters: int = 50) -> float:
     usable = pm.mask.reshape(-1) & (z > 0) & ~on_axis
     ii, jj = np.meshgrid(np.arange(pm.width, dtype=float), np.arange(pm.height, dtype=float))
     grid = np.stack([ii, jj], axis=-1).reshape(-1, 2)[usable]
-    b = grid - np.array([c_x, c_y])
-    d = pts[usable, :2] / z[usable, None]
+    return grid - np.array([c_x, c_y]), pts[usable, :2] / z[usable, None]
+
+
+def _focal_objective(pm: Pointmap, f: float) -> float:
+    b, d = _focal_rows(pm)
+    return float(np.linalg.norm(b - f * d, axis=1).sum())
+
+
+def _reference_focal(pm: Pointmap, max_iters: int = 50) -> float:
+    """Weiszfeld focal IRLS in its (N, 2) row form with norm(axis=1)."""
+    b, d = _focal_rows(pm)
     f = float(np.median(np.linalg.norm(b, axis=1) / np.linalg.norm(d, axis=1)))
     dot_db = np.einsum("ij,ij->i", d, b)
     dot_dd = np.einsum("ij,ij->i", d, d)
@@ -332,6 +365,27 @@ def _reference_focal(pm: Pointmap, max_iters: int = 50) -> float:
             return f_new
         f = f_new
     return f
+
+
+def _noisy_focal_map(seed: int, outlier_fraction: float = 0.0,
+                     center_share: float = 0.0, center_scale: float = 1.0) -> Pointmap:
+    """48x36 pointmap at a random focal whose x and y carry 0.01 noise.
+    `outlier_fraction` of the pixels get x and y scaled by U(0.2, 3); the
+    `center_share` of pixels nearest the center get them scaled by
+    `center_scale`, which moves the median-of-ratios start away from the
+    optimum, where the objective is nearly linear."""
+    rng = np.random.default_rng(seed)
+    pm = TestEstimateFocal().make_pm(rng.uniform(60.0, 600.0), rng, width=48, height=36)
+    pts = pm.points.copy()
+    pts[..., :2] += rng.normal(scale=0.01, size=pts[..., :2].shape)
+    if outlier_fraction:
+        out = rng.uniform(size=pm.mask.shape) < outlier_fraction
+        pts[out, :2] *= rng.uniform(0.2, 3.0, size=(int(out.sum()), 1))
+    if center_share:
+        ii, jj = np.meshgrid(np.arange(48) - 24.0, np.arange(36) - 18.0)
+        r = np.hypot(ii, jj)
+        pts[r < np.quantile(r, center_share), :2] *= center_scale
+    return Pointmap(pm.width, pm.height, pts, pm.confidence, pm.mask)
 
 
 def _reference_normal_equations(points, pixels, k, r, t):
@@ -579,14 +633,40 @@ class TestKernels:
         assert np.isfinite(errs[2])
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_focal_bitwise_equal_to_row_form(self, seed):
+    def test_focal_within_contract_of_row_form(self, seed):
+        # Newton and the Weiszfeld reference both stop at a 1e-11 relative
+        # step, so they agree far inside 1e-9 and on the objective.
         rng = np.random.default_rng(seed)
         pm = TestEstimateFocal().make_pm(rng.uniform(60.0, 600.0), rng, width=48,
                                          height=36, depth_noise=0.05)
         mask = pm.mask & (rng.uniform(size=pm.mask.shape) < 0.8)
-        pm = Pointmap(pm.width, pm.height, pm.points, pm.confidence, mask)
-        assert estimate_focal(pm) == _reference_focal(pm)
-        assert estimate_focal(pm, max_iters=3) == _reference_focal(pm, max_iters=3)
+        maps = [Pointmap(pm.width, pm.height, pm.points, pm.confidence, mask),
+                _noisy_focal_map(seed), _noisy_focal_map(seed, outlier_fraction=0.3)]
+        for pm in maps:
+            f, f_ref = estimate_focal(pm), _reference_focal(pm)
+            assert abs(f - f_ref) <= 1e-9 * f_ref
+            assert _focal_objective(pm, f) <= _focal_objective(pm, f_ref) * (1 + 1e-14)
+        for pm in maps[1:]:
+            with pytest.warns(ConvergenceWarning, match="^focal IRLS hit its iteration"
+                                                        " budget; returning best iterate$"):
+                estimate_focal(pm, max_iters=1)
+
+    @pytest.mark.parametrize("seed, share, scale", [(0, 0.6, 0.5), (2, 0.6, 0.5),
+                                                    (0, 0.7, 0.3)])
+    def test_focal_fallback_from_a_far_start(self, seed, share, scale):
+        # The median start lies where the objective is nearly linear, so
+        # Newton overshoots: all three maps take Weiszfeld steps where a
+        # Newton step leaves the bracket, the last two also where it would
+        # cross more than half of it. Without that second rule, Newton and
+        # Weiszfeld alternate on the last map until the budget ends, far
+        # from the minimum.
+        pm = _noisy_focal_map(seed, center_share=share, center_scale=scale)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ConvergenceWarning)
+            f = estimate_focal(pm)
+        f_ref = _reference_focal(pm)
+        assert abs(f - f_ref) <= 1e-9 * f_ref
+        assert _focal_objective(pm, f) <= _focal_objective(pm, f_ref) * (1 + 1e-14)
 
     @settings(max_examples=200, deadline=None)
     @given(rot_vec=st.tuples(_COORD, _COORD, _COORD), t=st.tuples(_COORD, _COORD, _COORD),
