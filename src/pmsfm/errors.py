@@ -65,4 +65,4 @@ class ConfigError(PmsfmError, ValueError):
 
 
 class ConvergenceWarning(UserWarning):
-    """An iterative solver hit its sweep budget; the best iterate is used."""
+    """An iterative solver hit its iteration budget; the best iterate is used."""

@@ -473,15 +473,6 @@ def _solve_stages(cfg: PipelineConfig) -> SolveResult:
     )
 
 
-def sra_objective_from_outputs(graph: PoseGraph, poses: GlobalPoses) -> float:
-    """Re-evaluate the rotation-averaging objective from saved outputs.
-
-    The saved poses are world-to-camera; the averaging variables are
-    their transposes (camera-to-world rotations).
-    """
-    return rotation_objective(graph, np.transpose(poses.rotations, (0, 2, 1)))
-
-
 def run_log_text(result: SolveResult) -> str:
     out = ["# pmsfm run log",
            f"n_frames_solved {len(result.frame_ids)}",

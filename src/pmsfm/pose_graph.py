@@ -35,8 +35,8 @@ from .errors import (
 from .geometry import RigidTransform, _freeze, check_rigid, so3_project
 from .relative_pose import RelativePoseResult
 
-_SWEEP_TOL = 1e-10
-_MAX_SWEEPS = 500
+# Cap on the Newton solves of one rotation averaging, rejected steps included.
+_MAX_ITERATIONS = 100
 _CERTIFICATE_REL_TOL = 1e-6
 # Least inlier fraction of a pair that becomes an edge without rescue.
 QUALITY_THRESHOLD = 0.25
@@ -219,27 +219,24 @@ def build_graph(pair_results: list[tuple[int, int, RelativePoseResult, int]],
                           weight=weight, quality=quality, rescued=rescued))
 
     graph = PoseGraph(n_frames=n_frames, edges=tuple(edges))
-    _require_connected(graph)
+    _check_connected(graph)
     return graph
 
 
-def _chordal_objective(rot: np.ndarray, i: np.ndarray, j: np.ndarray,
-                       meas: np.ndarray, weight: np.ndarray) -> float:
-    """sum_k w_k * ||R_j - R_i @ M_k||_F^2 over stacked edges, the terms
-    added left to right in edge order."""
-    diff = rot[j] - rot[i] @ meas
-    per_edge = (diff * diff).reshape(-1, 9).sum(axis=1)
-    return functools.reduce(operator.add, (weight * per_edge).tolist(), 0.0)
-
-
 def rotation_objective(graph: PoseGraph, rotations: np.ndarray) -> float:
-    """Weighted chordal objective sum_k w * ||R_j - R_i @ R_ij||_F^2."""
+    """Weighted chordal objective sum_k w * ||R_j - R_i @ R_ij||_F^2, the
+    terms added left to right in edge order."""
     a = graph.edge_arrays
-    return _chordal_objective(np.asarray(rotations), a.i, a.j, a.rotation, a.weight)
+    rot = np.asarray(rotations)
+    diff = rot[a.j] - rot[a.i] @ a.rotation
+    per_edge = (diff * diff).reshape(-1, 9).sum(axis=1)
+    return functools.reduce(operator.add, (a.weight * per_edge).tolist(), 0.0)
 
 
-def _require_connected(graph: PoseGraph) -> EdgeArrays:
+def _check_connected(graph: PoseGraph) -> EdgeArrays:
     a = graph.edge_arrays
+    if not graph.edges:
+        raise InsufficientDataError("pose graph has no edges")
     if len(a.components) > 1:
         comps = graph.components()
         raise DisconnectedGraphError(
@@ -249,148 +246,154 @@ def _require_connected(graph: PoseGraph) -> EdgeArrays:
     return a
 
 
-def _check_connected(graph: PoseGraph) -> EdgeArrays:
-    if not graph.edges:
-        raise InsufficientDataError("pose graph has no edges")
-    return _require_connected(graph)
+def _block_laplacian(a: EdgeArrays, vertices: np.ndarray,
+                     coupling: np.ndarray) -> sp.bsr_matrix:
+    """The 3x3-block matrix L over ``vertices`` (ascending) to which edge
+    k adds w I at blocks (i, i) and (j, j), -w C_k at (i, j) and
+    -w C_k^T at (j, i); blocks shared by several edges are summed.
 
-
-def _block_columns(covered: np.ndarray, anchor: int) -> tuple[np.ndarray, np.ndarray]:
-    """The non-anchor measured vertices and each frame's first column
-    among their 3-wide blocks (-1 for the rest)."""
-    vertices = np.flatnonzero(covered)
-    vertices = vertices[vertices != anchor]
-    col = np.full(len(covered), -1, dtype=np.intp)
-    col[vertices] = 3 * np.arange(len(vertices))
-    return vertices, col
-
-
-def _chordal_system(graph: PoseGraph, covered: np.ndarray,
-                    anchor: int) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
-    """Sparse matrix, right-hand sides and unknown vertices of the
-    block-linear relaxation R_j - R_i @ R_ij = 0 with R_anchor = I,
-    transposed so each unknown block is R_v^T.
-
-    Each edge contributes a 3-row block: the identity at column j, then
-    -R_ij^T at column i (row-major); an anchor endpoint moves to the
-    right-hand side instead.
+    tr(Y^T L Y) = sum_k w ||Y_j - C_k^T Y_i||_F^2 for Y stacking 3x3
+    blocks, so with C_k = R_ij and Y_v = R_v^T it is the chordal
+    objective, and with C_k = I it is the normal matrix of translation
+    averaging. Blocks are stored row by row, each row's in column order.
     """
-    a = graph.edge_arrays
-    n_edges = len(a.weight)
-    vertices, col = _block_columns(covered, anchor)
-    w = np.sqrt(a.weight)
-    rt = a.rotation.transpose(0, 2, 1)
-    r = 3 * np.arange(n_edges)[:, None]
-    a3, b9 = np.arange(3), np.tile(np.arange(3), 3)
-    rows = np.hstack([r + a3, r + np.repeat(a3, 3)])
-    cols = np.hstack([col[a.j][:, None] + a3, col[a.i][:, None] + b9])
-    vals = np.hstack([np.repeat(w[:, None], 3, axis=1),
-                      (-w[:, None, None] * rt).reshape(n_edges, 9)])
-    keep = np.hstack([np.repeat((a.j != anchor)[:, None], 3, axis=1),
-                      np.repeat((a.i != anchor)[:, None], 9, axis=1)])
-    mat = sp.coo_matrix((vals[keep], (rows[keep], cols[keep])),
-                        shape=(3 * n_edges, 3 * len(vertices))).tocsr()
-
-    rhs = np.zeros((n_edges, 3, 3))
-    at_j, at_i = a.j == anchor, a.i == anchor
-    rhs[at_j] -= w[at_j, None, None] * np.eye(3)
-    rhs[at_i] += w[at_i, None, None] * rt[at_i]
-    return mat, rhs.reshape(3 * n_edges, 3), vertices
+    m = len(vertices)
+    i, j = np.searchsorted(vertices, a.i), np.searchsorted(vertices, a.j)
+    w = a.weight[:, None, None]
+    diagonal = np.broadcast_to(w * np.eye(3), (len(i), 3, 3))
+    rows, cols = np.concatenate([i, j, i, j]), np.concatenate([i, j, j, i])
+    keys, slot = np.unique(rows * m + cols, return_inverse=True)
+    data = np.zeros((len(keys), 3, 3))
+    np.add.at(data, slot.reshape(-1), np.concatenate(
+        [diagonal, diagonal, -w * coupling, -w * coupling.transpose(0, 2, 1)]))
+    indptr = np.searchsorted(keys // m, np.arange(m + 1))
+    return sp.bsr_matrix((data, keys % m, indptr), shape=(3 * m, 3 * m))
 
 
-def _chordal_init(graph: PoseGraph, covered: np.ndarray, anchor: int) -> np.ndarray:
-    """Solve the unconstrained block-linear relaxation with R_anchor = I
-    and project each 3x3 block to SO(3).
+def _free_system(mat: sp.spmatrix) -> sp.csc_matrix:
+    """``mat`` without the anchor's (first) block row and column."""
+    return mat.tocsr()[3:, 3:].tocsc()
 
-    Rows of the rotation matrices decouple: three sparse least-squares
-    systems share one matrix and differ only in the anchor's right-hand
-    side, so the normal equations are factorized once.
-    """
-    a, rhs, vertices = _chordal_system(graph, covered, anchor)
-    ata = (a.T @ a).tocsc()
-    atb = a.T @ rhs
+
+def _dual_blocks(lap: sp.bsr_matrix, y: np.ndarray) -> np.ndarray:
+    """P_v = (L Y)_v Y_v^T for every block of Y; tr(Y^T L Y) = sum_v tr P_v."""
+    return (lap @ y.reshape(-1, 3)).reshape(y.shape) @ y.transpose(0, 2, 1)
+
+
+def _block_rows(lap: sp.bsr_matrix) -> np.ndarray:
+    """The block row of each block in ``lap.data``."""
+    return np.repeat(np.arange(lap.shape[0] // 3), np.diff(lap.indptr))
+
+
+# [e_q]x for q = 0, 1, 2: [w]x = sum_q w_q _SKEW[q], and [w]x v = w x v.
+_SKEW = np.array([[[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]],
+                  [[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]],
+                  [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]])
+
+
+def _vee(m: np.ndarray) -> np.ndarray:
+    """(M32 - M23, M13 - M31, M21 - M12) over the last two axes: for skew
+    M = [w]x it is 2w, and tr([w]x M^T) = w . vee(M)."""
+    return np.stack([m[..., 2, 1] - m[..., 1, 2], m[..., 0, 2] - m[..., 2, 0],
+                     m[..., 1, 0] - m[..., 0, 1]], axis=-1)
+
+
+def _chordal_start(lap: sp.bsr_matrix) -> np.ndarray:
+    """Blocks Y minimizing tr(Y^T L Y) with the anchor block fixed to I,
+    each projected to SO(3): L_ff X = -L_fa, three right-hand sides
+    sharing one factorization."""
+    free = _free_system(lap)
+    rhs = -lap.tocsr()[3:, :3].toarray()
     try:
-        solution = spla.spsolve(ata, atb)
+        solution = spla.spsolve(free, rhs)
     except RuntimeError:
-        solution = np.linalg.lstsq(ata.toarray(), atb, rcond=None)[0]
-    blocks = np.asarray(solution).reshape(len(vertices), 3, 3)
-
-    rotations = np.tile(np.eye(3), (graph.n_frames, 1, 1))
-    rotations[vertices] = so3_project(blocks.transpose(0, 2, 1))
-    return rotations
+        solution = np.linalg.lstsq(free.toarray(), rhs, rcond=None)[0]
+    y = np.tile(np.eye(3), (lap.shape[0] // 3, 1, 1))
+    y[1:] = so3_project(np.asarray(solution).reshape(-1, 3, 3))
+    return y
 
 
-def _block_descent(graph: PoseGraph, rotations: np.ndarray, covered: np.ndarray,
-                   max_sweeps: int = _MAX_SWEEPS,
-                   rel_tol: float = _SWEEP_TOL) -> tuple[np.ndarray, bool]:
-    """Block-coordinate descent on the chordal objective in SO(3).
+def _newton_model(lap: sp.bsr_matrix, y: np.ndarray,
+                  p: np.ndarray) -> tuple[np.ndarray, sp.csc_matrix]:
+    """Gradient and Hessian of f(w) = tr(Y(w)^T L Y(w)) at w = 0, Y(w)_v =
+    so3_project((I + [w_v]x) Y_v), over the free blocks.
 
-    Each update sets one block to the orthogonal-Procrustes optimum of
-    its incident terms, so the objective is non-increasing; a violation
-    beyond round-off is a bug and raises AssertionError.
+    The gradient block of vertex v is 2 vee(P_v). The Hessian has L's
+    block pattern: column q of block (u, v) is 2 vee(L_uv [e_q]x Y_v
+    Y_u^T), and each diagonal block also gets 2 (sym P_v - tr(P_v) I),
+    the curvature of the retraction.
     """
-    a = graph.edge_arrays
-
-    # Per vertex, its incident edges in edge order: the neighbours, the
-    # weights and the coupling R_ij^T (outgoing) or R_ij (incoming), so
-    # the Procrustes target sum_k w_k R_nbr @ C_k is one batched product.
-    updates = []
-    for v in np.flatnonzero(covered):
-        k = np.flatnonzero((a.i == v) | (a.j == v))
-        outgoing = a.i[k] == v
-        coupling = np.where(outgoing[:, None, None], a.rotation[k].transpose(0, 2, 1),
-                            a.rotation[k])
-        updates.append((v, np.where(outgoing, a.j[k], a.i[k]),
-                        a.weight[k, None, None], coupling))
-
-    rot = rotations.copy()
-    obj = _chordal_objective(rot, a.i, a.j, a.rotation, a.weight)
-    # All tolerances scale with the problem so weight rescaling cannot
-    # change the sweep count (the argmin is scale-invariant).
-    weight_scale = sum(a.weight.tolist())
-    converged = False
-    for _ in range(max_sweeps):
-        for v, nbr, w, coupling in updates:
-            rot[v] = so3_project(((w * rot[nbr]) @ coupling).sum(axis=0))
-        new_obj = _chordal_objective(rot, a.i, a.j, a.rotation, a.weight)
-        if new_obj > obj + 1e-9 * (obj + weight_scale):
-            raise AssertionError(
-                f"block-descent objective increased: {obj} -> {new_obj}"
-            )
-        if obj - new_obj <= rel_tol * obj:
-            obj = new_obj
-            converged = True
-            break
-        obj = new_obj
-    return rot, converged
+    rows = _block_rows(lap)
+    pair = (y[lap.indices] @ y[rows].transpose(0, 2, 1))[:, None]
+    blocks = 2.0 * _vee(lap.data[:, None] @ _SKEW @ pair).transpose(0, 2, 1)
+    trace = np.trace(p, axis1=1, axis2=2)[:, None, None]
+    blocks[lap.indices == rows] += (p + p.transpose(0, 2, 1)) - 2.0 * trace * np.eye(3)
+    hess = sp.bsr_matrix((blocks, lap.indices, lap.indptr), shape=lap.shape)
+    return 2.0 * _vee(p[1:]).reshape(-1), _free_system(hess)
 
 
-def _gauge_fix(rotations: np.ndarray, covered: np.ndarray, anchor: int) -> np.ndarray:
-    out = rotations.copy()
-    out[covered] = so3_project(rotations[anchor].T @ rotations[covered])
-    out[anchor] = np.eye(3)  # exact, not within round-off
-    return out
+def _newton(lap: sp.bsr_matrix, y: np.ndarray,
+            total_weight: float) -> tuple[np.ndarray, bool]:
+    """Damped Riemannian Newton descent on f = tr(Y^T L Y) over the free
+    blocks of Y, the anchor block held at I.
+
+    A step solves (H_ff + mu I) w = -g_f (see `_newton_model`) and sets
+    Y_v <- so3_project((I + [w_v]x) Y_v). It is taken when f rises by at
+    most tol = 1e-12 (f + sum w); otherwise (a non-finite step included)
+    mu grows to max(10 mu, 1e-12 sum w) and the step is solved again
+    (Levenberg-Marquardt).
+    A taken step divides mu by 10, and one that lowers f by at most tol
+    ends the descent. Every tolerance scales with the weights, so
+    rescaling them cannot change the iterates. Each solve counts
+    against `_MAX_ITERATIONS`; the flag tells whether the descent ended
+    before it.
+    """
+    eye = sp.identity(lap.shape[0] - 3, format="csc")
+    p = _dual_blocks(lap, y)
+    f = float(np.trace(p, axis1=1, axis2=2).sum())
+    grad, hess = _newton_model(lap, y, p)
+    mu = 0.0
+    for _ in range(_MAX_ITERATIONS):
+        tol = 1e-12 * (f + total_weight)
+        step = spla.spsolve(hess + mu * eye, -grad).reshape(-1, 3)
+        trial_f = math.inf  # a non-finite step counts as a rise
+        if np.isfinite(step).all():
+            trial = y.copy()
+            hat = (step @ _SKEW.reshape(3, 9)).reshape(-1, 3, 3)
+            trial[1:] = so3_project((np.eye(3) + hat) @ y[1:])
+            trial_p = _dual_blocks(lap, trial)
+            trial_f = float(np.trace(trial_p, axis1=1, axis2=2).sum())
+        if trial_f > f + tol:
+            mu = max(10.0 * mu, 1e-12 * total_weight)
+            continue
+        decrease = f - trial_f
+        y, p, f = trial, trial_p, trial_f
+        mu /= 10.0
+        if decrease <= tol:
+            return y, True
+        grad, hess = _newton_model(lap, y, p)
+    return y, False
 
 
-def rotation_averaging(graph: PoseGraph, max_sweeps: int = _MAX_SWEEPS) -> np.ndarray:
+def rotation_averaging(graph: PoseGraph) -> np.ndarray:
     """Absolute rotations minimizing the weighted chordal objective.
 
-    Chordal initialization followed by block-coordinate descent, which
-    stops at a stationary point; `rotation_certificate` tells whether it
-    is the global minimum. The gauge is fixed so the lowest measured
-    frame carries the identity; frames with no edges also carry the
-    identity.
+    The chordal start followed by a damped Riemannian Newton descent
+    (`_newton`), which stops at a stationary point; `rotation_certificate`
+    tells whether it is the global minimum. The lowest measured frame is
+    the anchor and carries the identity exactly; frames with no edges
+    also carry the identity.
     """
-    covered = _check_connected(graph).covered
-    anchor = int(np.flatnonzero(covered)[0])
-
-    rotations = _chordal_init(graph, covered, anchor)
-    rotations, converged = _block_descent(graph, rotations, covered,
-                                          max_sweeps=max_sweeps)
+    a = _check_connected(graph)
+    vertices = np.flatnonzero(a.covered)
+    lap = _block_laplacian(a, vertices, a.rotation)
+    y, converged = _newton(lap, _chordal_start(lap), sum(a.weight.tolist()))
     if not converged:
         warnings.warn("rotation averaging hit its sweep budget; "
                       "returning best iterate", ConvergenceWarning)
-    return _gauge_fix(rotations, covered, anchor)
+    rotations = np.tile(np.eye(3), (graph.n_frames, 1, 1))
+    rotations[vertices] = y.transpose(0, 2, 1)
+    return rotations
 
 
 def rotation_certificate(graph: PoseGraph, rotations: np.ndarray) -> float:
@@ -398,6 +401,8 @@ def rotation_certificate(graph: PoseGraph, rotations: np.ndarray) -> float:
     the covered vertices: A is symmetric with block (i, j) = w R_ij and
     block (j, i) = w R_ij^T summed over the edges, Y stacks the R_k^T,
     and Lambda is block diagonal with Lambda_k = sym((A Y)_k Y_k^T).
+    It is computed as L - blockdiag(sym P_v) for the `_block_laplacian`
+    L with C = R_ij and P_v = (L Y)_v Y_v^T, which is the same matrix.
 
     At a stationary point (Lambda - A) Y = 0, so the value is about zero
     or below. The rotations are certified globally optimal when it is at
@@ -408,20 +413,10 @@ def rotation_certificate(graph: PoseGraph, rotations: np.ndarray) -> float:
     """
     a = graph.edge_arrays
     vertices = np.flatnonzero(a.covered)
-    m = len(vertices)
-    i, j = np.searchsorted(vertices, a.i), np.searchsorted(vertices, a.j)  # block rows
-    weighted = a.weight[:, None, None] * a.rotation
-    blocks = np.zeros((m, m, 3, 3))
-    np.add.at(blocks, (i, j), weighted)
-    np.add.at(blocks, (j, i), weighted.transpose(0, 2, 1))
-    adjacency = blocks.transpose(0, 2, 1, 3).reshape(3 * m, 3 * m)
-
-    y = np.asarray(rotations)[vertices].transpose(0, 2, 1)  # the blocks of Y
-    lam = (adjacency @ y.reshape(3 * m, 3)).reshape(m, 3, 3) @ y.transpose(0, 2, 1)
-    diag = np.arange(m)
-    blocks[diag, diag] -= (lam + lam.transpose(0, 2, 1)) / 2.0
-    cert = -blocks.transpose(0, 2, 1, 3).reshape(3 * m, 3 * m)
-    return float(eigh(cert, subset_by_index=[0, 0], eigvals_only=True)[0])
+    lap = _block_laplacian(a, vertices, a.rotation)
+    p = _dual_blocks(lap, np.asarray(rotations)[vertices].transpose(0, 2, 1))
+    lap.data[lap.indices == _block_rows(lap)] -= (p + p.transpose(0, 2, 1)) / 2.0
+    return float(eigh(lap.toarray(), subset_by_index=[0, 0], eigvals_only=True)[0])
 
 
 def rotation_certified(graph: PoseGraph, lambda_min: float) -> bool:
@@ -433,43 +428,25 @@ def rotation_certified(graph: PoseGraph, lambda_min: float) -> bool:
     return lambda_min >= -_CERTIFICATE_REL_TOL * float(degree.max())
 
 
-def _translation_system(graph: PoseGraph, rotations: np.ndarray, covered: np.ndarray,
-                        anchor: int) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
-    """Sparse matrix, right-hand side and unknown vertices of
-    sqrt(w) * (u_j - u_i) = sqrt(w) * R_i @ t_ij with u_anchor = 0.
-
-    Each edge contributes a 3-row block: +I at column j, then -I at
-    column i; an anchor endpoint contributes nothing.
-    """
-    a = graph.edge_arrays
-    n_edges = len(a.weight)
-    vertices, col = _block_columns(covered, anchor)
-    w = np.sqrt(a.weight)
-    r = 3 * np.arange(n_edges)[:, None]
-    a3 = np.arange(3)
-    rows = np.hstack([r + a3, r + a3])
-    cols = np.hstack([col[a.j][:, None] + a3, col[a.i][:, None] + a3])
-    vals = np.repeat(np.stack([w, -w], axis=1), 3, axis=1)
-    keep = np.repeat(np.stack([a.j != anchor, a.i != anchor], axis=1), 3, axis=1)
-    mat = sp.coo_matrix((vals[keep], (rows[keep], cols[keep])),
-                        shape=(3 * n_edges, 3 * len(vertices))).tocsr()
-    b = w[:, None] * (np.asarray(rotations)[a.i] @ a.translation[:, :, None])[:, :, 0]
-    return mat, b.reshape(-1), vertices
-
-
 def translation_averaging(graph: PoseGraph, rotations: np.ndarray) -> np.ndarray:
     """Positions minimizing sum_k w * ||R_i @ t_ij - (u_j - u_i)||^2.
 
-    One sparse linear least-squares system over the non-anchor measured
-    frames, with the anchor eliminated (hard u_anchor = 0). Solved via
-    the normal equations; a singular system falls back to a least-norm
-    solve with a warning.
+    The normal equations L u = b over the measured frames, with L the
+    `_block_laplacian` for C = I and b adding w R_i t_ij at j and
+    subtracting it at i; the anchor is eliminated (hard u_anchor = 0). A
+    singular system falls back to a least-norm solve with a warning.
     """
-    covered = _check_connected(graph).covered
-    anchor = int(np.flatnonzero(covered)[0])
-    a, b, vertices = _translation_system(graph, rotations, covered, anchor)
-    ata = (a.T @ a).tocsc()
-    atb = a.T @ b
+    a = _check_connected(graph)
+    vertices = np.flatnonzero(a.covered)
+    lap = _block_laplacian(a, vertices, np.broadcast_to(np.eye(3), a.rotation.shape)).tocsr()
+    lap.eliminate_zeros()
+    ata = _free_system(lap)
+    measured = a.weight[:, None] * (np.asarray(rotations)[a.i]
+                                    @ a.translation[:, :, None])[:, :, 0]
+    b = np.zeros((len(vertices), 3))
+    np.add.at(b, np.searchsorted(vertices, a.j), measured)
+    np.subtract.at(b, np.searchsorted(vertices, a.i), measured)
+    atb = b[1:].reshape(-1)
     least_norm = False
     try:
         x = spla.spsolve(ata, atb)
@@ -489,7 +466,7 @@ def translation_averaging(graph: PoseGraph, rotations: np.ndarray) -> np.ndarray
                           "exceeds 1e-10", ConvergenceWarning)
 
     translations = np.zeros((graph.n_frames, 3))
-    translations[vertices] = x.reshape(-1, 3)
+    translations[vertices[1:]] = x.reshape(-1, 3)
     return translations
 
 

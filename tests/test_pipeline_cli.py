@@ -16,7 +16,7 @@ from pmsfm import io_formats, pipeline, relative_pose
 from pmsfm.cli import main
 from pmsfm.errors import ConfigError, FormatError, InsufficientDataError
 from pmsfm.geometry import compose, geodesic_deg, inverse
-from pmsfm.pose_graph import GlobalPoses
+from pmsfm.pose_graph import GlobalPoses, rotation_objective
 from pmsfm.synth import SceneSpec, generate, make_pair_pointmaps
 
 from conftest import winding_cycle
@@ -303,7 +303,8 @@ class TestSolveStage:
         result, out = pipeline.run_solve(cfg)
         saved_poses, _ = io_formats.read_poses(out / pipeline.POSES_FILENAME)
         saved_graph = io_formats.read_graph(out / pipeline.GRAPH_FILENAME)
-        reeval = pipeline.sra_objective_from_outputs(saved_graph, saved_poses)
+        # the saved poses are world-to-camera, the averaging variables their transposes
+        reeval = rotation_objective(saved_graph, saved_poses.rotations.transpose(0, 2, 1))
         logged = None
         for line in (out / pipeline.RUN_LOG_FILENAME).read_text().splitlines():
             if line.startswith("objective_sra "):

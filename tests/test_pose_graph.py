@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from pmsfm import pose_graph
 from pmsfm.errors import (
+    ConvergenceWarning,
     DisconnectedGraphError,
     InsufficientDataError,
     ShapeMismatchError,
@@ -35,11 +37,12 @@ from pmsfm.pose_graph import (
     translation_averaging,
 )
 from pmsfm.pose_graph import (
-    _block_descent,
-    _chordal_init,
-    _chordal_system,
-    _gauge_fix,
-    _translation_system,
+    _SKEW,
+    _block_laplacian,
+    _chordal_start,
+    _dual_blocks,
+    _free_system,
+    _newton_model,
 )
 from pmsfm.relative_pose import RelativePoseResult
 
@@ -129,9 +132,20 @@ def benchmark_shaped_graph(rng, n, window=None, outlier_fraction=0.03):
     return PoseGraph(n, tuple(edges))
 
 
-# Per-edge reference implementations: the averaging solvers as plain
-# Python loops over graph.edges. The stacked solvers must reproduce them
-# bit for bit.
+def chordal_start_rotations(graph):
+    """Camera-to-world rotations of `_chordal_start`, identity off the
+    covered frames."""
+    a = graph.edge_arrays
+    vertices = np.flatnonzero(a.covered)
+    rotations = np.tile(np.eye(3), (graph.n_frames, 1, 1))
+    rotations[vertices] = _chordal_start(
+        _block_laplacian(a, vertices, a.rotation)).transpose(0, 2, 1)
+    return rotations
+
+
+# Per-edge reference implementations: the averaging objective and
+# systems as plain Python loops over graph.edges, and the Gauss-Seidel
+# block descent the Newton solve replaced, kept as oracles.
 
 def _reference_objective(graph, rot):
     total = 0.0
@@ -141,7 +155,7 @@ def _reference_objective(graph, rot):
     return total
 
 
-def _reference_block_descent(graph, rotations, covered, max_sweeps=500, rel_tol=1e-10):
+def _reference_block_descent(graph, rotations, covered):
     incident = {}
     for idx, e in enumerate(graph.edges):
         incident.setdefault(e.i, []).append((idx, True))
@@ -150,7 +164,7 @@ def _reference_block_descent(graph, rotations, covered, max_sweeps=500, rel_tol=
     obj = _reference_objective(graph, rot)
     weight_scale = sum(e.weight for e in graph.edges)
     converged = False
-    for _ in range(max_sweeps):
+    for _ in range(500):
         for v in np.flatnonzero(covered):
             m = np.zeros((3, 3))
             for idx, outgoing in incident.get(v, ()):
@@ -163,7 +177,7 @@ def _reference_block_descent(graph, rotations, covered, max_sweeps=500, rel_tol=
         new_obj = _reference_objective(graph, rot)
         if new_obj > obj + 1e-9 * (obj + weight_scale):
             raise AssertionError(f"block-descent objective increased: {obj} -> {new_obj}")
-        if obj - new_obj <= rel_tol * obj:
+        if obj - new_obj <= 1e-10 * obj:
             converged = True
             break
         obj = new_obj
@@ -226,13 +240,6 @@ def _reference_translation_system(graph, rotations, covered, anchor):
         r += 3
     a = sp.coo_matrix((vals, (rows, cols)), shape=(n_rows, 3 * len(vertices))).tocsr()
     return a, b, vertices
-
-
-def assert_same_csr(a, b):
-    assert a.shape == b.shape
-    np.testing.assert_array_equal(a.indptr, b.indptr)
-    np.testing.assert_array_equal(a.indices, b.indices)
-    assert_same_bits(a.data, b.data)
 
 
 def aligned_mean_rot_err(est: np.ndarray, gt: np.ndarray) -> float:
@@ -525,7 +532,7 @@ class TestRotationCertificate:
                                         float(rng.uniform(0.2, 2.0)), 1.0)
                                    for e in edges))
             rot = (rotation_averaging(g) if start == "averaged"
-                   else _chordal_init(g, g.covered_vertices(), 0))
+                   else chordal_start_rotations(g))
         h = PoseGraph(n, tuple(Edge(e.i, e.j, e.rotation, e.translation,
                                     scale * e.weight, e.quality) for e in g.edges))
         assert (rotation_certified(g, rotation_certificate(g, rot))
@@ -680,13 +687,14 @@ class TestEndToEndAveraging:
 
 
 class TestConvergenceWarning:
-    def test_sweep_budget_warns_and_returns_iterate(self, rng):
+    def test_sweep_budget_warns_and_returns_iterate(self, rng, monkeypatch):
         poses = [random_rigid(rng) for _ in range(10)]
         pairs = random_connected_pairs(10, rng, extra=2.0)
         g = PoseGraph(10, tuple(consistent_edges(poses, pairs, noise_deg=8.0,
                                                  rng=rng)))
-        with pytest.warns(Warning, match="sweep budget"):
-            rot = rotation_averaging(g, max_sweeps=1)
+        monkeypatch.setattr(pose_graph, "_MAX_ITERATIONS", 1)
+        with pytest.warns(ConvergenceWarning, match="sweep budget"):
+            rot = rotation_averaging(g)
         assert rot.shape == (10, 3, 3)
         # iterate is still gauge-fixed and orthonormal
         assert np.array_equal(rot[0], np.eye(3))
@@ -728,32 +736,79 @@ class TestEdgeValidation:
 
 
 class TestStackedSolvers:
-    """The stacked-array solvers against the per-edge references above."""
+    """The block-matrix solvers against the per-edge references above."""
 
     SHAPES = {"complete": (14, None), "chain": (30, 4)}
 
     @pytest.mark.parametrize("shape", ["complete", "chain"])
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_descent_bit_equal_to_edge_loop(self, seed, shape):
+    def test_newton_objective_at_most_edge_loop_descent(self, seed, shape):
         n, window = self.SHAPES[shape]
         rng = np.random.default_rng([seed, 3])
         g = benchmark_shaped_graph(rng, n, window)
-        covered = g.covered_vertices()
-        start = _chordal_init(g, covered, 0)
-        rot, converged = _block_descent(g, start, covered)
-        ref_rot, ref_converged = _reference_block_descent(g, start, covered)
-        assert_same_bits(rot, ref_rot)
-        assert converged == ref_converged
-        assert converged
+        ref_rot, ref_converged = _reference_block_descent(g, chordal_start_rotations(g),
+                                                          g.covered_vertices())
+        assert ref_converged
+        rot = rotation_averaging(g)
+        assert rotation_objective(g, rot) <= rotation_objective(g, ref_rot)
+        for r in (rot, ref_rot):
+            assert rotation_certified(g, rotation_certificate(g, r))
 
-    def test_sweep_budget_flag_matches_edge_loop(self):
-        g = benchmark_shaped_graph(np.random.default_rng(3), 30, 4)
-        covered = g.covered_vertices()
-        start = _chordal_init(g, covered, 0)
-        rot, converged = _block_descent(g, start, covered, max_sweeps=2)
-        ref_rot, ref_converged = _reference_block_descent(g, start, covered, max_sweeps=2)
-        assert_same_bits(rot, ref_rot)
-        assert converged is ref_converged is False
+    @pytest.mark.parametrize("seed", range(3))
+    def test_gradient_and_hessian_match_central_differences(self, seed):
+        """At random rotations, far from stationary, the gradient 2 vee(P_v)
+        and the Hessian of `_newton` against central differences of the
+        edge-loop objective at so3_project((I + [w]x) Y)."""
+        rng = np.random.default_rng(seed)
+        g = benchmark_shaped_graph(rng, 5, None)
+        a = g.edge_arrays
+        lap = _block_laplacian(a, np.arange(5), a.rotation)
+        y = np.stack([np.eye(3)] + [random_rotation(rng) for _ in range(4)])
+
+        def objective(w):
+            moved = y.copy()
+            hat = (w @ _SKEW.reshape(3, 9)).reshape(-1, 3, 3)
+            moved[1:] = so3_project((np.eye(3) + hat) @ y[1:])
+            return _reference_objective(g, moved.transpose(0, 2, 1))
+
+        grad, hess = _newton_model(lap, y, _dual_blocks(lap, y))
+        hess = hess.toarray()
+        basis = np.eye(12).reshape(12, 4, 3)
+        h = 1e-5
+        numeric = [(objective(h * e) - objective(-h * e)) / (2 * h) for e in basis]
+        np.testing.assert_allclose(grad, numeric, rtol=0, atol=1e-7 * np.abs(grad).max())
+        h = 1e-4
+        numeric = [[(objective(h * (e + d)) - objective(h * (e - d)) - objective(h * (d - e))
+                     + objective(-h * (e + d))) / (4 * h * h) for d in basis] for e in basis]
+        np.testing.assert_allclose(hess, numeric, rtol=0, atol=1e-5 * np.abs(hess).max())
+
+    def test_non_finite_step_is_damped(self, monkeypatch):
+        """A NaN Newton step counts as a rise: it is solved again with
+        damping, and the descent still reaches the undamped optimum."""
+        g = benchmark_shaped_graph(np.random.default_rng(4), 14, 4)
+        expected = rotation_averaging(g)
+        solve, calls = pose_graph.spla.spsolve, []
+
+        def first_step_nan(mat, rhs):
+            calls.append(mat.shape)
+            x = solve(mat, rhs)
+            return np.full_like(x, np.nan) if len(calls) == 2 else x  # 1 is the start
+
+        monkeypatch.setattr(pose_graph.spla, "spsolve", first_step_nan)
+        rot = rotation_averaging(g)
+        assert len(calls) >= 3
+        assert np.max(np.abs(rot - expected)) <= 1e-9
+        assert rotation_certified(g, rotation_certificate(g, rot))
+
+    def test_long_chain_converges_and_certifies(self):
+        """A 400-frame window-10 chain, the shape a video gives, averages
+        within the iteration cap (the Gauss-Seidel descent ran out of its
+        500 sweeps here) and the result certifies."""
+        g = benchmark_shaped_graph(np.random.default_rng(2), 400, 10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ConvergenceWarning)
+            rot = rotation_averaging(g)
+        assert rotation_certified(g, rotation_certificate(g, rot))
 
     @pytest.mark.parametrize("seed", range(3))
     def test_objective_bit_equal_to_edge_loop(self, seed):
@@ -765,17 +820,13 @@ class TestStackedSolvers:
     def test_objective_of_edgeless_graph_is_zero(self):
         assert rotation_objective(PoseGraph(2, ()), np.tile(np.eye(3), (2, 1, 1))) == 0.0
 
-    def test_objective_rise_raises(self, rng, monkeypatch):
-        poses = [random_rigid(rng) for _ in range(6)]
-        g = PoseGraph(6, tuple(consistent_edges(poses, random_connected_pairs(6, rng))))
-        exact = rotation_averaging(g)
-        # every update returns the identity: far worse than the exact start
-        monkeypatch.setattr(pose_graph, "so3_project", lambda m: np.eye(len(m)))
-        with pytest.raises(AssertionError, match="objective increased"):
-            _block_descent(g, exact, g.covered_vertices())
-
     @pytest.mark.parametrize("seed", range(4))
-    def test_sparse_systems_equal_edge_loop(self, seed):
+    def test_sparse_systems_equal_edge_loop(self, seed, monkeypatch):
+        """The free block of `_block_laplacian` is A^T A of the edge-loop
+        tall systems (C = R_ij for rotations, C = I for translations),
+        and its right-hand sides are A^T b, to 1e-14 of the largest
+        entry: sqrt(w)^2 and w differ in the last bits. The translation
+        matrix has A^T A's sparsity pattern, explicit zeros dropped."""
         # frame 0 is isolated, so the anchor is frame 1; edges run both
         # into and out of it
         rng = np.random.default_rng(seed)
@@ -790,18 +841,40 @@ class TestStackedSolvers:
         anchor = int(np.flatnonzero(covered)[0])
         assert anchor == 1 and any(e.i == 1 for e in g.edges) and any(e.j == 1 for e in g.edges)
 
-        a, rhs, vertices = _chordal_system(g, covered, anchor)
+        def assert_close(x, ref):
+            x, ref = np.asarray(x), np.asarray(ref)
+            np.testing.assert_allclose(x, ref, rtol=0, atol=1e-14 * np.abs(ref).max())
+
+        a = g.edge_arrays
+        vertices = np.flatnonzero(covered)
+        lap = _block_laplacian(a, vertices, a.rotation)
         ref_a, ref_rhs, ref_vertices = _reference_chordal_system(g, covered, anchor)
-        assert_same_csr(a, ref_a)
-        assert_same_bits(rhs, ref_rhs)
-        assert list(vertices) == ref_vertices
+        assert list(vertices[1:]) == ref_vertices
+        assert_close(_free_system(lap).toarray(), (ref_a.T @ ref_a).toarray())
+        assert_close(-lap.tocsr()[3:, :3].toarray(), ref_a.T @ ref_rhs)
 
         rot = np.stack([random_rotation(rng) for _ in range(n)])
-        a, b, vertices = _translation_system(g, rot, covered, anchor)
-        ref_a, ref_b, ref_vertices = _reference_translation_system(g, rot, covered, anchor)
-        assert_same_csr(a, ref_a)
-        assert_same_bits(b, ref_b)
-        assert list(vertices) == ref_vertices
+        y = rot[vertices].transpose(0, 2, 1)
+        objective = float(np.trace(_dual_blocks(lap, y), axis1=1, axis2=2).sum())
+        assert abs(objective - _reference_objective(g, rot)) <= 1e-12 * objective
+
+        solve, systems = pose_graph.spla.spsolve, []
+
+        def capture(mat, rhs):
+            systems.append((mat.copy(), rhs.copy()))
+            return solve(mat, rhs)
+
+        monkeypatch.setattr(pose_graph.spla, "spsolve", capture)
+        translation_averaging(g, rot)
+        (mat, rhs), = systems
+        ref_a, ref_b, _ = _reference_translation_system(g, rot, covered, anchor)
+        ref_mat = (ref_a.T @ ref_a).tocsc()
+        mat.sort_indices()
+        ref_mat.sort_indices()
+        np.testing.assert_array_equal(mat.indptr, ref_mat.indptr)
+        np.testing.assert_array_equal(mat.indices, ref_mat.indices)
+        assert_close(mat.data, ref_mat.data)
+        assert_close(rhs, ref_a.T @ ref_b)
 
     def test_edge_arrays_built_once_and_read_only(self, rng):
         poses = [random_rigid(rng) for _ in range(4)]
@@ -817,24 +890,13 @@ class TestStackedSolvers:
         assert list(g.covered_vertices()) == [True, True, True, True, False]
 
 
-def _reference_chordal_init(graph, covered, anchor):
-    """`_chordal_init` projecting one vertex block at a time."""
-    a, rhs, vertices = _chordal_system(graph, covered, anchor)
-    ata = (a.T @ a).tocsc()
-    blocks = np.asarray(pose_graph.spla.spsolve(ata, a.T @ rhs)).reshape(len(vertices), 3, 3)
-    rotations = np.tile(np.eye(3), (graph.n_frames, 1, 1))
-    for v, block in zip(vertices, blocks):
-        rotations[v] = so3_project(block.T)
-    return rotations
-
-
-def _reference_gauge_fix(rotations, covered, anchor):
-    q = rotations[anchor].T
-    out = rotations.copy()
-    for v in np.flatnonzero(covered):
-        out[v] = so3_project(q @ rotations[v])
-    out[anchor] = np.eye(3)
-    return out
+def _reference_chordal_start(lap):
+    """`_chordal_start` projecting one vertex block at a time."""
+    blocks = pose_graph.spla.spsolve(_free_system(lap), -lap.tocsr()[3:, :3].toarray())
+    y = np.tile(np.eye(3), (lap.shape[0] // 3, 1, 1))
+    for v, block in enumerate(np.asarray(blocks).reshape(-1, 3, 3)):
+        y[v + 1] = so3_project(block)
+    return y
 
 
 def _reference_assemble(rotations, translations, recovered):
@@ -865,17 +927,21 @@ class TestStackedProjections:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_chordal_init_and_gauge_fix_bit_equal_to_vertex_loop(self, seed):
+        """The stacked start against a per-vertex projection loop; the
+        anchor block is the identity exactly, at the start and in the
+        averaged rotations, with no gauge-fixing pass."""
         # frame 0 is isolated, so the anchor is frame 1
         rng = np.random.default_rng(seed)
         g = benchmark_shaped_graph(rng, 12, 3)
         g = PoseGraph(13, tuple(Edge(e.i + 1, e.j + 1, e.rotation, e.translation, e.weight,
                                      e.quality) for e in g.edges))
-        covered = g.covered_vertices()
-        init = _chordal_init(g, covered, 1)
-        assert_same_bits(init, _reference_chordal_init(g, covered, 1))
-        rot = np.stack([random_rotation(rng) for _ in range(13)])
-        rot[5] = so3_project(rot[5] + rng.normal(scale=1e-3, size=(3, 3)))
-        assert_same_bits(_gauge_fix(rot, covered, 1), _reference_gauge_fix(rot, covered, 1))
+        a = g.edge_arrays
+        lap = _block_laplacian(a, np.flatnonzero(a.covered), a.rotation)
+        start = _chordal_start(lap)
+        assert_same_bits(start, _reference_chordal_start(lap))
+        assert_same_bits(start[0], np.eye(3))
+        rot = rotation_averaging(g)
+        assert_same_bits(rot[:2], np.tile(np.eye(3), (2, 1, 1)))
 
     def test_assemble_global_bit_equal_to_frame_loop(self, rng):
         g = benchmark_shaped_graph(rng, 10, 2)
@@ -899,14 +965,12 @@ class TestFrameRelabelling:
         original ones moved to perm[k], up to the gauge (one global
         rotation Q, and for centers a common offset).
 
-        Consistent graphs are solved exactly, so they agree to round-off
-        (1e-9). With 1 degree of edge noise the Gauss-Seidel descent
-        visits vertices in the new label order and stops at a different
-        iterate: it stops once a sweep lowers the objective by at most
-        1e-10 of itself, and near the optimum the objective is quadratic,
-        so two stopping iterates can differ by about sqrt(1e-10) = 1e-5
-        of the noise scale. The tolerance is 1e-5; the largest difference
-        over 300 random graphs of this test's distribution was 5.6e-7.
+        Consistent graphs are solved exactly, and with 1 degree of edge
+        noise the Newton descent converges quadratically, so its last
+        step is far below the stopping tolerance and both labellings
+        agree to round-off. The tolerance is 1e-9; the largest difference
+        over 1000 noisy and 1000 consistent random graphs of this test's
+        distribution was 1.0e-14.
         """
         perm = data.draw(st.permutations(range(n)))
         rng = np.random.default_rng(seed)
@@ -921,8 +985,7 @@ class TestFrameRelabelling:
 
         rot_h, u_h = rot_h[list(perm)], u_h[list(perm)]  # back to g's labels
         q = rot_g[0] @ rot_h[0].T
-        tol = 1e-5 if noisy else 1e-9
-        assert np.max(np.abs(rot_g - q @ rot_h)) <= tol
+        assert np.max(np.abs(rot_g - q @ rot_h)) <= 1e-9
         scale = max(1.0, np.abs(u_g).max())
-        assert np.max(np.abs((u_g - u_g[0]) - (u_h - u_h[0]) @ q.T)) <= tol * scale
+        assert np.max(np.abs((u_g - u_g[0]) - (u_h - u_h[0]) @ q.T)) <= 1e-9 * scale
 
