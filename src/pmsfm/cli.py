@@ -132,6 +132,16 @@ def _cmd_eval(args) -> int:
     return pipeline.EXIT_OK
 
 
+# The first row whose types match an error gives its exit code.
+_EXIT_CODES = (
+    ((ConfigError, ValidationError), pipeline.EXIT_CONFIG),
+    (InsufficientDataError, pipeline.EXIT_INSUFFICIENT_DATA),
+    (DisconnectedGraphError, pipeline.EXIT_DISCONNECTED),
+    ((FormatError, OSError), pipeline.EXIT_IO),
+    (PmsfmError, 1),
+)
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -145,21 +155,9 @@ def main(argv=None) -> int:
             print(io_formats.FORMAT_DOC, end="")
             return pipeline.EXIT_OK
         raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, ValidationError) as exc:
+    except (PmsfmError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return pipeline.EXIT_CONFIG
-    except InsufficientDataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return pipeline.EXIT_INSUFFICIENT_DATA
-    except DisconnectedGraphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return pipeline.EXIT_DISCONNECTED
-    except (FormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return pipeline.EXIT_IO
-    except PmsfmError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
 
 
 if __name__ == "__main__":

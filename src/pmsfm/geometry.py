@@ -15,7 +15,7 @@ Conventions used across the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -176,8 +176,7 @@ class DepthMap:
 class Pointmap:
     """W x H grid of 3D points with a confidence map and validity mask.
 
-    ``points[j, i]`` is the 3D point seen at pixel ``(i, j)``;
-    ``frame_id`` names the coordinate frame the points live in.
+    ``points[j, i]`` is the 3D point seen at pixel ``(i, j)``.
     """
 
     width: int
@@ -185,7 +184,6 @@ class Pointmap:
     points: np.ndarray
     confidence: np.ndarray
     mask: np.ndarray
-    frame_id: str = field(default="")
 
     def __post_init__(self):
         p = np.asarray(self.points, dtype=np.float64)
@@ -234,8 +232,7 @@ def pointmap_from_depth(depth: DepthMap, intrinsics: CameraIntrinsics) -> Pointm
     homo = np.concatenate([grid * d, d], axis=-1)
     points = homo @ k_inv.T
     conf = np.ones((depth.height, depth.width))
-    return Pointmap(depth.width, depth.height, points, conf, depth.mask,
-                    frame_id="camera")
+    return Pointmap(depth.width, depth.height, points, conf, depth.mask)
 
 
 def project(point: np.ndarray, intrinsics: CameraIntrinsics) -> np.ndarray:
@@ -250,21 +247,19 @@ def project(point: np.ndarray, intrinsics: CameraIntrinsics) -> np.ndarray:
 
 
 def change_frame(pm: Pointmap, pose_src: RigidTransform,
-                 pose_dst: RigidTransform, frame_id: str = "") -> Pointmap:
+                 pose_dst: RigidTransform) -> Pointmap:
     """Re-express a pointmap given in ``pose_src``'s camera frame in
     ``pose_dst``'s camera frame (``pose_dst o pose_src^-1``).
 
-    Mask and confidence are unchanged. Identical poses short-circuit so
-    the output equals the input exactly.
+    Mask and confidence are unchanged. Identical poses return ``pm``
+    itself.
     """
     if np.array_equal(pose_src.rotation, pose_dst.rotation) and np.array_equal(
         pose_src.translation, pose_dst.translation
     ):
-        return Pointmap(pm.width, pm.height, pm.points, pm.confidence, pm.mask,
-                        frame_id=frame_id or pm.frame_id)
+        return pm
     rel = compose(pose_dst, inverse(pose_src))
-    return Pointmap(pm.width, pm.height, rel.apply(pm.points), pm.confidence,
-                    pm.mask, frame_id=frame_id)
+    return Pointmap(pm.width, pm.height, rel.apply(pm.points), pm.confidence, pm.mask)
 
 
 def geodesic_deg(ra: np.ndarray, rb: np.ndarray) -> float:

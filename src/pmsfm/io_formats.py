@@ -26,6 +26,10 @@ MAGIC_DEPTH = b"DMAP1"
 FLAG_CONFIDENCE = 1
 FLAG_MASK = 2
 
+# Most frames a graph, poses document or manifest may declare: 9 h of
+# 30 fps video, with every n_frames-long array under 100 MB.
+MAX_FRAMES = 1_000_000
+
 _HEADER = struct.Struct("<III")
 _HEADER_END = 5 + _HEADER.size  # magic + width/height/flags
 
@@ -71,8 +75,8 @@ Poses document ("pmsfm poses v1")
     frame <id> recovered <0|1>
     <m00> <m01> <m02> <m03>        4 rows: the 4x4 row-major
     ...                            world-to-camera matrix
-Repeated per frame, ascending file order. The count is non-negative
-and equals the number of frames that follow. Frame ids may be any
+Repeated per frame, ascending file order. The count lies in
+0..1000000 (MAX_FRAMES) and equals the number of frames that follow. Frame ids may be any
 non-negative integers (e.g. original video frame numbers); an id
 appears at most once. Every matrix entry is finite and each rotation
 block lies in SO(3) (||R'R - I||_F and |det R - 1| at most 1e-9); the
@@ -83,7 +87,7 @@ Pose graph document ("pmsfm pose graph v1")
     # pmsfm pose graph v1
     frames <n_frames>
     edge <i> <j> <r00 r01 r02 r10 r11 r12 r20 r21 r22> <t0 t1 t2> <weight> <quality>
-n_frames is a non-negative count. The edge transform maps frame-j
+n_frames lies in 0..1000000 (MAX_FRAMES). The edge transform maps frame-j
 camera coordinates to frame-i camera coordinates; an edge whose
 rotation is not in SO(3) (the poses document's tolerance) or whose
 entries are not finite is rejected, naming its (i, j). weight is the
@@ -108,18 +112,22 @@ order listed below, leaving out empty strings.
 
 Manifest ("pmsfm manifest v1")
     mode <views|pairs>             required
-    n_frames <int>                 required
+    n_frames <int>                 required, 0..1000000 (MAX_FRAMES)
     focal <float>                  views mode: the shared focal, > 0
     gt_poses <path>                views mode: poses document
     scene_scale, outlier_fraction, point_noise_sigma <float>
     rng_seed <int>                 views mode: pair simulation settings
-    view <frame> <depth.dmap> <pointmap.pmap>      record, views mode
+    view <frame> <depth.dmap>                      record, views mode
     pair <i> <j> <ref.pmap> <src.pmap>             record, pairs mode
 Paths are relative to the manifest's directory. A pair record's
 source map is expressed in its reference view's camera frame. Record
 frames lie in 0..n_frames-1; a view frame appears at most once, and a
 pair (i, j) at most once with i != j ((i, j) and (j, i) are distinct
-pairs).
+pairs). Views manifests written by earlier versions carry a third
+view field, a pointmap file no stage read; such a record is rejected
+by its field count. Regenerate the bundle with
+`pmsfm synth --spec <old>/scene_spec.txt --out <new>`, which writes the
+same depth maps and poses.
 
 Pair validity (no header)
     pair <i> <j> <0|1>             record; 0 keeps the pair out of the
@@ -216,7 +224,7 @@ def pointmap_to_bytes(pm: Pointmap, with_confidence: bool = True,
     return b"".join(parts)
 
 
-def pointmap_from_bytes(data: bytes, frame_id: str = "") -> Pointmap:
+def pointmap_from_bytes(data: bytes) -> Pointmap:
     cur = _Cursor(data)
     width, height, flags = _read_header(cur, MAGIC_POINTMAP)
     n = width * height
@@ -250,7 +258,7 @@ def pointmap_from_bytes(data: bytes, frame_id: str = "") -> Pointmap:
             raise FormatError("NaN/inf in a masked-in point",
                               offset=points_off + int(masked_in[bad[0]]) * 12)
     points = points.astype(np.float64).reshape(height, width, 3)
-    return Pointmap(width, height, points, conf, mask, frame_id=frame_id)
+    return Pointmap(width, height, points, conf, mask)
 
 
 def depthmap_to_bytes(dm: DepthMap, with_mask: bool = True) -> bytes:
@@ -294,8 +302,8 @@ def write_pointmap(path, pm: Pointmap, with_confidence: bool = True,
     Path(path).write_bytes(pointmap_to_bytes(pm, with_confidence, with_mask))
 
 
-def read_pointmap(path, frame_id: str = "") -> Pointmap:
-    return pointmap_from_bytes(Path(path).read_bytes(), frame_id=frame_id)
+def read_pointmap(path) -> Pointmap:
+    return pointmap_from_bytes(Path(path).read_bytes())
 
 
 def read_pointmap_size(path) -> tuple[int, int]:
@@ -359,12 +367,12 @@ _EDGE = (str, int, int) + (float,) * 14
 
 
 def _frames_header(lines: _Lines) -> tuple[int, int]:
-    """The header's line number and its non-negative frame count."""
+    """The header's line number and its frame count, 0..MAX_FRAMES."""
     lineno, line = lines.next("frames header")
     word, n = _fields(lineno, line.split(), (str, int), "frames header")
-    if word != "frames" or n < 0:
+    if word != "frames" or not 0 <= n <= MAX_FRAMES:
         raise FormatError(f"line {lineno}: expected 'frames <count>' with a"
-                          f" non-negative count, got {line!r}")
+                          f" non-negative count of at most {MAX_FRAMES}, got {line!r}")
     return lineno, n
 
 

@@ -179,15 +179,13 @@ def evaluate(est: GlobalPoses, gt: GlobalPoses,
 def subsample_frames(n_total: int, n_keep: int) -> np.ndarray:
     """Evenly spaced frame indices including frame 0.
 
-    Index k maps to floor(k * n_total / n_keep); duplicates are removed
-    preserving order. Asking for more frames than exist clamps to all of
-    them with a warning.
+    Index k maps to floor(k * n_total / n_keep), strictly increasing
+    since n_total >= n_keep. Asking for more frames than exist clamps to
+    all of them with a warning.
     """
     if n_total < 1 or n_keep < 1:
         raise ValidationError("n_total and n_keep must be >= 1")
     if n_keep > n_total:
         warnings.warn(f"requested {n_keep} frames from {n_total}; keeping all")
         n_keep = n_total
-    raw = (np.arange(n_keep) * n_total) // n_keep
-    _, first = np.unique(raw, return_index=True)
-    return raw[np.sort(first)]
+    return (np.arange(n_keep) * n_total) // n_keep

@@ -1,7 +1,7 @@
 """End-to-end orchestration: synthetic scenes to disk, pairwise relative
 poses, graph averaging, and evaluation, all over the on-disk formats.
 
-Every stage persists its outputs (depth/pointmaps, pose graph, global
+Every stage persists its outputs (depth maps, pose graph, global
 poses, report), so any stage can be re-run or audited in isolation and
 externally produced pairwise pointmaps can replace the synthetic ones
 via a pairs-mode manifest.
@@ -156,7 +156,7 @@ class Manifest:
     outlier_fraction: float = 0.0
     point_noise_sigma: float = 0.0
     rng_seed: int = 0
-    views: tuple[tuple[int, str, str], ...] = field(  # (frame, depth, pointmap)
+    views: tuple[tuple[int, str], ...] = field(  # (frame, depth)
         default=(), metadata={"record": "view"})
     pairs: tuple[tuple[int, int, str, str], ...] = field(  # (i, j, ref, src)
         default=(), metadata={"record": "pair"})
@@ -164,6 +164,9 @@ class Manifest:
     def __post_init__(self):
         if self.mode not in ("views", "pairs"):
             raise ValidationError(f"mode: unknown manifest mode {self.mode!r}")
+        if self.n_frames > io_formats.MAX_FRAMES:
+            raise ValidationError(f"n_frames: {self.n_frames} is over the"
+                                  f" {io_formats.MAX_FRAMES}-frame cap")
         _check_records("view", [r[:1] for r in self.views], self.n_frames)
         _check_records("pair", [r[:2] for r in self.pairs], self.n_frames)
 
@@ -219,8 +222,8 @@ def load_pair_validity(path, n_frames: int) -> dict[tuple[int, int], bool]:
 
 
 def synthesize(spec: SceneSpec, out_dir) -> Path:
-    """Generate a bundle and persist it: per-view depth + pointmap
-    containers, ground-truth poses, the scene spec, and a manifest."""
+    """Generate a bundle and persist it: per-view depth containers,
+    ground-truth poses, the scene spec, and a manifest."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     bundle = generate(spec)
@@ -228,10 +231,8 @@ def synthesize(spec: SceneSpec, out_dir) -> Path:
     views = []
     for k, view in enumerate(bundle.views):
         depth_name = f"view_{k:03d}.dmap"
-        pm_name = f"view_{k:03d}.pmap"
         io_formats.write_depthmap(out / depth_name, view.depth)
-        io_formats.write_pointmap(out / pm_name, bundle.view_pointmaps[k])
-        views.append((k, depth_name, pm_name))
+        views.append((k, depth_name))
 
     gt = GlobalPoses(
         rotations=np.stack([v.pose.rotation for v in bundle.views]),
@@ -315,7 +316,7 @@ def _load_views_bundle(manifest: Manifest, kept: np.ndarray) -> SceneBundle:
         raise FormatError("views manifest must reference a gt_poses document")
     gt, gt_ids = io_formats.read_poses(manifest.base_dir / manifest.gt_poses)
     by_id = {fid: k for k, fid in enumerate(gt_ids)}
-    files = {frame: depth for frame, depth, _ in manifest.views}
+    files = dict(manifest.views)
 
     views = []
     for frame in kept:

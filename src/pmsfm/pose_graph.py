@@ -127,11 +127,6 @@ class PoseGraph:
     def covered_vertices(self) -> np.ndarray:
         return self.edge_arrays.covered.copy()
 
-    def components(self) -> list[list[int]]:
-        """Connected components of the undirected support graph,
-        restricted to vertices incident to at least one edge."""
-        return [list(c) for c in self.edge_arrays.components]
-
 
 @dataclass(frozen=True)
 class GlobalPoses:
@@ -238,7 +233,7 @@ def _check_connected(graph: PoseGraph) -> EdgeArrays:
     if not graph.edges:
         raise InsufficientDataError("pose graph has no edges")
     if len(a.components) > 1:
-        comps = graph.components()
+        comps = [list(c) for c in a.components]
         raise DisconnectedGraphError(
             f"pose graph splits into {len(comps)} components: {comps}",
             components=comps,

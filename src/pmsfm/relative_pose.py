@@ -33,6 +33,8 @@ _FOCAL_ITERS = 50
 # the accuracy contract.
 _FOCAL_RTOL = 1e-11
 _REFINE_ROUNDS = 3
+# Cap on the Gauss-Newton steps of one refinement call.
+_REFINE_ITERS = 20
 # Relative change of the squared reprojection error at which refinement
 # has converged: four orders above the rounding of a sum over many points.
 _REFINE_RTOL = 1e-12
@@ -81,7 +83,7 @@ def make_intrinsics(width: int, height: int, f: float) -> CameraIntrinsics:
     return CameraIntrinsics(f=float(f), c_x=width / 2.0, c_y=height / 2.0)
 
 
-def estimate_focal(pm: Pointmap, max_iters: int = _FOCAL_ITERS) -> float:
+def estimate_focal(pm: Pointmap) -> float:
     """Recover the focal length from a pointmap in its own camera frame.
 
     Minimizes the convex robust objective F(f) = sum_i ||b_i - f * d_i||
@@ -121,7 +123,7 @@ def estimate_focal(pm: Pointmap, max_iters: int = _FOCAL_ITERS) -> float:
     ex, ey, w, u = np.empty((4, len(idx)))
     lo, hi = -math.inf, math.inf
     converged = False
-    for _ in range(max_iters):
+    for _ in range(_FOCAL_ITERS):
         np.subtract(bx, np.multiply(dx, f, out=ex), out=ex)
         np.subtract(by, np.multiply(dy, f, out=ey), out=ey)
         np.add(np.multiply(dx, ex, out=u), np.multiply(dy, ey, out=w), out=u)
@@ -382,8 +384,7 @@ def _gn_normal_equations(jac: np.ndarray, res: np.ndarray, w: np.ndarray,
 
 
 def refine_pose(points: np.ndarray, pixels: np.ndarray, k: CameraIntrinsics,
-                r0: np.ndarray, t0: np.ndarray,
-                max_iters: int = 20) -> tuple[np.ndarray, np.ndarray]:
+                r0: np.ndarray, t0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Damped Gauss-Newton refinement of reprojection error.
 
     Left-multiplicative axis-angle update on the rotation; the damping
@@ -411,7 +412,7 @@ def refine_pose(points: np.ndarray, pixels: np.ndarray, k: CameraIntrinsics,
     jac = np.empty((6, 2 * pts.shape[1]))
     res, w_pts, cam, z = _gn_residuals(pts, pix, k, r, t)
     err = float(res @ res)
-    for _ in range(max_iters):
+    for _ in range(_REFINE_ITERS):
         h, g = _gn_normal_equations(jac, res, w_pts, cam, z, k.f)
 
         stepped = False

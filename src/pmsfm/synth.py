@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -124,11 +124,9 @@ class SceneBundle:
     @functools.cached_property
     def view_pointmaps(self) -> tuple[Pointmap, ...]:
         """Each view's stored depth back-projected into its own camera
-        frame (``frame_id`` ``view<k>``), computed once per bundle; the
-        maps are read-only, so every pair shares them."""
-        return tuple(
-            replace(pointmap_from_depth(v.depth, v.intrinsics), frame_id=f"view{k}")
-            for k, v in enumerate(self.views))
+        frame, computed once per bundle; the maps are read-only, so every
+        pair shares them."""
+        return tuple(pointmap_from_depth(v.depth, v.intrinsics) for v in self.views)
 
     def exact_pointmap(self, k: int) -> Pointmap:
         """Pointmap whose entries are the exact (noise-free) coordinates
@@ -141,7 +139,7 @@ class SceneBundle:
         pts = np.zeros(ids.shape + (3,))
         pts[mask] = view.pose.apply(self.points[ids[mask]])
         h, w = ids.shape
-        return Pointmap(w, h, pts, np.ones((h, w)), mask, frame_id=f"view{k}")
+        return Pointmap(w, h, pts, np.ones((h, w)), mask)
 
     def point_visibility(self) -> np.ndarray:
         """Number of views in which each scene point occupies an
@@ -383,42 +381,36 @@ def _corrupt(pm: Pointmap, fraction: float, noise_sigma: float,
         conf[chosen] = rng.uniform(0.01, 0.05, size=len(chosen))
         out_mask[chosen] = True
     return (
-        Pointmap(pm.width, pm.height, points, conf.reshape(pm.height, pm.width),
-                 pm.mask, frame_id=pm.frame_id),
+        Pointmap(pm.width, pm.height, points, conf.reshape(pm.height, pm.width), pm.mask),
         out_mask.reshape(pm.height, pm.width),
     )
 
 
-def make_pair_pointmaps(bundle: SceneBundle, i: int, j: int,
-                        outlier_fraction: float | None = None,
-                        point_noise_sigma: float | None = None) -> PairPointmaps:
+def make_pair_pointmaps(bundle: SceneBundle, i: int, j: int) -> PairPointmaps:
     """Emit (X1, X2) for the ordered pair (i, j): view i's pointmap in
     its own frame and view j's pointmap re-expressed in view i's frame.
 
     Both maps derive from the stored (possibly noisy) depth via the
-    back-projection relation, then receive isotropic 3D prediction noise
-    (``point_noise_sigma``, fraction of scene scale). Corrupted pixels of
+    back-projection relation, then receive the bundle spec's isotropic 3D
+    prediction noise (``point_noise_sigma``, fraction of scene scale) and
+    its ``outlier_fraction`` of corrupted pixels. Corrupted pixels of
     the second map are guaranteed to reproject more than 15 px from
     their pixel (or behind the camera) under the ground-truth relative
     pose, and all corrupted pixels get confidences below every clean
     pixel. Per-map RNG streams are keyed by view id, so the pair (i, i)
     yields two identical maps.
     """
-    if outlier_fraction is None:
-        outlier_fraction = bundle.spec.outlier_fraction
-    if point_noise_sigma is None:
-        point_noise_sigma = bundle.spec.point_noise_sigma
-    noise_abs = point_noise_sigma * bundle.spec.scene_scale
+    spec = bundle.spec
+    noise_abs = spec.point_noise_sigma * spec.scene_scale
     view_i, view_j = bundle.views[i], bundle.views[j]
     pm1 = bundle.view_pointmaps[i]
-    pm2 = change_frame(bundle.view_pointmaps[j], view_j.pose, view_i.pose,
-                       frame_id=f"view{i}")
+    pm2 = change_frame(bundle.view_pointmaps[j], view_j.pose, view_i.pose)
 
     all_valid = np.concatenate([pm1.points[pm1.mask], pm2.points[pm2.mask]], axis=0)
     if len(all_valid):
         center = all_valid.mean(axis=0)
         half = np.maximum((all_valid.max(axis=0) - all_valid.min(axis=0)) / 2.0,
-                          1e-3 * bundle.spec.scene_scale)
+                          1e-3 * spec.scene_scale)
         bbox = (center - 1.5 * half, center + 1.5 * half)
     else:
         bbox = (np.zeros(3), np.ones(3))
@@ -440,10 +432,10 @@ def make_pair_pointmaps(bundle: SceneBundle, i: int, j: int,
             ok[front] = err > _OUTLIER_MIN_REPROJ_PX
         return ok
 
-    pm1_c, out1 = _corrupt(pm1, outlier_fraction, noise_abs, bbox,
-                           _rng(bundle.spec.rng_seed, _TAG_PAIR, i, j, i))
-    pm2_c, out2 = _corrupt(pm2, outlier_fraction, noise_abs, bbox,
-                           _rng(bundle.spec.rng_seed, _TAG_PAIR, i, j, j),
+    pm1_c, out1 = _corrupt(pm1, spec.outlier_fraction, noise_abs, bbox,
+                           _rng(spec.rng_seed, _TAG_PAIR, i, j, i))
+    pm2_c, out2 = _corrupt(pm2, spec.outlier_fraction, noise_abs, bbox,
+                           _rng(spec.rng_seed, _TAG_PAIR, i, j, j),
                            guard=None if i == j else far_from_pixel)
     return PairPointmaps(view1=pm1_c, view2=pm2_c,
                          outlier_mask1=out1, outlier_mask2=out2)

@@ -103,7 +103,7 @@ class TestProject:
 class TestChangeFrame:
     def make_pm(self, rng, n=10):
         pts = rng.normal(size=(1, n, 3))
-        return Pointmap(n, 1, pts, np.ones((1, n)), np.ones((1, n), bool), "a")
+        return Pointmap(n, 1, pts, np.ones((1, n)), np.ones((1, n), bool))
 
     def test_same_pose_is_exact_identity(self, rng):
         pm = self.make_pm(rng)

@@ -7,6 +7,7 @@ from pmsfm.errors import FormatError
 from pmsfm.geometry import DepthMap, Pointmap, random_rotation
 from pmsfm.io_formats import (
     FORMAT_DOC,
+    MAX_FRAMES,
     depthmap_from_bytes,
     depthmap_to_bytes,
     graph_from_text,
@@ -294,7 +295,9 @@ class TestPosesDocument:
 
     @pytest.mark.parametrize("count, message", [
         ("-1", "line 2: expected 'frames <count>' with a non-negative count"),
-        ("100000000000", "line 2: 100000000000 frames declared, 1 present"),
+        pytest.param("100000000000", "line 2: expected 'frames <count>' with a"
+                     " non-negative count of at most 1000000", id="over-cap"),
+        ("1000000", "line 2: 1000000 frames declared, 1 present"),
         ("2", "line 2: 2 frames declared, 1 present"),
     ])
     def test_rejects_bad_frame_count(self, count, message):
@@ -345,6 +348,13 @@ class TestGraphDocument:
     def test_rejects_negative_frame_count(self):
         with pytest.raises(FormatError, match="line 2: expected 'frames <count>' with a"):
             graph_from_text("# pmsfm pose graph v1\nframes -1\n")
+
+    def test_frame_count_capped(self):
+        edge = "edge 0 1 1 0 0 0 1 0 0 0 1 0 0 1 1 1\n"
+        with pytest.raises(FormatError, match="^line 2: expected 'frames <count>' with a"):
+            graph_from_text(f"# pmsfm pose graph v1\nframes 100000000000\n{edge}")
+        g = graph_from_text(f"# pmsfm pose graph v1\nframes {MAX_FRAMES}\n{edge}")
+        assert g.n_frames == MAX_FRAMES == 1_000_000
 
     @pytest.mark.parametrize("weight", ["inf", "-inf", "nan", "0", "-1"])
     def test_rejects_non_finite_or_non_positive_weight(self, weight):

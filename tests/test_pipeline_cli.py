@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import hashlib
 import os
 import subprocess
@@ -168,9 +167,9 @@ class TestSynthStage:
         m = pipeline.load_manifest(bundle_dir / "manifest.txt")
         assert m.mode == "views" and m.n_frames == 6
         assert len(m.views) == 6
-        for _, depth, pm in m.views:
+        for _, depth in m.views:
             io_formats.read_depthmap(bundle_dir / depth)
-            io_formats.read_pointmap(bundle_dir / pm)
+        assert not list(bundle_dir.glob("*.pmap"))
         gt, ids = io_formats.read_poses(bundle_dir / m.gt_poses)
         assert ids == list(range(6))
         assert gt.recovered.all()
@@ -215,8 +214,7 @@ class TestSolveStage:
         # the pool's threads when jobs > 1.
         out = tmp_path / "bundle"
         pipeline.synthesize(small_spec(point_noise_sigma=0.01), out)
-        monkeypatch.setattr(pipeline, "estimate_focal",
-                            functools.partial(relative_pose.estimate_focal, max_iters=1))
+        monkeypatch.setattr(relative_pose, "_FOCAL_ITERS", 1)
         cfg = pipeline.PipelineConfig(manifest=str(out / "manifest.txt"),
                                       output_dir=str(tmp_path / "run"), jobs=jobs)
         result, run_dir = pipeline.run_solve(cfg)
@@ -231,10 +229,10 @@ class TestSolveStage:
         pipeline.synthesize(small_spec(), out)
         simulate = pipeline.make_pair_pointmaps
 
-        def failing(bundle, a, b, **kw):
+        def failing(bundle, a, b):
             if (a, b) == (1, 3):
                 raise np.linalg.LinAlgError("SVD did not converge")
-            return simulate(bundle, a, b, **kw)
+            return simulate(bundle, a, b)
 
         monkeypatch.setattr(pipeline, "make_pair_pointmaps", failing)
         cfg = pipeline.PipelineConfig(manifest=str(out / "manifest.txt"),
@@ -279,7 +277,7 @@ class TestSolveStage:
         pipeline.synthesize(small_spec(), out)
         # wipe frame 3: empty mask means every pair with it fails
         m = pipeline.load_manifest(out / "manifest.txt")
-        depth_file = dict((f, d) for f, d, _ in m.views)[3]
+        depth_file = dict(m.views)[3]
         dm = io_formats.read_depthmap(out / depth_file)
         from pmsfm.geometry import DepthMap
         empty = DepthMap(dm.width, dm.height, np.zeros_like(dm.depth),
@@ -481,10 +479,12 @@ class TestCli:
          "pair record 1 1: self-pair"),
         ("mode pairs\nn_frames 4\npair 0 1 a.pmap b.pmap\npair 1 0 c.pmap d.pmap\n"
          "pair 0 1 e.pmap f.pmap\n", "", "pair record 0 1: repeated pair"),
-        ("mode views\nn_frames 2\nview 0 a.dmap a.pmap\nview 2 b.dmap b.pmap\n", "",
+        ("mode views\nn_frames 2\nview 0 a.dmap\nview 2 b.dmap\n", "",
          "view record 2: frame outside 0..1"),
-        ("mode views\nn_frames 2\nview 0 a.dmap a.pmap\nview 0 b.dmap b.pmap\n", "",
+        ("mode views\nn_frames 2\nview 0 a.dmap\nview 0 b.dmap\n", "",
          "view record 0: repeated view"),
+        ("mode views\nn_frames 2\nview 0 a.dmap a.pmap\n", "",
+         "line 3: expected 2 view fields, got 3"),
         ("mode pairs\nn_frames 4\npair 0 1 a.pmap b.pmap\n", "pair 0 9 0\n",
          "pair record 0 9: frame outside 0..3"),
         ("mode pairs\nn_frames 4\npair 0 1 a.pmap b.pmap\n", "pair 2 2 0\n",
@@ -493,7 +493,7 @@ class TestCli:
          "pair record 0 1: repeated pair"),
     ], ids=["manifest-record", "manifest-scalar", "pair-validity", "pair-out-of-range",
             "self-pair", "repeated-pair", "view-out-of-range", "repeated-view",
-            "validity-out-of-range", "validity-self-pair", "validity-repeated-pair"])
+            "three-field-view", "validity-out-of-range", "validity-self-pair", "validity-repeated-pair"])
     def test_exit_code_malformed_input(self, tmp_path, capsys, manifest, validity, where):
         (tmp_path / "manifest.txt").write_text(manifest, encoding="utf-8")
         args = ["solve", "--manifest", str(tmp_path / "manifest.txt"),
@@ -503,6 +503,19 @@ class TestCli:
             args += ["--pair-validity", str(tmp_path / "validity.txt")]
         assert main(args) == 5
         assert where in capsys.readouterr().err
+
+    def test_manifest_frames_over_cap_exit_5(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text("mode pairs\nn_frames 100000000000\npair 0 1 a.pmap b.pmap\n",
+                            encoding="utf-8")
+        assert main(["solve", "--manifest", str(manifest),
+                     "--out", str(tmp_path / "run")]) == 5
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "n_frames: 100000000000 is over the 1000000-frame cap" in err[0]
+        cap = io_formats.MAX_FRAMES
+        text = f"mode pairs\nn_frames {cap}\npair 0 {cap - 1} a.pmap b.pmap\n"
+        assert pipeline.manifest_from_text(text, tmp_path).n_frames == cap
 
     def test_eval_rejects_repeated_frame(self, bundle_dir, tmp_path, capsys):
         text = (bundle_dir / "gt_poses.txt").read_text(encoding="utf-8")
@@ -515,7 +528,8 @@ class TestCli:
 
     @pytest.mark.parametrize("count, where", [
         ("-1", "line 2: expected 'frames <count>' with a non-negative count"),
-        ("100000000000", "line 2: 100000000000 frames declared, 6 present"),
+        ("100000000000", "line 2: expected 'frames <count>' with a non-negative count"
+                         " of at most 1000000"),
     ], ids=["negative", "huge"])
     def test_eval_rejects_bad_frame_count(self, bundle_dir, tmp_path, capsys, count, where):
         text = (bundle_dir / "gt_poses.txt").read_text(encoding="utf-8")

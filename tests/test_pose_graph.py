@@ -289,7 +289,7 @@ class TestBuildGraph:
         ]
         g = build_graph(results, 3, quality_threshold=0.5)
         assert sorted((e.i, e.j) for e in g.edges) == [(0, 1), (1, 2)]
-        assert len(g.components()) == 1
+        assert len(g.edge_arrays.components) == 1
 
     def test_adversarial_isolation_rescue(self, rng):
         # frame 7's pairs all fail quality; temporal neighbors get rescued
@@ -301,7 +301,7 @@ class TestBuildGraph:
         g = build_graph(results, 10, quality_threshold=0.5)
         rescued = sorted((e.i, e.j) for e in g.edges if e.rescued)
         assert rescued == [(6, 7), (7, 8)]
-        assert len(g.components()) == 1
+        assert len(g.edge_arrays.components) == 1
 
     def test_disconnected_names_components(self, rng):
         results = [
@@ -326,7 +326,7 @@ class TestBuildGraph:
                                    unique=True, max_size=20))
         g = PoseGraph(n, tuple(Edge(i, j, np.eye(3), np.zeros(3), 1.0, 1.0)
                                for i, j in pairs))
-        assert g.components() == _reference_components(pairs)
+        assert [list(c) for c in g.edge_arrays.components] == _reference_components(pairs)
 
     def test_isolated_vertex_tolerated(self, rng):
         results = [(0, 1, fake_result(random_rigid(rng), 90), 100)]
