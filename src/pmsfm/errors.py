@@ -10,7 +10,13 @@ class ShapeMismatchError(PmsfmError, ValueError):
 
 
 class ValidationError(PmsfmError, ValueError):
-    """A value violates a type invariant (non-finite, out of range, ...)."""
+    """A value violates a type invariant (non-finite, out of range, ...); a
+    per-pixel one names the `array` and the flat index of its bad `pixel`."""
+
+    def __init__(self, message: str, array: str | None = None, pixel: int | None = None):
+        super().__init__(message)
+        self.array = array
+        self.pixel = pixel
 
 
 class EmptyDomainError(PmsfmError, ValueError):

@@ -28,10 +28,23 @@ from .errors import (
 _ORTHONORMALITY_TOL = 1e-9
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
+def _freeze(given, dtype=None) -> np.ndarray:
+    """`given` as a read-only C-contiguous array, copied first when it is the
+    caller's array, or a view of it, and still writeable; an array that a
+    conversion made here is frozen in place."""
+    a = np.ascontiguousarray(given, dtype=dtype)
+    if a.flags.writeable and (a is given or a.base is not None):
+        a = a.copy()
     a.flags.writeable = False
     return a
+
+
+def _check_pixels(bad: np.ndarray, array: str, values: np.ndarray, message: str):
+    """Raise ValidationError for the first pixel, flat index k, of the grid
+    `bad` that holds, naming `array` and k; `message` shows values[k] as {v}."""
+    if bad.any():
+        k = int(np.flatnonzero(bad)[0])
+        raise ValidationError(f"{message.format(v=values[k])} at pixel {k}", array, k)
 
 
 def so3_project(m: np.ndarray) -> np.ndarray:
@@ -72,15 +85,15 @@ class RigidTransform:
     translation: np.ndarray
 
     def __post_init__(self):
-        r = np.asarray(self.rotation, dtype=np.float64)
-        t = np.asarray(self.translation, dtype=np.float64)
+        r = _freeze(self.rotation, np.float64)
+        t = _freeze(self.translation, np.float64)
         if r.shape != (3, 3):
             raise ShapeMismatchError(f"rotation must be 3x3, got {r.shape}")
         if t.shape != (3,):
             raise ShapeMismatchError(f"translation must be a 3-vector, got {t.shape}")
         check_rigid(r[None], t[None], lambda k: "transform")
-        object.__setattr__(self, "rotation", _freeze(r))
-        object.__setattr__(self, "translation", _freeze(t))
+        object.__setattr__(self, "rotation", r)
+        object.__setattr__(self, "translation", t)
 
     @classmethod
     def identity(cls) -> "RigidTransform":
@@ -157,26 +170,26 @@ class DepthMap:
     mask: np.ndarray
 
     def __post_init__(self):
-        d = np.asarray(self.depth, dtype=np.float64)
-        m = np.asarray(self.mask, dtype=bool)
+        d = _freeze(self.depth, np.float64)
+        m = _freeze(self.mask, bool)
         shape = (self.height, self.width)
         if d.shape != shape or m.shape != shape:
             raise ShapeMismatchError(
                 f"depth/mask must have shape {shape}, got {d.shape} and {m.shape}"
             )
-        if not np.all(np.isfinite(d[m])) or np.any(d[m] <= 0):
-            raise ValidationError("valid depths must be strictly positive and finite")
-        if np.any(d[~m] != 0):
-            raise ValidationError("invalid pixels must carry depth 0")
-        object.__setattr__(self, "depth", _freeze(d))
-        object.__setattr__(self, "mask", _freeze(m))
+        _check_pixels(m & ~(np.isfinite(d) & (d > 0)), "depth", d.reshape(-1),
+                      "masked-in depth {v} is not strictly positive and finite")
+        _check_pixels(~m & (d != 0), "depth", d.reshape(-1), "masked-out depth {v} is not 0")
+        object.__setattr__(self, "depth", d)
+        object.__setattr__(self, "mask", m)
 
 
 @dataclass(frozen=True)
 class Pointmap:
     """W x H grid of 3D points with a confidence map and validity mask.
 
-    ``points[j, i]`` is the 3D point seen at pixel ``(i, j)``.
+    ``points[j, i]`` is the 3D point seen at pixel ``(i, j)``. Confidence
+    is strictly positive and finite; masked-in points are finite.
     """
 
     width: int
@@ -186,32 +199,29 @@ class Pointmap:
     mask: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.points, dtype=np.float64)
-        c = np.asarray(self.confidence, dtype=np.float64)
-        m = np.asarray(self.mask, dtype=bool)
+        p = _freeze(self.points, np.float64)
+        c = _freeze(self.confidence, np.float64)
+        m = _freeze(self.mask, bool)
         if p.shape != (self.height, self.width, 3):
             raise ShapeMismatchError(
                 f"points must have shape {(self.height, self.width, 3)}, got {p.shape}"
             )
         if c.shape != (self.height, self.width) or m.shape != (self.height, self.width):
             raise ShapeMismatchError("confidence/mask shape must be (height, width)")
-        if not (np.isfinite(c) & (c > 0)).all():
-            raise ValidationError("confidence values must be strictly positive and finite")
+        _check_pixels(~(np.isfinite(c) & (c > 0)), "confidence", c.reshape(-1),
+                      "confidence value {v} is not strictly positive and finite")
         # One pass over the whole map; masked-out pixels may hold NaN/inf,
-        # so only a failure there needs the masked-in points gathered.
-        if not (np.isfinite(p).all() or np.isfinite(p[m]).all()):
-            raise ValidationError("valid points must be finite")
-        object.__setattr__(self, "points", _freeze(p))
-        object.__setattr__(self, "confidence", _freeze(c))
-        object.__setattr__(self, "mask", _freeze(m))
+        # so only a failure there needs the points checked pixel by pixel.
+        if not np.isfinite(p).all():
+            _check_pixels(m & ~np.isfinite(p).all(axis=2), "points", p.reshape(-1, 3),
+                          "valid points must be finite: NaN/inf in a masked-in point {v}")
+        object.__setattr__(self, "points", p)
+        object.__setattr__(self, "confidence", c)
+        object.__setattr__(self, "mask", m)
 
     @property
     def n_valid(self) -> int:
         return int(np.count_nonzero(self.mask))
-
-    def pixel_grid(self) -> np.ndarray:
-        """(H, W, 2) array of (i, j) pixel coordinates."""
-        return pixel_grid(self.width, self.height)
 
 
 def pixel_grid(width: int, height: int) -> np.ndarray:
@@ -259,7 +269,9 @@ def change_frame(pm: Pointmap, pose_src: RigidTransform,
     ):
         return pm
     rel = compose(pose_dst, inverse(pose_src))
-    return Pointmap(pm.width, pm.height, rel.apply(pm.points), pm.confidence, pm.mask)
+    points = rel.apply(pm.points)
+    points.flags.writeable = False  # handed over read-only, so Pointmap does not copy it
+    return Pointmap(pm.width, pm.height, points, pm.confidence, pm.mask)
 
 
 def geodesic_deg(ra: np.ndarray, rb: np.ndarray) -> float:

@@ -16,7 +16,7 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, ValidationError
 from .geometry import DepthMap, Pointmap
 from .metrics import SequenceReport
 from .pose_graph import Edge, GlobalPoses, PoseGraph
@@ -57,16 +57,20 @@ offset  size          field
 ...     W*H           mask plane, bytes 0/1 (if flag bit 1)
 
 The file length must match the header exactly. Confidence values must
-be strictly positive and finite; mask bytes must be 0 or 1; NaN is
-forbidden in masked-in point entries. Without a mask plane every pixel
-counts as valid; without a confidence plane confidence reads as 1.
+be strictly positive and finite; mask bytes must be 0 or 1; NaN and inf
+are forbidden in masked-in point entries. Writers always write both
+optional planes. Readers accept files without them: without a mask
+plane every pixel counts as valid; without a confidence plane
+confidence reads as 1. A bad value is reported at a byte offset inside
+its pixel's entry in its plane.
 
 Depth container (magic "DMAP1")
 -------------------------------
-Same 17-byte header; flag bit 0 must be 0 (no confidence plane). The
-payload is one float32 depth plane, then the optional mask plane.
-Masked-in depths must be strictly positive and finite; masked-out
-pixels must carry depth 0.
+Same 17-byte header; bit 1 (mask plane) is its only flag bit, so bit 0
+is rejected as unknown. The payload is one float32 depth plane, then
+the mask plane, which writers always write; without it a pixel is
+masked in where its depth is > 0. Masked-in depths must be strictly
+positive and finite; masked-out pixels must carry depth 0.
 
 Poses document ("pmsfm poses v1")
 ---------------------------------
@@ -139,13 +143,13 @@ manifest's n_frames.
 Config ("pmsfm pipeline config v1")
 The fields of PipelineConfig, all optional: manifest, output_dir,
 ransac_max_iterations, ransac_inlier_threshold_px, ransac_confidence,
-quality_threshold, pair_policy (auto|all|window), window, align_mode
-(rigid|similarity), n_keep, rng_seed, jobs (pair-stage pool size; 0 =
-one thread per core when a pair map has at least 3000 pixels, else
-one), pair_validity. Config files written by earlier versions carry
-lines for removed options: staircase, ransac_min_sample, weight_mode,
-acc1_dist, acc1_deg, acc2_dist and acc2_deg. Each is rejected as an
-unknown key, so delete those lines.
+quality_threshold (in [0, 1]), pair_policy (auto|all|window), window,
+align_mode (rigid|similarity), n_keep, rng_seed, jobs (pair-stage pool
+size; 0 = one thread per core when a pair map has at least 3000
+pixels, else one), pair_validity. Config files written by earlier
+versions carry lines for removed options: staircase, ransac_min_sample,
+weight_mode, acc1_dist, acc1_deg, acc2_dist and acc2_deg. Each is
+rejected as an unknown key, so delete those lines.
 
 Scene spec ("pmsfm scene spec v1")
 The fields of SceneSpec, all optional: n_points, object_shape,
@@ -168,138 +172,106 @@ def _fmt(x: float) -> str:
 # binary containers
 
 
-class _Cursor:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise FormatError(
-                f"truncated payload: needed {self.pos + n} bytes, file has "
-                f"{len(self.data)}", offset=len(self.data))
-        out = self.data[self.pos:self.pos + n]
-        self.pos += n
-        return out
+# Planes of each container in file order: (name, stored dtype, values per
+# pixel, flag bit of an optional plane or 0). A name is also the field of
+# the type that the plane fills.
+_PLANES = {
+    MAGIC_POINTMAP: (("points", "<f4", 3, 0), ("confidence", "<f4", 1, FLAG_CONFIDENCE),
+                     ("mask", "u1", 1, FLAG_MASK)),
+    MAGIC_DEPTH: (("depth", "<f4", 1, 0), ("mask", "u1", 1, FLAG_MASK)),
+}
 
 
-def _read_header(cur: _Cursor, magic: bytes) -> tuple[int, int, int]:
-    got = cur.take(len(magic))
-    if got != magic:
-        raise FormatError(f"bad magic {got!r}, expected {magic!r}", offset=0)
-    width, height, flags = _HEADER.unpack(cur.take(_HEADER.size))
+def _read_header(data: bytes, magic: bytes) -> tuple[int, int, int]:
+    if len(data) >= len(magic) and data[:len(magic)] != magic:
+        raise FormatError(f"bad magic {data[:len(magic)]!r}, expected {magic!r}", offset=0)
+    if len(data) < _HEADER_END:
+        raise FormatError(f"truncated header: needed {_HEADER_END} bytes, file has"
+                          f" {len(data)}", offset=len(data))
+    width, height, flags = _HEADER.unpack_from(data, len(magic))
     if width == 0 or height == 0:
         raise FormatError("zero image dimension in header", offset=5)
-    if flags & ~(FLAG_CONFIDENCE | FLAG_MASK):
+    if flags & ~sum(bit for *_, bit in _PLANES[magic]):
         raise FormatError(f"unknown flag bits {flags:#x}", offset=13)
     return width, height, flags
 
 
-def _read_mask(cur: _Cursor, n: int) -> np.ndarray:
-    start = cur.pos
-    raw = np.frombuffer(cur.take(n), dtype=np.uint8)
-    bad = np.flatnonzero(raw > 1)
-    if len(bad):
-        raise FormatError(f"mask byte is {raw[bad[0]]}, expected 0 or 1",
-                          offset=start + int(bad[0]))
-    return raw.astype(bool)
+def _encode(magic: bytes, obj) -> bytes:
+    """Container of every plane of `obj`, a Pointmap or DepthMap."""
+    planes = _PLANES[magic]
+    return b"".join([magic, _HEADER.pack(obj.width, obj.height, sum(p[3] for p in planes))]
+                    + [np.asarray(getattr(obj, name), dtype).tobytes()
+                       for name, dtype, _, _ in planes])
 
 
-def _expect_end(cur: _Cursor):
-    if cur.pos != len(cur.data):
-        raise FormatError(
-            f"trailing data: expected {cur.pos} bytes, file has {len(cur.data)}",
-            offset=cur.pos)
+def _decode(data: bytes, magic: bytes) -> tuple[int, int, dict]:
+    """Width, height and each plane present in the container `data`, by
+    name: (flat read-only array, byte offset). The file length is checked
+    against the header before any plane is read; mask bytes must be 0/1."""
+    width, height, flags = _read_header(data, magic)
+    n = width * height
+    present = [p for p in _PLANES[magic] if not p[3] or flags & p[3]]
+    sizes = [n * per * np.dtype(dtype).itemsize for _, dtype, per, _ in present]
+    end = _HEADER_END + sum(sizes)
+    if len(data) != end:
+        what = "truncated payload" if len(data) < end else "trailing data"
+        raise FormatError(f"{what}: the header declares {end} bytes, file has {len(data)}",
+                          offset=min(len(data), end))
+    planes, offset = {}, _HEADER_END
+    for (name, dtype, per, _), size in zip(present, sizes):
+        planes[name] = (np.frombuffer(data, dtype, n * per, offset), offset)
+        offset += size
+    if "mask" in planes:
+        raw, offset = planes["mask"]
+        bad = np.flatnonzero(raw > 1)
+        if len(bad):
+            raise FormatError(f"mask byte is {raw[bad[0]]}, expected 0 or 1",
+                              offset=offset + int(bad[0]))
+        mask = raw.astype(bool)  # not a view, which would keep the file's bytes alive
+        mask.flags.writeable = False  # so the map takes it without a copy
+        planes["mask"] = (mask, offset)
+    return width, height, planes
 
 
-def pointmap_to_bytes(pm: Pointmap, with_confidence: bool = True,
-                      with_mask: bool = True) -> bytes:
-    flags = (FLAG_CONFIDENCE if with_confidence else 0) | (FLAG_MASK if with_mask else 0)
-    parts = [MAGIC_POINTMAP, _HEADER.pack(pm.width, pm.height, flags),
-             pm.points.astype("<f4").tobytes()]
-    if with_confidence:
-        parts.append(pm.confidence.astype("<f4").tobytes())
-    if with_mask:
-        parts.append(pm.mask.astype(np.uint8).tobytes())
-    return b"".join(parts)
+def _typed(cls, width: int, height: int, planes: dict, **grids):
+    """`cls(width, height, **grids)`; a pixel its invariants reject is
+    reported at that pixel's bytes in the plane it came from."""
+    try:
+        with np.errstate(invalid="ignore"):  # a signalling NaN warns as float32 widens
+            return cls(width, height, **grids)
+    except ValidationError as exc:
+        values, offset = planes[exc.array]
+        per_pixel = values.nbytes // (width * height)
+        raise FormatError(str(exc), offset=offset + exc.pixel * per_pixel) from None
+
+
+def pointmap_to_bytes(pm: Pointmap) -> bytes:
+    return _encode(MAGIC_POINTMAP, pm)
 
 
 def pointmap_from_bytes(data: bytes) -> Pointmap:
-    cur = _Cursor(data)
-    width, height, flags = _read_header(cur, MAGIC_POINTMAP)
-    n = width * height
-
-    # Planes are validated as read, before widening to float64, which
-    # keeps finiteness and sign.
-    points_off = cur.pos
-    points = np.frombuffer(cur.take(n * 12), dtype="<f4")
-    if flags & FLAG_CONFIDENCE:
-        conf_off = cur.pos
-        conf = np.frombuffer(cur.take(n * 4), dtype="<f4")
-        if not (np.isfinite(conf) & (conf > 0)).all():
-            bad = int(np.flatnonzero(~np.isfinite(conf) | (conf <= 0))[0])
-            raise FormatError(
-                f"confidence value {np.float64(conf[bad])} is not strictly positive"
-                " and finite", offset=conf_off + bad * 4)
-        conf = conf.astype(np.float64).reshape(height, width)
-    else:
-        conf = np.ones((height, width))
-    if flags & FLAG_MASK:
-        mask = _read_mask(cur, n).reshape(height, width)
-    else:
-        mask = np.ones((height, width), dtype=bool)
-    _expect_end(cur)
-
-    if not np.isfinite(points).all():
-        # Masked-out pixels may hold NaN/inf; report the first masked-in one.
-        masked_in = np.flatnonzero(mask.reshape(-1))
-        bad = np.flatnonzero(~np.isfinite(points.reshape(-1, 3)[masked_in]).all(axis=1))
-        if len(bad):
-            raise FormatError("NaN/inf in a masked-in point",
-                              offset=points_off + int(masked_in[bad[0]]) * 12)
-    points = points.astype(np.float64).reshape(height, width, 3)
-    return Pointmap(width, height, points, conf, mask)
+    width, height, planes = _decode(data, MAGIC_POINTMAP)
+    shape = (height, width)
+    conf = planes["confidence"][0].reshape(shape) if "confidence" in planes else np.ones(shape)
+    mask = planes["mask"][0].reshape(shape) if "mask" in planes else np.ones(shape, bool)
+    return _typed(Pointmap, width, height, planes,
+                  points=planes["points"][0].reshape(height, width, 3),
+                  confidence=conf, mask=mask)
 
 
-def depthmap_to_bytes(dm: DepthMap, with_mask: bool = True) -> bytes:
-    flags = FLAG_MASK if with_mask else 0
-    parts = [MAGIC_DEPTH, _HEADER.pack(dm.width, dm.height, flags),
-             dm.depth.astype("<f4").tobytes()]
-    if with_mask:
-        parts.append(dm.mask.astype(np.uint8).tobytes())
-    return b"".join(parts)
+def depthmap_to_bytes(dm: DepthMap) -> bytes:
+    return _encode(MAGIC_DEPTH, dm)
 
 
 def depthmap_from_bytes(data: bytes) -> DepthMap:
-    cur = _Cursor(data)
-    width, height, flags = _read_header(cur, MAGIC_DEPTH)
-    if flags & FLAG_CONFIDENCE:
-        raise FormatError("depth containers carry no confidence plane", offset=13)
-    n = width * height
-
-    depth_off = cur.pos
-    depth = np.frombuffer(cur.take(n * 4), dtype="<f4").astype(np.float64)
-    if flags & FLAG_MASK:
-        mask = _read_mask(cur, n)
-    else:
-        mask = depth > 0
-    _expect_end(cur)
-
-    bad = np.flatnonzero(mask & (~np.isfinite(depth) | (depth <= 0)))
-    if len(bad):
-        raise FormatError(f"masked-in depth {depth[bad[0]]} is not strictly"
-                          " positive and finite", offset=depth_off + int(bad[0]) * 4)
-    bad = np.flatnonzero(~mask & (depth != 0))
-    if len(bad):
-        raise FormatError(f"masked-out pixel carries depth {depth[bad[0]]}, expected 0",
-                          offset=depth_off + int(bad[0]) * 4)
-    return DepthMap(width, height, depth.reshape(height, width),
-                    mask.reshape(height, width))
+    width, height, planes = _decode(data, MAGIC_DEPTH)
+    depth = planes["depth"][0].reshape(height, width)
+    mask = planes["mask"][0].reshape(height, width) if "mask" in planes else depth > 0
+    return _typed(DepthMap, width, height, planes, depth=depth, mask=mask)
 
 
-def write_pointmap(path, pm: Pointmap, with_confidence: bool = True,
-                   with_mask: bool = True):
-    Path(path).write_bytes(pointmap_to_bytes(pm, with_confidence, with_mask))
+def write_pointmap(path, pm: Pointmap):
+    Path(path).write_bytes(pointmap_to_bytes(pm))
 
 
 def read_pointmap(path) -> Pointmap:
@@ -310,12 +282,12 @@ def read_pointmap_size(path) -> tuple[int, int]:
     """(width, height) of a pointmap container, read from its header alone."""
     with open(path, "rb") as fh:
         head = fh.read(_HEADER_END)
-    width, height, _ = _read_header(_Cursor(head), MAGIC_POINTMAP)
+    width, height, _ = _read_header(head, MAGIC_POINTMAP)
     return width, height
 
 
-def write_depthmap(path, dm: DepthMap, with_mask: bool = True):
-    Path(path).write_bytes(depthmap_to_bytes(dm, with_mask))
+def write_depthmap(path, dm: DepthMap):
+    Path(path).write_bytes(depthmap_to_bytes(dm))
 
 
 def read_depthmap(path) -> DepthMap:
@@ -458,8 +430,7 @@ def graph_from_text(text: str) -> PoseGraph:
         try:
             edges.append(Edge(
                 i=rec[1], j=rec[2],
-                rotation=np.array(rec[3:12]).reshape(3, 3),
-                translation=np.array(rec[12:15]),
+                rotation=(rec[3:6], rec[6:9], rec[9:12]), translation=rec[12:15],
                 weight=rec[15], quality=rec[16],
             ))
         except ValueError as exc:

@@ -90,6 +90,8 @@ class PipelineConfig:
             raise ConfigError(f"align_mode: unknown mode {self.align_mode!r}")
         if self.window < 1:
             raise ConfigError("window: must be >= 1")
+        if not 0.0 <= self.quality_threshold <= 1.0:
+            raise ConfigError(f"quality_threshold: {self.quality_threshold} is not in [0, 1]")
         if self.n_keep < 0 or self.jobs < 0:
             raise ConfigError("n_keep and jobs must be >= 0")
 
@@ -164,6 +166,8 @@ class Manifest:
     def __post_init__(self):
         if self.mode not in ("views", "pairs"):
             raise ValidationError(f"mode: unknown manifest mode {self.mode!r}")
+        if self.n_frames < 0:
+            raise ValidationError(f"n_frames: {self.n_frames} is negative")
         if self.n_frames > io_formats.MAX_FRAMES:
             raise ValidationError(f"n_frames: {self.n_frames} is over the"
                                   f" {io_formats.MAX_FRAMES}-frame cap")

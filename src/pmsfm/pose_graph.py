@@ -59,11 +59,11 @@ class Edge:
             raise ValidationError(f"self-loop edge at frame {self.i}")
         if not (math.isfinite(self.weight) and self.weight > 0):
             raise ValidationError(f"edge weight must be finite and positive, got {self.weight}")
-        r, t = np.asarray(self.rotation, np.float64), np.asarray(self.translation, np.float64)
+        r, t = _freeze(self.rotation, np.float64), _freeze(self.translation, np.float64)
         if (r.shape, t.shape) != ((3, 3), (3,)):
             raise ShapeMismatchError(f"edge ({self.i},{self.j}): shapes {r.shape}, {t.shape}")
-        object.__setattr__(self, "rotation", _freeze(r))
-        object.__setattr__(self, "translation", _freeze(t))
+        object.__setattr__(self, "rotation", r)
+        object.__setattr__(self, "translation", t)
 
 
 @dataclass(frozen=True)

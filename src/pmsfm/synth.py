@@ -380,6 +380,7 @@ def _corrupt(pm: Pointmap, fraction: float, noise_sigma: float,
         flat[chosen] = samples
         conf[chosen] = rng.uniform(0.01, 0.05, size=len(chosen))
         out_mask[chosen] = True
+    points.flags.writeable = conf.flags.writeable = False  # so Pointmap keeps them uncopied
     return (
         Pointmap(pm.width, pm.height, points, conf.reshape(pm.height, pm.width), pm.mask),
         out_mask.reshape(pm.height, pm.width),

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,21 @@ def assert_same_bits(a, b):
     assert a.dtype == b.dtype, f"dtype {a.dtype} != {b.dtype}"
     assert a.shape == b.shape, f"shape {a.shape} != {b.shape}"
     assert a.tobytes() == b.tobytes(), "arrays differ in their bits"
+
+
+def cut_planes(data: bytes, with_confidence: bool, with_mask: bool) -> bytes:
+    """A full pointmap or depth container with the optional planes not kept
+    cut out and their flag bits cleared: the file a writer of fewer planes
+    emits. Depth containers have no confidence plane to keep."""
+    width, height = struct.unpack_from("<II", data, 5)
+    n = width * height
+    pointmap = data[:5] == b"PMAP1"
+    first = 17 + (12 if pointmap else 4) * n
+    conf, mask = (data[first:first + 4 * n], data[first + 4 * n:]) if pointmap else (
+        b"", data[first:])
+    flags = int(with_confidence and pointmap) | int(with_mask) << 1
+    return (data[:13] + flags.to_bytes(4, "little") + data[17:first]
+            + (conf if with_confidence else b"") + (mask if with_mask else b""))
 
 
 def random_rigid(rng: np.random.Generator, t_scale: float = 1.0) -> RigidTransform:

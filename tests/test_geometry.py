@@ -296,7 +296,6 @@ class TestTypeValidation:
         mask[0, 1] = False
         pm = Pointmap(3, 2, pts, np.ones((2, 3)), mask)
         assert pm.points[0, 1, 2] != 0.0
-        pts = pts.copy()  # the accepted map froze the array it was given
         pts[1, 2, 0] = value  # a later, masked-in pixel
         with pytest.raises(ValidationError, match="valid points must be finite"):
             Pointmap(3, 2, pts, np.ones((2, 3)), mask)
@@ -310,6 +309,23 @@ class TestTypeValidation:
         d = np.array([[1.0, 0.5]])
         with pytest.raises(ValidationError):
             DepthMap(2, 1, d, np.array([[True, False]]))
+
+    def test_caller_arrays_stay_writeable_and_unshared(self, rng):
+        pts, conf, mask = np.zeros((2, 3, 3)), np.ones((2, 3)), np.ones((2, 3), bool)
+        depth, dmask = np.ones((2, 3)), np.ones((2, 3), bool)
+        r, t = random_rotation(rng), np.zeros(3)
+        pm = Pointmap(3, 2, pts, conf, mask)
+        dm = DepthMap(3, 2, depth, dmask)
+        rt = RigidTransform(r, t)
+        kept = [a.copy() for a in (pm.points, pm.confidence, pm.mask, dm.depth, dm.mask,
+                                   rt.rotation, rt.translation)]
+        for a in (pts, conf, depth, r, t):
+            a.reshape(-1)[0] = 7.0
+        mask[0, 0] = dmask[0, 0] = False
+        for a, before in zip((pm.points, pm.confidence, pm.mask, dm.depth, dm.mask,
+                              rt.rotation, rt.translation), kept):
+            assert_same_bits(a, before)
+            assert not a.flags.writeable
 
     def test_immutable_arrays(self, rng):
         pm = Pointmap(2, 2, np.zeros((2, 2, 3)), np.ones((2, 2)),

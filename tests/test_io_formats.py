@@ -2,6 +2,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pmsfm.errors import FormatError
 from pmsfm.geometry import DepthMap, Pointmap, random_rotation
@@ -24,6 +26,8 @@ from pmsfm.io_formats import (
 )
 from pmsfm.metrics import SequenceReport
 from pmsfm.pose_graph import Edge, GlobalPoses, PoseGraph
+
+from conftest import cut_planes
 
 
 def random_pointmap(rng, width=16, height=12, with_mask=True):
@@ -58,7 +62,7 @@ class TestPointmapContainer:
 
     def test_optional_planes(self, rng):
         pm = random_pointmap(rng, with_mask=False)
-        data = pointmap_to_bytes(pm, with_confidence=False, with_mask=False)
+        data = cut_planes(pointmap_to_bytes(pm), with_confidence=False, with_mask=False)
         back = pointmap_from_bytes(data)
         assert np.all(back.confidence == 1.0)
         assert back.mask.all()
@@ -115,6 +119,19 @@ class TestPointmapContainer:
         back = pointmap_from_bytes(bytes(data))
         assert back.points[1, 2, 2] != 0.0
         np.testing.assert_array_equal(back.mask, mask)
+
+    def test_signalling_nan_read_without_warning(self):
+        pts = np.zeros((3, 4, 3))
+        mask = np.ones((3, 4), bool)
+        mask[1, 2] = False
+        data = bytearray(pointmap_to_bytes(Pointmap(4, 3, pts, np.ones((3, 4)), mask)))
+        snan = np.uint32(0x7F800001).tobytes()  # widening it to float64 raises "invalid"
+        data[17 + 6 * 12:17 + 6 * 12 + 4] = snan  # pixel 6, masked out
+        assert np.isnan(pointmap_from_bytes(bytes(data)).points[1, 2, 0])
+        data[17 + 5 * 12 + 8:17 + 5 * 12 + 12] = snan  # z of pixel 5, masked in
+        with pytest.raises(FormatError, match="NaN/inf in a masked-in point") as exc:
+            pointmap_from_bytes(bytes(data))
+        assert exc.value.offset == 17 + 5 * 12
 
     def test_masked_in_inf_reported_past_masked_out_nan(self):
         pts = np.zeros((3, 4, 3))
@@ -186,12 +203,68 @@ class TestPointmapContainer:
         pts = np.zeros((1, 1, 3))
         pts[0, 0] = [1.0, 2.0, 3.0]
         pm = Pointmap(1, 1, pts, np.ones((1, 1)), np.ones((1, 1), bool))
-        data = pointmap_to_bytes(pm, with_confidence=False, with_mask=False)
+        data = cut_planes(pointmap_to_bytes(pm), with_confidence=False, with_mask=False)
         assert data[:5] == b"PMAP1"
         assert data[5:9] == (1).to_bytes(4, "little")
         assert data[9:13] == (1).to_bytes(4, "little")
         assert data[13:17] == (0).to_bytes(4, "little")
         assert np.frombuffer(data[17:], dtype="<f4").tolist() == [1.0, 2.0, 3.0]
+
+
+_NON_FINITE = [np.nan, np.inf, -np.inf]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_bad_value_reported_inside_its_pixel(data):
+    """One bad value in one plane of a valid container, with each optional
+    plane present or cut: the reader names a byte of that pixel in that plane."""
+    draw = data.draw
+    w, h = draw(st.integers(1, 20)), draw(st.integers(1, 20))
+    n = w * h
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    depth = draw(st.booleans())
+    with_conf, with_mask = draw(st.booleans()) and not depth, draw(st.booleans())
+    if depth:
+        dm = random_depthmap(rng, w, h)
+        container, mask, read = depthmap_to_bytes(dm), dm.mask, depthmap_from_bytes
+        planes = {"depth": (17, 4), "mask": (17 + 4 * n, 1)}
+    else:
+        pm = random_pointmap(rng, w, h, with_mask=with_mask)
+        container, mask, read = pointmap_to_bytes(pm), pm.mask, pointmap_from_bytes
+        planes = {"points": (17, 12), "confidence": (17 + 12 * n, 4),
+                  "mask": (17 + (16 if with_conf else 12) * n, 1)}
+    masked_in = np.flatnonzero(mask).tolist()
+    masked_out = np.flatnonzero(~mask).tolist()
+    every = list(range(n))
+    # corruption: (plane, pixels it may hit, float32 values that break the
+    # plane's invariant there, or None for a mask byte over 1)
+    corruptions = {"mask": ("mask", every if with_mask else [], None)}
+    if depth:
+        # Without a mask plane a zero depth reads as masked out, which is valid.
+        corruptions["masked-in depth"] = ("depth", masked_in, [-1.5] + _NON_FINITE
+                                          + ([0.0, -0.0] if with_mask else []))
+        corruptions["masked-out depth"] = ("depth", masked_out if with_mask else [],
+                                           [1.5, -1.5, 1e-40] + _NON_FINITE)
+    else:
+        corruptions["point"] = ("points", masked_in, _NON_FINITE)
+        corruptions["confidence"] = ("confidence", every if with_conf else [],
+                                     [0.0, -0.0, -1.5] + _NON_FINITE)
+    usable = sorted(name for name, (_, pixels, _) in corruptions.items() if pixels)
+    assume(usable)
+    plane, pixels, values = corruptions[draw(st.sampled_from(usable))]
+    k = draw(st.sampled_from(pixels))
+    offset, size = planes[plane]
+    start = offset + k * size
+    buf = bytearray(cut_planes(container, with_conf, with_mask))
+    if values is None:
+        buf[start] = draw(st.integers(2, 255))
+    else:
+        at = start + 4 * draw(st.integers(0, size // 4 - 1))
+        buf[at:at + 4] = np.float32(draw(st.sampled_from(values))).tobytes()
+    with pytest.raises(FormatError) as exc:
+        read(bytes(buf))
+    assert start <= exc.value.offset < start + size
 
 
 class TestDepthContainer:
@@ -399,8 +472,8 @@ class TestFuzzRoundTrips:
         w, h = int(rng.integers(1, 20)), int(rng.integers(1, 20))
         pm = random_pointmap(rng, w, h)
         flags = (bool(rng.integers(2)), bool(rng.integers(2)))
-        data = pointmap_to_bytes(pm, with_confidence=flags[0], with_mask=flags[1])
-        assert pointmap_to_bytes(pointmap_from_bytes(data), *flags) == data
+        data = cut_planes(pointmap_to_bytes(pm), *flags)
+        assert cut_planes(pointmap_to_bytes(pointmap_from_bytes(data)), *flags) == data
         dm = random_depthmap(rng, w, h)
         ddata = depthmap_to_bytes(dm)
         assert depthmap_to_bytes(depthmap_from_bytes(ddata)) == ddata

@@ -113,8 +113,18 @@ class TestConfigAndManifest:
         with pytest.raises(ConfigError):
             pipeline.PipelineConfig(pair_policy="ring")
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.1, 1.5])
+    def test_config_rejects_quality_threshold_outside_unit_interval(self, value):
+        with pytest.raises(ConfigError, match=r"^quality_threshold: .* is not in \[0, 1\]$"):
+            pipeline.PipelineConfig(quality_threshold=value)
+        with pytest.raises(ConfigError, match="quality_threshold"):
+            pipeline.config_from_text(f"quality_threshold {value!r}\n")
+        for ok in (0.0, 1.0):
+            assert pipeline.PipelineConfig(quality_threshold=ok).quality_threshold == ok
+
     @given(dataclass_values(
         pipeline.PipelineConfig, window=st.integers(min_value=1),
+        quality_threshold=st.floats(0.0, 1.0),
         n_keep=st.integers(min_value=0), jobs=st.integers(min_value=0),
         pair_policy=st.sampled_from(["auto", "all", "window"]),
         align_mode=st.sampled_from(["rigid", "similarity"])))
@@ -516,6 +526,15 @@ class TestCli:
         cap = io_formats.MAX_FRAMES
         text = f"mode pairs\nn_frames {cap}\npair 0 {cap - 1} a.pmap b.pmap\n"
         assert pipeline.manifest_from_text(text, tmp_path).n_frames == cap
+
+    def test_manifest_negative_frames_exit_5(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text("mode pairs\nn_frames -5\n", encoding="utf-8")
+        assert main(["solve", "--manifest", str(manifest),
+                     "--out", str(tmp_path / "run")]) == 5
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "n_frames: -5 is negative" in err[0]
 
     def test_eval_rejects_repeated_frame(self, bundle_dir, tmp_path, capsys):
         text = (bundle_dir / "gt_poses.txt").read_text(encoding="utf-8")
