@@ -141,9 +141,9 @@ class GlobalPoses:
     recovered: np.ndarray
 
     def __post_init__(self):
-        r = np.asarray(self.rotations, dtype=np.float64)
-        t = np.asarray(self.translations, dtype=np.float64)
-        rec = np.asarray(self.recovered, dtype=bool)
+        r = _freeze(self.rotations, np.float64)
+        t = _freeze(self.translations, np.float64)
+        rec = _freeze(self.recovered, bool)
         n = len(rec)
         if r.shape != (n, 3, 3) or t.shape != (n, 3):
             raise ValidationError(

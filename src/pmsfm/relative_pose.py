@@ -32,6 +32,7 @@ _FOCAL_ITERS = 50
 # Relative step at which the focal solve stops, five orders tighter than
 # the accuracy contract.
 _FOCAL_RTOL = 1e-11
+# Local-optimization rounds on the strided subset.
 _REFINE_ROUNDS = 3
 # Cap on the Gauss-Newton steps of one refinement call.
 _REFINE_ITERS = 20
@@ -44,6 +45,11 @@ _P3P_CHUNK = 8
 # Points per RANSAC sample: three for P3P and one to choose among its
 # roots; more would only lower the odds of an all-inlier sample.
 _MIN_SAMPLE = 4
+# Correspondences the iterative solves run on: every s-th one, with
+# s = ceil(n / _LO_POINTS), feeds the local optimization and the focal
+# start, and one full-resolution pass finishes each. At or below it the
+# subset is the full set.
+_LO_POINTS = 20_000
 
 
 @dataclass(frozen=True)
@@ -88,14 +94,12 @@ def estimate_focal(pm: Pointmap) -> float:
 
     Minimizes the convex robust objective F(f) = sum_i ||b_i - f * d_i||
     with b_i = pixel - center and d_i = (x/z, y/z), from a
-    median-of-ratios start, by safeguarded Newton iteration. With
-    e_i = b_i - f d_i and w_i = 1 / max(||e_i||, 1e-12),
-    F' = -sum w (d.e) and F'' = sum w (d.d - w^2 (d.e)^2). The sign of F'
-    narrows a bracket around the minimum. A Newton step is taken when
-    F'' > 0 and it stays inside the bracket, moving at most half its
-    width; otherwise the Weiszfeld step f - F' / sum w d.d, which always
-    descends, is taken. Pixels on the principal ray carry no focal
-    information and are dropped.
+    median-of-ratios start, by safeguarded Newton iteration
+    (`_focal_newton`). Pixels on the principal ray carry no focal
+    information and are dropped. Above `_LO_POINTS` usable pixels the
+    start and a first solve use every s-th of them,
+    s = ceil(n / _LO_POINTS), and the solve on all pixels starts from
+    that f.
     """
     c_x, c_y = pm.width / 2.0, pm.height / 2.0
     pts = pm.points.reshape(-1, 3)
@@ -114,15 +118,39 @@ def estimate_focal(pm: Pointmap) -> float:
     dx = x[idx] / z_u
     dy = y[idx] / z_u
 
-    ratios = np.sqrt(bx * bx + by * by) / np.sqrt(dx * dx + dy * dy)
+    stride = -(-len(idx) // _LO_POINTS)
+    sbx, sby, sdx, sdy = (np.ascontiguousarray(c[::stride]) for c in (bx, by, dx, dy))
+    ratios = np.sqrt(sbx * sbx + sby * sby) / np.sqrt(sdx * sdx + sdy * sdy)
     f = float(np.median(ratios))
-    dot_dd = dx * dx + dy * dy
+    if stride > 1:
+        f, _ = _focal_newton(sbx, sby, sdx, sdy, f)
+    f, converged = _focal_newton(bx, by, dx, dy, f)
+    if not converged:
+        # The text predates the Newton solve; run logs are matched on it.
+        warnings.warn("focal IRLS hit its iteration budget; returning best iterate",
+                      ConvergenceWarning)
+    return f
 
+
+def _focal_newton(bx: np.ndarray, by: np.ndarray, dx: np.ndarray, dy: np.ndarray,
+                  f: float) -> tuple[float, bool]:
+    """Safeguarded Newton minimization of F(f) = sum_i ||b_i - f d_i||
+    from ``f``, on the columns of b and d; returns the last iterate and
+    whether its step met the relative stop `_FOCAL_RTOL`.
+
+    With e_i = b_i - f d_i and w_i = 1 / max(||e_i||, 1e-12),
+    F' = -sum w (d.e) and F'' = sum w (d.d - w^2 (d.e)^2). The sign of F'
+    narrows a bracket around the minimum. A Newton step is taken when
+    F'' > 0 and it stays inside the bracket, moving at most half its
+    width; otherwise the Weiszfeld step f - F' / sum w d.d, which always
+    descends, is taken. A non-finite f, or d.d underflowing everywhere,
+    gives NaN.
+    """
+    dot_dd = dx * dx + dy * dy
     # Each iteration runs in place on preallocated columns; u = w (d.e)
     # obeys u^2 <= d.d, so every term of F'' is non-negative.
-    ex, ey, w, u = np.empty((4, len(idx)))
+    ex, ey, w, u = np.empty((4, len(bx)))
     lo, hi = -math.inf, math.inf
-    converged = False
     for _ in range(_FOCAL_ITERS):
         np.subtract(bx, np.multiply(dx, f, out=ex), out=ex)
         np.subtract(by, np.multiply(dy, f, out=ey), out=ey)
@@ -132,9 +160,8 @@ def estimate_focal(pm: Pointmap) -> float:
         np.multiply(w, u, out=u)
         grad = -float(u.sum())
         curv_dd = float(np.multiply(w, dot_dd, out=ex).sum())
-        if not curv_dd > 0.0:  # f is not finite, or every d.d underflowed
-            f = math.nan
-            break
+        if not curv_dd > 0.0:
+            return math.nan, False
         curv = curv_dd - float(np.multiply(np.multiply(u, u, out=ey), w, out=ey).sum())
         if grad > 0.0:
             hi = f
@@ -144,15 +171,9 @@ def estimate_focal(pm: Pointmap) -> float:
         if not (lo < f_new < hi and abs(f_new - f) <= 0.5 * (hi - lo)):
             f_new = f - grad / curv_dd
         if abs(f_new - f) <= _FOCAL_RTOL * max(1.0, abs(f)):
-            f = f_new
-            converged = True
-            break
+            return f_new, True
         f = f_new
-    if not converged:
-        # The text predates the Newton solve; run logs are matched on it.
-        warnings.warn("focal IRLS hit its iteration budget; returning best iterate",
-                      ConvergenceWarning)
-    return f
+    return f, False
 
 
 def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -442,38 +463,29 @@ def refine_pose(points: np.ndarray, pixels: np.ndarray, k: CameraIntrinsics,
     return r, t
 
 
-def pnp_ransac(pm2_in_1: Pointmap, k: CameraIntrinsics,
-               cfg: RansacConfig = RansacConfig()) -> RelativePoseResult:
-    """Robust world-to-camera pose of view 2 from its pointmap in view 1's frame.
+def _msac(errs: np.ndarray, thr: float) -> float:
+    """MSAC score: the squared reprojection errors truncated at thr^2,
+    summed (Torr & Zisserman, CVIU 2000); lower is better."""
+    return float(np.minimum(errs * errs, thr * thr).sum())
 
-    2D correspondences are view 2's own pixel grid at the pointmap's
-    valid pixels. Minimal P3P hypotheses (with a 4th sample point for
-    disambiguation) are scored by inlier count with mean inlier
-    reprojection error as the tie-break; the winner is refined by damped
-    Gauss-Newton and the inlier set is re-extracted under the refined
-    pose. Deterministic for a fixed ``cfg.rng_seed``.
+
+def _ransac_hypothesis(points: np.ndarray, pixels: np.ndarray, k: CameraIntrinsics,
+                       cfg: RansacConfig) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+    """The best minimal-sample pose of coordinate rows ``points`` (3, N)
+    and ``pixels`` (2, N), with its per-point reprojection errors.
+
+    Minimal P3P hypotheses (with a 4th sample point for disambiguation)
+    are scored by inlier count with mean inlier reprojection error as the
+    tie-break, until the adaptive stop for ``cfg.confidence``.
     """
-    valid = pm2_in_1.mask.reshape(-1)
-    n_valid = int(np.count_nonzero(valid))
-    if n_valid < _MIN_SAMPLE:
-        raise InsufficientDataError(
-            f"PnP needs >= {_MIN_SAMPLE} valid pixels, got {n_valid}"
-        )
-    # Coordinate rows (3, N) and (2, N): scoring and refinement run one
-    # contiguous pass per coordinate.
-    valid_idx = np.flatnonzero(valid)
-    points = np.ascontiguousarray(pm2_in_1.points.reshape(-1, 3)[valid_idx].T)
-    pixels = np.empty((2, n_valid))
-    pixels[0] = valid_idx % pm2_in_1.width
-    pixels[1] = valid_idx // pm2_in_1.width
-
+    n_valid = points.shape[1]
     rng = np.random.default_rng(cfg.rng_seed)
     thr = cfg.inlier_threshold_px
 
     best_count = 0
     best_mean = np.inf
     best_pose = None
-    best_inl = None
+    best_errs = None
     needed = cfg.max_iterations
 
     it = 0
@@ -504,7 +516,7 @@ def pnp_ransac(pm2_in_1: Pointmap, k: CameraIntrinsics,
             mean_err = float(errs[inl].mean())
             if count > best_count or (count == best_count and mean_err < best_mean):
                 best_count, best_mean = count, mean_err
-                best_pose, best_inl = cand_pose, inl
+                best_pose, best_errs = cand_pose, errs
                 # Adaptive stop: enough iterations to hit an all-inlier
                 # minimal sample with the configured confidence.
                 w = min(count / n_valid, 1.0 - 1e-12)
@@ -517,35 +529,81 @@ def pnp_ransac(pm2_in_1: Pointmap, k: CameraIntrinsics,
         raise NoPoseFoundError(
             f"no consensus set of >= {_MIN_SAMPLE} inliers after {it} iterations"
         )
+    return best_pose, best_errs
 
-    # Local optimization: refine on the inlier set, re-extract inliers,
-    # repeat while it keeps paying and the inlier set changes; never
-    # return fewer inliers than the hypothesis that was selected.
-    pose, inl, count, mean_err = best_pose, best_inl, best_count, best_mean
+
+def pnp_ransac(pm2_in_1: Pointmap, k: CameraIntrinsics,
+               cfg: RansacConfig = RansacConfig()) -> RelativePoseResult:
+    """Robust world-to-camera pose of view 2 from its pointmap in view 1's frame.
+
+    2D correspondences are view 2's own pixel grid at the pointmap's
+    valid pixels. RANSAC selects a P3P hypothesis (`_ransac_hypothesis`).
+    Local optimization (Chum, Matas & Kittler, DAGM 2003; Lebeda, Matas
+    & Chum, BMVC 2012) then runs on every s-th correspondence,
+    s = ceil(n / _LO_POINTS): up to `_REFINE_ROUNDS` damped Gauss-Newton
+    refinements on the subset's inliers, each accepted when it strictly
+    lowers the subset's MSAC score. When s > 1, one refinement on the
+    full-resolution inliers under the LO pose polishes it. The result is
+    whichever of the polished pose, the LO pose and the hypothesis has
+    the lowest full-resolution MSAC score, with its inliers.
+    Deterministic for a fixed ``cfg.rng_seed``.
+    """
+    valid = pm2_in_1.mask.reshape(-1)
+    n_valid = int(np.count_nonzero(valid))
+    if n_valid < _MIN_SAMPLE:
+        raise InsufficientDataError(
+            f"PnP needs >= {_MIN_SAMPLE} valid pixels, got {n_valid}"
+        )
+    # Coordinate rows (3, N) and (2, N): scoring and refinement run one
+    # contiguous pass per coordinate.
+    valid_idx = np.flatnonzero(valid)
+    points = np.ascontiguousarray(pm2_in_1.points.reshape(-1, 3)[valid_idx].T)
+    pixels = np.empty((2, n_valid))
+    pixels[0] = valid_idx % pm2_in_1.width
+    pixels[1] = valid_idx // pm2_in_1.width
+    thr = cfg.inlier_threshold_px
+    hypothesis, hyp_errs = _ransac_hypothesis(points, pixels, k, cfg)
+
+    # Local optimization on the strided subset; the subset's errors under
+    # the hypothesis are its full-resolution errors' every s-th entry.
+    stride = -(-n_valid // _LO_POINTS)
+    sub_points = np.ascontiguousarray(points[:, ::stride])
+    sub_pixels = np.ascontiguousarray(pixels[:, ::stride])
+    pose, errs = hypothesis, hyp_errs[::stride]
+    inl, score = errs < thr, _msac(errs, thr)
     for _ in range(_REFINE_ROUNDS):
-        r_ref, t_ref = refine_pose(points.compress(inl, axis=1).T,
-                                   pixels.compress(inl, axis=1).T, k, pose[0], pose[1])
-        errs = _reproj_errors(points, pixels, k, r_ref, t_ref)
-        inl_ref = errs < thr
-        count_ref = int(np.count_nonzero(inl_ref))
-        if count_ref == 0:
-            break
-        mean_ref = float(errs[inl_ref].mean())
-        if not (count_ref > count or (count_ref == count and mean_ref < mean_err)):
+        r_ref, t_ref = refine_pose(sub_points.compress(inl, axis=1).T,
+                                   sub_pixels.compress(inl, axis=1).T, k, *pose)
+        errs_ref = _reproj_errors(sub_points, sub_pixels, k, r_ref, t_ref)
+        score_ref = _msac(errs_ref, thr)
+        if not score_ref < score:
             break
         # A repeated inlier set would be refined again from refine's own
         # converged output, which cannot move the pose.
+        inl_ref = errs_ref < thr
         repeated = np.array_equal(inl_ref, inl)
-        pose, inl, count, mean_err = (r_ref, t_ref), inl_ref, count_ref, mean_ref
+        pose, errs, inl, score = (r_ref, t_ref), errs_ref, inl_ref, score_ref
         if repeated:
             break
 
+    if stride > 1:
+        errs = _reproj_errors(points, pixels, k, *pose)
+        inl = errs < thr
+        polished = refine_pose(points.compress(inl, axis=1).T,
+                               pixels.compress(inl, axis=1).T, k, *pose)
+        candidates = [(polished, _reproj_errors(points, pixels, k, *polished)), (pose, errs)]
+    else:
+        candidates = [(pose, errs)]
+    # min keeps the first of equal scores, so a tie goes to the later stage.
+    pose, errs = min(candidates + [(hypothesis, hyp_errs)], key=lambda c: _msac(c[1], thr))
+
+    inl = errs < thr
     full_mask = np.zeros(pm2_in_1.height * pm2_in_1.width, dtype=bool)
     full_mask[valid_idx[inl]] = True
     return RelativePoseResult(
         transform=RigidTransform.from_matrix_parts(pose[0], pose[1]),
         inlier_mask=full_mask.reshape(pm2_in_1.height, pm2_in_1.width),
-        inlier_count=count,
+        inlier_count=int(np.count_nonzero(inl)),
         focal=k.f,
-        mean_inlier_reproj_err=mean_err,
+        mean_inlier_reproj_err=float(errs[inl].mean()),
     )

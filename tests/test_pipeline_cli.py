@@ -14,11 +14,19 @@ from hypothesis import strategies as st
 from pmsfm import io_formats, pipeline, relative_pose
 from pmsfm.cli import main
 from pmsfm.errors import ConfigError, FormatError, InsufficientDataError
-from pmsfm.geometry import compose, geodesic_deg, inverse
+from pmsfm.geometry import (
+    DepthMap,
+    Pointmap,
+    change_frame,
+    compose,
+    geodesic_deg,
+    inverse,
+    pointmap_from_depth,
+)
 from pmsfm.pose_graph import GlobalPoses, rotation_objective
-from pmsfm.synth import SceneSpec, generate, make_pair_pointmaps
+from pmsfm.synth import PairPointmaps, SceneSpec, generate, make_pair_pointmaps
 
-from conftest import winding_cycle
+from conftest import random_rigid, winding_cycle
 
 
 def tree_digest(root: Path) -> dict:
@@ -43,18 +51,48 @@ def bundle_dir(tmp_path):
     return out
 
 
-def write_pairs_bundle(bundle, pair_dir: Path, pairs) -> Path:
-    """Pair pointmap files plus a pairs-mode manifest listing them."""
+def write_pair_maps(pair_dir: Path, n_frames: int, maps) -> Path:
+    """Pair pointmap files plus a pairs-mode manifest listing them; `maps`
+    holds the `PairPointmaps` of each pair (i, j)."""
     pair_dir.mkdir()
-    lines = ["# pairs", "mode pairs", f"n_frames {bundle.n_views}"]
-    for i, j in pairs:
-        pair = make_pair_pointmaps(bundle, i, j)
+    lines = ["# pairs", "mode pairs", f"n_frames {n_frames}"]
+    for (i, j), pair in maps.items():
         ref, src = f"p{i}{j}_ref.pmap", f"p{i}{j}_src.pmap"
         io_formats.write_pointmap(pair_dir / ref, pair.view1)
         io_formats.write_pointmap(pair_dir / src, pair.view2)
         lines.append(f"pair {i} {j} {ref} {src}")
     (pair_dir / "manifest.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     return pair_dir / "manifest.txt"
+
+
+def write_pairs_bundle(bundle, pair_dir: Path, pairs) -> Path:
+    """The bundle's simulated pair pointmaps as a pairs-mode manifest."""
+    return write_pair_maps(pair_dir, bundle.n_views,
+                           {(i, j): make_pair_pointmaps(bundle, i, j) for i, j in pairs})
+
+
+def dense_pair_maps(n_frames: int, pairs, size=(200, 150), f=180.0, seed=0):
+    """Full-coverage pair pointmaps of random depths and
+    poses with 0.01 point noise and 10% gross outliers, shaped like
+    network output; every map has more valid pixels than the pair
+    stage's strided subset takes."""
+    rng = np.random.default_rng(seed)
+    w, h = size
+    k = relative_pose.make_intrinsics(w, h, f)
+    poses = [random_rigid(rng, 0.5) for _ in range(n_frames)]
+    full = np.ones((h, w), dtype=bool)
+    own = [pointmap_from_depth(DepthMap(w, h, rng.uniform(2.0, 5.0, size=(h, w)), full), k)
+           for _ in range(n_frames)]
+
+    def corrupt(pm):
+        pts = pm.points + rng.normal(scale=0.01, size=pm.points.shape)
+        out = rng.uniform(size=(h, w)) < 0.1
+        pts[out] += rng.normal(size=(int(out.sum()), 3))
+        return Pointmap(w, h, pts, pm.confidence, pm.mask)
+
+    return {(i, j): PairPointmaps(corrupt(own[i]),
+                                  corrupt(change_frame(own[j], poses[j], poses[i])))
+            for i, j in pairs}
 
 
 def run_log_value(run_dir: Path, key: str) -> str:
@@ -406,6 +444,16 @@ class TestSolveStage:
         # float32 container quantization keeps this from being exact
         gt = compose(bundle.views[1].pose, inverse(bundle.views[0].pose))
         assert geodesic_deg(result.poses.rotations[1], gt.rotation) <= 1e-2
+
+    def test_pairs_mode_polish_path_is_deterministic(self, tmp_path):
+        # Maps above the strided-subset threshold take the full-resolution
+        # polish; two pool threads and one must write the same bytes.
+        maps = dense_pair_maps(3, [(0, 1), (0, 2), (1, 2)])
+        assert all(pm.n_valid > relative_pose._LO_POINTS
+                   for pair in maps.values() for pm in (pair.view1, pair.view2))
+        result, _ = solve_with_jobs(write_pair_maps(tmp_path / "pairs", 3, maps),
+                                    tmp_path / "run", 2)
+        assert result.poses.recovered.all()
 
     def test_corrupt_pair_file_skipped(self, tmp_path):
         bundle = generate(small_spec(n_views=3))

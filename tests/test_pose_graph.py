@@ -734,6 +734,20 @@ class TestEdgeValidation:
         with pytest.raises(ValidationError, match=r"^frame 2: not finite or off SO\(3\)"):
             GlobalPoses(rot, trans, np.array([True, True, False, True]))
 
+    def test_global_poses_keep_read_only_copies(self):
+        r = np.stack([np.eye(3)] * 2)
+        t = np.zeros((2, 3))
+        rec = np.ones(2, dtype=bool)
+        poses = GlobalPoses(r, t, rec)
+        t[1, 0] = 5.0
+        r[0, 0, 0] = 7.0
+        rec[1] = False
+        np.testing.assert_array_equal(poses.rotations, np.stack([np.eye(3)] * 2))
+        np.testing.assert_array_equal(poses.translations, np.zeros((2, 3)))
+        assert poses.recovered.all()
+        for a in (poses.rotations, poses.translations, poses.recovered):
+            assert not a.flags.writeable
+
 
 class TestStackedSolvers:
     """The block-matrix solvers against the per-edge references above."""
