@@ -56,7 +56,6 @@ from .pose_graph import (
     translation_averaging,
 )
 from .relative_pose import (
-    RansacConfig,
     RelativePoseResult,
     estimate_focal,
     make_intrinsics,

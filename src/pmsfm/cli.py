@@ -48,14 +48,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--manifest", help="input manifest")
     p_solve.add_argument("--out", default=None,
                          help=f"output directory (default ${pipeline.OUTPUT_DIR_ENV})")
-    p_solve.add_argument("--ransac-max-iterations", type=int, dest="ransac_max_iterations")
-    p_solve.add_argument("--ransac-inlier-threshold-px", type=float,
-                         dest="ransac_inlier_threshold_px")
-    p_solve.add_argument("--ransac-confidence", type=float, dest="ransac_confidence")
-    p_solve.add_argument("--quality-threshold", type=float, dest="quality_threshold")
-    p_solve.add_argument("--pair-policy", choices=("auto", "all", "window"),
-                         dest="pair_policy")
-    p_solve.add_argument("--window", type=int)
     p_solve.add_argument("--n-keep", type=int, dest="n_keep",
                          help="subsample to this many evenly spaced frames")
     p_solve.add_argument("--seed", type=int, dest="rng_seed")

@@ -117,10 +117,11 @@ order listed below, leaving out empty strings.
 Manifest ("pmsfm manifest v1")
     mode <views|pairs>             required
     n_frames <int>                 required, 0..1000000 (MAX_FRAMES)
-    focal <float>                  views mode: the shared focal, > 0
+    focal <float>                  views mode: the shared focal, finite, > 0
     gt_poses <path>                views mode: poses document
     scene_scale, outlier_fraction, point_noise_sigma <float>
-    rng_seed <int>                 views mode: pair simulation settings
+    rng_seed <int>                 views mode: pair simulation settings,
+                                   under the scene spec's rules
     view <frame> <depth.dmap>                      record, views mode
     pair <i> <j> <ref.pmap> <src.pmap>             record, pairs mode
 Paths are relative to the manifest's directory. A pair record's
@@ -142,20 +143,22 @@ manifest's n_frames.
 
 Config ("pmsfm pipeline config v1")
 The fields of PipelineConfig, all optional: manifest, output_dir,
-ransac_max_iterations, ransac_inlier_threshold_px, ransac_confidence,
-quality_threshold (in [0, 1]), pair_policy (auto|all|window), window,
 align_mode (rigid|similarity), n_keep, rng_seed, jobs (pair-stage pool
 size; 0 = one thread per core when a pair map has at least 3000
-pixels, else one), pair_validity. Config files written by earlier
-versions carry lines for removed options: staircase, ransac_min_sample,
-weight_mode, acc1_dist, acc1_deg, acc2_dist and acc2_deg. Each is
-rejected as an unknown key, so delete those lines.
+pixels, else one), pair_validity. n_keep, rng_seed and jobs are >= 0.
+Config files written by earlier versions carry lines for removed
+options: staircase, ransac_min_sample, weight_mode, acc1_dist,
+acc1_deg, acc2_dist, acc2_deg, ransac_max_iterations,
+ransac_inlier_threshold_px, ransac_confidence, quality_threshold,
+pair_policy and window. Each is rejected as an unknown key, so delete
+those lines. The last six are now solver constants, fixed at their
+former defaults.
 
 Scene spec ("pmsfm scene spec v1")
 The fields of SceneSpec, all optional: n_points, object_shape,
 scene_scale, n_views, trajectory, focal_range <lo> <hi>,
 image_size <width> <height>, depth_noise_sigma, point_noise_sigma,
-outlier_fraction, occlusion_fraction, rng_seed.
+outlier_fraction, occlusion_fraction, rng_seed (>= 0).
 
 Sequence report ("pmsfm sequence report v1")
 All required: rot_error_deg, trans_error, det_rate_pct, acc_15_15_pct,

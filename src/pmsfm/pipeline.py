@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 import os
 import time
 import warnings as _warnings
@@ -38,7 +39,6 @@ from .metrics import (
     subsample_frames,
 )
 from .pose_graph import (
-    QUALITY_THRESHOLD,
     GlobalPoses,
     PoseGraph,
     assemble_global,
@@ -49,7 +49,7 @@ from .pose_graph import (
     rotation_objective,
     translation_averaging,
 )
-from .relative_pose import RansacConfig, estimate_focal, make_intrinsics, pnp_ransac
+from .relative_pose import estimate_focal, make_intrinsics, pnp_ransac
 from .synth import SceneBundle, SceneSpec, SceneView, generate, make_pair_pointmaps
 
 OUTPUT_DIR_ENV = "PMSFM_OUTPUT_DIR"
@@ -71,12 +71,6 @@ GT_POSES_FILENAME = "gt_poses.txt"
 class PipelineConfig:
     manifest: str = ""
     output_dir: str = ""
-    ransac_max_iterations: int = RansacConfig.max_iterations
-    ransac_inlier_threshold_px: float = RansacConfig.inlier_threshold_px
-    ransac_confidence: float = RansacConfig.confidence
-    quality_threshold: float = QUALITY_THRESHOLD
-    pair_policy: str = "auto"  # auto | all | window
-    window: int = 10
     align_mode: str = "rigid"  # rigid | similarity
     n_keep: int = 0  # 0 keeps every frame
     rng_seed: int = 0
@@ -84,24 +78,11 @@ class PipelineConfig:
     pair_validity: str = ""
 
     def __post_init__(self):
-        if self.pair_policy not in ("auto", "all", "window"):
-            raise ConfigError(f"pair_policy: unknown policy {self.pair_policy!r}")
         if self.align_mode not in ("rigid", "similarity"):
             raise ConfigError(f"align_mode: unknown mode {self.align_mode!r}")
-        if self.window < 1:
-            raise ConfigError("window: must be >= 1")
-        if not 0.0 <= self.quality_threshold <= 1.0:
-            raise ConfigError(f"quality_threshold: {self.quality_threshold} is not in [0, 1]")
-        if self.n_keep < 0 or self.jobs < 0:
-            raise ConfigError("n_keep and jobs must be >= 0")
-
-    def ransac(self) -> RansacConfig:
-        return RansacConfig(
-            max_iterations=self.ransac_max_iterations,
-            inlier_threshold_px=self.ransac_inlier_threshold_px,
-            confidence=self.ransac_confidence,
-            rng_seed=self.rng_seed,
-        )
+        for name in ("n_keep", "rng_seed", "jobs"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name}: {getattr(self, name)} is negative")
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +154,16 @@ class Manifest:
                                   f" {io_formats.MAX_FRAMES}-frame cap")
         _check_records("view", [r[:1] for r in self.views], self.n_frames)
         _check_records("pair", [r[:2] for r in self.pairs], self.n_frames)
+        if self.mode == "views" and not 0.0 < self.focal < math.inf:
+            raise ValidationError(f"focal: {self.focal} is not a positive finite real")
+        self.pair_simulation()  # checked on read, before any depth map
+
+    def pair_simulation(self, **spec) -> SceneSpec:
+        """The views-mode pair simulation settings, checked by SceneSpec;
+        `spec` gives its other fields."""
+        return SceneSpec(scene_scale=self.scene_scale, outlier_fraction=self.outlier_fraction,
+                         point_noise_sigma=self.point_noise_sigma, rng_seed=self.rng_seed,
+                         **spec)
 
 
 def _check_records(kind: str, keys, n_frames: int):
@@ -305,17 +296,18 @@ def _header_pixels(base: Path, pairs) -> int:
     return 0
 
 
-def _candidate_pairs(n: int, policy: str, window: int) -> list[tuple[int, int]]:
-    if policy == "auto":
-        policy = "window" if n > 60 else "all"
-    if policy == "all":
-        return [(a, b) for a in range(n) for b in range(a + 1, n)]
+# Views-mode candidate pairs: every pair of up to ALL_PAIRS_MAX_FRAMES
+# frames, beyond it each frame with its next PAIR_WINDOW frames.
+ALL_PAIRS_MAX_FRAMES = 60
+PAIR_WINDOW = 10
+
+
+def _candidate_pairs(n: int) -> list[tuple[int, int]]:
+    window = n if n <= ALL_PAIRS_MAX_FRAMES else PAIR_WINDOW
     return [(a, b) for a in range(n) for b in range(a + 1, min(n, a + 1 + window))]
 
 
 def _load_views_bundle(manifest: Manifest, kept: np.ndarray) -> SceneBundle:
-    if manifest.focal <= 0:
-        raise FormatError("views manifest must declare a positive focal")
     if not manifest.gt_poses:
         raise FormatError("views manifest must reference a gt_poses document")
     gt, gt_ids = io_formats.read_poses(manifest.base_dir / manifest.gt_poses)
@@ -338,12 +330,9 @@ def _load_views_bundle(manifest: Manifest, kept: np.ndarray) -> SceneBundle:
                                 c_y=depth.height / 2.0)
         views.append(SceneView(depth=depth, intrinsics=intr,
                                pose=gt.pose(by_id[frame])))
-    spec = SceneSpec(
-        n_views=max(len(views), 2), scene_scale=manifest.scene_scale,
-        outlier_fraction=manifest.outlier_fraction,
-        point_noise_sigma=manifest.point_noise_sigma, rng_seed=manifest.rng_seed,
-        image_size=(views[0].depth.width, views[0].depth.height),
-    )
+    spec = manifest.pair_simulation(
+        n_views=max(len(views), 2),
+        image_size=(views[0].depth.width, views[0].depth.height))
     return SceneBundle(spec=spec, views=tuple(views))
 
 
@@ -357,13 +346,13 @@ def _read_pair(base: Path, ref_file: str, src_file: str):
             io_formats.read_pointmap(base / src_file))
 
 
-def _solve_pair(load, ransac: RansacConfig):
+def _solve_pair(load, rng_seed: int):
     """PnP result and valid source pixels for the (reference, source)
     pointmaps that `load()` returns."""
     ref, src = load()
     focal = estimate_focal(ref)
     k = make_intrinsics(src.width, src.height, focal)
-    return pnp_ransac(src, k, ransac), src.n_valid
+    return pnp_ransac(src, k, rng_seed), src.n_valid
 
 
 def solve(cfg: PipelineConfig) -> SolveResult:
@@ -416,7 +405,7 @@ def _solve_stages(cfg: PipelineConfig) -> SolveResult:
     if manifest.mode == "views":
         bundle = _load_views_bundle(manifest, kept)
         source = [(a, b, functools.partial(_simulate_pair, bundle, a, b))
-                  for a, b in _candidate_pairs(n_local, cfg.pair_policy, cfg.window)]
+                  for a, b in _candidate_pairs(n_local)]
         pixels = sum(int(np.count_nonzero(v.depth.mask))
                      for v in bundle.views) // len(bundle.views)
     else:
@@ -433,9 +422,8 @@ def _solve_stages(cfg: PipelineConfig) -> SolveResult:
     timings["load_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    ransac = cfg.ransac()
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_solve_pair, load, ransac) for _, _, load in source]
+        futures = [pool.submit(_solve_pair, load, cfg.rng_seed) for _, _, load in source]
     results = []
     n_failed = 0
     for (a, b, _), fut in zip(source, futures):  # manifest order, schedule-independent
@@ -450,7 +438,7 @@ def _solve_stages(cfg: PipelineConfig) -> SolveResult:
         raise InsufficientDataError("every candidate pair failed")
 
     t0 = time.perf_counter()
-    graph = build_graph(results, n_local, cfg.quality_threshold, validity)
+    graph = build_graph(results, n_local, validity)
     if not graph.edges:
         raise InsufficientDataError("no edges survive filtering")
     timings["graph_s"] = time.perf_counter() - t0

@@ -168,14 +168,14 @@ class GlobalPoses:
 
 
 def build_graph(pair_results: list[tuple[int, int, RelativePoseResult, int]],
-                n_frames: int, quality_threshold: float = QUALITY_THRESHOLD,
-                pair_validity: dict[tuple[int, int], bool] | None = None) -> PoseGraph:
+                n_frames: int, pair_validity: dict[tuple[int, int], bool] | None = None
+                ) -> PoseGraph:
     """Filter pairwise measurements into a connected pose graph.
 
     ``pair_results`` entries are (i, j, result, n_valid) with ``result``
     the PnP output for reference view i and ``n_valid`` the pair's valid
     pixel count. Edges keep pairs whose inlier fraction reaches
-    ``quality_threshold`` and that ``pair_validity`` (keyed by either
+    `QUALITY_THRESHOLD` and that ``pair_validity`` (keyed by either
     order of the pair) does not mark invalid; temporal-neighbor edges
     (i, i+1) are force-included (flagged rescued) so a weak but measured
     neighbor never disconnects the sequence. Each edge is weighted by its
@@ -192,7 +192,7 @@ def build_graph(pair_results: list[tuple[int, int, RelativePoseResult, int]],
         quality = res.inlier_count / max(n_valid, 1)
         candidates[(i, j)] = (res, quality)
         valid_pair = validity.get((i, j), validity.get((j, i), True))
-        if valid_pair and quality >= quality_threshold:
+        if valid_pair and quality >= QUALITY_THRESHOLD:
             kept[(i, j)] = (res, quality, False)
 
     for (i, j), (res, quality) in candidates.items():

@@ -45,30 +45,17 @@ _P3P_CHUNK = 8
 # Points per RANSAC sample: three for P3P and one to choose among its
 # roots; more would only lower the odds of an all-inlier sample.
 _MIN_SAMPLE = 4
+# RANSAC budget, inlier threshold and the confidence of its adaptive
+# stop: design choices, the method only prescribes robust
+# minimal-sample estimation.
+_RANSAC_ITERS = 1024
+_INLIER_THRESHOLD_PX = 5.0
+_RANSAC_CONFIDENCE = 0.999
 # Correspondences the iterative solves run on: every s-th one, with
 # s = ceil(n / _LO_POINTS), feeds the local optimization and the focal
 # start, and one full-resolution pass finishes each. At or below it the
 # subset is the full set.
 _LO_POINTS = 20_000
-
-
-@dataclass(frozen=True)
-class RansacConfig:
-    """Settings for the PnP-RANSAC solve; all values are design choices,
-    the method itself only prescribes robust minimal-sample estimation."""
-
-    max_iterations: int = 1024
-    inlier_threshold_px: float = 5.0
-    confidence: float = 0.999
-    rng_seed: int = 0
-
-    def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValidationError("max_iterations must be >= 1")
-        if not (0.0 < self.confidence < 1.0):
-            raise ValidationError("confidence must lie strictly between 0 and 1")
-        if not self.inlier_threshold_px > 0:
-            raise ValidationError("inlier_threshold_px must be positive")
 
 
 @dataclass(frozen=True)
@@ -463,30 +450,29 @@ def refine_pose(points: np.ndarray, pixels: np.ndarray, k: CameraIntrinsics,
     return r, t
 
 
-def _msac(errs: np.ndarray, thr: float) -> float:
-    """MSAC score: the squared reprojection errors truncated at thr^2,
-    summed (Torr & Zisserman, CVIU 2000); lower is better."""
-    return float(np.minimum(errs * errs, thr * thr).sum())
+def _msac(errs: np.ndarray) -> float:
+    """MSAC score: the squared reprojection errors truncated at the squared
+    inlier threshold, summed (Torr & Zisserman, CVIU 2000); lower is better."""
+    return float(np.minimum(errs * errs, _INLIER_THRESHOLD_PX ** 2).sum())
 
 
 def _ransac_hypothesis(points: np.ndarray, pixels: np.ndarray, k: CameraIntrinsics,
-                       cfg: RansacConfig) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+                       rng_seed: int) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
     """The best minimal-sample pose of coordinate rows ``points`` (3, N)
     and ``pixels`` (2, N), with its per-point reprojection errors.
 
     Minimal P3P hypotheses (with a 4th sample point for disambiguation)
     are scored by inlier count with mean inlier reprojection error as the
-    tie-break, until the adaptive stop for ``cfg.confidence``.
+    tie-break, until the adaptive stop for `_RANSAC_CONFIDENCE`.
     """
     n_valid = points.shape[1]
-    rng = np.random.default_rng(cfg.rng_seed)
-    thr = cfg.inlier_threshold_px
+    rng = np.random.default_rng(rng_seed)
 
     best_count = 0
     best_mean = np.inf
     best_pose = None
     best_errs = None
-    needed = cfg.max_iterations
+    needed = _RANSAC_ITERS
 
     it = 0
     while it < needed:
@@ -509,7 +495,7 @@ def _ransac_hypothesis(points: np.ndarray, pixels: np.ndarray, k: CameraIntrinsi
                 continue
             cand_pose = (rots[s], trans[s])
             errs = _reproj_errors(points, pixels, k, *cand_pose)
-            inl = errs < thr
+            inl = errs < _INLIER_THRESHOLD_PX
             count = int(np.count_nonzero(inl))
             if count == 0:
                 continue
@@ -518,12 +504,12 @@ def _ransac_hypothesis(points: np.ndarray, pixels: np.ndarray, k: CameraIntrinsi
                 best_count, best_mean = count, mean_err
                 best_pose, best_errs = cand_pose, errs
                 # Adaptive stop: enough iterations to hit an all-inlier
-                # minimal sample with the configured confidence.
+                # minimal sample with confidence `_RANSAC_CONFIDENCE`.
                 w = min(count / n_valid, 1.0 - 1e-12)
                 denom = math.log1p(-(w ** _MIN_SAMPLE))
                 if denom < 0:
-                    needed = min(cfg.max_iterations,
-                                 max(it, int(math.ceil(math.log1p(-cfg.confidence) / denom))))
+                    needed = min(_RANSAC_ITERS, max(
+                        it, int(math.ceil(math.log1p(-_RANSAC_CONFIDENCE) / denom))))
 
     if best_pose is None or best_count < _MIN_SAMPLE:
         raise NoPoseFoundError(
@@ -533,7 +519,7 @@ def _ransac_hypothesis(points: np.ndarray, pixels: np.ndarray, k: CameraIntrinsi
 
 
 def pnp_ransac(pm2_in_1: Pointmap, k: CameraIntrinsics,
-               cfg: RansacConfig = RansacConfig()) -> RelativePoseResult:
+               rng_seed: int = 0) -> RelativePoseResult:
     """Robust world-to-camera pose of view 2 from its pointmap in view 1's frame.
 
     2D correspondences are view 2's own pixel grid at the pointmap's
@@ -546,7 +532,7 @@ def pnp_ransac(pm2_in_1: Pointmap, k: CameraIntrinsics,
     full-resolution inliers under the LO pose polishes it. The result is
     whichever of the polished pose, the LO pose and the hypothesis has
     the lowest full-resolution MSAC score, with its inliers.
-    Deterministic for a fixed ``cfg.rng_seed``.
+    Deterministic for a fixed ``rng_seed``.
     """
     valid = pm2_in_1.mask.reshape(-1)
     n_valid = int(np.count_nonzero(valid))
@@ -561,8 +547,8 @@ def pnp_ransac(pm2_in_1: Pointmap, k: CameraIntrinsics,
     pixels = np.empty((2, n_valid))
     pixels[0] = valid_idx % pm2_in_1.width
     pixels[1] = valid_idx // pm2_in_1.width
-    thr = cfg.inlier_threshold_px
-    hypothesis, hyp_errs = _ransac_hypothesis(points, pixels, k, cfg)
+    thr = _INLIER_THRESHOLD_PX
+    hypothesis, hyp_errs = _ransac_hypothesis(points, pixels, k, rng_seed)
 
     # Local optimization on the strided subset; the subset's errors under
     # the hypothesis are its full-resolution errors' every s-th entry.
@@ -570,12 +556,12 @@ def pnp_ransac(pm2_in_1: Pointmap, k: CameraIntrinsics,
     sub_points = np.ascontiguousarray(points[:, ::stride])
     sub_pixels = np.ascontiguousarray(pixels[:, ::stride])
     pose, errs = hypothesis, hyp_errs[::stride]
-    inl, score = errs < thr, _msac(errs, thr)
+    inl, score = errs < thr, _msac(errs)
     for _ in range(_REFINE_ROUNDS):
         r_ref, t_ref = refine_pose(sub_points.compress(inl, axis=1).T,
                                    sub_pixels.compress(inl, axis=1).T, k, *pose)
         errs_ref = _reproj_errors(sub_points, sub_pixels, k, r_ref, t_ref)
-        score_ref = _msac(errs_ref, thr)
+        score_ref = _msac(errs_ref)
         if not score_ref < score:
             break
         # A repeated inlier set would be refined again from refine's own
@@ -595,7 +581,7 @@ def pnp_ransac(pm2_in_1: Pointmap, k: CameraIntrinsics,
     else:
         candidates = [(pose, errs)]
     # min keeps the first of equal scores, so a tie goes to the later stage.
-    pose, errs = min(candidates + [(hypothesis, hyp_errs)], key=lambda c: _msac(c[1], thr))
+    pose, errs = min(candidates + [(hypothesis, hyp_errs)], key=lambda c: _msac(c[1]))
 
     inl = errs < thr
     full_mask = np.zeros(pm2_in_1.height * pm2_in_1.width, dtype=bool)

@@ -101,6 +101,8 @@ class SceneSpec:
             raise ValidationError("outlier_fraction: must be <= 1")
         if self.occlusion_fraction >= 1.0:
             raise ValidationError("occlusion_fraction: 1.0 would mask every pixel")
+        if self.rng_seed < 0:
+            raise ValidationError(f"rng_seed: {self.rng_seed} is negative")
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from pmsfm.pose_graph import (
     rotation_objective,
     translation_averaging,
 )
-from pmsfm.relative_pose import RansacConfig, estimate_focal, make_intrinsics, pnp_ransac
+from pmsfm.relative_pose import estimate_focal, make_intrinsics, pnp_ransac
 from pmsfm.synth import SceneSpec, generate, make_pair_pointmaps
 
 from conftest import cut_planes, random_rigid, stable_rot_err_deg
@@ -172,8 +172,7 @@ def test_criterion_4_pnp_exactness_robustness():
     rng = np.random.default_rng(123)
     pose = small_pose(rng)
     pm = grid_pointmap_for_pose(k, 40, 30, pose, rng, mask_p=0.8)
-    cfg = RansacConfig(rng_seed=0)
-    a, b = pnp_ransac(pm, k, cfg), pnp_ransac(pm, k, cfg)
+    a, b = pnp_ransac(pm, k, rng_seed=0), pnp_ransac(pm, k, rng_seed=0)
     assert a.transform.rotation.tobytes() == b.transform.rotation.tobytes()
     assert a.transform.translation.tobytes() == b.transform.translation.tobytes()
     assert np.array_equal(a.inlier_mask, b.inlier_mask)

@@ -1,18 +1,21 @@
+import argparse
 import dataclasses
 import hashlib
 import os
 import subprocess
 import sys
+import tempfile
 import typing
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pmsfm import io_formats, pipeline, relative_pose
-from pmsfm.cli import main
+from pmsfm.cli import _build_parser, main
 from pmsfm.errors import ConfigError, FormatError, InsufficientDataError
 from pmsfm.geometry import (
     DepthMap,
@@ -119,6 +122,42 @@ def solve_with_jobs(manifest: Path, out: Path, jobs: int):
     return runs[0]
 
 
+def pair_key(a, b, res, n_valid):
+    """The bits of one pair result as it reaches `build_graph`."""
+    return (a, b, n_valid, res.inlier_count, res.focal, res.mean_inlier_reproj_err,
+            res.transform.rotation.tobytes(), res.transform.translation.tobytes(),
+            res.inlier_mask.tobytes())
+
+
+def solve_capturing_pairs(cfg, fail_pair=None):
+    """`run_solve` with the pair results passed to `build_graph` recorded
+    as `pair_key`s; the PnP of views pair `fail_pair` raises LinAlgError."""
+    simulate, solve_pnp, build = (pipeline.make_pair_pointmaps, pipeline.pnp_ransac,
+                                  pipeline.build_graph)
+    doomed, seen = [], []
+
+    def simulating(bundle, a, b):
+        made = simulate(bundle, a, b)
+        if (a, b) == fail_pair:
+            doomed.append(made.view2)
+        return made
+
+    def solving(pm, k, rng_seed):
+        if any(pm is d for d in doomed):
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return solve_pnp(pm, k, rng_seed)
+
+    def building(results, *args):
+        seen.extend(pair_key(*r) for r in results)
+        return build(results, *args)
+
+    with mock.patch.object(pipeline, "make_pair_pointmaps", simulating), \
+            mock.patch.object(pipeline, "pnp_ransac", solving), \
+            mock.patch.object(pipeline, "build_graph", building):
+        result, run_dir = pipeline.run_solve(cfg)
+    return result, run_dir, seen
+
+
 _TEXT = st.from_regex(r"[\w./-]+( [\w./-]+)*", fullmatch=True) | st.just("")
 _BY_TYPE = {int: st.integers(), float: st.floats(allow_nan=False),
             bool: st.booleans(), str: _TEXT}
@@ -137,8 +176,7 @@ _NON_NEGATIVE = st.floats(min_value=0.0, allow_infinity=False)
 class TestConfigAndManifest:
     def test_config_round_trip_lossless(self, tmp_path):
         cfg = pipeline.PipelineConfig(manifest="m.txt", output_dir="out dir with space",
-                                      ransac_inlier_threshold_px=3.25,
-                                      n_keep=60, quality_threshold=0.125)
+                                      align_mode="similarity", n_keep=60, rng_seed=7)
         path = tmp_path / "cfg.txt"
         pipeline.save_config(path, cfg)
         assert pipeline.load_config(path) == cfg
@@ -148,23 +186,17 @@ class TestConfigAndManifest:
             pipeline.config_from_text("bogus 1\n")
 
     def test_config_validates_values(self):
-        with pytest.raises(ConfigError):
-            pipeline.PipelineConfig(pair_policy="ring")
-
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.1, 1.5])
-    def test_config_rejects_quality_threshold_outside_unit_interval(self, value):
-        with pytest.raises(ConfigError, match=r"^quality_threshold: .* is not in \[0, 1\]$"):
-            pipeline.PipelineConfig(quality_threshold=value)
-        with pytest.raises(ConfigError, match="quality_threshold"):
-            pipeline.config_from_text(f"quality_threshold {value!r}\n")
-        for ok in (0.0, 1.0):
-            assert pipeline.PipelineConfig(quality_threshold=ok).quality_threshold == ok
+        with pytest.raises(ConfigError, match="^align_mode: unknown mode 'affine'$"):
+            pipeline.PipelineConfig(align_mode="affine")
+        for name in ("n_keep", "rng_seed", "jobs"):
+            with pytest.raises(ConfigError, match=f"^{name}: -1 is negative$"):
+                pipeline.PipelineConfig(**{name: -1})
+            with pytest.raises(ConfigError, match=f"{name}: -1 is negative"):
+                pipeline.config_from_text(f"{name} -1\n")
 
     @given(dataclass_values(
-        pipeline.PipelineConfig, window=st.integers(min_value=1),
-        quality_threshold=st.floats(0.0, 1.0),
-        n_keep=st.integers(min_value=0), jobs=st.integers(min_value=0),
-        pair_policy=st.sampled_from(["auto", "all", "window"]),
+        pipeline.PipelineConfig, n_keep=st.integers(min_value=0),
+        rng_seed=st.integers(min_value=0), jobs=st.integers(min_value=0),
         align_mode=st.sampled_from(["rigid", "similarity"])))
     def test_config_round_trip_property(self, cfg):
         assert pipeline.config_from_text(pipeline.config_to_text(cfg)) == cfg
@@ -188,7 +220,8 @@ class TestConfigAndManifest:
         image_size=st.tuples(st.integers(min_value=2), st.integers(min_value=2)),
         depth_noise_sigma=_NON_NEGATIVE, point_noise_sigma=_NON_NEGATIVE,
         outlier_fraction=st.floats(min_value=0.0, max_value=1.0),
-        occlusion_fraction=st.floats(min_value=0.0, max_value=1.0, exclude_max=True)))
+        occlusion_fraction=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+        rng_seed=st.integers(min_value=0)))
     def test_scene_spec_round_trip_property(self, spec):
         assert pipeline.scene_spec_from_text(pipeline.scene_spec_to_text(spec)) == spec
 
@@ -207,7 +240,7 @@ class TestConfigAndManifest:
         with pytest.raises(FormatError, match="repeated key"):
             pipeline.scene_spec_from_text("n_views 3\nn_views 4\n")
         with pytest.raises(ConfigError, match="repeated key"):
-            pipeline.config_from_text("window 3\nwindow 4\n")
+            pipeline.config_from_text("n_keep 3\nn_keep 4\n")
 
 
 class TestSynthStage:
@@ -272,26 +305,34 @@ class TestSolveStage:
         assert result.n_pairs_failed == 0
         assert len(budget_lines) == result.n_pairs_attempted == 15
 
-    def test_linalg_error_skips_only_its_pair(self, tmp_path, monkeypatch):
-        out = tmp_path / "bundle"
-        pipeline.synthesize(small_spec(), out)
-        simulate = pipeline.make_pair_pointmaps
+    @pytest.fixture(scope="class")
+    def clean_solve(self, tmp_path_factory):
+        """A 6-view bundle, its clean solve's pair results and a directory
+        for further runs."""
+        root = tmp_path_factory.mktemp("linalg")
+        manifest = pipeline.synthesize(small_spec(), root / "bundle")
+        cfg = pipeline.PipelineConfig(manifest=str(manifest), output_dir=str(root / "clean"),
+                                      jobs=2)
+        result, _, pairs = solve_capturing_pairs(cfg)
+        assert result.n_pairs_failed == 0 and len(pairs) == 15
+        return cfg, pairs, root
 
-        def failing(bundle, a, b):
-            if (a, b) == (1, 3):
-                raise np.linalg.LinAlgError("SVD did not converge")
-            return simulate(bundle, a, b)
-
-        monkeypatch.setattr(pipeline, "make_pair_pointmaps", failing)
-        cfg = pipeline.PipelineConfig(manifest=str(out / "manifest.txt"),
-                                      output_dir=str(tmp_path / "run"))
-        result, run_dir = pipeline.run_solve(cfg)
+    @settings(max_examples=6, deadline=None)
+    @given(pair=st.sampled_from(pipeline._candidate_pairs(6)))
+    def test_linalg_error_skips_only_its_pair(self, clean_solve, pair):
+        cfg, clean, root = clean_solve
+        cfg = dataclasses.replace(cfg, output_dir=tempfile.mkdtemp(dir=root))
+        result, run_dir, pairs = solve_capturing_pairs(cfg, fail_pair=pair)
+        assert pairs == [p for p in clean if p[:2] != pair]
         assert result.n_pairs_attempted == 15
         assert result.n_pairs_failed == 1
         assert result.poses.recovered.all()
-        log = (run_dir / pipeline.RUN_LOG_FILENAME).read_text(encoding="utf-8")
-        assert "# warning: pair (1,3) skipped: SVD did not converge\n" in log
         assert run_log_value(run_dir, "n_pairs_failed") == "1"
+        log = (run_dir / pipeline.RUN_LOG_FILENAME).read_text(encoding="utf-8")
+        skipped = [line for line in log.splitlines()
+                   if line.startswith("# warning: pair (") and " skipped: " in line]
+        assert skipped == [f"# warning: pair ({pair[0]},{pair[1]}) skipped:"
+                           " SVD did not converge"]
 
     def test_auto_jobs_sizes_pool_from_input(self, bundle_dir, tmp_path, monkeypatch):
         # jobs 0 on small sparse maps: one pool thread.
@@ -376,8 +417,7 @@ class TestSolveStage:
         monkeypatch.setattr(pipeline, "build_graph", lambda *args: graph)
         monkeypatch.setattr(pipeline, "rotation_averaging", lambda g: rotations)
         cfg = pipeline.PipelineConfig(manifest=str(out / "manifest.txt"),
-                                      output_dir=str(tmp_path / "run"),
-                                      pair_policy="window", window=1, jobs=1)
+                                      output_dir=str(tmp_path / "run"), jobs=1)
         result, run_dir = pipeline.run_solve(cfg)
         assert not result.rotation_certified
         assert abs(result.rotation_lambda_min - (np.sqrt(3.0) - 2.0)) <= 1e-6
@@ -414,13 +454,16 @@ class TestSolveStage:
         assert report.n_frames == 3
         assert report.rot_error_deg <= 1e-3
 
-    def test_window_policy(self, bundle_dir, tmp_path):
-        cfg = pipeline.PipelineConfig(manifest=str(bundle_dir / "manifest.txt"),
-                                      output_dir=str(tmp_path / "run"),
-                                      pair_policy="window", window=1, jobs=1)
-        result, _ = pipeline.run_solve(cfg)
-        assert result.n_pairs_attempted == 5  # chain only
-        assert result.poses.recovered.all()
+    def test_candidate_pairs_all_then_window(self):
+        # Every pair up to 60 frames; beyond, each frame with its next 10.
+        complete = pipeline._candidate_pairs(60)
+        assert len(complete) == 60 * 59 // 2 and (0, 59) in complete
+        chain = pipeline._candidate_pairs(61)
+        assert len(chain) == 51 * 10 + 45  # the last ten frames have fewer successors
+        assert max(b - a for a, b in chain) == 10
+        assert (0, 10) in chain and (0, 11) not in chain and (50, 60) in chain
+        for pairs in (complete, chain):
+            assert pairs == sorted(set(pairs)) and all(a < b for a, b in pairs)
 
     def test_pair_validity_injection(self, bundle_dir, tmp_path):
         validity = tmp_path / "validity.txt"
@@ -608,9 +651,12 @@ class TestCli:
         assert where in capsys.readouterr().err
 
     @pytest.mark.parametrize("line", ["staircase 0", "ransac_min_sample 4",
-                                      "weight_mode inlier", "acc1_dist 0.15"],
-                             ids=["staircase", "ransac_min_sample", "weight_mode",
-                                  "acc1_dist"])
+                                      "weight_mode inlier", "acc1_dist 0.15",
+                                      "ransac_max_iterations 1024",
+                                      "ransac_inlier_threshold_px 5.0",
+                                      "ransac_confidence 0.999", "quality_threshold 0.25",
+                                      "pair_policy auto", "window 10"],
+                             ids=lambda line: line.split()[0])
     def test_retired_key_rejected(self, bundle_dir, tmp_path, capsys, line):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(f"# pmsfm pipeline config v1\n{line}\n", encoding="utf-8")
@@ -623,12 +669,74 @@ class TestCli:
         ["solve", "--weight-mode", "inlier"],
         ["solve", "--ransac-min-sample", "4"],
         ["eval", "--est", "e.txt", "--gt", "g.txt", "--thresholds", "0.15:15,0.3:30"],
-    ], ids=["weight-mode", "ransac-min-sample", "thresholds"])
+        ["solve", "--ransac-max-iterations", "1024"],
+        ["solve", "--ransac-inlier-threshold-px", "5.0"],
+        ["solve", "--ransac-confidence", "0.999"],
+        ["solve", "--quality-threshold", "0.25"],
+        ["solve", "--pair-policy", "auto"],
+        ["solve", "--window", "10"],
+    ], ids=lambda args: args[-2].lstrip("-"))
     def test_retired_flag_rejected(self, capsys, args):
         with pytest.raises(SystemExit) as exc:
             main(args)
         assert exc.value.code == 2
         assert f"unrecognized arguments: {args[-2]}" in capsys.readouterr().err
+
+    def test_solve_flags_map_onto_config_fields(self):
+        # Each solve flag sets the config field of its name; --out and
+        # --seed are the only renamed ones, --config reads a whole config,
+        # and align_mode is set by a config file (eval's --mode).
+        sub = next(a for a in _build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        renamed = {"out": "output_dir", "seed": "rng_seed"}
+        fields = []
+        for action in sub.choices["solve"]._actions:
+            (flag,) = [o for o in action.option_strings if o.startswith("--")]
+            name = flag[2:].replace("-", "_")
+            if name in ("help", "config"):
+                continue
+            fields.append(renamed.get(name, name))
+            assert action.dest in (name, fields[-1])
+        config_fields = [f.name for f in dataclasses.fields(pipeline.PipelineConfig)]
+        assert sorted(fields) == sorted(set(config_fields) - {"align_mode"})
+
+    def test_synth_negative_seed_exit_2(self, tmp_path, capsys):
+        assert main(["synth", "--seed", "-3", "--out", str(tmp_path / "b")]) == 2
+        assert "error: rng_seed: -3 is negative" in capsys.readouterr().err
+        assert not (tmp_path / "b").exists()
+
+    def test_solve_negative_seed_exit_2(self, bundle_dir, tmp_path, capsys):
+        assert main(["solve", "--manifest", str(bundle_dir / "manifest.txt"), "--seed", "-3",
+                     "--out", str(tmp_path / "run")]) == 2
+        assert "error: rng_seed: -3 is negative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line, message", [
+        ("rng_seed -1", "rng_seed: -1 is negative"),
+        ("scene_scale -1.0", "scene_scale: must be positive"),
+        ("outlier_fraction 2.0", "outlier_fraction: must be <= 1"),
+        ("point_noise_sigma inf", "point_noise_sigma: must be a non-negative finite real"),
+        ("focal nan", "focal: nan is not a positive finite real"),
+        ("focal 0.0", "focal: 0.0 is not a positive finite real"),
+    ], ids=["negative-seed", "scene-scale", "outlier-fraction", "point-noise", "focal-nan",
+            "focal-zero"])
+    def test_views_manifest_values_checked_on_read(self, bundle_dir, tmp_path, capsys,
+                                                   line, message):
+        # The views manifest's simulation values are checked when the
+        # manifest is read, before any depth map, and exit as a parse error.
+        key = line.split()[0]
+        text = (bundle_dir / "manifest.txt").read_text(encoding="utf-8")
+        lines = [line if old.startswith(key + " ") else old for old in text.splitlines()]
+        assert line in lines
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        for view in pipeline.manifest_from_text(text, bundle_dir).views:
+            (tmp_path / view[1]).symlink_to(bundle_dir / view[1])
+        with pytest.raises(FormatError, match=message):
+            pipeline.load_manifest(manifest)
+        assert main(["solve", "--manifest", str(manifest),
+                     "--out", str(tmp_path / "run")]) == 5
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
 
     def test_exit_code_insufficient(self, tmp_path, capsys):
         p = tmp_path / "manifest.txt"

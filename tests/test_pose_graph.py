@@ -274,20 +274,21 @@ def _reference_components(pairs):
 
 class TestBuildGraph:
     def test_triangle_all_pass(self, rng):
+        # Inlier fractions at and just above QUALITY_THRESHOLD = 0.25.
         results = []
-        for i, j in [(0, 1), (0, 2), (1, 2)]:
-            results.append((i, j, fake_result(random_rigid(rng), 90), 100))
-        g = build_graph(results, 3, quality_threshold=0.5)
+        for (i, j), inliers in zip([(0, 1), (0, 2), (1, 2)], [25, 26, 90]):
+            results.append((i, j, fake_result(random_rigid(rng), inliers), 100))
+        g = build_graph(results, 3)
         assert len(g.edges) == 3
         assert not any(e.rescued for e in g.edges)
 
     def test_chain_filtering(self, rng):
         results = [
-            (0, 1, fake_result(random_rigid(rng), 90), 100),
+            (0, 1, fake_result(random_rigid(rng), 26), 100),
             (1, 2, fake_result(random_rigid(rng), 80), 100),
-            (0, 2, fake_result(random_rigid(rng), 5), 100),  # fails threshold
+            (0, 2, fake_result(random_rigid(rng), 24), 100),  # fails threshold
         ]
-        g = build_graph(results, 3, quality_threshold=0.5)
+        g = build_graph(results, 3)
         assert sorted((e.i, e.j) for e in g.edges) == [(0, 1), (1, 2)]
         assert len(g.edge_arrays.components) == 1
 
@@ -296,9 +297,9 @@ class TestBuildGraph:
         results = []
         for i in range(10):
             for j in range(i + 1, 10):
-                quality = 2 if (i == 7 or j == 7) else 95
+                quality = 24 if (i == 7 or j == 7) else 26
                 results.append((i, j, fake_result(random_rigid(rng), quality), 100))
-        g = build_graph(results, 10, quality_threshold=0.5)
+        g = build_graph(results, 10)
         rescued = sorted((e.i, e.j) for e in g.edges if e.rescued)
         assert rescued == [(6, 7), (7, 8)]
         assert len(g.edge_arrays.components) == 1
@@ -342,11 +343,13 @@ class TestBuildGraph:
 
     def test_weights_normalized_to_max(self, rng):
         results = [
-            (0, 1, fake_result(random_rigid(rng), 50), 100),
+            (0, 1, fake_result(random_rigid(rng), 50), 190),  # fraction 0.263
             (1, 2, fake_result(random_rigid(rng), 100), 100),
+            (0, 2, fake_result(random_rigid(rng), 240), 1000),  # dropped at 0.24
         ]
-        g = build_graph(results, 3, quality_threshold=0.1)
+        g = build_graph(results, 3)
         weights = {(e.i, e.j): e.weight for e in g.edges}
+        assert (0, 2) not in weights
         assert weights[(1, 2)] == pytest.approx(1.0)
         assert weights[(0, 1)] == pytest.approx(0.5)
 
@@ -929,9 +932,9 @@ class TestStackedProjections:
     per-vertex and per-frame loops, bit for bit."""
 
     def test_build_graph_inverse_bit_equal_to_edge_loop(self, rng):
-        results = [(i, j, fake_result(random_rigid(rng, t_scale=3.0), int(rng.integers(30, 90))),
+        results = [(i, j, fake_result(random_rigid(rng, t_scale=3.0), int(rng.integers(25, 90))),
                     100) for i, j in random_connected_pairs(9, rng, extra=1.5)]
-        g = build_graph(results, 9, quality_threshold=0.0)
+        g = build_graph(results, 9)
         assert len(g.edges) == len(results)
         by_pair = {(i, j): res for i, j, res, _ in results}
         for e in g.edges:

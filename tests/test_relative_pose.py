@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import warnings
 
@@ -28,7 +29,6 @@ from pmsfm.geometry import (
     so3_project,
 )
 from pmsfm.relative_pose import (
-    RansacConfig,
     _gn_normal_equations,
     _gn_residuals,
     _p3p_batch,
@@ -249,9 +249,8 @@ class TestPnPRansac:
         pts[idx] += rng.uniform(3.0, 6.0, size=(100, 3))
         pm = Pointmap(pm.width, pm.height, pts.reshape(pm.points.shape),
                       pm.confidence, pm.mask)
-        cfg = RansacConfig(rng_seed=0)
-        a = pnp_ransac(pm, k, cfg)
-        b = pnp_ransac(pm, k, cfg)
+        a = pnp_ransac(pm, k, rng_seed=0)
+        b = pnp_ransac(pm, k, rng_seed=0)
         assert a.transform.rotation.tobytes() == b.transform.rotation.tobytes()
         assert a.transform.translation.tobytes() == b.transform.translation.tobytes()
         assert np.array_equal(a.inlier_mask, b.inlier_mask)
@@ -267,8 +266,7 @@ class TestPnPRansac:
         pts[idx] += rng.uniform(2.0, 5.0, size=(120, 3))
         pm = Pointmap(pm.width, pm.height, pts.reshape(pm.points.shape),
                       pm.confidence, pm.mask)
-        cfg = RansacConfig()
-        res = pnp_ransac(pm, k, cfg)
+        res = pnp_ransac(pm, k)
 
         # re-project every valid pixel under the returned pose
         r, t = res.transform.rotation, res.transform.translation
@@ -284,8 +282,9 @@ class TestPnPRansac:
 
         inl = res.inlier_mask.reshape(-1)
         valid = pm.mask.reshape(-1)
-        assert np.all(errs[inl] < cfg.inlier_threshold_px)
-        assert np.all(errs[valid & ~inl] >= cfg.inlier_threshold_px)
+        thr = relative_pose._INLIER_THRESHOLD_PX
+        assert np.all(errs[inl] < thr)
+        assert np.all(errs[valid & ~inl] >= thr)
         assert not np.any(inl & ~valid)
         assert res.inlier_count == int(inl.sum())
         assert res.mean_inlier_reproj_err == pytest.approx(float(errs[inl].mean()))
@@ -297,24 +296,29 @@ class TestPnPRansac:
             pnp_ransac(pm, make_intrinsics(4, 4, 10.0))
 
     def test_no_consensus(self, rng):
-        # pure junk points: no pose explains more than a handful of pixels
-        pts = rng.uniform(-50, 50, size=(8, 8, 3))
-        pm = Pointmap(8, 8, pts, np.ones((8, 8)), np.ones((8, 8), bool))
-        cfg = RansacConfig(max_iterations=64, inlier_threshold_px=0.005)
-        with pytest.raises((NoPoseFoundError, InsufficientDataError)):
-            res = pnp_ransac(pm, make_intrinsics(8, 8, 50.0), cfg)
-            # extremely unlucky junk can still form a tiny consensus;
-            # treat a pose explaining half the pixels as a real failure
-            if res.inlier_count < 32:
-                raise NoPoseFoundError("tiny consensus")
-
-    def test_config_validation(self):
-        with pytest.raises(ValidationError):
-            RansacConfig(max_iterations=0)
-        with pytest.raises(ValidationError):
-            RansacConfig(confidence=1.0)
-        with pytest.raises(ValidationError):
-            RansacConfig(inlier_threshold_px=0.0)
+        # Four junk points at pixels hundreds apart: every P3P root fits
+        # three of them and puts the fourth far off its pixel or behind
+        # the camera, so no pose has four inliers.
+        w, h = 400, 300
+        k = make_intrinsics(w, h, 300.0)
+        cols, rows = np.array([10, 390, 30, 370]), np.array([10, 20, 280, 290])
+        pts = np.zeros((h, w, 3))
+        pts[rows, cols] = rng.uniform(-50, 50, size=(4, 3))
+        mask = np.zeros((h, w), bool)
+        mask[rows, cols] = True
+        pm = Pointmap(w, h, pts, np.ones((h, w)), mask)
+        # The input alone rules a consensus out: no root of any ordered
+        # triple brings all four points under the inlier threshold.
+        points = np.ascontiguousarray(pts[rows, cols].T)
+        pixels = np.stack([cols, rows]).astype(float)
+        rays = (k.inverse_matrix() @ np.vstack([pixels, np.ones(4)])).T
+        bearings = rays / np.linalg.norm(rays, axis=1, keepdims=True)
+        for tri in itertools.permutations(range(4), 3):
+            for r, t in p3p_solve(points.T[list(tri)], bearings[list(tri)]):
+                errs = _reproj_errors(points, pixels, k, r, t)
+                assert np.count_nonzero(errs < relative_pose._INLIER_THRESHOLD_PX) < 4
+        with pytest.raises(NoPoseFoundError, match="no consensus set of >= 4 inliers"):
+            pnp_ransac(pm, k)
 
 
 def test_pnp_with_exactly_min_sample_pixels():
@@ -428,7 +432,7 @@ def _noisy_grid_map(seed: int, width: int, height: int, f: float):
     return Pointmap(width, height, pts, pm.confidence, pm.mask), k, pose
 
 
-def _reference_pnp_lo(pm: Pointmap, k: CameraIntrinsics, cfg: RansacConfig = RansacConfig()):
+def _reference_pnp_lo(pm: Pointmap, k: CameraIntrinsics, rng_seed: int = 0):
     """PnP with local optimization at full resolution under the
     count-then-mean acceptance: from the RANSAC hypothesis, refine on the
     inliers and re-extract them, keeping a refinement with more inliers,
@@ -438,8 +442,8 @@ def _reference_pnp_lo(pm: Pointmap, k: CameraIntrinsics, cfg: RansacConfig = Ran
     valid_idx = np.flatnonzero(pm.mask.reshape(-1))
     points = np.ascontiguousarray(pm.points.reshape(-1, 3)[valid_idx].T)
     pixels = np.stack([valid_idx % pm.width, valid_idx // pm.width]).astype(float)
-    thr = cfg.inlier_threshold_px
-    (r, t), errs = relative_pose._ransac_hypothesis(points, pixels, k, cfg)
+    thr = relative_pose._INLIER_THRESHOLD_PX
+    (r, t), errs = relative_pose._ransac_hypothesis(points, pixels, k, rng_seed)
     inl = errs < thr
     count, mean_err = int(inl.sum()), float(errs[inl].mean())
     refined = False
@@ -830,7 +834,7 @@ class TestKernels:
                                     outlier_fraction=0.1, rng_seed=3))
         pair = make_pair_pointmaps(bundle, 1, 4)
         k = make_intrinsics(pair.view2.width, pair.view2.height, estimate_focal(pair.view1))
-        res = pnp_ransac(pair.view2, k, RansacConfig(rng_seed=0))
+        res = pnp_ransac(pair.view2, k, rng_seed=0)
         assert res.inlier_count == PINNED_INLIERS
         np.testing.assert_allclose(res.transform.rotation, PINNED_R, rtol=0, atol=1e-8)
         np.testing.assert_allclose(res.transform.translation, PINNED_T, rtol=0,
