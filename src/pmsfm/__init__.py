@@ -10,7 +10,6 @@ built-in oracle.
 
 from .errors import (
     AlignmentError,
-    BehindCameraError,
     ConfigError,
     ConvergenceWarning,
     DegenerateScaleError,
@@ -33,7 +32,6 @@ from .geometry import (
     geodesic_deg,
     inverse,
     pointmap_from_depth,
-    project,
     so3_project,
 )
 from .losses import PointmapPairBatch, conf_loss, norm_factor, regr_loss

@@ -27,10 +27,6 @@ class DegenerateScaleError(PmsfmError, ValueError):
     """A normalization factor is zero or non-finite."""
 
 
-class BehindCameraError(PmsfmError, ValueError):
-    """Projection requested for a point with non-positive depth."""
-
-
 class InsufficientDataError(PmsfmError, RuntimeError):
     """Too few usable points/frames/pairs to attempt the computation."""
 

@@ -19,11 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BehindCameraError,
-    ShapeMismatchError,
-    ValidationError,
-)
+from .errors import ShapeMismatchError, ValidationError
 
 _ORTHONORMALITY_TOL = 1e-9
 
@@ -96,10 +92,6 @@ class RigidTransform:
         object.__setattr__(self, "translation", t)
 
     @classmethod
-    def identity(cls) -> "RigidTransform":
-        return cls(np.eye(3), np.zeros(3))
-
-    @classmethod
     def from_matrix_parts(cls, rotation, translation) -> "RigidTransform":
         """Build a transform, projecting ``rotation`` to the nearest SO(3) element."""
         return cls(so3_project(np.asarray(rotation, dtype=np.float64)),
@@ -115,9 +107,6 @@ class RigidTransform:
         """Transform points of shape (..., 3)."""
         pts = np.asarray(points, dtype=np.float64)
         return pts @ self.rotation.T + self.translation
-
-    def camera_center(self) -> np.ndarray:
-        return -self.rotation.T @ self.translation
 
 
 def compose(a: RigidTransform, b: RigidTransform) -> RigidTransform:
@@ -245,17 +234,6 @@ def pointmap_from_depth(depth: DepthMap, intrinsics: CameraIntrinsics) -> Pointm
     return Pointmap(depth.width, depth.height, points, conf, depth.mask)
 
 
-def project(point: np.ndarray, intrinsics: CameraIntrinsics) -> np.ndarray:
-    """Project camera-frame points (..., 3) to pixel coordinates (..., 2)."""
-    pts = np.asarray(point, dtype=np.float64)
-    z = pts[..., 2]
-    if np.any(z <= 0):
-        raise BehindCameraError("cannot project points with z <= 0")
-    u = intrinsics.f * pts[..., 0] / z + intrinsics.c_x
-    v = intrinsics.f * pts[..., 1] / z + intrinsics.c_y
-    return np.stack([u, v], axis=-1)
-
-
 def change_frame(pm: Pointmap, pose_src: RigidTransform,
                  pose_dst: RigidTransform) -> Pointmap:
     """Re-express a pointmap given in ``pose_src``'s camera frame in
@@ -286,12 +264,6 @@ def geodesic_deg(ra: np.ndarray, rb: np.ndarray) -> float:
         return 0.0
     cos_angle = (np.trace(ra.T @ rb) - 1.0) / 2.0
     return math.degrees(math.acos(min(1.0, max(-1.0, cos_angle))))
-
-
-def rot_z(deg: float) -> np.ndarray:
-    a = math.radians(deg)
-    c, s = math.cos(a), math.sin(a)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
 def axis_angle_matrix(axis: np.ndarray, angle_rad: float) -> np.ndarray:

@@ -112,7 +112,8 @@ unknown keys are rejected, and absent keys take their defaults. Record
 lines repeat their key, one record per line, each with a fixed number
 of whitespace-separated fields. Every read error names its line.
 Writers emit a "# pmsfm <document> v1" comment, then the keys in the
-order listed below, leaving out empty strings.
+order listed below, leaving out empty strings. They refuse a string
+with a line break or edge whitespace, or a record field with any space.
 
 Manifest ("pmsfm manifest v1")
     mode <views|pairs>             required
@@ -381,6 +382,8 @@ def poses_from_text(text: str) -> tuple[GlobalPoses, list[int]]:
         if (word, word2) != ("frame", "recovered"):
             raise FormatError(
                 f"line {lineno}: expected 'frame <id> recovered <0|1>', got {line!r}")
+        if frame_id < 0:
+            raise FormatError(f"line {lineno}: frame id {frame_id} is negative")
         if frame_id in seen:
             raise FormatError(f"line {lineno}: repeated frame {frame_id}")
         seen.add(frame_id)
@@ -452,19 +455,31 @@ def _kinds(types) -> tuple:
     return tuple(_flag if t is bool else t for t in types)
 
 
-def _value_text(hint, v) -> str:
+def _value_text(name: str, hint, v) -> str:
+    """`v` as the reader of a `hint` value reads it back. Text the reader
+    would cut, strip or split differently is refused, naming field `name`."""
     if get_origin(hint) is tuple:
-        return " ".join(_value_text(t, x) for t, x in zip(get_args(hint), v))
+        words = [_value_text(name, t, x) for t, x in zip(get_args(hint), v)]
+        bad = [w for w in words if w.split() != [w]]
+        if bad:
+            raise FormatError(f"{name}: {bad[0]!r} is not one whitespace-free word")
+        return " ".join(words)
     if hint is float:
         return _fmt(v)
-    return str(int(v)) if hint in (bool, int) else str(v)
+    if hint in (bool, int):
+        return str(int(v))
+    text = str(v)
+    if text != text.strip() or text.splitlines() != [text]:
+        raise FormatError(f"{name}: {text!r} would not read back as written")
+    return text
 
 
 def kv_to_text(obj, title: str, omit=()) -> str:
     """The dataclass `obj` as a key-value document: ``# <title>``, then one
     ``<field> <value>`` line per field in declaration order. A record field
     writes one ``<key> <values>`` line per element. Fields named in `omit`
-    and empty strings, which the reader defaults to, are left out."""
+    and empty strings, which the reader defaults to, are left out. A value
+    the reader would read back differently raises FormatError."""
     hints = get_type_hints(type(obj))
     out = [f"# {title}"]
     for f in dataclasses.fields(obj):
@@ -473,9 +488,9 @@ def kv_to_text(obj, title: str, omit=()) -> str:
             continue
         if "record" in f.metadata:
             hint = get_args(hints[f.name])[0]
-            out += [f"{f.metadata['record']} {_value_text(hint, r)}" for r in v]
+            out += [f"{f.metadata['record']} {_value_text(f.name, hint, r)}" for r in v]
         else:
-            out.append(f"{f.name} {_value_text(hints[f.name], v)}")
+            out.append(f"{f.name} {_value_text(f.name, hints[f.name], v)}")
     return "\n".join(out) + "\n"
 
 

@@ -91,7 +91,10 @@ class PipelineConfig:
 
 
 def config_to_text(cfg: PipelineConfig) -> str:
-    return io_formats.kv_to_text(cfg, "pmsfm pipeline config v1")
+    try:
+        return io_formats.kv_to_text(cfg, "pmsfm pipeline config v1")
+    except FormatError as exc:
+        raise ConfigError(f"unwritable config: {exc}") from None
 
 
 def config_from_text(text: str) -> PipelineConfig:
@@ -103,10 +106,6 @@ def config_from_text(text: str) -> PipelineConfig:
 
 def load_config(path) -> PipelineConfig:
     return config_from_text(Path(path).read_text(encoding="utf-8"))
-
-
-def save_config(path, cfg: PipelineConfig):
-    Path(path).write_text(config_to_text(cfg), encoding="utf-8")
 
 
 def scene_spec_to_text(spec: SceneSpec) -> str:
@@ -331,8 +330,7 @@ def _load_views_bundle(manifest: Manifest, kept: np.ndarray) -> SceneBundle:
         views.append(SceneView(depth=depth, intrinsics=intr,
                                pose=gt.pose(by_id[frame])))
     spec = manifest.pair_simulation(
-        n_views=max(len(views), 2),
-        image_size=(views[0].depth.width, views[0].depth.height))
+        n_views=len(views), image_size=(views[0].depth.width, views[0].depth.height))
     return SceneBundle(spec=spec, views=tuple(views))
 
 
@@ -492,13 +490,14 @@ def run_solve(cfg: PipelineConfig) -> tuple[SolveResult, Path]:
         raise ConfigError("manifest: no input manifest configured")
     if not cfg.output_dir:
         raise ConfigError("output_dir: no output directory configured")
+    config_text = config_to_text(cfg)  # refuses a config that would not read back
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     result = solve(cfg)
     io_formats.write_poses(out / POSES_FILENAME, result.poses, result.frame_ids)
     io_formats.write_graph(out / GRAPH_FILENAME, result.graph)
     (out / RUN_LOG_FILENAME).write_text(run_log_text(result), encoding="utf-8")
-    save_config(out / "config_used.txt", cfg)
+    (out / "config_used.txt").write_text(config_text, encoding="utf-8")
     return result, out
 
 

@@ -1,11 +1,9 @@
 """Procedural multi-view scene generator for testing the full pipeline.
 
 Scenes are proxy point clouds (no meshes) rendered into per-view depth
-maps by 1-pixel z-buffer splatting. Every view also records which point
-each pixel shows, so tests can match pixels across views exactly. Points
-that fail to win an unmasked pixel in at least two views are pruned and
-the scene re-splatted, which makes the >=2-view visibility guarantee
-hold by construction.
+maps by 1-pixel z-buffer splatting. Points that fail to win an unmasked
+pixel in at least two views are pruned and the scene re-splatted, which
+makes the >=2-view visibility guarantee hold by construction.
 
 Pair pointmaps simulate a cross-view prediction network: both maps are
 back-projected from the stored depth and the second view's map is
@@ -110,14 +108,12 @@ class SceneView:
     depth: DepthMap
     intrinsics: CameraIntrinsics
     pose: RigidTransform  # world-to-camera
-    point_ids: np.ndarray | None = None  # (H, W) int32, -1 where uncovered
 
 
 @dataclass(frozen=True)
 class SceneBundle:
     spec: SceneSpec
     views: tuple[SceneView, ...]
-    points: np.ndarray | None = None  # (n_points, 3) world frame
 
     @property
     def n_views(self) -> int:
@@ -129,30 +125,6 @@ class SceneBundle:
         frame, computed once per bundle; the maps are read-only, so every
         pair shares them."""
         return tuple(pointmap_from_depth(v.depth, v.intrinsics) for v in self.views)
-
-    def exact_pointmap(self, k: int) -> Pointmap:
-        """Pointmap whose entries are the exact (noise-free) coordinates
-        of the splatted scene points, in view k's camera frame."""
-        if self.points is None or self.views[k].point_ids is None:
-            raise ValidationError("bundle carries no point identities")
-        view = self.views[k]
-        ids = view.point_ids
-        mask = (ids >= 0) & view.depth.mask
-        pts = np.zeros(ids.shape + (3,))
-        pts[mask] = view.pose.apply(self.points[ids[mask]])
-        h, w = ids.shape
-        return Pointmap(w, h, pts, np.ones((h, w)), mask)
-
-    def point_visibility(self) -> np.ndarray:
-        """Number of views in which each scene point occupies an
-        unmasked pixel."""
-        if self.points is None:
-            raise ValidationError("bundle carries no point identities")
-        counts = np.zeros(len(self.points), dtype=int)
-        for view in self.views:
-            ids = view.point_ids[view.depth.mask & (view.point_ids >= 0)]
-            counts[np.unique(ids)] += 1
-        return counts
 
 
 def _rng(*key: int) -> np.random.Generator:
@@ -314,7 +286,6 @@ def generate(spec: SceneSpec) -> SceneBundle:
             break
         keep[kept_idx[~ok]] = False
 
-    final_points = points[np.flatnonzero(keep)]
     views = []
     for k, (p, (depth, ids)) in enumerate(zip(params, splats)):
         mask = ids >= 0
@@ -328,9 +299,8 @@ def generate(spec: SceneSpec) -> SceneBundle:
             depth=DepthMap(width=w, height=h, depth=depth, mask=mask),
             intrinsics=intrinsics,
             pose=p.pose,
-            point_ids=ids,
         ))
-    return SceneBundle(spec=spec, views=tuple(views), points=final_points)
+    return SceneBundle(spec=spec, views=tuple(views))
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
+import math
 import struct
 
 import numpy as np
 import pytest
 
-from pmsfm.geometry import RigidTransform, random_rotation, rot_z
+from pmsfm.geometry import RigidTransform, axis_angle_matrix, random_rotation
 from pmsfm.pose_graph import Edge, PoseGraph
 
 
@@ -53,7 +54,8 @@ def winding_cycle(n: int = 12) -> tuple[PoseGraph, np.ndarray]:
     reads 2 cos(2 pi / n) - 2 (-0.268 for n = 12)."""
     graph = PoseGraph(n, tuple(Edge(k, (k + 1) % n, np.eye(3), np.zeros(3), 1.0, 1.0)
                                for k in range(n)))
-    return graph, np.stack([rot_z(360.0 * k / n) for k in range(n)])
+    return graph, np.stack([axis_angle_matrix([0.0, 0.0, 1.0], math.radians(360.0 * k / n))
+                            for k in range(n)])
 
 
 @pytest.fixture

@@ -6,6 +6,7 @@ randomness is seeded, so each criterion is a deterministic verdict.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from pmsfm.pose_graph import (
     translation_averaging,
 )
 from pmsfm.relative_pose import estimate_focal, make_intrinsics, pnp_ransac
-from pmsfm.synth import SceneSpec, generate, make_pair_pointmaps
+from pmsfm.synth import SceneSpec, _sample_points, generate, make_pair_pointmaps
 
 from conftest import cut_planes, random_rigid, stable_rot_err_deg
 from test_losses import make_pm, random_batch, conf_oracle
@@ -43,6 +44,7 @@ from test_pose_graph import (
     spanning_tree_rotations,
 )
 from test_relative_pose import grid_pointmap_for_pose, small_pose
+from test_synth import shown_points
 
 
 def report_pass(n: int, message: str):
@@ -193,11 +195,12 @@ def test_criterion_5_averaging_exact_recovery():
         rot = rotation_averaging(g)
         u = translation_averaging(g, rot)
         worst_obj = max(worst_obj, rotation_objective(g, rot))
-        scale = max(max(np.linalg.norm(p.camera_center()) for p in poses), 1.0)
+        centers = [-p.rotation.T @ p.translation for p in poses]
+        scale = max(max(np.linalg.norm(c) for c in centers), 1.0)
         for k in range(n):
             expected_rot = poses[0].rotation @ poses[k].rotation.T
             worst_rot = max(worst_rot, stable_rot_err_deg(rot[k], expected_rot))
-            expected_u = poses[0].apply(poses[k].camera_center())
+            expected_u = poses[0].apply(centers[k])
             worst_t = max(worst_t, float(np.linalg.norm(u[k] - expected_u)) / scale)
     assert worst_obj <= 1e-12
     assert worst_rot <= 1e-8
@@ -224,9 +227,12 @@ def test_criterion_6_end_to_end_round_trip(tmp_path):
     errs = np.linalg.norm(aligned.centers() - gt.centers(), axis=1)
     mean_center_err = float(errs[aligned.recovered & gt.recovered].mean())
 
-    bundle = generate(spec)
-    diameter = 2.0 * float(np.linalg.norm(
-        bundle.points - bundle.points.mean(axis=0), axis=1).max())
+    # The scene's points: those the noise-free views show.
+    clean = replace(spec, depth_noise_sigma=0.0)
+    shown = np.unique(np.concatenate([shown_points(clean, v).ravel()
+                                      for v in generate(clean).views]))
+    points = _sample_points(spec)[shown[1:]]  # shown[0] is the -1 of masked pixels
+    diameter = 2.0 * float(np.linalg.norm(points - points.mean(axis=0), axis=1).max())
 
     assert report.det_rate_pct == 100.0
     assert report.rot_error_deg <= 2.0

@@ -333,6 +333,11 @@ class TestPosesDocument:
             poses_from_text("frames 2\nframe 0 recovered 1\n" + identity
                             + "frame 0 recovered 1\n" + identity)
 
+    def test_rejects_negative_frame_id(self):
+        identity = "1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n"
+        with pytest.raises(FormatError, match="^line 3: frame id -3 is negative$"):
+            poses_from_text("# pmsfm poses v1\nframes 1\nframe -3 recovered 1\n" + identity)
+
     def test_rejects_non_rotation(self):
         text = ("frames 1\nframe 0 recovered 1\n"
                 "2.0 0.0 0.0 0.0\n0.0 1.0 0.0 0.0\n0.0 0.0 1.0 0.0\n0.0 0.0 0.0 1.0\n")

@@ -1,3 +1,4 @@
+import math
 import warnings
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pmsfm.errors import AlignmentError, ShapeMismatchError, ValidationError
-from pmsfm.geometry import random_rotation, so3_project
+from pmsfm.geometry import axis_angle_matrix, random_rotation, so3_project
 from pmsfm.metrics import (
     GaugeAlignment,
     SequenceReport,
@@ -183,10 +184,9 @@ class TestEvaluate:
     def test_injected_error_one_frame(self, rng):
         # 10 frames, one rotated by 10 degrees: mean rot error 1.0, and
         # 10 < 15 so the 15-degree accuracy stays 100%
-        from pmsfm.geometry import rot_z
         gt = random_global_poses(rng, 10)
         rot = gt.rotations.copy()
-        rot[3] = rot[3] @ rot_z(10.0)
+        rot[3] = rot[3] @ axis_angle_matrix([0.0, 0.0, 1.0], math.radians(10.0))
         trans = gt.translations.copy()
         trans[3] = -rot[3] @ gt.centers()[3]  # keep the center unchanged
         est = GlobalPoses(rot, trans, gt.recovered)

@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -20,6 +21,7 @@ from pmsfm.errors import ConfigError, FormatError, InsufficientDataError
 from pmsfm.geometry import (
     DepthMap,
     Pointmap,
+    axis_angle_matrix,
     change_frame,
     compose,
     geodesic_deg,
@@ -161,6 +163,8 @@ def solve_capturing_pairs(cfg, fail_pair=None):
 _TEXT = st.from_regex(r"[\w./-]+( [\w./-]+)*", fullmatch=True) | st.just("")
 _BY_TYPE = {int: st.integers(), float: st.floats(allow_nan=False),
             bool: st.booleans(), str: _TEXT}
+# Any text, biased towards the characters the line grammar splits and strips on.
+_ANY_TEXT = st.text(st.sampled_from("a.# \t\n\r\x0b\x0c\x1c\x85\u2028\u3000")) | st.text()
 
 
 def dataclass_values(cls, **overrides):
@@ -178,7 +182,7 @@ class TestConfigAndManifest:
         cfg = pipeline.PipelineConfig(manifest="m.txt", output_dir="out dir with space",
                                       align_mode="similarity", n_keep=60, rng_seed=7)
         path = tmp_path / "cfg.txt"
-        pipeline.save_config(path, cfg)
+        path.write_text(pipeline.config_to_text(cfg), encoding="utf-8")
         assert pipeline.load_config(path) == cfg
 
     def test_config_rejects_unknown_key(self):
@@ -200,6 +204,31 @@ class TestConfigAndManifest:
         align_mode=st.sampled_from(["rigid", "similarity"])))
     def test_config_round_trip_property(self, cfg):
         assert pipeline.config_from_text(pipeline.config_to_text(cfg)) == cfg
+
+    @pytest.mark.parametrize("field, value", [
+        ("manifest", "in.txt\npair_validity other.txt"),
+        ("output_dir", " run "),
+        ("pair_validity", "v.txt\x85"),
+    ])
+    def test_config_writer_refuses_what_reads_back_differently(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field}: .* would not read back as written"):
+            pipeline.config_to_text(pipeline.PipelineConfig(**{field: value}))
+
+    @given(dataclass_values(pipeline.PipelineConfig, n_keep=st.just(0), rng_seed=st.just(0),
+                            jobs=st.just(0), align_mode=st.just("rigid"), manifest=_ANY_TEXT,
+                            output_dir=_ANY_TEXT, pair_validity=_ANY_TEXT))
+    def test_config_text_round_trips_or_is_refused(self, cfg):
+        try:
+            text = pipeline.config_to_text(cfg)
+        except ConfigError:
+            return
+        assert pipeline.config_from_text(text) == cfg
+
+    def test_manifest_writer_refuses_a_file_name_with_a_space(self, tmp_path):
+        m = pipeline.Manifest(mode="pairs", n_frames=2, base_dir=tmp_path,
+                              pairs=((0, 1, "a b.pmap", "c.pmap"),))
+        with pytest.raises(FormatError, match="^pairs: 'a b.pmap' is not one whitespace-free"):
+            pipeline.manifest_to_text(m)
 
     def test_scene_spec_round_trip(self, tmp_path):
         spec = small_spec(depth_noise_sigma=0.01, object_shape="blob")
@@ -532,10 +561,10 @@ class TestEvalStage:
     def test_global_rotation_invariance(self, bundle_dir, tmp_path):
         # a 90-degree global re-orientation scores identically after
         # rigid alignment
-        from pmsfm.geometry import rot_z
         from pmsfm.metrics import GaugeAlignment, apply_gauge
         gt, ids = io_formats.read_poses(bundle_dir / "gt_poses.txt")
-        moved = apply_gauge(gt, GaugeAlignment(rot_z(90.0), np.zeros(3), 1.0))
+        quarter_turn = axis_angle_matrix([0.0, 0.0, 1.0], math.radians(90.0))
+        moved = apply_gauge(gt, GaugeAlignment(quarter_turn, np.zeros(3), 1.0))
         est_path = tmp_path / "est.txt"
         io_formats.write_poses(est_path, moved, ids)
         report = pipeline.evaluate_pose_files(est_path, bundle_dir / "gt_poses.txt")
@@ -705,6 +734,15 @@ class TestCli:
         assert "error: rng_seed: -3 is negative" in capsys.readouterr().err
         assert not (tmp_path / "b").exists()
 
+    def test_unwritable_out_exits_2_before_solving(self, bundle_dir, tmp_path, capsys):
+        out = str(tmp_path / "run") + " "
+        with mock.patch.object(pipeline, "_solve_pair") as solve_pair:
+            assert main(["solve", "--manifest", str(bundle_dir / "manifest.txt"),
+                         "--out", out]) == 2
+        solve_pair.assert_not_called()
+        assert "would not read back as written" in capsys.readouterr().err
+        assert not Path(out).exists()
+
     def test_solve_negative_seed_exit_2(self, bundle_dir, tmp_path, capsys):
         assert main(["solve", "--manifest", str(bundle_dir / "manifest.txt"), "--seed", "-3",
                      "--out", str(tmp_path / "run")]) == 2
@@ -796,7 +834,7 @@ class TestDegradedEval:
 class TestEvalConfigFile:
     def test_config_supplies_mode(self, bundle_dir, tmp_path, capsys):
         cfg = pipeline.PipelineConfig(align_mode="similarity")
-        pipeline.save_config(tmp_path / "cfg.txt", cfg)
+        (tmp_path / "cfg.txt").write_text(pipeline.config_to_text(cfg), encoding="utf-8")
         gt_path = bundle_dir / "gt_poses.txt"
         gt, ids = io_formats.read_poses(gt_path)
         est_path = tmp_path / "est.txt"  # the reference at twice its scale
@@ -811,7 +849,7 @@ class TestEvalConfigFile:
 
     def test_flag_overrides_config(self, bundle_dir, tmp_path):
         cfg = pipeline.PipelineConfig(align_mode="similarity")
-        pipeline.save_config(tmp_path / "cfg.txt", cfg)
+        (tmp_path / "cfg.txt").write_text(pipeline.config_to_text(cfg), encoding="utf-8")
         gt_path = bundle_dir / "gt_poses.txt"
         gt, ids = io_formats.read_poses(gt_path)
         est_path = tmp_path / "est.txt"  # the reference at twice its scale

@@ -577,9 +577,10 @@ class TestTranslationAveraging:
         g = PoseGraph(5, tuple(consistent_edges(poses, pairs)))
         rot = rotation_averaging(g)
         u = translation_averaging(g, rot)
-        scale = max(np.linalg.norm(p.camera_center()) for p in poses)
+        centers = [-p.rotation.T @ p.translation for p in poses]
+        scale = max(np.linalg.norm(c) for c in centers)
         for k in range(5):
-            expected = poses[0].apply(poses[k].camera_center())  # center in frame 0
+            expected = poses[0].apply(centers[k])  # center in frame 0
             assert np.linalg.norm(u[k] - expected) <= 1e-10 * max(scale, 1.0)
 
     @pytest.mark.parametrize("seed", range(5))

@@ -150,13 +150,12 @@ class TestMakeIntrinsics:
 
     def test_round_trip_composition(self, rng):
         # pointmap built with centered intrinsics projects back onto its grid
-        from pmsfm.geometry import project
         k = make_intrinsics(16, 12, 250.0)
         depth = rng.uniform(0.5, 2.0, size=(12, 16))
         pm = pointmap_from_depth(DepthMap(16, 12, depth, np.ones((12, 16), bool)), k)
-        px = project(pm.points, k)
-        ii, jj = np.meshgrid(np.arange(16.0), np.arange(12.0))
-        assert np.max(np.abs(px - np.stack([ii, jj], axis=-1))) <= 1e-9
+        points = pm.points.reshape(-1, 3).T
+        pixels = pixel_grid(16, 12).reshape(-1, 2).T
+        assert _reproj_errors(points, pixels, k, np.eye(3), np.zeros(3)).max() <= 1e-9
 
     def test_rejects_bad_dims(self):
         with pytest.raises(ValidationError):
@@ -199,7 +198,7 @@ class TestPnPRansac:
 
     def test_identity_view(self, rng):
         k = make_intrinsics(40, 30, 150.0)
-        pm = grid_pointmap_for_pose(k, 40, 30, RigidTransform.identity(), rng)
+        pm = grid_pointmap_for_pose(k, 40, 30, RigidTransform(np.eye(3), np.zeros(3)), rng)
         res = pnp_ransac(pm, k)
         assert geodesic_deg(res.transform.rotation, np.eye(3)) <= 1e-4
         scene_scale = float(np.linalg.norm(pm.points[pm.mask], axis=1).mean())
