@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
 import sys
 from pathlib import Path
 
@@ -24,10 +23,6 @@ from .errors import (
 from .synth import SceneSpec
 
 
-def _default_out() -> str:
-    return os.environ.get(pipeline.OUTPUT_DIR_ENV, "")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pmsfm",
@@ -39,15 +34,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_synth = sub.add_parser("synth", help="generate a synthetic scene bundle")
     p_synth.add_argument("--spec", help="scene spec file (key-value text)")
-    p_synth.add_argument("--out", default=_default_out(),
-                         help=f"output directory (default ${pipeline.OUTPUT_DIR_ENV})")
+    p_synth.add_argument("--out", required=True, help="output directory")
     p_synth.add_argument("--seed", type=int, help="override the scene spec's rng seed")
 
     p_solve = sub.add_parser("solve", help="recover global poses from a manifest")
     p_solve.add_argument("--config", help="pipeline config file; flags override it")
     p_solve.add_argument("--manifest", help="input manifest")
-    p_solve.add_argument("--out", default=None,
-                         help=f"output directory (default ${pipeline.OUTPUT_DIR_ENV})")
+    p_solve.add_argument("--out", dest="output_dir", help="output directory")
     p_solve.add_argument("--n-keep", type=int, dest="n_keep",
                          help="subsample to this many evenly spaced frames")
     p_solve.add_argument("--seed", type=int, dest="rng_seed")
@@ -60,9 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="score estimated poses against a reference")
     p_eval.add_argument("--est", required=True, help="estimated poses document")
     p_eval.add_argument("--gt", required=True, help="reference poses document")
-    p_eval.add_argument("--config", help="pipeline config supplying the alignment "
-                                         "mode; --mode overrides it")
-    p_eval.add_argument("--mode", choices=("rigid", "similarity"), default=None)
+    p_eval.add_argument("--mode", choices=("rigid", "similarity"), default="rigid")
     p_eval.add_argument("--out", help="also write the report here")
 
     sub.add_parser("formats", help="print the on-disk format documentation")
@@ -76,8 +67,6 @@ def _cmd_synth(args) -> int:
         spec = pipeline.load_scene_spec(args.spec)
     if args.seed is not None:
         spec = dataclasses.replace(spec, rng_seed=args.seed)
-    if not args.out:
-        raise ConfigError(f"synth needs --out or ${pipeline.OUTPUT_DIR_ENV}")
     manifest_path = pipeline.synthesize(spec, args.out)
     print(f"wrote bundle for {spec.n_views} views to {Path(args.out).resolve()}")
     print(f"manifest: {manifest_path}")
@@ -86,19 +75,9 @@ def _cmd_synth(args) -> int:
 
 def _cmd_solve(args) -> int:
     cfg = pipeline.load_config(args.config) if args.config else pipeline.PipelineConfig()
-    overrides = {}
-    for f in dataclasses.fields(pipeline.PipelineConfig):
-        v = getattr(args, f.name, None)
-        if v is not None:
-            overrides[f.name] = v
-    if args.manifest is not None:
-        overrides["manifest"] = args.manifest
-    if args.out is not None:
-        overrides["output_dir"] = args.out
-    elif not cfg.output_dir and _default_out():
-        overrides["output_dir"] = _default_out()
-    cfg = dataclasses.replace(cfg, **overrides)
-
+    cfg = dataclasses.replace(cfg, **{f.name: getattr(args, f.name)
+                                      for f in dataclasses.fields(cfg)
+                                      if getattr(args, f.name) is not None})
     result, out = pipeline.run_solve(cfg)
     n = len(result.frame_ids)
     n_rec = int(result.poses.recovered.sum())
@@ -113,10 +92,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    mode = args.mode
-    if args.config:
-        mode = mode or pipeline.load_config(args.config).align_mode
-    report = pipeline.evaluate_pose_files(args.est, args.gt, mode=mode or "rigid")
+    report = pipeline.evaluate_pose_files(args.est, args.gt, mode=args.mode)
     if args.out:
         io_formats.write_report(args.out, report)
     print("rot_error_deg trans_error det_rate_pct acc_15_15_pct acc_30_30_pct")

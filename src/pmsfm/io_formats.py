@@ -82,7 +82,8 @@ Poses document ("pmsfm poses v1")
 Repeated per frame, ascending file order. The count lies in
 0..1000000 (MAX_FRAMES) and equals the number of frames that follow. Frame ids may be any
 non-negative integers (e.g. original video frame numbers); an id
-appears at most once. Every matrix entry is finite and each rotation
+appears at most once. The writer refuses an id that is negative,
+repeated or not an integer, naming it. Every matrix entry is finite and each rotation
 block lies in SO(3) (||R'R - I||_F and |det R - 1| at most 1e-9); the
 reader names a frame that breaks this by its position, counted from 0.
 
@@ -91,18 +92,19 @@ Pose graph document ("pmsfm pose graph v1")
     # pmsfm pose graph v1
     frames <n_frames>
     edge <i> <j> <r00 r01 r02 r10 r11 r12 r20 r21 r22> <t0 t1 t2> <weight> <quality>
-n_frames lies in 0..1000000 (MAX_FRAMES). The edge transform maps frame-j
-camera coordinates to frame-i camera coordinates; an edge whose
-rotation is not in SO(3) (the poses document's tolerance) or whose
-entries are not finite is rejected, naming its (i, j). weight is the
-averaging concentration, a finite positive number (an edge line with
-any other weight is rejected), and quality the inlier fraction that
-passed filtering.
+A key-value document (below): frames is required and lies in
+0..1000000 (MAX_FRAMES); edge is a record, one line per edge. The edge
+transform maps frame-j camera coordinates to frame-i camera
+coordinates; an edge whose rotation is not in SO(3) (the poses
+document's tolerance) or whose entries are not finite is rejected,
+naming its (i, j). weight is the averaging concentration, a finite
+positive number (an edge with any other weight is rejected, naming its
+(i, j)), and quality the inlier fraction that passed filtering.
 
 Key-value documents
 -------------------
-The manifest, pair-validity, config, scene-spec and sequence-report
-documents share one grammar. A content line is `<key> <value>`: the key
+The manifest, pair-validity, config, scene-spec, sequence-report and
+pose graph documents share one grammar. A content line is `<key> <value>`: the key
 is the first word, the value the rest of the line. A value is read by
 the type of the field it fills: decimal integers; floats with
 shortest-round-trip decimals (Python repr, so nan and inf too); strings
@@ -144,16 +146,19 @@ manifest's n_frames.
 
 Config ("pmsfm pipeline config v1")
 The fields of PipelineConfig, all optional: manifest, output_dir,
-align_mode (rigid|similarity), n_keep, rng_seed, jobs (pair-stage pool
-size; 0 = one thread per core when a pair map has at least 3000
-pixels, else one), pair_validity. n_keep, rng_seed and jobs are >= 0.
-Config files written by earlier versions carry lines for removed
-options: staircase, ransac_min_sample, weight_mode, acc1_dist,
-acc1_deg, acc2_dist, acc2_deg, ransac_max_iterations,
+n_keep, rng_seed, jobs (pair-stage pool size; 0 = one thread per core
+when a pair map has at least 3000 pixels, else one), pair_validity.
+n_keep, rng_seed and jobs are >= 0. A solve writes the config it ran
+as config_used.txt in its output directory, with manifest, output_dir
+and pair_validity as absolute paths, so it repeats the run from any
+working directory. Config files written by earlier versions carry
+lines for removed options: staircase, ransac_min_sample, weight_mode,
+acc1_dist, acc1_deg, acc2_dist, acc2_deg, ransac_max_iterations,
 ransac_inlier_threshold_px, ransac_confidence, quality_threshold,
-pair_policy and window. Each is rejected as an unknown key, so delete
-those lines. The last six are now solver constants, fixed at their
-former defaults.
+pair_policy, window and align_mode. Each is rejected as an unknown
+key, so delete those lines. ransac_max_iterations through window are
+now solver constants, fixed at their former defaults; the alignment
+that align_mode chose is `pmsfm eval --mode`.
 
 Scene spec ("pmsfm scene spec v1")
 The fields of SceneSpec, all optional: n_points, object_shape,
@@ -339,17 +344,6 @@ def _fields(lineno: int, parts: list[str], kinds, what: str) -> tuple:
 
 
 _MATRIX_ROW = (float,) * 4
-_EDGE = (str, int, int) + (float,) * 14
-
-
-def _frames_header(lines: _Lines) -> tuple[int, int]:
-    """The header's line number and its frame count, 0..MAX_FRAMES."""
-    lineno, line = lines.next("frames header")
-    word, n = _fields(lineno, line.split(), (str, int), "frames header")
-    if word != "frames" or not 0 <= n <= MAX_FRAMES:
-        raise FormatError(f"line {lineno}: expected 'frames <count>' with a"
-                          f" non-negative count of at most {MAX_FRAMES}, got {line!r}")
-    return lineno, n
 
 
 def poses_to_text(poses: GlobalPoses, frame_ids=None) -> str:
@@ -357,6 +351,13 @@ def poses_to_text(poses: GlobalPoses, frame_ids=None) -> str:
         frame_ids = list(range(poses.n_frames))
     if len(frame_ids) != poses.n_frames:
         raise FormatError(f"{len(frame_ids)} frame ids for {poses.n_frames} poses")
+    seen = set()
+    for fid in frame_ids:  # the reader's frame id rules
+        if isinstance(fid, bool) or not isinstance(fid, (int, np.integer)):
+            raise FormatError(f"frame id {fid!r} is not an integer")
+        if fid < 0 or fid in seen:
+            raise FormatError(f"frame id {fid} is {'negative' if fid < 0 else 'repeated'}")
+        seen.add(fid)
     out = ["# pmsfm poses v1", f"frames {poses.n_frames}"]
     for k in range(poses.n_frames):
         out.append(f"frame {frame_ids[k]} recovered {int(poses.recovered[k])}")
@@ -370,7 +371,11 @@ def poses_to_text(poses: GlobalPoses, frame_ids=None) -> str:
 
 def poses_from_text(text: str) -> tuple[GlobalPoses, list[int]]:
     lines = _Lines(text)
-    header, n = _frames_header(lines)
+    header, line = lines.next("frames header")
+    word, n = _fields(header, line.split(), (str, int), "frames header")
+    if word != "frames" or not 0 <= n <= MAX_FRAMES:
+        raise FormatError(f"line {header}: expected 'frames <count>' with a"
+                          f" non-negative count of at most {MAX_FRAMES}, got {line!r}")
     rotations, translations, recovered, frame_ids = [], [], [], []
     seen = set()
     while not lines.done():
@@ -412,37 +417,34 @@ def poses_from_text(text: str) -> tuple[GlobalPoses, list[int]]:
         raise FormatError(f"invalid pose document: {exc}") from None
 
 
+# i, j, the rotation row-major, the translation, weight, quality
+_EdgeRecord = tuple[(int, int) + (float,) * 14]
+
+
+@dataclasses.dataclass(frozen=True)
+class _PoseGraph:
+    frames: int
+    edges: tuple[_EdgeRecord, ...] = dataclasses.field(default=(), metadata={"record": "edge"})
+
+    def __post_init__(self):
+        if self.frames < 0:
+            raise ValidationError(f"frames: {self.frames} is negative")
+        if self.frames > MAX_FRAMES:
+            raise ValidationError(f"frames: {self.frames} is over the {MAX_FRAMES}-frame cap")
+
+
 def graph_to_text(graph: PoseGraph) -> str:
-    out = ["# pmsfm pose graph v1", f"frames {graph.n_frames}"]
-    for e in graph.edges:
-        fields = ([str(e.i), str(e.j)]
-                  + [_fmt(x) for x in e.rotation.reshape(-1)]
-                  + [_fmt(x) for x in e.translation]
-                  + [_fmt(e.weight), _fmt(e.quality)])
-        out.append("edge " + " ".join(fields))
-    return "\n".join(out) + "\n"
+    edges = tuple((e.i, e.j, *e.rotation.reshape(-1), *e.translation, e.weight, e.quality)
+                  for e in graph.edges)
+    return kv_to_text(_PoseGraph(graph.n_frames, edges), "pmsfm pose graph v1")
 
 
 def graph_from_text(text: str) -> PoseGraph:
-    lines = _Lines(text)
-    _, n = _frames_header(lines)
-    edges = []
-    while not lines.done():
-        lineno, line = lines.next("edge")
-        rec = _fields(lineno, line.split(), _EDGE, "edge")
-        if rec[0] != "edge":
-            raise FormatError(
-                f"line {lineno}: expected 'edge i j r00..r22 t0..t2 weight quality'")
-        try:
-            edges.append(Edge(
-                i=rec[1], j=rec[2],
-                rotation=(rec[3:6], rec[6:9], rec[9:12]), translation=rec[12:15],
-                weight=rec[15], quality=rec[16],
-            ))
-        except ValueError as exc:
-            raise FormatError(f"line {lineno}: invalid edge: {exc}") from None
-    try:
-        return PoseGraph(n_frames=n, edges=tuple(edges))
+    doc = kv_from_text(_PoseGraph, text)
+    try:  # every rejection names its edge (i, j)
+        return PoseGraph(doc.frames, tuple(
+            Edge(i, j, rotation=(v[0:3], v[3:6], v[6:9]), translation=v[9:12],
+                 weight=v[12], quality=v[13]) for i, j, *v in doc.edges))
     except ValueError as exc:
         raise FormatError(f"invalid pose graph: {exc}") from None
 
@@ -451,23 +453,25 @@ def graph_from_text(text: str) -> PoseGraph:
 # key-value documents
 
 
-def _kinds(types) -> tuple:
+def _kinds(hint) -> tuple:
+    """How each word of a `hint` value reads: a tuple's by its member types."""
+    types = get_args(hint) if get_origin(hint) is tuple else (hint,)
     return tuple(_flag if t is bool else t for t in types)
 
 
 def _value_text(name: str, hint, v) -> str:
     """`v` as the reader of a `hint` value reads it back. Text the reader
     would cut, strip or split differently is refused, naming field `name`."""
+    if hint is float:
+        return _fmt(v)
+    if hint in (bool, int):
+        return str(int(v))
     if get_origin(hint) is tuple:
         words = [_value_text(name, t, x) for t, x in zip(get_args(hint), v)]
         bad = [w for w in words if w.split() != [w]]
         if bad:
             raise FormatError(f"{name}: {bad[0]!r} is not one whitespace-free word")
         return " ".join(words)
-    if hint is float:
-        return _fmt(v)
-    if hint in (bool, int):
-        return str(int(v))
     text = str(v)
     if text != text.strip() or text.splitlines() != [text]:
         raise FormatError(f"{name}: {text!r} would not read back as written")
@@ -504,14 +508,15 @@ def kv_from_text(cls, text: str, **given):
     does not carry; absent fields take their defaults.
     """
     hints = get_type_hints(cls)
-    slots = {}  # line key -> (field name, value type, record field?)
+    slots = {}  # line key -> (field name, word kinds, split the value?, record field?)
     for f in dataclasses.fields(cls):
-        if "record" in f.metadata:
-            slots[f.metadata["record"]] = (f.name, get_args(hints[f.name])[0], True)
-        elif f.name not in given:
-            slots[f.name] = (f.name, hints[f.name], False)
+        record = f.metadata.get("record")
+        hint = get_args(hints[f.name])[0] if record else hints[f.name]
+        if record or f.name not in given:
+            slots[record or f.name] = (f.name, _kinds(hint), get_origin(hint) is tuple,
+                                       bool(record))
     values = dict(given)
-    records = {name: [] for name, _, is_record in slots.values() if is_record}
+    records = {name: [] for name, _, _, is_record in slots.values() if is_record}
     for lineno, line in _Lines(text).lines:
         parts = line.split(None, 1)
         if len(parts) != 2:
@@ -519,13 +524,12 @@ def kv_from_text(cls, text: str, **given):
         key, value = parts
         if key not in slots:
             raise FormatError(f"line {lineno}: unknown key {key!r}")
-        name, hint, is_record = slots[key]
+        name, kinds, split, is_record = slots[key]
         if not is_record and name in values:
             raise FormatError(f"line {lineno}: repeated key {key!r}")
-        if get_origin(hint) is tuple:
-            v = _fields(lineno, value.split(), _kinds(get_args(hint)), key)
-        else:
-            v = _fields(lineno, [value], _kinds((hint,)), key)[0]
+        v = _fields(lineno, value.split() if split else [value], kinds, key)
+        if not split:
+            v = v[0]
         if is_record:
             records[name].append(v)
         else:

@@ -52,8 +52,6 @@ from .pose_graph import (
 from .relative_pose import estimate_focal, make_intrinsics, pnp_ransac
 from .synth import SceneBundle, SceneSpec, SceneView, generate, make_pair_pointmaps
 
-OUTPUT_DIR_ENV = "PMSFM_OUTPUT_DIR"
-
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INSUFFICIENT_DATA = 3
@@ -71,15 +69,12 @@ GT_POSES_FILENAME = "gt_poses.txt"
 class PipelineConfig:
     manifest: str = ""
     output_dir: str = ""
-    align_mode: str = "rigid"  # rigid | similarity
     n_keep: int = 0  # 0 keeps every frame
     rng_seed: int = 0
     jobs: int = 0  # 0 picks one pool thread or one per core from the input
     pair_validity: str = ""
 
     def __post_init__(self):
-        if self.align_mode not in ("rigid", "similarity"):
-            raise ConfigError(f"align_mode: unknown mode {self.align_mode!r}")
         for name in ("n_keep", "rng_seed", "jobs"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name}: {getattr(self, name)} is negative")
@@ -485,11 +480,15 @@ def run_log_text(result: SolveResult) -> str:
 
 
 def run_solve(cfg: PipelineConfig) -> tuple[SolveResult, Path]:
-    """Solve and persist poses, graph, and run log into the output dir."""
+    """Solve and persist poses, graph, run log and config into the output dir;
+    the config's paths are absolute, so it repeats the run from any directory."""
     if not cfg.manifest:
         raise ConfigError("manifest: no input manifest configured")
     if not cfg.output_dir:
         raise ConfigError("output_dir: no output directory configured")
+    cfg = dataclasses.replace(cfg, **{name: os.path.abspath(getattr(cfg, name))
+                                      for name in ("manifest", "output_dir", "pair_validity")
+                                      if getattr(cfg, name)})
     config_text = config_to_text(cfg)  # refuses a config that would not read back
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -56,9 +56,10 @@ class Edge:
 
     def __post_init__(self):
         if self.i == self.j:
-            raise ValidationError(f"self-loop edge at frame {self.i}")
+            raise ValidationError(f"edge ({self.i},{self.j}): self-loop")
         if not (math.isfinite(self.weight) and self.weight > 0):
-            raise ValidationError(f"edge weight must be finite and positive, got {self.weight}")
+            raise ValidationError(f"edge ({self.i},{self.j}): weight must be finite and"
+                                  f" positive, got {self.weight}")
         r, t = _freeze(self.rotation, np.float64), _freeze(self.translation, np.float64)
         if (r.shape, t.shape) != ((3, 3), (3,)):
             raise ShapeMismatchError(f"edge ({self.i},{self.j}): shapes {r.shape}, {t.shape}")

@@ -338,6 +338,20 @@ class TestPosesDocument:
         with pytest.raises(FormatError, match="^line 3: frame id -3 is negative$"):
             poses_from_text("# pmsfm poses v1\nframes 1\nframe -3 recovered 1\n" + identity)
 
+    @pytest.mark.parametrize("ids, message", [
+        ([-3, 1], "frame id -3 is negative"),
+        ([4, 4], "frame id 4 is repeated"),
+        ([1.5, 2], "frame id 1.5 is not an integer"),
+        ([True, 2], "frame id True is not an integer"),
+        ([0, "1"], "frame id '1' is not an integer"),
+    ], ids=["negative", "repeated", "float", "bool", "str"])
+    def test_writer_refuses_what_the_reader_rejects(self, rng, ids, message):
+        poses = random_poses(rng, 2)
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            poses_to_text(poses, ids)
+        ids = [np.int64(7), np.uint8(3)]  # numpy integers write as plain ids
+        assert poses_from_text(poses_to_text(poses, ids))[1] == [7, 3]
+
     def test_rejects_non_rotation(self):
         text = ("frames 1\nframe 0 recovered 1\n"
                 "2.0 0.0 0.0 0.0\n0.0 1.0 0.0 0.0\n0.0 0.0 1.0 0.0\n0.0 0.0 0.0 1.0\n")
@@ -407,8 +421,26 @@ class TestGraphDocument:
             assert e1.weight == e2.weight and e1.quality == e2.quality
 
     def test_rejects_malformed(self):
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match="^line 2: expected 16 edge fields, got 5$"):
             graph_from_text("frames 2\nedge 0 1 1 2 3\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("edge 0 1 1 0 0 0 1 0 0 0 1 0 0 1 1 1\n", "missing 1 required positional argument:"
+                                                   " 'frames'"),
+        ("frames 2\nframes 2\n", "line 2: repeated key 'frames'"),
+        ("frames 2\nedge 0 x 1 0 0 0 1 0 0 0 1 0 0 1 1 1\n", "line 2: edge: invalid literal"),
+        ("frames 2\nedge 1 1 1 0 0 0 1 0 0 0 1 0 0 1 1 1\n",
+         "invalid pose graph: edge (1,1): self-loop"),
+    ], ids=["no-frames", "repeated-frames", "bad-field", "self-loop"])
+    def test_rejects_by_locator(self, text, message):
+        with pytest.raises(FormatError, match=re.escape(message)):
+            graph_from_text(text)
+
+    def test_text_layout(self):
+        g = PoseGraph(3, (Edge(0, 2, np.eye(3), [0.5, 0, -1], 0.25, 0.75),))
+        assert graph_to_text(g) == ("# pmsfm pose graph v1\nframes 3\n"
+                                    "edge 0 2 1.0 0.0 0.0 0.0 1.0 0.0 0.0 0.0 1.0"
+                                    " 0.5 0.0 -1.0 0.25 0.75\n")
 
     @pytest.mark.parametrize("rotation, translation", [
         ("1 0 0 0 1 0 0 0 1.001", "0 0 1"),
@@ -424,12 +456,14 @@ class TestGraphDocument:
             graph_from_text(text)
 
     def test_rejects_negative_frame_count(self):
-        with pytest.raises(FormatError, match="line 2: expected 'frames <count>' with a"):
+        with pytest.raises(FormatError, match="^invalid _PoseGraph document: frames: -1 is"
+                                              " negative$"):
             graph_from_text("# pmsfm pose graph v1\nframes -1\n")
 
     def test_frame_count_capped(self):
         edge = "edge 0 1 1 0 0 0 1 0 0 0 1 0 0 1 1 1\n"
-        with pytest.raises(FormatError, match="^line 2: expected 'frames <count>' with a"):
+        with pytest.raises(FormatError, match="^invalid _PoseGraph document: frames:"
+                                              " 100000000000 is over the 1000000-frame cap$"):
             graph_from_text(f"# pmsfm pose graph v1\nframes 100000000000\n{edge}")
         g = graph_from_text(f"# pmsfm pose graph v1\nframes {MAX_FRAMES}\n{edge}")
         assert g.n_frames == MAX_FRAMES == 1_000_000
@@ -439,7 +473,8 @@ class TestGraphDocument:
         good = "edge 0 1 1 0 0 0 1 0 0 0 1 0 0 1 1 1"
         text = f"# pmsfm pose graph v1\nframes 3\n{good}\nedge 1 2 1 0 0 0 1 0 0 0 1 1 0 0 {weight} 1\n"
         assert len(graph_from_text(text.replace(f" {weight} 1\n", " 1 1\n")).edges) == 2
-        with pytest.raises(FormatError, match="line 4: invalid edge: edge weight must be finite"):
+        with pytest.raises(FormatError, match=r"^invalid pose graph: edge \(1,2\): weight must"
+                                              " be finite"):
             graph_from_text(text)
 
 
