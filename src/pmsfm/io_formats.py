@@ -72,20 +72,24 @@ the mask plane, which writers always write; without it a pixel is
 masked in where its depth is > 0. Masked-in depths must be strictly
 positive and finite; masked-out pixels must carry depth 0.
 
-Poses document ("pmsfm poses v1")
+Poses document ("pmsfm poses v2")
 ---------------------------------
-    # pmsfm poses v1
+    # pmsfm poses v2
     frames <count>
-    frame <id> recovered <0|1>
-    <m00> <m01> <m02> <m03>        4 rows: the 4x4 row-major
-    ...                            world-to-camera matrix
-Repeated per frame, ascending file order. The count lies in
-0..1000000 (MAX_FRAMES) and equals the number of frames that follow. Frame ids may be any
-non-negative integers (e.g. original video frame numbers); an id
-appears at most once. The writer refuses an id that is negative,
-repeated or not an integer, naming it. Every matrix entry is finite and each rotation
-block lies in SO(3) (||R'R - I||_F and |det R - 1| at most 1e-9); the
-reader names a frame that breaks this by its position, counted from 0.
+    frame <id> <0|1> <r00 r01 r02 r10 r11 r12 r20 r21 r22> <t0 t1 t2>
+A key-value document (below): frames is required, lies in 0..1000000
+(MAX_FRAMES) and equals the number of frame records. frame is a record,
+one line per frame: its id, 1 if it was recovered, then its
+world-to-camera transform as the pose graph's edge record holds one.
+Frame ids may be any non-negative integers (e.g. original video frame
+numbers); an id appears at most once. The writer refuses what the
+reader rejects. Every entry is finite and each rotation lies in SO(3)
+(||R'R - I||_F and |det R - 1| at most 1e-9); the reader names a frame
+that breaks this by its position, counted from 0. Version 1 documents
+hold each frame as a header line and four matrix rows, and are rejected
+at their first frame line by its field count. Regenerate gt_poses.txt
+with `pmsfm synth --spec <old>/scene_spec.txt --out <new>`, and
+poses_est.txt by running solve again.
 
 Pose graph document ("pmsfm pose graph v1")
 -------------------------------------------
@@ -103,17 +107,20 @@ positive number (an edge with any other weight is rejected, naming its
 
 Key-value documents
 -------------------
-The manifest, pair-validity, config, scene-spec, sequence-report and
-pose graph documents share one grammar. A content line is `<key> <value>`: the key
-is the first word, the value the rest of the line. A value is read by
-the type of the field it fills: decimal integers; floats with
-shortest-round-trip decimals (Python repr, so nan and inf too); strings
-as the rest of the line; booleans as 0 or 1, nothing else; fixed pairs
-as two words (`focal_range 110.0 180.0`). A key appears at most once,
-unknown keys are rejected, and absent keys take their defaults. Record
-lines repeat their key, one record per line, each with a fixed number
-of whitespace-separated fields. Every read error names its line.
-Writers emit a "# pmsfm <document> v1" comment, then the keys in the
+The manifest, pair-validity, config, scene-spec, sequence-report, pose
+graph and poses documents share one grammar. A content line is
+`<key> <value>`: the key is the first word, the value the rest of the
+line. A value is read by the type of the field it fills: decimal
+integers; floats with shortest-round-trip decimals (Python repr, so nan
+and inf too); strings as the rest of the line; booleans as 0 or 1,
+nothing else; fixed pairs as two words (`focal_range 110.0 180.0`). A
+number word holding '_' or a non-ASCII character is rejected. A key
+appears at most once, unknown keys are rejected, a required key that is
+absent is rejected as missing, and other absent keys take their
+defaults. Record lines repeat their key, one record per line, each with
+a fixed number of whitespace-separated fields. Every read error names
+its line, its missing key or its document. Writers emit a
+"# pmsfm <document> v<version>" comment, then the keys in the
 order listed below, leaving out empty strings. They refuse a string
 with a line break or edge whitespace, or a record field with any space.
 
@@ -307,114 +314,55 @@ def read_depthmap(path) -> DepthMap:
 # text documents
 
 
-class _Lines:
-    """Content lines with original numbers; comments and blanks skipped."""
-
-    def __init__(self, text: str):
-        self.lines = [(n + 1, line.strip()) for n, line in enumerate(text.splitlines())
-                      if line.strip() and not line.strip().startswith("#")]
-        self.pos = 0
-
-    def next(self, what: str) -> tuple[int, str]:
-        if self.pos >= len(self.lines):
-            raise FormatError(f"unexpected end of document, expected {what}")
-        out = self.lines[self.pos]
-        self.pos += 1
-        return out
-
-    def done(self) -> bool:
-        return self.pos >= len(self.lines)
+def check_frame_count(name: str, n: int):
+    """Reject a frame count `n`, the value of field `name`, outside 0..MAX_FRAMES."""
+    if n < 0:
+        raise ValidationError(f"{name}: {n} is negative")
+    if n > MAX_FRAMES:
+        raise ValidationError(f"{name}: {n} is over the {MAX_FRAMES}-frame cap")
 
 
-def _flag(text: str) -> bool:
-    if text not in ("0", "1"):
-        raise ValueError(f"expected 0 or 1, got {text!r}")
-    return text == "1"
+# id, recovered, the world-to-camera rotation row-major, the translation
+_FrameRecord = tuple[(int, bool) + (float,) * 12]
 
 
-def _fields(lineno: int, parts: list[str], kinds, what: str) -> tuple:
-    """`parts` read one per entry of `kinds`: a type, or `_flag` for 0/1."""
-    if len(parts) != len(kinds):
-        raise FormatError(f"line {lineno}: expected {len(kinds)} {what} fields,"
-                          f" got {len(parts)}")
-    try:
-        return tuple([kind(p) for kind, p in zip(kinds, parts)])
-    except ValueError as exc:
-        raise FormatError(f"line {lineno}: {what}: {exc}") from None
+@dataclasses.dataclass(frozen=True)
+class _Poses:
+    frames: int
+    frame: tuple[_FrameRecord, ...] = dataclasses.field(default=(), metadata={"record": "frame"})
 
-
-_MATRIX_ROW = (float,) * 4
+    def __post_init__(self):
+        check_frame_count("frames", self.frames)
+        if self.frames != len(self.frame):
+            raise ValidationError(f"frames: {self.frames} declared, {len(self.frame)} present")
+        seen = set()
+        for fid, *_ in self.frame:
+            if isinstance(fid, bool) or not isinstance(fid, (int, np.integer)):
+                raise ValidationError(f"frame id {fid!r} is not an integer")
+            if fid < 0 or fid in seen:
+                raise ValidationError(f"frame id {fid} is {'negative' if fid < 0 else 'repeated'}")
+            seen.add(fid)
 
 
 def poses_to_text(poses: GlobalPoses, frame_ids=None) -> str:
     if frame_ids is None:
-        frame_ids = list(range(poses.n_frames))
+        frame_ids = range(poses.n_frames)
     if len(frame_ids) != poses.n_frames:
         raise FormatError(f"{len(frame_ids)} frame ids for {poses.n_frames} poses")
-    seen = set()
-    for fid in frame_ids:  # the reader's frame id rules
-        if isinstance(fid, bool) or not isinstance(fid, (int, np.integer)):
-            raise FormatError(f"frame id {fid!r} is not an integer")
-        if fid < 0 or fid in seen:
-            raise FormatError(f"frame id {fid} is {'negative' if fid < 0 else 'repeated'}")
-        seen.add(fid)
-    out = ["# pmsfm poses v1", f"frames {poses.n_frames}"]
-    for k in range(poses.n_frames):
-        out.append(f"frame {frame_ids[k]} recovered {int(poses.recovered[k])}")
-        m = np.eye(4)
-        m[:3, :3] = poses.rotations[k]
-        m[:3, 3] = poses.translations[k]
-        for row in m:
-            out.append(" ".join(_fmt(x) for x in row))
-    return "\n".join(out) + "\n"
+    rows = zip(frame_ids, poses.recovered.tolist(),
+               poses.rotations.reshape(-1, 9).tolist(), poses.translations.tolist())
+    doc = _Poses(poses.n_frames, tuple((fid, rec, *r, *t) for fid, rec, r, t in rows))
+    return kv_to_text(doc, "pmsfm poses v2")
 
 
 def poses_from_text(text: str) -> tuple[GlobalPoses, list[int]]:
-    lines = _Lines(text)
-    header, line = lines.next("frames header")
-    word, n = _fields(header, line.split(), (str, int), "frames header")
-    if word != "frames" or not 0 <= n <= MAX_FRAMES:
-        raise FormatError(f"line {header}: expected 'frames <count>' with a"
-                          f" non-negative count of at most {MAX_FRAMES}, got {line!r}")
-    rotations, translations, recovered, frame_ids = [], [], [], []
-    seen = set()
-    while not lines.done():
-        lineno, line = lines.next("frame header")
-        if len(frame_ids) == n:
-            raise FormatError(f"line {lineno}: trailing content {line!r}")
-        word, frame_id, word2, flag = _fields(lineno, line.split(),
-                                              (str, int, str, _flag), "frame header")
-        if (word, word2) != ("frame", "recovered"):
-            raise FormatError(
-                f"line {lineno}: expected 'frame <id> recovered <0|1>', got {line!r}")
-        if frame_id < 0:
-            raise FormatError(f"line {lineno}: frame id {frame_id} is negative")
-        if frame_id in seen:
-            raise FormatError(f"line {lineno}: repeated frame {frame_id}")
-        seen.add(frame_id)
-        frame_ids.append(frame_id)
-        recovered.append(flag)
-        m = np.empty((3, 4))
-        for r in range(3):
-            lineno, line = lines.next("matrix row")
-            m[r] = _fields(lineno, line.split(), _MATRIX_ROW, "matrix")
-        lineno, line = lines.next("matrix row")
-        x, y, z, one = _fields(lineno, line.split(), _MATRIX_ROW, "matrix")
-        # np.allclose(row, [0, 0, 0, 1], atol=1e-12) as plain float tests,
-        # which are false for NaN as allclose is.
-        if not (abs(x) <= 1e-12 and abs(y) <= 1e-12 and abs(z) <= 1e-12
-                and abs(one - 1.0) <= 1e-12 + 1e-5):
-            raise FormatError(f"line {lineno}: last matrix row must be 0 0 0 1")
-        rotations.append(m[:3, :3])
-        translations.append(m[:3, 3])
-    if len(frame_ids) < n:
-        raise FormatError(f"line {header}: {n} frames declared, {len(frame_ids)} present")
-    rotations = np.array(rotations).reshape(-1, 3, 3)
-    translations = np.array(translations).reshape(-1, 3)
-    try:
-        return GlobalPoses(rotations, translations, np.array(recovered, dtype=bool)), frame_ids
+    doc = kv_from_text(_Poses, text, "poses document")
+    values = np.array([f[2:] for f in doc.frame]).reshape(-1, 12)
+    try:  # a frame that breaks a pose rule is named by its position
+        return GlobalPoses(values[:, :9].reshape(-1, 3, 3), values[:, 9:],
+                           np.array([f[1] for f in doc.frame], bool)), [f[0] for f in doc.frame]
     except ValueError as exc:
-        raise FormatError(f"invalid pose document: {exc}") from None
+        raise FormatError(f"invalid poses document: {exc}") from None
 
 
 # i, j, the rotation row-major, the translation, weight, quality
@@ -427,10 +375,7 @@ class _PoseGraph:
     edges: tuple[_EdgeRecord, ...] = dataclasses.field(default=(), metadata={"record": "edge"})
 
     def __post_init__(self):
-        if self.frames < 0:
-            raise ValidationError(f"frames: {self.frames} is negative")
-        if self.frames > MAX_FRAMES:
-            raise ValidationError(f"frames: {self.frames} is over the {MAX_FRAMES}-frame cap")
+        check_frame_count("frames", self.frames)
 
 
 def graph_to_text(graph: PoseGraph) -> str:
@@ -440,7 +385,7 @@ def graph_to_text(graph: PoseGraph) -> str:
 
 
 def graph_from_text(text: str) -> PoseGraph:
-    doc = kv_from_text(_PoseGraph, text)
+    doc = kv_from_text(_PoseGraph, text, "pose graph")
     try:  # every rejection names its edge (i, j)
         return PoseGraph(doc.frames, tuple(
             Edge(i, j, rotation=(v[0:3], v[3:6], v[6:9]), translation=v[9:12],
@@ -453,28 +398,37 @@ def graph_from_text(text: str) -> PoseGraph:
 # key-value documents
 
 
+def _flag(text: str) -> bool:
+    if text not in ("0", "1"):
+        raise ValueError(f"expected 0 or 1, got {text!r}")
+    return text == "1"
+
+
 def _kinds(hint) -> tuple:
     """How each word of a `hint` value reads: a tuple's by its member types."""
     types = get_args(hint) if get_origin(hint) is tuple else (hint,)
     return tuple(_flag if t is bool else t for t in types)
 
 
-def _value_text(name: str, hint, v) -> str:
-    """`v` as the reader of a `hint` value reads it back. Text the reader
-    would cut, strip or split differently is refused, naming field `name`."""
-    if hint is float:
-        return _fmt(v)
-    if hint in (bool, int):
-        return str(int(v))
+def _writer(name: str, hint, word=False):
+    """A function writing a `hint` value as its reader reads it back, a
+    tuple's members as words. A string the reader would cut, strip or split
+    differently is refused, naming field `name`; number text needs no check."""
     if get_origin(hint) is tuple:
-        words = [_value_text(name, t, x) for t, x in zip(get_args(hint), v)]
-        bad = [w for w in words if w.split() != [w]]
-        if bad:
-            raise FormatError(f"{name}: {bad[0]!r} is not one whitespace-free word")
-        return " ".join(words)
-    text = str(v)
-    if text != text.strip() or text.splitlines() != [text]:
-        raise FormatError(f"{name}: {text!r} would not read back as written")
+        writers = [_writer(name, t, True) for t in get_args(hint)]
+        return lambda v: " ".join([w(x) for w, x in zip(writers, v)])
+    if hint is float:
+        return _fmt
+    if hint in (bool, int):
+        return lambda v: str(int(v))
+
+    def text(v):
+        out = str(v)
+        if word and out.split() != [out]:
+            raise FormatError(f"{name}: {out!r} is not one whitespace-free word")
+        if out != out.strip() or out.splitlines() != [out]:
+            raise FormatError(f"{name}: {out!r} would not read back as written")
+        return out
     return text
 
 
@@ -491,33 +445,41 @@ def kv_to_text(obj, title: str, omit=()) -> str:
         if f.name in omit or v == "":
             continue
         if "record" in f.metadata:
-            hint = get_args(hints[f.name])[0]
-            out += [f"{f.metadata['record']} {_value_text(f.name, hint, r)}" for r in v]
+            key, write = f.metadata["record"], _writer(f.name, get_args(hints[f.name])[0])
+            out += [f"{key} {write(r)}" for r in v]
         else:
-            out.append(f"{f.name} {_value_text(f.name, hints[f.name], v)}")
+            out.append(f"{f.name} {_writer(f.name, hints[f.name])(v)}")
     return "\n".join(out) + "\n"
 
 
-def kv_from_text(cls, text: str, **given):
-    """Read a key-value document into the dataclass `cls`.
+def kv_from_text(cls, text: str, what: str, **given):
+    """Read a key-value document, named `what` in its errors, into the
+    dataclass `cls`.
 
     Each value is read by its field's type: int, float, str (the rest of
     the line), bool as 0/1, or a fixed tuple of those as whitespace-separated
     fields. A field whose metadata names a ``record`` key collects every
     line with that key, in order. `given` supplies the fields the document
-    does not carry; absent fields take their defaults.
+    does not carry; absent fields take their defaults, and an absent field
+    without one is reported as a missing key.
     """
     hints = get_type_hints(cls)
     slots = {}  # line key -> (field name, word kinds, split the value?, record field?)
+    required = []
     for f in dataclasses.fields(cls):
         record = f.metadata.get("record")
         hint = get_args(hints[f.name])[0] if record else hints[f.name]
         if record or f.name not in given:
             slots[record or f.name] = (f.name, _kinds(hint), get_origin(hint) is tuple,
                                        bool(record))
+        if f.name not in given and f.default is f.default_factory is dataclasses.MISSING:
+            required.append(f.name)
     values = dict(given)
     records = {name: [] for name, _, _, is_record in slots.values() if is_record}
-    for lineno, line in _Lines(text).lines:
+    for lineno, line in enumerate(text.splitlines(), 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
         parts = line.split(None, 1)
         if len(parts) != 2:
             raise FormatError(f"line {lineno}: expected 'key value', got {line!r}")
@@ -527,18 +489,30 @@ def kv_from_text(cls, text: str, **given):
         name, kinds, split, is_record = slots[key]
         if not is_record and name in values:
             raise FormatError(f"line {lineno}: repeated key {key!r}")
-        v = _fields(lineno, value.split() if split else [value], kinds, key)
-        if not split:
-            v = v[0]
+        words = value.split() if split else [value]
+        if len(words) != len(kinds):
+            raise FormatError(f"line {lineno}: expected {len(kinds)} {key} fields,"
+                              f" got {len(words)}")
+        if "_" in value or not value.isascii():  # Python's int and float also read '1_0', '٣'
+            for kind, w in zip(kinds, words):
+                if kind in (int, float) and ("_" in w or not w.isascii()):
+                    raise FormatError(f"line {lineno}: {key}: {w!r} is not a decimal number")
+        try:
+            v = tuple([kind(w) for kind, w in zip(kinds, words)])
+        except ValueError as exc:
+            raise FormatError(f"line {lineno}: {key}: {exc}") from None
         if is_record:
             records[name].append(v)
         else:
-            values[name] = v
+            values[name] = v if split else v[0]
+    for name in required:
+        if name not in values:
+            raise FormatError(f"missing key {name!r}")
     values.update((name, tuple(rows)) for name, rows in records.items())
     try:
         return cls(**values)
-    except (TypeError, ValueError) as exc:  # a missing key or an invalid value
-        raise FormatError(f"invalid {cls.__name__} document: {exc}") from None
+    except ValueError as exc:
+        raise FormatError(f"invalid {what}: {exc}") from None
 
 
 def report_to_text(report: SequenceReport) -> str:
@@ -546,7 +520,7 @@ def report_to_text(report: SequenceReport) -> str:
 
 
 def report_from_text(text: str) -> SequenceReport:
-    return kv_from_text(SequenceReport, text)
+    return kv_from_text(SequenceReport, text, "sequence report")
 
 
 def write_poses(path, poses: GlobalPoses, frame_ids=None):

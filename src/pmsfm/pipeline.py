@@ -94,7 +94,7 @@ def config_to_text(cfg: PipelineConfig) -> str:
 
 def config_from_text(text: str) -> PipelineConfig:
     try:
-        return io_formats.kv_from_text(PipelineConfig, text)
+        return io_formats.kv_from_text(PipelineConfig, text, "config")
     except FormatError as exc:
         raise ConfigError(f"malformed config file: {exc}") from None
 
@@ -108,7 +108,7 @@ def scene_spec_to_text(spec: SceneSpec) -> str:
 
 
 def scene_spec_from_text(text: str) -> SceneSpec:
-    return io_formats.kv_from_text(SceneSpec, text)
+    return io_formats.kv_from_text(SceneSpec, text, "scene spec")
 
 
 def load_scene_spec(path) -> SceneSpec:
@@ -141,11 +141,7 @@ class Manifest:
     def __post_init__(self):
         if self.mode not in ("views", "pairs"):
             raise ValidationError(f"mode: unknown manifest mode {self.mode!r}")
-        if self.n_frames < 0:
-            raise ValidationError(f"n_frames: {self.n_frames} is negative")
-        if self.n_frames > io_formats.MAX_FRAMES:
-            raise ValidationError(f"n_frames: {self.n_frames} is over the"
-                                  f" {io_formats.MAX_FRAMES}-frame cap")
+        io_formats.check_frame_count("n_frames", self.n_frames)
         _check_records("view", [r[:1] for r in self.views], self.n_frames)
         _check_records("pair", [r[:2] for r in self.pairs], self.n_frames)
         if self.mode == "views" and not 0.0 < self.focal < math.inf:
@@ -180,7 +176,7 @@ def manifest_to_text(m: Manifest) -> str:
 
 
 def manifest_from_text(text: str, base_dir: Path) -> Manifest:
-    return io_formats.kv_from_text(Manifest, text, base_dir=base_dir)
+    return io_formats.kv_from_text(Manifest, text, "manifest", base_dir=base_dir)
 
 
 def load_manifest(path) -> Manifest:
@@ -202,7 +198,7 @@ def load_pair_validity(path, n_frames: int) -> dict[tuple[int, int], bool]:
     """Pair verdicts whose records pass the manifest's record checks
     for `n_frames` frames."""
     doc = io_formats.kv_from_text(_PairValidity, Path(path).read_text(encoding="utf-8"),
-                                  n_frames=n_frames)
+                                  "pair-validity document", n_frames=n_frames)
     return {(i, j): ok for i, j, ok in doc.pairs}
 
 

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.spatial.transform import Rotation
 
-from pmsfm.errors import FormatError
+from pmsfm.errors import FormatError, ValidationError
 from pmsfm.geometry import DepthMap, Pointmap, random_rotation
 from pmsfm.io_formats import (
     FORMAT_DOC,
@@ -301,6 +302,9 @@ def random_poses(rng, n=5):
     return GlobalPoses(rot, t, rec)
 
 
+IDENTITY = "1.0 0.0 0.0 0.0 1.0 0.0 0.0 0.0 1.0 0.0 0.0 0.0"  # a frame record's transform
+
+
 class TestPosesDocument:
     @pytest.mark.parametrize("seed", range(10))
     def test_print_parse_exact(self, seed):
@@ -324,19 +328,16 @@ class TestPosesDocument:
     def test_rejects_malformed(self):
         with pytest.raises(FormatError):
             poses_from_text("frames x\n")
-        with pytest.raises(FormatError):
-            poses_from_text("frames 1\nframe 0 recovered 2\n")
-        with pytest.raises(FormatError):
-            poses_from_text("frames 1\nframe 0 recovered 1\n1 0 0 0\n")
-        identity = "1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n"
-        with pytest.raises(FormatError, match="line 7: repeated frame 0"):
-            poses_from_text("frames 2\nframe 0 recovered 1\n" + identity
-                            + "frame 0 recovered 1\n" + identity)
+        with pytest.raises(FormatError, match="^line 2: frame: expected 0 or 1, got '2'$"):
+            poses_from_text(f"frames 1\nframe 0 2 {IDENTITY}\n")
+        with pytest.raises(FormatError, match="^line 2: expected 14 frame fields, got 6$"):
+            poses_from_text("frames 1\nframe 0 1 1 0 0 0\n")
+        with pytest.raises(FormatError, match="^invalid poses document: frame id 0 is repeated$"):
+            poses_from_text(f"frames 2\nframe 0 1 {IDENTITY}\nframe 0 1 {IDENTITY}\n")
 
     def test_rejects_negative_frame_id(self):
-        identity = "1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n"
-        with pytest.raises(FormatError, match="^line 3: frame id -3 is negative$"):
-            poses_from_text("# pmsfm poses v1\nframes 1\nframe -3 recovered 1\n" + identity)
+        with pytest.raises(FormatError, match="^invalid poses document: frame id -3 is negative$"):
+            poses_from_text(f"# pmsfm poses v2\nframes 1\nframe -3 1 {IDENTITY}\n")
 
     @pytest.mark.parametrize("ids, message", [
         ([-3, 1], "frame id -3 is negative"),
@@ -347,57 +348,74 @@ class TestPosesDocument:
     ], ids=["negative", "repeated", "float", "bool", "str"])
     def test_writer_refuses_what_the_reader_rejects(self, rng, ids, message):
         poses = random_poses(rng, 2)
-        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             poses_to_text(poses, ids)
+        if all(type(i) is int for i in ids):  # the reader rejects them in the same words
+            text = poses_to_text(poses, [0, 1]).replace("frame 0 ", f"frame {ids[0]} ")
+            with pytest.raises(FormatError, match=f"^invalid poses document: {re.escape(message)}$"):
+                poses_from_text(text.replace("frame 1 ", f"frame {ids[1]} "))
         ids = [np.int64(7), np.uint8(3)]  # numpy integers write as plain ids
         assert poses_from_text(poses_to_text(poses, ids))[1] == [7, 3]
 
     def test_rejects_non_rotation(self):
-        text = ("frames 1\nframe 0 recovered 1\n"
-                "2.0 0.0 0.0 0.0\n0.0 1.0 0.0 0.0\n0.0 0.0 1.0 0.0\n0.0 0.0 0.0 1.0\n")
         with pytest.raises(FormatError):
-            poses_from_text(text)
+            poses_from_text("frames 1\nframe 0 1 2.0 0.0 0.0 0.0 1.0 0.0 0.0 0.0 1.0 0 0 0\n")
 
     @pytest.mark.parametrize("x, t", [("1.5", "0.0"), ("-1.0", "0.0"), ("1.0", "nan")],
                              ids=["non-orthonormal", "det-minus-one", "nan-translation"])
     def test_rejects_bad_frame_by_position(self, rng, x, t):
         ids = [10, 20, 30, 40]
         lines = poses_to_text(random_poses(rng, 4), ids).splitlines()
-        assert lines[12].startswith("frame 30 recovered ")
-        lines[13:16] = [f"{x} 0.0 0.0 {t}", "0.0 1.0 0.0 0.0", "0.0 0.0 1.0 0.0"]
-        with pytest.raises(FormatError, match=r"document: frame 2: not finite or off SO\(3\)"):
+        assert lines[4].startswith("frame 30 ")
+        lines[4] = f"frame 30 1 {x} 0.0 0.0 0.0 1.0 0.0 0.0 0.0 1.0 {t} 0.0 0.0"
+        with pytest.raises(FormatError, match=r"^invalid poses document: frame 2: not finite or"
+                                              r" off SO\(3\)"):
             poses_from_text("\n".join(lines) + "\n")
 
-    @pytest.mark.parametrize("position", range(4))
-    @pytest.mark.parametrize("value", ["1.000009", "1.0000101", "1e-12", "-1e-12", "2e-12",
-                                       "nan", "inf"])
-    def test_last_row_accepted_as_allclose_does(self, rng, position, value):
-        row = [0.0, 0.0, 0.0, 1.0]
-        row[position] = float(value)
-        lines = poses_to_text(random_poses(rng, 3)).splitlines()
-        assert lines[12].startswith("frame 2 recovered ")
-        lines[11] = " ".join(str(x) for x in row)
-        text = "\n".join(lines) + "\n"
-        if np.allclose(row, [0, 0, 0, 1], atol=1e-12):
-            poses_from_text(text)
-        else:
-            with pytest.raises(FormatError,
-                               match="^line 12: last matrix row must be 0 0 0 1$"):
-                poses_from_text(text)
-
     @pytest.mark.parametrize("count, message", [
-        ("-1", "line 2: expected 'frames <count>' with a non-negative count"),
-        pytest.param("100000000000", "line 2: expected 'frames <count>' with a"
-                     " non-negative count of at most 1000000", id="over-cap"),
-        ("1000000", "line 2: 1000000 frames declared, 1 present"),
-        ("2", "line 2: 2 frames declared, 1 present"),
-    ])
+        ("-1", "frames: -1 is negative"),
+        ("100000000000", "frames: 100000000000 is over the 1000000-frame cap"),
+        ("1000000", "frames: 1000000 declared, 1 present"),
+        ("2", "frames: 2 declared, 1 present"),
+    ], ids=["negative", "over-cap", "cap-declared", "2-declared"])
     def test_rejects_bad_frame_count(self, count, message):
         text = poses_to_text(GlobalPoses(np.eye(3)[None], np.zeros((1, 3)), np.ones(1, bool)))
-        with pytest.raises(FormatError, match=re.escape(message)):
+        with pytest.raises(FormatError, match=f"^invalid poses document: {re.escape(message)}$"):
             poses_from_text(text.replace("frames 1", f"frames {count}"))
         empty = text.replace("frames 1\n", "frames 0\n").split("frame 0")[0]
         assert poses_from_text(empty)[0].n_frames == 0
+
+    def test_text_layout(self):
+        poses = GlobalPoses(np.eye(3)[None], [[0.5, 0, -1]], [True])
+        assert poses_to_text(poses, [4]) == ("# pmsfm poses v2\nframes 1\nframe 4 1 1.0 0.0 0.0"
+                                             " 0.0 1.0 0.0 0.0 0.0 1.0 0.5 0.0 -1.0\n")
+
+    def test_version_1_document_rejected_by_field_count(self):
+        identity = "1.0 0.0 0.0 0.0\n0.0 1.0 0.0 0.0\n0.0 0.0 1.0 0.0\n0.0 0.0 0.0 1.0\n"
+        with pytest.raises(FormatError, match="^line 3: expected 14 frame fields, got 3$"):
+            poses_from_text(f"# pmsfm poses v1\nframes 1\nframe 0 recovered 1\n{identity}")
+
+    @given(st.data())
+    @settings(deadline=None)
+    def test_round_trip_property(self, data):
+        ids = data.draw(st.lists(st.integers(0, 2**63 - 1), unique=True, max_size=8))
+        n = len(ids)
+        ids = [data.draw(st.sampled_from([int, np.int64, np.uint64]))(i) for i in ids]
+        recovered = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        quaternions = data.draw(st.lists(st.lists(st.floats(-1, 1), min_size=4, max_size=4)
+                                         .filter(lambda q: np.linalg.norm(q) > 0.1),
+                                         min_size=n, max_size=n))
+        translations = data.draw(st.lists(st.lists(st.floats(-1e300, 1e300), min_size=3,
+                                                   max_size=3), min_size=n, max_size=n))
+        rotations = Rotation.from_quat(quaternions).as_matrix() if n else np.zeros((0, 3, 3))
+        poses = GlobalPoses(rotations, np.reshape(translations, (n, 3)), recovered)
+        text = poses_to_text(poses, ids)
+        back, back_ids = poses_from_text(text)
+        assert back_ids == [int(i) for i in ids]
+        np.testing.assert_array_equal(back.rotations, poses.rotations)
+        np.testing.assert_array_equal(back.translations, poses.translations)
+        np.testing.assert_array_equal(back.recovered, poses.recovered)
+        assert poses_to_text(back, back_ids) == text
 
 
 class TestGraphDocument:
@@ -425,8 +443,7 @@ class TestGraphDocument:
             graph_from_text("frames 2\nedge 0 1 1 2 3\n")
 
     @pytest.mark.parametrize("text, message", [
-        ("edge 0 1 1 0 0 0 1 0 0 0 1 0 0 1 1 1\n", "missing 1 required positional argument:"
-                                                   " 'frames'"),
+        ("edge 0 1 1 0 0 0 1 0 0 0 1 0 0 1 1 1\n", "missing key 'frames'"),
         ("frames 2\nframes 2\n", "line 2: repeated key 'frames'"),
         ("frames 2\nedge 0 x 1 0 0 0 1 0 0 0 1 0 0 1 1 1\n", "line 2: edge: invalid literal"),
         ("frames 2\nedge 1 1 1 0 0 0 1 0 0 0 1 0 0 1 1 1\n",
@@ -456,14 +473,13 @@ class TestGraphDocument:
             graph_from_text(text)
 
     def test_rejects_negative_frame_count(self):
-        with pytest.raises(FormatError, match="^invalid _PoseGraph document: frames: -1 is"
-                                              " negative$"):
+        with pytest.raises(FormatError, match="^invalid pose graph: frames: -1 is negative$"):
             graph_from_text("# pmsfm pose graph v1\nframes -1\n")
 
     def test_frame_count_capped(self):
         edge = "edge 0 1 1 0 0 0 1 0 0 0 1 0 0 1 1 1\n"
-        with pytest.raises(FormatError, match="^invalid _PoseGraph document: frames:"
-                                              " 100000000000 is over the 1000000-frame cap$"):
+        with pytest.raises(FormatError, match="^invalid pose graph: frames: 100000000000 is"
+                                              " over the 1000000-frame cap$"):
             graph_from_text(f"# pmsfm pose graph v1\nframes 100000000000\n{edge}")
         g = graph_from_text(f"# pmsfm pose graph v1\nframes {MAX_FRAMES}\n{edge}")
         assert g.n_frames == MAX_FRAMES == 1_000_000
@@ -503,6 +519,31 @@ class TestReportDocument:
     def test_missing_field(self):
         with pytest.raises(FormatError):
             report_from_text("n_frames 3\n")
+
+
+_REPORT = report_to_text(SequenceReport(float("inf"), -float("inf"), 95.0, 80.0, 90.0, 20,
+                                        float("nan"), True))
+_GRAPH = "frames 3\nedge 0 1 1 0 0 0 1 0 0 0 1 0 0 1 1.5 1\n"
+
+
+@pytest.mark.parametrize("read, text, old, new, where", [
+    (report_from_text, _REPORT, "n_frames 20", "n_frames 2_0", "line 7: n_frames: '2_0'"),
+    (report_from_text, _REPORT, "n_frames 20", "n_frames \u0662\u0660",
+     "line 7: n_frames: '\u0662\u0660'"),
+    (report_from_text, _REPORT, "det_rate_pct 95.0", "det_rate_pct 9_5.0",
+     "line 4: det_rate_pct: '9_5.0'"),
+    (report_from_text, _REPORT, "det_rate_pct 95.0", "det_rate_pct \u0669\u0665",
+     "line 4: det_rate_pct: '\u0669\u0665'"),
+    (graph_from_text, _GRAPH, "frames 3", "frames 0_3", "line 1: frames: '0_3'"),
+    (graph_from_text, _GRAPH, " 1.5 1\n", " 1_0.5 1\n", "line 2: edge: '1_0.5'"),
+    (graph_from_text, _GRAPH, " 1.5 1\n", " \uff11.5 1\n", "line 2: edge: '\uff11.5'"),
+], ids=["report-int-underscore", "report-int-arabic-indic", "report-float-underscore",
+        "report-float-arabic-indic", "graph-int-underscore", "graph-float-underscore",
+        "graph-float-fullwidth"])
+def test_number_words_outside_the_grammar_rejected(read, text, old, new, where):
+    read(text)  # inf, -inf and nan read
+    with pytest.raises(FormatError, match=f"^{re.escape(where)} is not a decimal number$"):
+        read(text.replace(old, new))
 
 
 class TestFuzzRoundTrips:

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -230,6 +231,35 @@ class TestConfigAndManifest:
                               pairs=((0, 1, "a b.pmap", "c.pmap"),))
         with pytest.raises(FormatError, match="^pairs: 'a b.pmap' is not one whitespace-free"):
             pipeline.manifest_to_text(m)
+
+    @pytest.mark.parametrize("text, where", [
+        ("n_keep 1_0\n", "line 1: n_keep: '1_0'"),
+        ("jobs \u0663\n", "line 1: jobs: '\u0663'"),
+    ], ids=["underscore", "arabic-indic"])
+    def test_config_rejects_number_words_outside_the_grammar(self, text, where):
+        with pytest.raises(ConfigError, match=f"{re.escape(where)} is not a decimal number$"):
+            pipeline.config_from_text(text)
+
+    @pytest.mark.parametrize("document, text, message", [
+        ("graph", "edge 0 1 1 0 0 0 1 0 0 0 1 0 0 1 1 1\n", "missing key 'frames'"),
+        ("graph", "frames -1\n", "invalid pose graph: frames: -1 is negative"),
+        ("poses", "frame 0 1 1 0 0 0 1 0 0 0 1 0 0 0\n", "missing key 'frames'"),
+        ("poses", "frames 1\n", "invalid poses document: frames: 1 declared, 0 present"),
+        ("manifest", "n_frames 2\n", "missing key 'mode'"),
+        ("manifest", "mode pairs\n", "missing key 'n_frames'"),
+        ("manifest", "mode pairs\nn_frames -1\n", "invalid manifest: n_frames: -1 is negative"),
+        ("pair-validity", "pair 0 9 1\n",
+         "invalid pair-validity document: pair record 0 9: frame outside 0..3"),
+    ], ids=["graph-no-frames", "graph-frames", "poses-no-frames", "poses-frames",
+            "manifest-no-mode", "manifest-no-n-frames", "manifest-n-frames", "pair-validity"])
+    def test_rejection_names_the_key_or_the_document(self, tmp_path, document, text, message):
+        (tmp_path / "validity.txt").write_text(text, encoding="utf-8")
+        read = {"graph": io_formats.graph_from_text, "poses": io_formats.poses_from_text,
+                "manifest": lambda text: pipeline.manifest_from_text(text, tmp_path),
+                "pair-validity": lambda _: pipeline.load_pair_validity(
+                    tmp_path / "validity.txt", 4)}[document]
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            read(text)
 
     def test_scene_spec_round_trip(self, tmp_path):
         spec = small_spec(depth_noise_sigma=0.01, object_shape="blob")
@@ -660,16 +690,15 @@ class TestCli:
     def test_eval_rejects_repeated_frame(self, bundle_dir, tmp_path, capsys):
         text = (bundle_dir / "gt_poses.txt").read_text(encoding="utf-8")
         est = tmp_path / "est.txt"
-        est.write_text(text.replace("frame 1 recovered", "frame 0 recovered"),
-                       encoding="utf-8")
+        est.write_text(text.replace("\nframe 1 ", "\nframe 0 "), encoding="utf-8")
         assert main(["eval", "--est", str(est),
                      "--gt", str(bundle_dir / "gt_poses.txt")]) == 5
-        assert "repeated frame 0" in capsys.readouterr().err
+        assert "invalid poses document: frame id 0 is repeated" in capsys.readouterr().err
 
     @pytest.mark.parametrize("count, where", [
-        ("-1", "line 2: expected 'frames <count>' with a non-negative count"),
-        ("100000000000", "line 2: expected 'frames <count>' with a non-negative count"
-                         " of at most 1000000"),
+        ("-1", "invalid poses document: frames: -1 is negative"),
+        ("100000000000", "invalid poses document: frames: 100000000000 is over the"
+                         " 1000000-frame cap"),
     ], ids=["negative", "huge"])
     def test_eval_rejects_bad_frame_count(self, bundle_dir, tmp_path, capsys, count, where):
         text = (bundle_dir / "gt_poses.txt").read_text(encoding="utf-8")
@@ -679,6 +708,14 @@ class TestCli:
         assert main(["eval", "--est", str(est),
                      "--gt", str(bundle_dir / "gt_poses.txt")]) == 5
         assert where in capsys.readouterr().err
+
+    def test_eval_rejects_version_1_poses(self, bundle_dir, tmp_path, capsys):
+        est = tmp_path / "est.txt"
+        est.write_text("# pmsfm poses v1\nframes 1\nframe 0 recovered 1\n1.0 0.0 0.0 0.0\n"
+                       "0.0 1.0 0.0 0.0\n0.0 0.0 1.0 0.0\n0.0 0.0 0.0 1.0\n", encoding="utf-8")
+        assert main(["eval", "--est", str(est),
+                     "--gt", str(bundle_dir / "gt_poses.txt")]) == 5
+        assert "line 3: expected 14 frame fields, got 3" in capsys.readouterr().err
 
     @pytest.mark.parametrize("line", ["staircase 0", "ransac_min_sample 4",
                                       "weight_mode inlier", "acc1_dist 0.15",
