@@ -96,6 +96,10 @@ def config_from_text(text: str) -> PipelineConfig:
     try:
         return io_formats.kv_from_text(PipelineConfig, text, "config")
     except FormatError as exc:
+        # A value the config rejects already reads "invalid config: ...";
+        # only a fault in the text itself gets the file's prefix.
+        if isinstance(exc.__context__, ConfigError):
+            raise ConfigError(str(exc)) from None
         raise ConfigError(f"malformed config file: {exc}") from None
 
 

@@ -191,14 +191,15 @@ class TestConfigAndManifest:
         assert pipeline.load_config(path) == cfg
 
     def test_config_rejects_unknown_key(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError,
+                           match="^malformed config file: line 1: unknown key 'bogus'$"):
             pipeline.config_from_text("bogus 1\n")
 
     def test_config_validates_values(self):
         for name in ("n_keep", "rng_seed", "jobs"):
             with pytest.raises(ConfigError, match=f"^{name}: -1 is negative$"):
                 pipeline.PipelineConfig(**{name: -1})
-            with pytest.raises(ConfigError, match=f"{name}: -1 is negative"):
+            with pytest.raises(ConfigError, match=f"^invalid config: {name}: -1 is negative$"):
                 pipeline.config_from_text(f"{name} -1\n")
 
     @given(dataclass_values(
@@ -623,6 +624,16 @@ class TestCli:
 
     def test_exit_code_config_error(self, tmp_path, capsys):
         assert main(["solve", "--manifest", str(tmp_path / "nope.txt")]) == 2
+
+    @pytest.mark.parametrize("text, message", [
+        ("n_keep -1\n", "invalid config: n_keep: -1 is negative"),
+        ("bogus 1\n", "malformed config file: line 1: unknown key 'bogus'"),
+    ], ids=["value", "syntax"])
+    def test_config_file_error_exits_2_with_one_prefix(self, tmp_path, capsys, text, message):
+        (tmp_path / "cfg.txt").write_text(text, encoding="utf-8")
+        assert main(["solve", "--config", str(tmp_path / "cfg.txt"),
+                     "--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_exit_code_io_error(self, tmp_path, capsys):
         cfg_out = tmp_path / "run"

@@ -582,6 +582,42 @@ class TestLocalOptimization:
             assert abs(res.inlier_count - count_ref) <= 2
         assert checked >= 4
 
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_one_full_resolution_pass_per_pose(self, seed, monkeypatch):
+        # Above the subset threshold RANSAC scores on the subset, and the
+        # full set is reprojected once per candidate (hypothesis, LO pose,
+        # polished pose) and refined in one Gauss-Newton step.
+        pm, k, _ = _noisy_grid_map(seed, 200, 150, 180.0)
+        n_valid = pm.n_valid
+        stride = -(-n_valid // relative_pose._LO_POINTS)
+        assert stride > 1
+        n_sub = len(range(0, n_valid, stride))
+        reproj_sizes, normal_sizes = [], []
+        reproj = relative_pose._reproj_errors
+        normal = relative_pose._gn_normal_equations
+        monkeypatch.setattr(relative_pose, "_reproj_errors",
+                            lambda p, *a: reproj_sizes.append(p.shape[1]) or reproj(p, *a))
+        monkeypatch.setattr(relative_pose, "_gn_normal_equations",
+                            lambda j, r, w, c, z, f:
+                            normal_sizes.append(len(z)) or normal(j, r, w, c, z, f))
+        pnp_ransac(pm, k)
+        assert all(n in (n_sub, n_valid) for n in reproj_sizes)
+        assert 1 <= reproj_sizes.count(n_valid) <= 3
+        assert sum(n > n_sub for n in normal_sizes) == 1
+
+    def test_polished_pose_within_contract_of_converged_refinement(self):
+        # One polish step from the LO pose lands where refinement to
+        # convergence on the returned inlier set does.
+        grid = pixel_grid(200, 150)
+        for seed in range(8):
+            pm, k, _ = _noisy_grid_map(seed, 200, 150, 180.0)
+            res = pnp_ransac(pm, k)
+            r, t = res.transform.rotation, res.transform.translation
+            r_conv, t_conv = refine_pose(pm.points[res.inlier_mask], grid[res.inlier_mask],
+                                         k, r, t)
+            assert np.abs(r - r_conv).max() <= 1e-6
+            assert np.linalg.norm(t - t_conv) <= 1e-6 * np.linalg.norm(t_conv)
+
     @settings(max_examples=30, deadline=None)
     @given(size=st.sampled_from([(64, 48, 60.0), (200, 150, 180.0)]),
            scale=st.floats(1e-3, 1e3))
