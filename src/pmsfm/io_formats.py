@@ -10,6 +10,7 @@ malformed input, never repair it.
 from __future__ import annotations
 
 import dataclasses
+import re
 import struct
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
@@ -110,10 +111,12 @@ Key-value documents
 The manifest, pair-validity, config, scene-spec, sequence-report, pose
 graph and poses documents share one grammar. A content line is
 `<key> <value>`: the key is the first word, the value the rest of the
-line. A value is read by the type of the field it fills: decimal
-integers; floats with shortest-round-trip decimals (Python repr, so nan
+line. A value is read by the type of the field it fills: integers as
+-?[0-9]+; floats with shortest-round-trip decimals (Python repr, so nan
 and inf too); strings as the rest of the line; booleans as 0 or 1,
 nothing else; fixed pairs as two words (`focal_range 110.0 180.0`). A
+float word may not start with '+', and a non-finite float is exactly
+nan, inf or -inf, as repr writes them (not Infinity, NaN or -nan). A
 number word holding '_' or a non-ASCII character is rejected. A key
 appears at most once, unknown keys are rejected, a required key that is
 absent is rejected as missing, and other absent keys take their
@@ -452,6 +455,22 @@ def kv_to_text(obj, title: str, omit=()) -> str:
     return "\n".join(out) + "\n"
 
 
+_INT_WORD = re.compile(r"-?[0-9]+")
+
+
+def _number_word_ok(kind, word: str) -> bool:
+    """Whether `word` is in the grammar of a `kind` value: an int as
+    -?[0-9]+, a float without a leading '+' whose non-finite values are
+    spelled nan, inf or -inf, as repr writes them. Other kinds pass."""
+    if kind is int:
+        return _INT_WORD.fullmatch(word) is not None
+    if kind is float:
+        if word.startswith("+") or "_" in word or not word.isascii():
+            return False
+        return word in ("nan", "inf", "-inf") or not ("n" in word or "N" in word)
+    return True
+
+
 def kv_from_text(cls, text: str, what: str, **given):
     """Read a key-value document, named `what` in its errors, into the
     dataclass `cls`.
@@ -493,9 +512,12 @@ def kv_from_text(cls, text: str, what: str, **given):
         if len(words) != len(kinds):
             raise FormatError(f"line {lineno}: expected {len(kinds)} {key} fields,"
                               f" got {len(words)}")
-        if "_" in value or not value.isascii():  # Python's int and float also read '1_0', '٣'
+        # Python's int and float also read '+7', '1_0', '٣', 'Infinity' and
+        # '-NaN'; every such word holds one of these characters.
+        if ("_" in value or "+" in value or "n" in value or "N" in value
+                or not value.isascii()):
             for kind, w in zip(kinds, words):
-                if kind in (int, float) and ("_" in w or not w.isascii()):
+                if not _number_word_ok(kind, w):
                     raise FormatError(f"line {lineno}: {key}: {w!r} is not a decimal number")
         try:
             v = tuple([kind(w) for kind, w in zip(kinds, words)])

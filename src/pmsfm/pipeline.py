@@ -341,9 +341,11 @@ def _read_pair(base: Path, ref_file: str, src_file: str):
 
 def _solve_pair(load, rng_seed: int):
     """PnP result and valid source pixels for the (reference, source)
-    pointmaps that `load()` returns."""
+    pointmaps that `load()` returns. The reference map is released once
+    its focal is known, so PnP runs without it in memory."""
     ref, src = load()
     focal = estimate_focal(ref)
+    del ref
     k = make_intrinsics(src.width, src.height, focal)
     return pnp_ransac(src, k, rng_seed), src.n_valid
 

@@ -345,24 +345,25 @@ def _gn_residuals(points: np.ndarray, pixels: np.ndarray, k: CameraIntrinsics,
                   r: np.ndarray, t: np.ndarray):
     """Reprojection residuals (r_u | r_v), shape (2N,), of coordinate rows
     ``points`` (3, N) and ``pixels`` (2, N) under (r, t), along with the
-    rotated points w = R p, the camera points w + t and their depth
-    clamped to 1e-12, which the Jacobian reuses."""
+    rotated points w = R p and the depth w_z + t_z clamped to 1e-12,
+    which the Jacobian reuses. The camera points w + t are formed one
+    row at a time and not kept."""
     n = points.shape[1]
     w = r @ points
-    cam = w + t[:, None]
-    z = np.maximum(cam[2], 1e-12)
+    z = np.add(w[2], t[2])
+    np.maximum(z, 1e-12, out=z)
     res = np.empty(2 * n)
     for row, c in ((0, k.c_x), (1, k.c_y)):
-        out = res[row * n:(row + 1) * n]
-        np.multiply(cam[row], k.f, out=out)
+        out = np.add(w[row], t[row], out=res[row * n:(row + 1) * n])
+        out *= k.f
         out /= z
         out += c
         out -= pixels[row]
-    return res, w, cam, z
+    return res, w, z
 
 
-def _gn_normal_equations(jac: np.ndarray, res: np.ndarray, w: np.ndarray,
-                         cam: np.ndarray, z: np.ndarray, f: float):
+def _gn_normal_equations(res: np.ndarray, w: np.ndarray, z: np.ndarray,
+                         t: np.ndarray, f: float):
     """Gauss-Newton system H = J J^T, g = J r from closed-form Jacobian rows.
 
     With w = R p, (x, y, z) = w + t, a = f/z and b = -f (x, y)/z^2, the
@@ -372,19 +373,42 @@ def _gn_normal_equations(jac: np.ndarray, res: np.ndarray, w: np.ndarray,
         J_u = [b_x w_y, a w_z - b_x w_x, -a w_y, a, 0, b_x]
         J_v = [b_y w_y - a w_z, -b_y w_x, a w_x, 0, a, b_y]
 
-    They are written into the two halves of ``jac`` (6, 2N), matching the
-    (r_u | r_v) layout of ``res``, so H and g are one BLAS call each.
+    H and g are summed over consecutive blocks of `_LO_POINTS`
+    correspondences. Each block's rows are written into the two halves
+    of one (6, 2 min(N, _LO_POINTS)) buffer, matching the (r_u | r_v)
+    layout of ``res``, so a block's H and g are one BLAS call each. At
+    N <= `_LO_POINTS` the one block is the whole system.
     """
     n = z.shape[0]
-    ju, jv = jac[:, :n], jac[:, n:]
+    jac = np.empty((6, 2 * min(n, _LO_POINTS)))
+    h, g = np.zeros((6, 6)), np.zeros(6)
+    for lo in range(0, n, _LO_POINTS):
+        hi = min(lo + _LO_POINTS, n)
+        block = jac[:, :2 * (hi - lo)]
+        _fill_jacobian(block, w[:, lo:hi], z[lo:hi], t, f)
+        if hi - lo == n:
+            return block @ block.T, block @ res
+        h += block @ block.T
+        g += block @ np.concatenate((res[lo:hi], res[n + lo:n + hi]))
+    return h, g
+
+
+def _fill_jacobian(jac: np.ndarray, w: np.ndarray, z: np.ndarray, t: np.ndarray,
+                   f: float):
+    """Write the `_gn_normal_equations` rows of the points ``w`` (3, m)
+    with depths ``z`` into ``jac`` (6, 2m): J_u in the first half, J_v in
+    the second."""
+    m = z.shape[0]
+    ju, jv = jac[:, :m], jac[:, m:]
     wx, wy, wz = w
     a = np.divide(f, z, out=ju[3])
     jv[4] = a
     ju[4] = 0.0
     jv[3] = 0.0
     minus_f_z2 = -a / z
-    b_x = np.multiply(cam[0], minus_f_z2, out=ju[5])
-    b_y = np.multiply(cam[1], minus_f_z2, out=jv[5])
+    # x = w_x + t_x and y = w_y + t_y are formed in the rows of b.
+    b_x = np.multiply(np.add(wx, t[0], out=ju[5]), minus_f_z2, out=ju[5])
+    b_y = np.multiply(np.add(wy, t[1], out=jv[5]), minus_f_z2, out=jv[5])
     a_wz = a * wz
     np.multiply(b_x, wy, out=ju[0])
     np.subtract(a_wz, np.multiply(b_x, wx, out=ju[1]), out=ju[1])
@@ -392,7 +416,6 @@ def _gn_normal_equations(jac: np.ndarray, res: np.ndarray, w: np.ndarray,
     np.subtract(np.multiply(b_y, wy, out=jv[0]), a_wz, out=jv[0])
     np.negative(np.multiply(b_y, wx, out=jv[1]), out=jv[1])
     np.multiply(a, wx, out=jv[2])
-    return jac @ jac.T, jac @ res
 
 
 def refine_pose(points: np.ndarray, pixels: np.ndarray, k: CameraIntrinsics,
@@ -424,11 +447,10 @@ def refine_pose(points: np.ndarray, pixels: np.ndarray, k: CameraIntrinsics,
     r, t = r0.copy(), t0.copy()
     lam = 1e-6
 
-    jac = np.empty((6, 2 * pts.shape[1]))
-    res, w_pts, cam, z = _gn_residuals(pts, pix, k, r, t)
+    res, w_pts, z = _gn_residuals(pts, pix, k, r, t)
     err = float(res @ res)
     for _ in range(max_steps):
-        h, g = _gn_normal_equations(jac, res, w_pts, cam, z, k.f)
+        h, g = _gn_normal_equations(res, w_pts, z, t, k.f)
 
         stepped = False
         for _ in range(8):
@@ -439,13 +461,13 @@ def refine_pose(points: np.ndarray, pixels: np.ndarray, k: CameraIntrinsics,
                 continue
             r_new = axis_angle_matrix(delta[:3], float(np.linalg.norm(delta[:3]))) @ r
             t_new = t + delta[3:]
-            res_new, w_new, cam_new, z_new = _gn_residuals(pts, pix, k, r_new, t_new)
+            res_new, w_new, z_new = _gn_residuals(pts, pix, k, r_new, t_new)
             err_new = float(res_new @ res_new)
             if abs(err_new - err) <= _REFINE_RTOL * max(err, 1.0):
                 return r_new, t_new
             if err_new < err:
                 r, t, err = r_new, t_new, err_new
-                res, w_pts, cam, z = res_new, w_new, cam_new, z_new
+                res, w_pts, z = res_new, w_new, z_new
                 lam = max(lam * 0.3, 1e-12)
                 stepped = True
                 if np.linalg.norm(delta) < 1e-14:

@@ -537,13 +537,40 @@ _GRAPH = "frames 3\nedge 0 1 1 0 0 0 1 0 0 0 1 0 0 1 1.5 1\n"
     (graph_from_text, _GRAPH, "frames 3", "frames 0_3", "line 1: frames: '0_3'"),
     (graph_from_text, _GRAPH, " 1.5 1\n", " 1_0.5 1\n", "line 2: edge: '1_0.5'"),
     (graph_from_text, _GRAPH, " 1.5 1\n", " \uff11.5 1\n", "line 2: edge: '\uff11.5'"),
+    (report_from_text, _REPORT, "n_frames 20", "n_frames +20", "line 7: n_frames: '+20'"),
+    (report_from_text, _REPORT, "det_rate_pct 95.0", "det_rate_pct +95.0",
+     "line 4: det_rate_pct: '+95.0'"),
+    (report_from_text, _REPORT, "rot_error_deg inf", "rot_error_deg Infinity",
+     "line 2: rot_error_deg: 'Infinity'"),
+    (report_from_text, _REPORT, "rot_error_deg inf", "rot_error_deg +inf",
+     "line 2: rot_error_deg: '+inf'"),
+    (report_from_text, _REPORT, "trans_error -inf", "trans_error -INF",
+     "line 3: trans_error: '-INF'"),
+    (report_from_text, _REPORT, "trans_rmse nan", "trans_rmse -NaN", "line 8: trans_rmse: '-NaN'"),
+    (report_from_text, _REPORT, "trans_rmse nan", "trans_rmse -nan", "line 8: trans_rmse: '-nan'"),
+    (graph_from_text, _GRAPH, "edge 0 1", "edge +0 1", "line 2: edge: '+0'"),
+    (graph_from_text, _GRAPH, " 1.5 1\n", " +1.5 1\n", "line 2: edge: '+1.5'"),
+    (graph_from_text, _GRAPH, " 1.5 1\n", " NaN 1\n", "line 2: edge: 'NaN'"),
 ], ids=["report-int-underscore", "report-int-arabic-indic", "report-float-underscore",
         "report-float-arabic-indic", "graph-int-underscore", "graph-float-underscore",
-        "graph-float-fullwidth"])
+        "graph-float-fullwidth", "report-int-plus", "report-float-plus", "report-infinity",
+        "report-plus-inf", "report-upper-inf", "report-minus-nan-mixed-case",
+        "report-minus-nan", "graph-int-plus", "graph-float-plus", "graph-nan-mixed-case"])
 def test_number_words_outside_the_grammar_rejected(read, text, old, new, where):
     read(text)  # inf, -inf and nan read
     with pytest.raises(FormatError, match=f"^{re.escape(where)} is not a decimal number$"):
         read(text.replace(old, new))
+
+
+@pytest.mark.parametrize("old, new, value", [
+    ("rot_error_deg inf", "rot_error_deg 1e+16", 1e16),
+    ("rot_error_deg inf", "rot_error_deg 1E-3", 1e-3),
+    ("n_frames 20", "n_frames 007", 7),
+], ids=["float-exponent-plus", "float-upper-exponent", "int-leading-zeros"])
+def test_number_words_inside_the_grammar_read(old, new, value):
+    # repr writes a '+' inside an exponent; only a leading '+' is refused.
+    report = report_from_text(_REPORT.replace(old, new))
+    assert getattr(report, old.split()[0]) == value
 
 
 class TestFuzzRoundTrips:

@@ -236,7 +236,8 @@ class TestConfigAndManifest:
     @pytest.mark.parametrize("text, where", [
         ("n_keep 1_0\n", "line 1: n_keep: '1_0'"),
         ("jobs \u0663\n", "line 1: jobs: '\u0663'"),
-    ], ids=["underscore", "arabic-indic"])
+        ("n_keep +007\n", "line 1: n_keep: '+007'"),
+    ], ids=["underscore", "arabic-indic", "plus-sign"])
     def test_config_rejects_number_words_outside_the_grammar(self, text, where):
         with pytest.raises(ConfigError, match=f"{re.escape(where)} is not a decimal number$"):
             pipeline.config_from_text(text)

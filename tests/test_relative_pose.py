@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
-from pmsfm import relative_pose
+from pmsfm import io_formats, pipeline, relative_pose
 from pmsfm.errors import (
     ConvergenceWarning,
     InsufficientDataError,
@@ -474,6 +475,21 @@ def _seeded_correspondences(seed, n=500):
     return k, pose, points, pixels, rng
 
 
+def _perturbed_correspondences(n):
+    """``n`` noisy correspondences as coordinate rows (3, n) and (2, n),
+    with intrinsics and a pose near the true one: (k, r, t, pts, pix)."""
+    rng = np.random.default_rng(n)
+    k = make_intrinsics(512, 384, 400.0)
+    pose = small_pose(rng)
+    cam = np.stack([rng.uniform(-1.0, 1.0, n), rng.uniform(-0.75, 0.75, n),
+                    rng.uniform(2.0, 5.0, n)])
+    pix = np.stack([k.f * cam[0] / cam[2] + k.c_x, k.f * cam[1] / cam[2] + k.c_y])
+    pix += rng.normal(scale=0.5, size=pix.shape)
+    pts = np.ascontiguousarray(pose.rotation.T @ (cam - pose.translation[:, None]))
+    r = axis_angle_matrix(np.array([0.6, 0.0, 0.8]), 0.05) @ pose.rotation
+    return k, r, pose.translation + 0.05, pts, pix
+
+
 def _reference_kabsch(world, cam):
     """Rigid fit cam = R @ world + t for matched point sets (N, 3)."""
     w_mean = world.mean(axis=0)
@@ -598,8 +614,8 @@ class TestLocalOptimization:
         monkeypatch.setattr(relative_pose, "_reproj_errors",
                             lambda p, *a: reproj_sizes.append(p.shape[1]) or reproj(p, *a))
         monkeypatch.setattr(relative_pose, "_gn_normal_equations",
-                            lambda j, r, w, c, z, f:
-                            normal_sizes.append(len(z)) or normal(j, r, w, c, z, f))
+                            lambda r, w, z, t, f:
+                            normal_sizes.append(len(z)) or normal(r, w, z, t, f))
         pnp_ransac(pm, k)
         assert all(n in (n_sub, n_valid) for n in reproj_sizes)
         assert 1 <= reproj_sizes.count(n_valid) <= 3
@@ -634,6 +650,31 @@ class TestLocalOptimization:
         np.testing.assert_array_equal(scaled.inlier_mask, res.inlier_mask)
 
 
+def test_dense_pair_working_memory(tmp_path):
+    # The traced peak of one full-coverage 512x384 pair, from reading its
+    # two maps to the returned pose, per pixel of the pair's map.
+    width, height = 512, 384
+    src, k, _ = _noisy_grid_map(0, width, height, 400.0)
+    rng = np.random.default_rng(1)
+    depth = DepthMap(width, height, rng.uniform(2.0, 5.0, size=(height, width)),
+                     np.ones((height, width), dtype=bool))
+    ref = pointmap_from_depth(depth, k)
+    ref = Pointmap(width, height, ref.points + rng.normal(scale=0.01, size=ref.points.shape),
+                   ref.confidence, ref.mask)
+    io_formats.write_pointmap(tmp_path / "ref.pmap", ref)
+    io_formats.write_pointmap(tmp_path / "src.pmap", src)
+    del ref, src
+    load = functools.partial(pipeline._read_pair, tmp_path, "ref.pmap", "src.pmap")
+    tracemalloc.start()
+    try:
+        res, n_valid = pipeline._solve_pair(load, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert n_valid == width * height and res.inlier_count > 0.8 * n_valid
+    assert peak <= 300 * width * height
+
+
 @functools.cache
 def _unscaled_pnp(size):
     pm, k, _ = _noisy_grid_map(0, *size)
@@ -662,11 +703,33 @@ class TestKernels:
         r = axis_angle_matrix(rng.normal(size=3) * 0.05, 0.05) @ pose.rotation
         t = pose.translation + rng.normal(scale=0.05, size=3)
         pts, pix = np.ascontiguousarray(points.T), np.ascontiguousarray(pixels.T)
-        res, w, cam, z = _gn_residuals(pts, pix, k, r, t)
-        h, g = _gn_normal_equations(np.empty((6, 2 * len(points))), res, w, cam, z, k.f)
+        res, w, z = _gn_residuals(pts, pix, k, r, t)
+        h, g = _gn_normal_equations(res, w, z, t, k.f)
         h_ref, g_ref = _reference_normal_equations(points, pixels, k, r, t)
         assert np.abs(h - h_ref).max() <= 1e-9 * np.abs(h_ref).max()
         assert np.abs(g - g_ref).max() <= 1e-9 * np.abs(g_ref).max()
+
+    @pytest.mark.parametrize("n", [500, relative_pose._LO_POINTS])
+    def test_one_block_normal_equations_are_one_product(self, n):
+        # Up to a block's worth of points the build is the single product
+        # over the whole Jacobian, bit for bit.
+        k, r, t, pts, pix = _perturbed_correspondences(n)
+        res, w, z = _gn_residuals(pts, pix, k, r, t)
+        jac = np.empty((6, 2 * n))
+        relative_pose._fill_jacobian(jac, w, z, t, k.f)
+        h, g = _gn_normal_equations(res, w, z, t, k.f)
+        assert_same_bits(h, jac @ jac.T)
+        assert_same_bits(g, jac @ res)
+
+    def test_blocked_normal_equations_match_tensor_reference(self):
+        # Two full blocks and a last block of one point.
+        n = 2 * relative_pose._LO_POINTS + 1
+        k, r, t, pts, pix = _perturbed_correspondences(n)
+        res, w, z = _gn_residuals(pts, pix, k, r, t)
+        h, g = _gn_normal_equations(res, w, z, t, k.f)
+        h_ref, g_ref = _reference_normal_equations(pts.T, pix.T, k, r, t)
+        assert np.abs(h - h_ref).max() <= 1e-12 * np.abs(h_ref).max()
+        assert np.abs(g - g_ref).max() <= 1e-12 * np.abs(g_ref).max()
 
     def test_refine_recovers_noiseless_pose(self):
         rng = np.random.default_rng(5)
