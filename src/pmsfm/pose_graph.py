@@ -300,12 +300,8 @@ def _chordal_start(lap: sp.bsr_matrix) -> np.ndarray:
     sharing one factorization."""
     free = _free_system(lap)
     rhs = -lap.tocsr()[3:, :3].toarray()
-    try:
-        solution = spla.spsolve(free, rhs)
-    except RuntimeError:
-        solution = np.linalg.lstsq(free.toarray(), rhs, rcond=None)[0]
     y = np.tile(np.eye(3), (lap.shape[0] // 3, 1, 1))
-    y[1:] = so3_project(np.asarray(solution).reshape(-1, 3, 3))
+    y[1:] = so3_project(spla.spsolve(free, rhs).reshape(-1, 3, 3))
     return y
 
 
@@ -429,8 +425,9 @@ def translation_averaging(graph: PoseGraph, rotations: np.ndarray) -> np.ndarray
 
     The normal equations L u = b over the measured frames, with L the
     `_block_laplacian` for C = I and b adding w R_i t_ij at j and
-    subtracting it at i; the anchor is eliminated (hard u_anchor = 0). A
-    singular system falls back to a least-norm solve with a warning.
+    subtracting it at i; the anchor is eliminated (hard u_anchor = 0).
+    The graph is connected and every weight positive, so the system is
+    positive definite; a relative residual above 1e-10 warns.
     """
     a = _check_connected(graph)
     vertices = np.flatnonzero(a.covered)
@@ -443,23 +440,11 @@ def translation_averaging(graph: PoseGraph, rotations: np.ndarray) -> np.ndarray
     np.add.at(b, np.searchsorted(vertices, a.j), measured)
     np.subtract.at(b, np.searchsorted(vertices, a.i), measured)
     atb = b[1:].reshape(-1)
-    least_norm = False
-    try:
-        x = spla.spsolve(ata, atb)
-        if not np.all(np.isfinite(x)):
-            raise RuntimeError("singular normal equations")
-    except RuntimeError:
-        x = np.linalg.lstsq(ata.toarray(), atb, rcond=None)[0]
-        least_norm = True
-        warnings.warn("translation system is rank-deficient beyond the gauge; "
-                      "using the least-norm solution", ConvergenceWarning)
-    x = np.asarray(x).reshape(-1)
-
-    if not least_norm:
-        rel_res = np.linalg.norm(ata @ x - atb) / max(np.linalg.norm(atb), 1e-300)
-        if rel_res > 1e-10:
-            warnings.warn(f"translation normal equations residual {rel_res:.2e} "
-                          "exceeds 1e-10", ConvergenceWarning)
+    x = spla.spsolve(ata, atb)
+    rel_res = np.linalg.norm(ata @ x - atb) / max(np.linalg.norm(atb), 1e-300)
+    if rel_res > 1e-10:
+        warnings.warn(f"translation normal equations residual {rel_res:.2e} "
+                      "exceeds 1e-10", ConvergenceWarning)
 
     translations = np.zeros((graph.n_frames, 3))
     translations[vertices[1:]] = x.reshape(-1, 3)

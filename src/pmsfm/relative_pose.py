@@ -439,8 +439,9 @@ def refine_pose(points: np.ndarray, pixels: np.ndarray, k: CameraIntrinsics,
       nothing. E no longer tells the two poses apart there, and the
       step, solved from the gradient, is the better estimate.
 
-    Both rules test pixel-space quantities only, so the result does not
-    depend on the scene's scale.
+    Both rules test pixel-space quantities only. The λ I damping and the
+    1e-12 depth clamp are in scene units, so the result depends on the
+    scene's scale where either matters.
     """
     pts = np.ascontiguousarray(points.T)
     pix = np.ascontiguousarray(pixels.T)
@@ -470,8 +471,6 @@ def refine_pose(points: np.ndarray, pixels: np.ndarray, k: CameraIntrinsics,
                 res, w_pts, z = res_new, w_new, z_new
                 lam = max(lam * 0.3, 1e-12)
                 stepped = True
-                if np.linalg.norm(delta) < 1e-14:
-                    return r, t
                 break
             lam *= 10.0
         if not stepped:
@@ -558,13 +557,16 @@ def pnp_ransac(pm2_in_1: Pointmap, k: CameraIntrinsics,
     selects a P3P hypothesis by its score on the subset, then up to
     `_REFINE_ROUNDS` damped Gauss-Newton refinements on the subset's
     inliers follow, each accepted when it strictly lowers the subset's
-    MSAC score. When s > 1, `_POLISH_STEPS` (one) Gauss-Newton step on
-    the full-resolution inliers under the LO pose polishes it, and the
-    result is whichever of the polished pose, the LO pose and the
-    hypothesis has the lowest full-resolution MSAC score, with its
-    inliers; each of the three is reprojected at full resolution once.
-    At s = 1 the subset is the full set and no polish runs.
-    Deterministic for a fixed ``rng_seed``.
+    MSAC score. At s = 1 the subset is the full set and the LO pose is
+    returned. When s > 1, one full-resolution reprojection of the LO
+    pose gives its inliers, `_POLISH_STEPS` (one) Gauss-Newton step on
+    them polishes it, and the polished pose is returned with the inliers
+    of a second full-resolution reprojection. The polish takes only a
+    step that lowers the squared error over those inliers, or changes it
+    by at most `_REFINE_RTOL` relative, and every other point adds at
+    most the truncated square to MSAC, so the polished pose scores no
+    worse than the LO pose, which scores below the hypothesis whenever
+    a refinement was accepted. Deterministic for a fixed ``rng_seed``.
     """
     valid = pm2_in_1.mask.reshape(-1)
     n_valid = int(np.count_nonzero(valid))
@@ -585,8 +587,7 @@ def pnp_ransac(pm2_in_1: Pointmap, k: CameraIntrinsics,
     stride = -(-n_valid // _LO_POINTS)
     sub_points = np.ascontiguousarray(points[:, ::stride])
     sub_pixels = np.ascontiguousarray(pixels[:, ::stride])
-    hypothesis, hyp_errs = _ransac_hypothesis(sub_points, sub_pixels, k, rng_seed)
-    pose, errs = hypothesis, hyp_errs
+    pose, errs = _ransac_hypothesis(sub_points, sub_pixels, k, rng_seed)
     inl, score = errs < thr, _msac(errs)
     for _ in range(_REFINE_ROUNDS):
         r_ref, t_ref = refine_pose(sub_points.compress(inl, axis=1).T,
@@ -605,18 +606,12 @@ def pnp_ransac(pm2_in_1: Pointmap, k: CameraIntrinsics,
             break
 
     if stride > 1:
-        hyp_errs = _reproj_errors(points, pixels, k, *hypothesis)
+        inl = _reproj_errors(points, pixels, k, *pose) < thr
+        pose = refine_pose(points.compress(inl, axis=1).T,
+                           pixels.compress(inl, axis=1).T, k, *pose, _POLISH_STEPS)
         errs = _reproj_errors(points, pixels, k, *pose)
         inl = errs < thr
-        polished = refine_pose(points.compress(inl, axis=1).T,
-                               pixels.compress(inl, axis=1).T, k, *pose, _POLISH_STEPS)
-        candidates = [(polished, _reproj_errors(points, pixels, k, *polished)), (pose, errs)]
-    else:
-        candidates = [(pose, errs)]
-    # min keeps the first of equal scores, so a tie goes to the later stage.
-    pose, errs = min(candidates + [(hypothesis, hyp_errs)], key=lambda c: _msac(c[1]))
 
-    inl = errs < thr
     full_mask = np.zeros(pm2_in_1.height * pm2_in_1.width, dtype=bool)
     full_mask[valid_idx[inl]] = True
     return RelativePoseResult(
