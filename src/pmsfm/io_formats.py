@@ -137,6 +137,7 @@ Manifest ("pmsfm manifest v1")
                                    under the scene spec's rules
     view <frame> <depth.dmap>                      record, views mode
     pair <i> <j> <ref.pmap> <src.pmap>             record, pairs mode
+A record of the other mode is rejected, naming the record.
 Paths are relative to the manifest's directory. A pair record's
 source map is expressed in its reference view's camera frame. Record
 frames lie in 0..n_frames-1; a view frame appears at most once, and a

@@ -146,6 +146,10 @@ class Manifest:
         if self.mode not in ("views", "pairs"):
             raise ValidationError(f"mode: unknown manifest mode {self.mode!r}")
         io_formats.check_frame_count("n_frames", self.n_frames)
+        for kind, records in (("view", self.views), ("pair", self.pairs)):
+            if records and self.mode != kind + "s":
+                raise ValidationError(f"{kind} record {' '.join(map(str, records[0]))}: "
+                                      f"not allowed in a {self.mode} manifest")
         _check_records("view", [r[:1] for r in self.views], self.n_frames)
         _check_records("pair", [r[:2] for r in self.pairs], self.n_frames)
         if self.mode == "views" and not 0.0 < self.focal < math.inf:

@@ -32,9 +32,7 @@ _FOCAL_ITERS = 50
 # Relative step at which the focal solve stops, five orders tighter than
 # the accuracy contract.
 _FOCAL_RTOL = 1e-11
-# Local-optimization rounds on the strided subset.
-_REFINE_ROUNDS = 3
-# Cap on the Gauss-Newton steps of one local-optimization refinement.
+# Cap on the Gauss-Newton steps of the local-optimization refinement.
 _REFINE_ITERS = 20
 # Gauss-Newton steps of the full-resolution polish. On dense maps the
 # LO pose lies within about 7e-4 of the full-resolution optimum
@@ -345,20 +343,21 @@ def _gn_residuals(points: np.ndarray, pixels: np.ndarray, k: CameraIntrinsics,
                   r: np.ndarray, t: np.ndarray):
     """Reprojection residuals (r_u | r_v), shape (2N,), of coordinate rows
     ``points`` (3, N) and ``pixels`` (2, N) under (r, t), along with the
-    rotated points w = R p and the depth w_z + t_z clamped to 1e-12,
-    which the Jacobian reuses. The camera points w + t are formed one
-    row at a time and not kept."""
+    rotated points w = R p and the depths w_z + t_z, which the Jacobian
+    reuses. The camera points w + t are formed one row at a time and not
+    kept. A point at or behind the camera gets a non-finite residual, and
+    no warning: `refine_pose` tests the depths itself."""
     n = points.shape[1]
     w = r @ points
     z = np.add(w[2], t[2])
-    np.maximum(z, 1e-12, out=z)
     res = np.empty(2 * n)
-    for row, c in ((0, k.c_x), (1, k.c_y)):
-        out = np.add(w[row], t[row], out=res[row * n:(row + 1) * n])
-        out *= k.f
-        out /= z
-        out += c
-        out -= pixels[row]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for row, c in ((0, k.c_x), (1, k.c_y)):
+            out = np.add(w[row], t[row], out=res[row * n:(row + 1) * n])
+            out *= k.f
+            out /= z
+            out += c
+            out -= pixels[row]
     return res, w, z
 
 
@@ -421,60 +420,54 @@ def _fill_jacobian(jac: np.ndarray, w: np.ndarray, z: np.ndarray, t: np.ndarray,
 def refine_pose(points: np.ndarray, pixels: np.ndarray, k: CameraIntrinsics,
                 r0: np.ndarray, t0: np.ndarray,
                 max_steps: int = _REFINE_ITERS) -> tuple[np.ndarray, np.ndarray]:
-    """Damped Gauss-Newton refinement of reprojection error.
+    """Gauss-Newton refinement of reprojection error.
 
-    Left-multiplicative axis-angle update on the rotation; the damping
-    factor grows until a step decreases the squared error. ``points``
+    Left-multiplicative axis-angle update on the rotation; each step
+    solves H delta = -g from one normal-equation build. ``points``
     (N, 3) and ``pixels`` (N, 2) are worked on as coordinate rows, which
     is free when they are transposed views of (3, N)/(2, N) arrays.
 
-    At most ``max_steps`` Gauss-Newton steps are taken, each from one
-    normal-equation build. Refinement stops earlier at a step that
-    changes the squared pixel error E by at most 1e-12 * max(E, 1), and
-    that step is taken:
+    At most ``max_steps`` steps are taken. With E the squared pixel
+    error, a step that changes E by at most `_REFINE_RTOL` * max(E, 1)
+    is taken and ends refinement:
 
     - a step that lowers E that little has converged;
     - a step that raises E that little is at the rounding floor of E,
-      where more damping would only shorten a step that changes
-      nothing. E no longer tells the two poses apart there, and the
-      step, solved from the gradient, is the better estimate.
+      where E no longer tells the two poses apart, and the step, solved
+      from the gradient, is the better estimate.
 
-    Both rules test pixel-space quantities only. The λ I damping and the
-    1e-12 depth clamp are in scene units, so the result depends on the
-    scene's scale where either matters.
+    Otherwise a step is taken when it lowers E, and refinement ends at
+    the first step that does not, or that puts a point at or behind the
+    camera, or at a singular H. A start with a point at or behind its
+    camera is returned unchanged. Every rule tests pixels or signs, so
+    scaling the points and the start translation by s scales the
+    returned translation by s and moves nothing else.
     """
     pts = np.ascontiguousarray(points.T)
     pix = np.ascontiguousarray(pixels.T)
     r, t = r0.copy(), t0.copy()
-    lam = 1e-6
-
     res, w_pts, z = _gn_residuals(pts, pix, k, r, t)
+    if not np.all(z > 0.0):
+        return r, t
     err = float(res @ res)
     for _ in range(max_steps):
         h, g = _gn_normal_equations(res, w_pts, z, t, k.f)
-
-        stepped = False
-        for _ in range(8):
-            try:
-                delta = np.linalg.solve(h + lam * np.eye(6), -g)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            r_new = axis_angle_matrix(delta[:3], float(np.linalg.norm(delta[:3]))) @ r
-            t_new = t + delta[3:]
-            res_new, w_new, z_new = _gn_residuals(pts, pix, k, r_new, t_new)
-            err_new = float(res_new @ res_new)
-            if abs(err_new - err) <= _REFINE_RTOL * max(err, 1.0):
-                return r_new, t_new
-            if err_new < err:
-                r, t, err = r_new, t_new, err_new
-                res, w_pts, z = res_new, w_new, z_new
-                lam = max(lam * 0.3, 1e-12)
-                stepped = True
-                break
-            lam *= 10.0
-        if not stepped:
+        try:
+            delta = np.linalg.solve(h, -g)
+        except np.linalg.LinAlgError:
             break
+        r_new = axis_angle_matrix(delta[:3], float(np.linalg.norm(delta[:3]))) @ r
+        t_new = t + delta[3:]
+        res_new, w_new, z_new = _gn_residuals(pts, pix, k, r_new, t_new)
+        if not np.all(z_new > 0.0):
+            break
+        err_new = float(res_new @ res_new)
+        if abs(err_new - err) <= _REFINE_RTOL * max(err, 1.0):
+            return r_new, t_new
+        if not err_new < err:
+            break
+        r, t, err = r_new, t_new, err_new
+        res, w_pts, z = res_new, w_new, z_new
     return r, t
 
 
@@ -552,21 +545,22 @@ def pnp_ransac(pm2_in_1: Pointmap, k: CameraIntrinsics,
 
     2D correspondences are view 2's own pixel grid at the pointmap's
     valid pixels. RANSAC (`_ransac_hypothesis`) and local optimization
-    (Chum, Matas & Kittler, DAGM 2003; Lebeda, Matas & Chum, BMVC 2012)
-    run on every s-th correspondence, s = ceil(n / _LO_POINTS): RANSAC
-    selects a P3P hypothesis by its score on the subset, then up to
-    `_REFINE_ROUNDS` damped Gauss-Newton refinements on the subset's
-    inliers follow, each accepted when it strictly lowers the subset's
-    MSAC score. At s = 1 the subset is the full set and the LO pose is
-    returned. When s > 1, one full-resolution reprojection of the LO
-    pose gives its inliers, `_POLISH_STEPS` (one) Gauss-Newton step on
-    them polishes it, and the polished pose is returned with the inliers
-    of a second full-resolution reprojection. The polish takes only a
-    step that lowers the squared error over those inliers, or changes it
-    by at most `_REFINE_RTOL` relative, and every other point adds at
-    most the truncated square to MSAC, so the polished pose scores no
-    worse than the LO pose, which scores below the hypothesis whenever
-    a refinement was accepted. Deterministic for a fixed ``rng_seed``.
+    (Chum, Matas & Kittler, DAGM 2003, in its simple form: one
+    least-squares refit on the hypothesis's inliers) run on every s-th
+    correspondence, s = ceil(n / _LO_POINTS): RANSAC selects a P3P
+    hypothesis by its score on the subset, one Gauss-Newton refinement
+    (`refine_pose`) on the subset's inliers follows, and the refinement
+    is kept when it lowers the subset's MSAC score. At s = 1 the subset
+    is the full set and this LO pose is returned. When s > 1, one
+    full-resolution reprojection of the LO pose gives its inliers,
+    `_POLISH_STEPS` (one) Gauss-Newton step on them polishes it, and the
+    polished pose is returned with the inliers of a second
+    full-resolution reprojection. The polish takes only a step that
+    lowers the squared error over those inliers, or changes it by at
+    most `_REFINE_RTOL` relative, and every other point adds at most the
+    truncated square to MSAC, so the polished pose scores no worse than
+    the LO pose, which scores no worse than the hypothesis.
+    Deterministic for a fixed ``rng_seed``.
     """
     valid = pm2_in_1.mask.reshape(-1)
     n_valid = int(np.count_nonzero(valid))
@@ -588,29 +582,19 @@ def pnp_ransac(pm2_in_1: Pointmap, k: CameraIntrinsics,
     sub_points = np.ascontiguousarray(points[:, ::stride])
     sub_pixels = np.ascontiguousarray(pixels[:, ::stride])
     pose, errs = _ransac_hypothesis(sub_points, sub_pixels, k, rng_seed)
-    inl, score = errs < thr, _msac(errs)
-    for _ in range(_REFINE_ROUNDS):
-        r_ref, t_ref = refine_pose(sub_points.compress(inl, axis=1).T,
-                                   sub_pixels.compress(inl, axis=1).T, k, *pose,
-                                   _REFINE_ITERS)
-        errs_ref = _reproj_errors(sub_points, sub_pixels, k, r_ref, t_ref)
-        score_ref = _msac(errs_ref)
-        if not score_ref < score:
-            break
-        # A repeated inlier set would be refined again from refine's own
-        # converged output, which cannot move the pose.
-        inl_ref = errs_ref < thr
-        repeated = np.array_equal(inl_ref, inl)
-        pose, errs, inl, score = (r_ref, t_ref), errs_ref, inl_ref, score_ref
-        if repeated:
-            break
+    inl = errs < thr
+    refined = refine_pose(sub_points.compress(inl, axis=1).T,
+                          sub_pixels.compress(inl, axis=1).T, k, *pose)
+    refined_errs = _reproj_errors(sub_points, sub_pixels, k, *refined)
+    if _msac(refined_errs) < _msac(errs):
+        pose, errs = refined, refined_errs
 
     if stride > 1:
         inl = _reproj_errors(points, pixels, k, *pose) < thr
         pose = refine_pose(points.compress(inl, axis=1).T,
                            pixels.compress(inl, axis=1).T, k, *pose, _POLISH_STEPS)
         errs = _reproj_errors(points, pixels, k, *pose)
-        inl = errs < thr
+    inl = errs < thr
 
     full_mask = np.zeros(pm2_in_1.height * pm2_in_1.width, dtype=bool)
     full_mask[valid_idx[inl]] = True

@@ -664,9 +664,15 @@ class TestCli:
          "pair record 2 2: self-pair"),
         ("mode pairs\nn_frames 4\npair 0 1 a.pmap b.pmap\n", "pair 0 1 0\npair 0 1 1\n",
          "pair record 0 1: repeated pair"),
+        ("mode views\nn_frames 2\nfocal 100.0\nview 0 a.dmap\nview 1 b.dmap\n"
+         "pair 0 1 x.pmap y.pmap\n", "", "pair record 0 1 x.pmap y.pmap: not allowed in a views"
+         " manifest"),
+        ("mode pairs\nn_frames 2\npair 0 1 a.pmap b.pmap\nview 0 a.dmap\n", "",
+         "view record 0 a.dmap: not allowed in a pairs manifest"),
     ], ids=["manifest-record", "manifest-scalar", "pair-validity", "pair-out-of-range",
             "self-pair", "repeated-pair", "view-out-of-range", "repeated-view",
-            "three-field-view", "validity-out-of-range", "validity-self-pair", "validity-repeated-pair"])
+            "three-field-view", "validity-out-of-range", "validity-self-pair", "validity-repeated-pair",
+            "pair-in-views-manifest", "view-in-pairs-manifest"])
     def test_exit_code_malformed_input(self, tmp_path, capsys, manifest, validity, where):
         (tmp_path / "manifest.txt").write_text(manifest, encoding="utf-8")
         args = ["solve", "--manifest", str(tmp_path / "manifest.txt"),

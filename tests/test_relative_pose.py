@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
@@ -397,7 +397,7 @@ def _reference_normal_equations(points, pixels, k, r, t):
     """H = J^T J and g = J^T r from per-point (2, 3) and (3, 3) Jacobian
     tensors, residuals interleaved per point."""
     cam = points @ r.T + t
-    z = np.maximum(cam[:, 2], 1e-12)
+    z = cam[:, 2]
     res = np.stack([k.f * cam[:, 0] / z + k.c_x - pixels[:, 0],
                     k.f * cam[:, 1] / z + k.c_y - pixels[:, 1]], axis=1)
     inv_z = 1.0 / z
@@ -654,7 +654,11 @@ class TestLocalOptimization:
 
     @settings(max_examples=30, deadline=None)
     @given(size=st.sampled_from([(64, 48, 60.0), (200, 150, 180.0)]),
-           scale=st.floats(1e-3, 1e3))
+           scale=st.floats(1e-14, 1e12))
+    @example(size=(64, 48, 60.0), scale=1e-14)
+    @example(size=(64, 48, 60.0), scale=1e12)
+    @example(size=(200, 150, 180.0), scale=1e-14)
+    @example(size=(200, 150, 180.0), scale=1e12)
     def test_pnp_is_scale_free(self, size, scale):
         # Every acceptance test is in pixels, so scaling the points by s
         # scales the translation and moves nothing else, on both sides of
@@ -779,29 +783,49 @@ class TestKernels:
         assert np.abs(r - converged[0]).max() <= 1e-9
         assert np.linalg.norm(t - converged[1]) <= 1e-9 * np.linalg.norm(converged[1])
 
-    @pytest.mark.parametrize("seed", [0, 5])
-    def test_local_optimization_stops_on_repeated_inlier_set(self, seed, monkeypatch):
-        # A dense noisy pair whose first refinement is accepted and
-        # re-extracts the inlier set it was refined on.
-        pm, k, _ = _noisy_grid_map(seed, 64, 48, 60.0)
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("width, height, f, refinements",
+                             [(64, 48, 60.0, 1), (200, 150, 180.0, 2)])
+    def test_local_optimization_is_one_refinement(self, seed, width, height, f,
+                                                  refinements, monkeypatch):
+        # One refinement of the RANSAC hypothesis on its subset inliers;
+        # above the subset threshold, one full-resolution polish follows.
+        pm, k, _ = _noisy_grid_map(seed, width, height, f)
         calls = []
         refine = relative_pose.refine_pose
 
-        def recording(points, pixels, *args):
-            calls.append((points, refine(points, pixels, *args)))
-            return calls[-1][1]
+        def recording(*args):
+            calls.append(refine(*args))
+            return calls[-1]
 
         monkeypatch.setattr(relative_pose, "refine_pose", recording)
         res = pnp_ransac(pm, k)
-        assert len(calls) == 1
-        refined_on, (r, t) = calls[0]
-        # The result is the refined pose (its rotation re-projected to SO(3)).
+        assert len(calls) == refinements
+        # The result is the last refinement (its rotation re-projected to SO(3)).
+        r, t = calls[-1]
         assert_same_bits(res.transform.rotation, so3_project(r))
         assert_same_bits(res.transform.translation, t)
-        np.testing.assert_array_equal(pm.points[res.inlier_mask], refined_on)
+
+    @pytest.mark.parametrize("depths", [{0: 0.0, 1: -1.0}, {0: 0.0}, {1: -1.0}])
+    def test_refine_returns_a_start_behind_the_camera_unchanged(self, depths):
+        # The identity start is far from the true pose, so refinement
+        # would move it, but points lie on its camera plane or behind it.
+        k, _, points, pixels, _ = _seeded_correspondences(0)
+        r0, t0 = np.eye(3), np.zeros(3)
+        assert np.abs(refine_pose(points, pixels, k, r0, t0)[1]).max() > 1e-3
+        points = points.copy()
+        for i, z in depths.items():
+            points[i, 2] = z
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            r, t = refine_pose(points, pixels, k, r0, t0)
+        assert_same_bits(r, r0)
+        assert_same_bits(t, t0)
 
     @settings(max_examples=50, deadline=None)
-    @given(seed=st.integers(0, 4), scale=st.floats(1e-3, 1e3))
+    @given(seed=st.integers(0, 4), scale=st.floats(1e-14, 1e12))
+    @example(seed=0, scale=1e-14)
+    @example(seed=0, scale=1e12)
     def test_refine_is_scale_free(self, seed, scale):
         # Scaling the world points and the start translation by s leaves
         # every pixel-space quantity unchanged, so the refined pose must
