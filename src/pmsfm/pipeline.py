@@ -152,6 +152,13 @@ class Manifest:
                                       f"not allowed in a {self.mode} manifest")
         _check_records("view", [r[:1] for r in self.views], self.n_frames)
         _check_records("pair", [r[:2] for r in self.pairs], self.n_frames)
+        if self.mode == "pairs":
+            for key in ("focal", "gt_poses", "scene_scale", "outlier_fraction",
+                        "point_noise_sigma", "rng_seed"):
+                value = getattr(self, key)
+                if value != self.__dataclass_fields__[key].default:
+                    raise ValidationError(f"{key}: {value!r} is a views-mode setting;"
+                                          " a pairs manifest keeps its default")
         if self.mode == "views" and not 0.0 < self.focal < math.inf:
             raise ValidationError(f"focal: {self.focal} is not a positive finite real")
         self.pair_simulation()  # checked on read, before any depth map

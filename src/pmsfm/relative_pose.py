@@ -54,9 +54,9 @@ _RANSAC_ITERS = 1024
 _INLIER_THRESHOLD_PX = 5.0
 _RANSAC_CONFIDENCE = 0.999
 # Correspondences the iterative solves run on: every s-th one, with
-# s = ceil(n / _LO_POINTS), feeds the local optimization and the focal
-# start, and one full-resolution pass finishes each. At or below it the
-# subset is the full set.
+# s = ceil(n / _LO_POINTS), feeds the focal solve and the local
+# optimization, and one full-resolution polish finishes the pose. At or
+# below it the subset is the full set.
 _LO_POINTS = 20_000
 
 
@@ -85,10 +85,9 @@ def estimate_focal(pm: Pointmap) -> float:
     with b_i = pixel - center and d_i = (x/z, y/z), from a
     median-of-ratios start, by safeguarded Newton iteration
     (`_focal_newton`). Pixels on the principal ray carry no focal
-    information and are dropped. Above `_LO_POINTS` usable pixels the
-    start and a first solve use every s-th of them,
-    s = ceil(n / _LO_POINTS), and the solve on all pixels starts from
-    that f.
+    information and are dropped. The start and the solve use every s-th
+    usable pixel, s = ceil(n / _LO_POINTS), so a dense map costs about
+    what a map of `_LO_POINTS` pixels does.
     """
     c_x, c_y = pm.width / 2.0, pm.height / 2.0
     pts = pm.points.reshape(-1, 3)
@@ -100,20 +99,17 @@ def estimate_focal(pm: Pointmap) -> float:
             f"focal estimation needs >= 8 usable pixels, got {len(idx)}"
         )
 
-    # Contiguous per-coordinate columns of b and d.
+    # Contiguous per-coordinate columns of b and d on the strided subset.
+    stride = -(-len(idx) // _LO_POINTS)
+    idx = idx[::stride]
     bx = idx % pm.width - c_x
     by = idx // pm.width - c_y
     z_u = z[idx]
     dx = x[idx] / z_u
     dy = y[idx] / z_u
 
-    stride = -(-len(idx) // _LO_POINTS)
-    sbx, sby, sdx, sdy = (np.ascontiguousarray(c[::stride]) for c in (bx, by, dx, dy))
-    ratios = np.sqrt(sbx * sbx + sby * sby) / np.sqrt(sdx * sdx + sdy * sdy)
-    f = float(np.median(ratios))
-    if stride > 1:
-        f, _ = _focal_newton(sbx, sby, sdx, sdy, f)
-    f, converged = _focal_newton(bx, by, dx, dy, f)
+    ratios = np.sqrt(bx * bx + by * by) / np.sqrt(dx * dx + dy * dy)
+    f, converged = _focal_newton(bx, by, dx, dy, float(np.median(ratios)))
     if not converged:
         # The text predates the Newton solve; run logs are matched on it.
         warnings.warn("focal IRLS hit its iteration budget; returning best iterate",
@@ -375,8 +371,7 @@ def _gn_normal_equations(res: np.ndarray, w: np.ndarray, z: np.ndarray,
     H and g are summed over consecutive blocks of `_LO_POINTS`
     correspondences. Each block's rows are written into the two halves
     of one (6, 2 min(N, _LO_POINTS)) buffer, matching the (r_u | r_v)
-    layout of ``res``, so a block's H and g are one BLAS call each. At
-    N <= `_LO_POINTS` the one block is the whole system.
+    layout of ``res``, so a block's H and g are one BLAS call each.
     """
     n = z.shape[0]
     jac = np.empty((6, 2 * min(n, _LO_POINTS)))
@@ -385,8 +380,6 @@ def _gn_normal_equations(res: np.ndarray, w: np.ndarray, z: np.ndarray,
         hi = min(lo + _LO_POINTS, n)
         block = jac[:, :2 * (hi - lo)]
         _fill_jacobian(block, w[:, lo:hi], z[lo:hi], t, f)
-        if hi - lo == n:
-            return block @ block.T, block @ res
         h += block @ block.T
         g += block @ np.concatenate((res[lo:hi], res[n + lo:n + hi]))
     return h, g
@@ -471,12 +464,6 @@ def refine_pose(points: np.ndarray, pixels: np.ndarray, k: CameraIntrinsics,
     return r, t
 
 
-def _msac(errs: np.ndarray) -> float:
-    """MSAC score: the squared reprojection errors truncated at the squared
-    inlier threshold, summed (Torr & Zisserman, CVIU 2000); lower is better."""
-    return float(np.minimum(errs * errs, _INLIER_THRESHOLD_PX ** 2).sum())
-
-
 def _ransac_hypothesis(points: np.ndarray, pixels: np.ndarray, k: CameraIntrinsics,
                        rng_seed: int) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
     """The best minimal-sample pose of coordinate rows ``points`` (3, N)
@@ -548,19 +535,18 @@ def pnp_ransac(pm2_in_1: Pointmap, k: CameraIntrinsics,
     (Chum, Matas & Kittler, DAGM 2003, in its simple form: one
     least-squares refit on the hypothesis's inliers) run on every s-th
     correspondence, s = ceil(n / _LO_POINTS): RANSAC selects a P3P
-    hypothesis by its score on the subset, one Gauss-Newton refinement
-    (`refine_pose`) on the subset's inliers follows, and the refinement
-    is kept when it lowers the subset's MSAC score. At s = 1 the subset
-    is the full set and this LO pose is returned. When s > 1, one
-    full-resolution reprojection of the LO pose gives its inliers,
-    `_POLISH_STEPS` (one) Gauss-Newton step on them polishes it, and the
-    polished pose is returned with the inliers of a second
-    full-resolution reprojection. The polish takes only a step that
-    lowers the squared error over those inliers, or changes it by at
-    most `_REFINE_RTOL` relative, and every other point adds at most the
-    truncated square to MSAC, so the polished pose scores no worse than
-    the LO pose, which scores no worse than the hypothesis.
-    Deterministic for a fixed ``rng_seed``.
+    hypothesis by its score on the subset, and one Gauss-Newton
+    refinement (`refine_pose`) on the subset's inliers gives the LO pose.
+    At s = 1 the subset is the full set and the LO pose is returned. When
+    s > 1, one full-resolution reprojection of the LO pose gives its
+    inliers, and `_POLISH_STEPS` (one) Gauss-Newton step on them polishes
+    it. The returned pose comes with the inliers of one full-resolution
+    reprojection. Refinement and polish take only a step that lowers the
+    squared error over their inliers, or changes it by at most
+    `_REFINE_RTOL` relative, and every other point adds at most the
+    truncated square to the MSAC score (Torr & Zisserman, CVIU 2000), so
+    the polished pose scores no worse than the LO pose, which scores no
+    worse than the hypothesis. Deterministic for a fixed ``rng_seed``.
     """
     valid = pm2_in_1.mask.reshape(-1)
     n_valid = int(np.count_nonzero(valid))
@@ -583,17 +569,14 @@ def pnp_ransac(pm2_in_1: Pointmap, k: CameraIntrinsics,
     sub_pixels = np.ascontiguousarray(pixels[:, ::stride])
     pose, errs = _ransac_hypothesis(sub_points, sub_pixels, k, rng_seed)
     inl = errs < thr
-    refined = refine_pose(sub_points.compress(inl, axis=1).T,
-                          sub_pixels.compress(inl, axis=1).T, k, *pose)
-    refined_errs = _reproj_errors(sub_points, sub_pixels, k, *refined)
-    if _msac(refined_errs) < _msac(errs):
-        pose, errs = refined, refined_errs
+    pose = refine_pose(sub_points.compress(inl, axis=1).T,
+                       sub_pixels.compress(inl, axis=1).T, k, *pose)
 
     if stride > 1:
         inl = _reproj_errors(points, pixels, k, *pose) < thr
         pose = refine_pose(points.compress(inl, axis=1).T,
                            pixels.compress(inl, axis=1).T, k, *pose, _POLISH_STEPS)
-        errs = _reproj_errors(points, pixels, k, *pose)
+    errs = _reproj_errors(points, pixels, k, *pose)
     inl = errs < thr
 
     full_mask = np.zeros(pm2_in_1.height * pm2_in_1.width, dtype=bool)

@@ -669,10 +669,25 @@ class TestCli:
          " manifest"),
         ("mode pairs\nn_frames 2\npair 0 1 a.pmap b.pmap\nview 0 a.dmap\n", "",
          "view record 0 a.dmap: not allowed in a pairs manifest"),
+        ("mode pairs\nn_frames 2\nfocal 450.0\npair 0 1 a.pmap b.pmap\n", "",
+         "focal: 450.0 is a views-mode setting"),
+        ("mode pairs\nn_frames 2\ngt_poses nowhere.txt\npair 0 1 a.pmap b.pmap\n", "",
+         "gt_poses: 'nowhere.txt' is a views-mode setting"),
+        ("mode pairs\nn_frames 2\nscene_scale 2.0\npair 0 1 a.pmap b.pmap\n", "",
+         "scene_scale: 2.0 is a views-mode setting"),
+        ("mode pairs\nn_frames 2\noutlier_fraction 0.1\npair 0 1 a.pmap b.pmap\n", "",
+         "outlier_fraction: 0.1 is a views-mode setting"),
+        ("mode pairs\nn_frames 2\npoint_noise_sigma 0.01\npair 0 1 a.pmap b.pmap\n", "",
+         "point_noise_sigma: 0.01 is a views-mode setting"),
+        ("mode pairs\nn_frames 2\nrng_seed 3\npair 0 1 a.pmap b.pmap\n", "",
+         "rng_seed: 3 is a views-mode setting"),
     ], ids=["manifest-record", "manifest-scalar", "pair-validity", "pair-out-of-range",
             "self-pair", "repeated-pair", "view-out-of-range", "repeated-view",
             "three-field-view", "validity-out-of-range", "validity-self-pair", "validity-repeated-pair",
-            "pair-in-views-manifest", "view-in-pairs-manifest"])
+            "pair-in-views-manifest", "view-in-pairs-manifest", "focal-in-pairs-manifest",
+            "gt-poses-in-pairs-manifest", "scene-scale-in-pairs-manifest",
+            "outlier-fraction-in-pairs-manifest", "noise-in-pairs-manifest",
+            "rng-seed-in-pairs-manifest"])
     def test_exit_code_malformed_input(self, tmp_path, capsys, manifest, validity, where):
         (tmp_path / "manifest.txt").write_text(manifest, encoding="utf-8")
         args = ["solve", "--manifest", str(tmp_path / "manifest.txt"),

@@ -373,24 +373,31 @@ def _reference_focal(pm: Pointmap, max_iters: int = 50) -> float:
 
 
 def _noisy_focal_map(seed: int, outlier_fraction: float = 0.0,
-                     center_share: float = 0.0, center_scale: float = 1.0) -> Pointmap:
-    """48x36 pointmap at a random focal whose x and y carry 0.01 noise.
+                     center_share: float = 0.0, center_scale: float = 1.0,
+                     width: int = 48, height: int = 36) -> Pointmap:
+    """Pointmap at a random focal whose x and y carry 0.01 noise.
     `outlier_fraction` of the pixels get x and y scaled by U(0.2, 3); the
     `center_share` of pixels nearest the center get them scaled by
     `center_scale`, which moves the median-of-ratios start away from the
     optimum, where the objective is nearly linear."""
     rng = np.random.default_rng(seed)
-    pm = TestEstimateFocal().make_pm(rng.uniform(60.0, 600.0), rng, width=48, height=36)
+    pm = TestEstimateFocal().make_pm(rng.uniform(60.0, 600.0), rng, width=width, height=height)
     pts = pm.points.copy()
     pts[..., :2] += rng.normal(scale=0.01, size=pts[..., :2].shape)
     if outlier_fraction:
         out = rng.uniform(size=pm.mask.shape) < outlier_fraction
         pts[out, :2] *= rng.uniform(0.2, 3.0, size=(int(out.sum()), 1))
     if center_share:
-        ii, jj = np.meshgrid(np.arange(48) - 24.0, np.arange(36) - 18.0)
+        ii, jj = np.meshgrid(np.arange(width) - width / 2, np.arange(height) - height / 2)
         r = np.hypot(ii, jj)
         pts[r < np.quantile(r, center_share), :2] *= center_scale
     return Pointmap(pm.width, pm.height, pts, pm.confidence, pm.mask)
+
+
+def _msac(errs: np.ndarray) -> float:
+    """MSAC score: the squared reprojection errors truncated at the squared
+    inlier threshold, summed (Torr & Zisserman, CVIU 2000); lower is better."""
+    return float(np.minimum(errs * errs, relative_pose._INLIER_THRESHOLD_PX ** 2).sum())
 
 
 def _reference_normal_equations(points, pixels, k, r, t):
@@ -572,9 +579,9 @@ class TestLocalOptimization:
     def test_refined_pose_kept_when_it_loses_stray_inliers(self, seed, width, height, f):
         # The refined pose loses a few outliers that fell inside the
         # threshold by chance, so the count-then-mean acceptance returns
-        # the P3P hypothesis, 0.5-3.3 degrees off. MSAC keeps the
-        # refinement. The 200x150 maps take the strided subset and the
-        # full-resolution polish.
+        # the P3P hypothesis, 0.5-3.3 degrees off. pnp_ransac returns the
+        # refinement whatever its inlier count. The 200x150 maps take the
+        # strided subset and the full-resolution polish.
         pm, k, pose = _noisy_grid_map(seed, width, height, f)
         assert not _reference_pnp_lo(pm, k)[3]
         res = pnp_ransac(pm, k)
@@ -622,22 +629,26 @@ class TestLocalOptimization:
         assert sum(n > n_sub for n in normal_sizes) == 1
 
     @pytest.mark.parametrize("seed", range(8))
-    def test_returned_pose_scores_no_worse_than_hypothesis(self, seed):
+    @pytest.mark.parametrize("width, height, f, stride",
+                             [(64, 48, 60.0, 1), (200, 150, 180.0, 2)])
+    def test_returned_pose_scores_no_worse_than_hypothesis(self, seed, width, height, f,
+                                                           stride):
         # The returned pose's full-resolution MSAC is at most that of the
-        # RANSAC hypothesis chosen on the strided subset.
-        pm, k, _ = _noisy_grid_map(seed, 200, 150, 180.0)
+        # RANSAC hypothesis chosen on the strided subset, with no MSAC
+        # test in the solver: at stride 1 the LO pose is returned as it
+        # is, above it the polished one.
+        pm, k, _ = _noisy_grid_map(seed, width, height, f)
         valid_idx = np.flatnonzero(pm.mask.reshape(-1))
         points = np.ascontiguousarray(pm.points.reshape(-1, 3)[valid_idx].T)
         pixels = np.stack([valid_idx % pm.width, valid_idx // pm.width]).astype(float)
-        stride = -(-pm.n_valid // relative_pose._LO_POINTS)
-        assert stride > 1
+        assert -(-pm.n_valid // relative_pose._LO_POINTS) == stride
         hypothesis, _ = relative_pose._ransac_hypothesis(
             np.ascontiguousarray(points[:, ::stride]),
             np.ascontiguousarray(pixels[:, ::stride]), k, 0)
         res = pnp_ransac(pm, k)
-        score = relative_pose._msac(_reproj_errors(
+        score = _msac(_reproj_errors(
             points, pixels, k, res.transform.rotation, res.transform.translation))
-        assert score <= relative_pose._msac(_reproj_errors(points, pixels, k, *hypothesis))
+        assert score <= _msac(_reproj_errors(points, pixels, k, *hypothesis))
 
     def test_polished_pose_within_contract_of_converged_refinement(self):
         # One polish step from the LO pose lands where refinement to
@@ -891,6 +902,25 @@ class TestKernels:
             with pytest.warns(ConvergenceWarning, match="^focal IRLS hit its iteration"
                                                         " budget; returning best iterate$"):
                 estimate_focal(pm)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_dense_focal_is_the_strided_subset_focal(self, seed):
+        # Above `_LO_POINTS` usable pixels the focal is the row-form
+        # solve on every s-th of them, and within 2e-3 of the solve on
+        # all of them. Every valid pixel of these maps is usable.
+        pm = _noisy_focal_map(seed, outlier_fraction=0.3, width=200, height=150)
+        usable = np.flatnonzero(pm.mask.reshape(-1))
+        stride = -(-len(usable) // relative_pose._LO_POINTS)
+        assert stride > 1
+        mask = np.zeros(pm.mask.size, dtype=bool)
+        mask[usable[::stride]] = True
+        strided = Pointmap(pm.width, pm.height, pm.points, pm.confidence,
+                           mask.reshape(pm.mask.shape))
+        f = estimate_focal(pm)
+        f_sub = _reference_focal(strided)
+        assert abs(f - f_sub) <= 1e-9 * f_sub
+        f_full = _reference_focal(pm)
+        assert abs(f - f_full) <= 2e-3 * f_full
 
     @pytest.mark.parametrize("seed, share, scale", [(0, 0.6, 0.5), (2, 0.6, 0.5),
                                                     (0, 0.7, 0.3)])
