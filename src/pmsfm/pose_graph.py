@@ -311,13 +311,23 @@ def _newton_model(lap: sp.bsr_matrix, y: np.ndarray,
     so3_project((I + [w_v]x) Y_v), over the free blocks.
 
     The gradient block of vertex v is 2 vee(P_v). The Hessian has L's
-    block pattern: column q of block (u, v) is 2 vee(L_uv [e_q]x Y_v
-    Y_u^T), and each diagonal block also gets 2 (sym P_v - tr(P_v) I),
-    the curvature of the retraction.
+    block pattern: column q of block (u, v) is 2 vee(X [e_q]x Y) with
+    X = L_uv and Y = Y_v Y_u^T, which in closed form is the block
+
+        2 (X^T Y + Y X^T - tr(Y) X^T - tr(X) Y - (<X, Y> - tr X tr Y) I),
+
+    <X, Y> = sum_ij X_ij Y_ij. Each diagonal block also gets
+    2 (sym P_v - tr(P_v) I), the curvature of the retraction.
     """
     rows = _block_rows(lap)
-    pair = (y[lap.indices] @ y[rows].transpose(0, 2, 1))[:, None]
-    blocks = 2.0 * _vee(lap.data[:, None] @ _SKEW @ pair).transpose(0, 2, 1)
+    x = lap.data
+    x_t = x.transpose(0, 2, 1)
+    pair = y[lap.indices] @ y[rows].transpose(0, 2, 1)
+    tr_x = np.trace(x, axis1=1, axis2=2)[:, None, None]
+    tr_pair = np.trace(pair, axis1=1, axis2=2)[:, None, None]
+    inner = (x * pair).sum(axis=(1, 2))[:, None, None]
+    blocks = 2.0 * (x_t @ pair + pair @ x_t - tr_pair * x_t - tr_x * pair
+                    - (inner - tr_x * tr_pair) * np.eye(3))
     trace = np.trace(p, axis1=1, axis2=2)[:, None, None]
     blocks[lap.indices == rows] += (p + p.transpose(0, 2, 1)) - 2.0 * trace * np.eye(3)
     hess = sp.bsr_matrix((blocks, lap.indices, lap.indptr), shape=lap.shape)

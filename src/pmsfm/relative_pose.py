@@ -56,7 +56,8 @@ _RANSAC_CONFIDENCE = 0.999
 # Correspondences the iterative solves run on: every s-th one, with
 # s = ceil(n / _LO_POINTS), feeds the focal solve and the local
 # optimization, and one full-resolution polish finishes the pose. At or
-# below it the subset is the full set.
+# below it the subset is the full set. `refine_pose` also walks its
+# correspondences in blocks of this many.
 _LO_POINTS = 20_000
 
 
@@ -313,10 +314,13 @@ def _sample_hypotheses(sp: np.ndarray, spx: np.ndarray, k: CameraIntrinsics):
 
 def _reproj_errors(points: np.ndarray, pixels: np.ndarray, k: CameraIntrinsics,
                    r: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Per-point reprojection error in pixels; +inf behind the camera.
+    """Per-point reprojection error in pixels, shape (N,); +inf behind
+    the camera.
 
     Takes coordinate rows, ``points`` (3, N) and ``pixels`` (2, N), so
-    every step is one pass over a contiguous row.
+    every step is one pass over a contiguous row. The (3, N) camera
+    points are a temporary: the returned errors are an array of their
+    own, not a row of that buffer.
     """
     cam = r @ points
     u, v, z = cam
@@ -330,7 +334,7 @@ def _reproj_errors(points: np.ndarray, pixels: np.ndarray, k: CameraIntrinsics,
             row -= px
             row *= row
         u += v
-        errs = np.sqrt(u, out=u)
+        errs = np.sqrt(u)
     errs[~(z > 0)] = np.inf
     return errs
 
@@ -359,7 +363,8 @@ def _gn_residuals(points: np.ndarray, pixels: np.ndarray, k: CameraIntrinsics,
 
 def _gn_normal_equations(res: np.ndarray, w: np.ndarray, z: np.ndarray,
                          t: np.ndarray, f: float):
-    """Gauss-Newton system H = J J^T, g = J r from closed-form Jacobian rows.
+    """Gauss-Newton terms H = J J^T, g = J r of one block of
+    correspondences, from closed-form Jacobian rows.
 
     With w = R p, (x, y, z) = w + t, a = f/z and b = -f (x, y)/z^2, the
     rows of (u, v) in the left-multiplicative rotation update omega and
@@ -368,29 +373,13 @@ def _gn_normal_equations(res: np.ndarray, w: np.ndarray, z: np.ndarray,
         J_u = [b_x w_y, a w_z - b_x w_x, -a w_y, a, 0, b_x]
         J_v = [b_y w_y - a w_z, -b_y w_x, a w_x, 0, a, b_y]
 
-    H and g are summed over consecutive blocks of `_LO_POINTS`
-    correspondences. Each block's rows are written into the two halves
-    of one (6, 2 min(N, _LO_POINTS)) buffer, matching the (r_u | r_v)
-    layout of ``res``, so a block's H and g are one BLAS call each.
+    The rows are written into the two halves of one (6, 2m) buffer,
+    matching the (r_u | r_v) layout of ``res``, so H and g are one BLAS
+    call each. `refine_pose` sums them over its blocks of at most
+    `_LO_POINTS` correspondences.
     """
-    n = z.shape[0]
-    jac = np.empty((6, 2 * min(n, _LO_POINTS)))
-    h, g = np.zeros((6, 6)), np.zeros(6)
-    for lo in range(0, n, _LO_POINTS):
-        hi = min(lo + _LO_POINTS, n)
-        block = jac[:, :2 * (hi - lo)]
-        _fill_jacobian(block, w[:, lo:hi], z[lo:hi], t, f)
-        h += block @ block.T
-        g += block @ np.concatenate((res[lo:hi], res[n + lo:n + hi]))
-    return h, g
-
-
-def _fill_jacobian(jac: np.ndarray, w: np.ndarray, z: np.ndarray, t: np.ndarray,
-                   f: float):
-    """Write the `_gn_normal_equations` rows of the points ``w`` (3, m)
-    with depths ``z`` into ``jac`` (6, 2m): J_u in the first half, J_v in
-    the second."""
     m = z.shape[0]
+    jac = np.empty((6, 2 * m))
     ju, jv = jac[:, :m], jac[:, m:]
     wx, wy, wz = w
     a = np.divide(f, z, out=ju[3])
@@ -408,17 +397,28 @@ def _fill_jacobian(jac: np.ndarray, w: np.ndarray, z: np.ndarray, t: np.ndarray,
     np.subtract(np.multiply(b_y, wy, out=jv[0]), a_wz, out=jv[0])
     np.negative(np.multiply(b_y, wx, out=jv[1]), out=jv[1])
     np.multiply(a, wx, out=jv[2])
+    return jac @ jac.T, jac @ res
 
 
 def refine_pose(points: np.ndarray, pixels: np.ndarray, k: CameraIntrinsics,
-                r0: np.ndarray, t0: np.ndarray,
+                r0: np.ndarray, t0: np.ndarray, index: np.ndarray,
                 max_steps: int = _REFINE_ITERS) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Newton refinement of reprojection error.
+    """Gauss-Newton refinement of reprojection error over the
+    correspondences ``index`` selects.
 
     Left-multiplicative axis-angle update on the rotation; each step
-    solves H delta = -g from one normal-equation build. ``points``
-    (N, 3) and ``pixels`` (N, 2) are worked on as coordinate rows, which
-    is free when they are transposed views of (3, N)/(2, N) arrays.
+    solves H delta = -g. ``points`` (N, 3) and ``pixels`` (N, 2) are
+    worked on as coordinate rows, which is free when they are transposed
+    views of (3, N)/(2, N) arrays.
+
+    The selection is walked in consecutive blocks of `_LO_POINTS`, each
+    gathered with `take`; a block's residuals, Jacobian, normal-equation
+    terms and share of the squared error are formed and dropped before
+    the next block, so no state of the size of the selection is held. A
+    selection of at most `_LO_POINTS` is one block, gathered once. H and
+    g are summed in the pass that tests a pose, except for the terms of
+    its last block, whose residuals are kept until a step from that pose
+    is taken; a pose that ends refinement forms no normal equations.
 
     At most ``max_steps`` steps are taken. With E the squared pixel
     error, a step that changes E by at most `_REFINE_RTOL` * max(E, 1)
@@ -436,31 +436,55 @@ def refine_pose(points: np.ndarray, pixels: np.ndarray, k: CameraIntrinsics,
     scaling the points and the start translation by s scales the
     returned translation by s and moves nothing else.
     """
-    pts = np.ascontiguousarray(points.T)
-    pix = np.ascontiguousarray(pixels.T)
+    pts, pix = np.ascontiguousarray(points.T), np.ascontiguousarray(pixels.T)
+    n = len(index)
+
+    def gather(lo):
+        sel = index[lo:lo + _LO_POINTS]
+        return pts.take(sel, axis=1), pix.take(sel, axis=1)
+
+    one = gather(0) if n <= _LO_POINTS else None
+
+    def evaluate(r, t, build):
+        """E at (r, t) and the residual state of the last block, with H and
+        g summed over the blocks before it when ``build``, or None when a
+        point lies at or behind the camera. An empty selection is one empty
+        block."""
+        err, h, g, last = 0.0, np.zeros((6, 6)), np.zeros(6), None
+        for lo in range(0, max(n, 1), _LO_POINTS):
+            if build and last is not None:
+                h_b, g_b = _gn_normal_equations(*last, t, k.f)
+                h += h_b
+                g += g_b
+            last = _gn_residuals(*(one or gather(lo)), k, r, t)
+            if not np.all(last[2] > 0.0):
+                return None
+            err += float(last[0] @ last[0])
+        return err, h, g, last
+
     r, t = r0.copy(), t0.copy()
-    res, w_pts, z = _gn_residuals(pts, pix, k, r, t)
-    if not np.all(z > 0.0):
+    state = evaluate(r, t, max_steps > 0)
+    if state is None:
         return r, t
-    err = float(res @ res)
-    for _ in range(max_steps):
-        h, g = _gn_normal_equations(res, w_pts, z, t, k.f)
+    err, h, g, last = state
+    for step in range(1, max_steps + 1):
+        # The last block's terms are formed once a step is to be taken.
+        h_b, g_b = _gn_normal_equations(*last, t, k.f)
         try:
-            delta = np.linalg.solve(h, -g)
+            delta = np.linalg.solve(h + h_b, -(g + g_b))
         except np.linalg.LinAlgError:
             break
         r_new = axis_angle_matrix(delta[:3], float(np.linalg.norm(delta[:3]))) @ r
         t_new = t + delta[3:]
-        res_new, w_new, z_new = _gn_residuals(pts, pix, k, r_new, t_new)
-        if not np.all(z_new > 0.0):
+        state = evaluate(r_new, t_new, step < max_steps)
+        if state is None:
             break
-        err_new = float(res_new @ res_new)
+        err_new, h_new, g_new, last_new = state
         if abs(err_new - err) <= _REFINE_RTOL * max(err, 1.0):
             return r_new, t_new
         if not err_new < err:
             break
-        r, t, err = r_new, t_new, err_new
-        res, w_pts, z = res_new, w_new, z_new
+        r, t, err, h, g, last = r_new, t_new, err_new, h_new, g_new, last_new
     return r, t
 
 
@@ -541,12 +565,16 @@ def pnp_ransac(pm2_in_1: Pointmap, k: CameraIntrinsics,
     s > 1, one full-resolution reprojection of the LO pose gives its
     inliers, and `_POLISH_STEPS` (one) Gauss-Newton step on them polishes
     it. The returned pose comes with the inliers of one full-resolution
-    reprojection. Refinement and polish take only a step that lowers the
-    squared error over their inliers, or changes it by at most
-    `_REFINE_RTOL` relative, and every other point adds at most the
-    truncated square to the MSAC score (Torr & Zisserman, CVIU 2000), so
-    the polished pose scores no worse than the LO pose, which scores no
-    worse than the hypothesis. Deterministic for a fixed ``rng_seed``.
+    reprojection. Both refinements get their inliers as indices into the
+    coordinate rows, which `refine_pose` gathers in blocks of
+    `_LO_POINTS`, so above s = 1 no inlier copy or full-resolution
+    residual state is held beside the rows. Refinement and polish take
+    only a step that lowers the squared error over their inliers, or
+    changes it by at most `_REFINE_RTOL` relative, and every other point
+    adds at most the truncated square to the MSAC score (Torr &
+    Zisserman, CVIU 2000), so the polished pose scores no worse than the
+    LO pose, which scores no worse than the hypothesis. Deterministic for
+    a fixed ``rng_seed``.
     """
     valid = pm2_in_1.mask.reshape(-1)
     n_valid = int(np.count_nonzero(valid))
@@ -555,9 +583,10 @@ def pnp_ransac(pm2_in_1: Pointmap, k: CameraIntrinsics,
             f"PnP needs >= {_MIN_SAMPLE} valid pixels, got {n_valid}"
         )
     # Coordinate rows (3, N) and (2, N): scoring and refinement run one
-    # contiguous pass per coordinate.
+    # contiguous pass per coordinate. `take` gathers from the (H*W, 3)
+    # rows: on the transposed view it would first copy the whole map.
     valid_idx = np.flatnonzero(valid)
-    points = np.ascontiguousarray(pm2_in_1.points.reshape(-1, 3)[valid_idx].T)
+    points = pm2_in_1.points.reshape(-1, 3).take(valid_idx, axis=0).T.copy()
     pixels = np.empty((2, n_valid))
     pixels[0] = valid_idx % pm2_in_1.width
     pixels[1] = valid_idx // pm2_in_1.width
@@ -568,14 +597,14 @@ def pnp_ransac(pm2_in_1: Pointmap, k: CameraIntrinsics,
     sub_points = np.ascontiguousarray(points[:, ::stride])
     sub_pixels = np.ascontiguousarray(pixels[:, ::stride])
     pose, errs = _ransac_hypothesis(sub_points, sub_pixels, k, rng_seed)
-    inl = errs < thr
-    pose = refine_pose(sub_points.compress(inl, axis=1).T,
-                       sub_pixels.compress(inl, axis=1).T, k, *pose)
+    pose = refine_pose(sub_points.T, sub_pixels.T, k, *pose, np.flatnonzero(errs < thr))
 
     if stride > 1:
-        inl = _reproj_errors(points, pixels, k, *pose) < thr
-        pose = refine_pose(points.compress(inl, axis=1).T,
-                           pixels.compress(inl, axis=1).T, k, *pose, _POLISH_STEPS)
+        # The LO pose's full-resolution inliers reach the polish as an
+        # index that lives only as long as the call.
+        pose = refine_pose(points.T, pixels.T, k, *pose,
+                           np.flatnonzero(_reproj_errors(points, pixels, k, *pose) < thr),
+                           _POLISH_STEPS)
     errs = _reproj_errors(points, pixels, k, *pose)
     inl = errs < thr
 

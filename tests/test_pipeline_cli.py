@@ -550,15 +550,27 @@ class TestSolveStage:
         gt = compose(bundle.views[1].pose, inverse(bundle.views[0].pose))
         assert geodesic_deg(result.poses.rotations[1], gt.rotation) <= 1e-2
 
-    def test_pairs_mode_polish_path_is_deterministic(self, tmp_path):
+    def test_pairs_mode_polish_path_is_deterministic(self, tmp_path, monkeypatch):
         # Maps above the strided-subset threshold take the full-resolution
-        # polish; two pool threads and one must write the same bytes.
+        # polish, which walks its more than `_LO_POINTS` inliers in two
+        # blocks; two pool threads and one must write the same bytes.
         maps = dense_pair_maps(3, [(0, 1), (0, 2), (1, 2)])
         assert all(pm.n_valid > relative_pose._LO_POINTS
                    for pair in maps.values() for pm in (pair.view1, pair.view2))
+        index_sizes = []
+        refine = relative_pose.refine_pose
+
+        def recording(*args):
+            index_sizes.append(len(args[5]))
+            return refine(*args)
+
+        monkeypatch.setattr(relative_pose, "refine_pose", recording)
         result, _ = solve_with_jobs(write_pair_maps(tmp_path / "pairs", 3, maps),
                                     tmp_path / "run", 2)
         assert result.poses.recovered.all()
+        # Per pair and run, one LO refinement on the subset and one polish.
+        assert sum(n > relative_pose._LO_POINTS for n in index_sizes) == 6
+        assert all(n <= 2 * relative_pose._LO_POINTS for n in index_sizes)
 
     def test_corrupt_pair_file_skipped(self, tmp_path):
         bundle = generate(small_spec(n_views=3))

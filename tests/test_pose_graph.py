@@ -39,10 +39,12 @@ from pmsfm.pose_graph import (
 from pmsfm.pose_graph import (
     _SKEW,
     _block_laplacian,
+    _block_rows,
     _chordal_start,
     _dual_blocks,
     _free_system,
     _newton_model,
+    _vee,
 )
 from pmsfm.relative_pose import RelativePoseResult
 
@@ -153,6 +155,19 @@ def _reference_objective(graph, rot):
         diff = rot[e.j] - rot[e.i] @ e.rotation
         total += e.weight * float((diff * diff).sum())
     return total
+
+
+def _reference_newton_model(lap, y, p):
+    """`_newton_model` with the Hessian blocks formed by broadcasting:
+    column q of block (u, v) is 2 vee(L_uv [e_q]x Y_v Y_u^T), one
+    (blocks, 3, 3, 3) product."""
+    rows = _block_rows(lap)
+    pair = (y[lap.indices] @ y[rows].transpose(0, 2, 1))[:, None]
+    blocks = 2.0 * _vee(lap.data[:, None] @ _SKEW @ pair).transpose(0, 2, 1)
+    trace = np.trace(p, axis1=1, axis2=2)[:, None, None]
+    blocks[lap.indices == rows] += (p + p.transpose(0, 2, 1)) - 2.0 * trace * np.eye(3)
+    hess = sp.bsr_matrix((blocks, lap.indices, lap.indptr), shape=lap.shape)
+    return 2.0 * _vee(p[1:]).reshape(-1), _free_system(hess)
 
 
 def _reference_block_descent(graph, rotations, covered):
@@ -799,6 +814,32 @@ class TestStackedSolvers:
         numeric = [[(objective(h * (e + d)) - objective(h * (e - d)) - objective(h * (d - e))
                      + objective(-h * (e + d))) / (4 * h * h) for d in basis] for e in basis]
         np.testing.assert_allclose(hess, numeric, rtol=0, atol=1e-5 * np.abs(hess).max())
+
+    @pytest.mark.parametrize("case", ["random blocks", "complete graph"])
+    def test_closed_form_hessian_matches_broadcast_reference(self, case):
+        """The closed-form Hessian blocks of `_newton_model` agree with
+        the broadcast product, on 50 arbitrary blocks and on the
+        Laplacian of a 60-frame complete graph."""
+        rng = np.random.default_rng(7)
+        if case == "random blocks":
+            # Every diagonal block, as in a Laplacian, and 38 others.
+            n = 12
+            mask = np.eye(n, dtype=bool).reshape(-1)
+            mask[rng.choice(np.flatnonzero(~mask), size=38, replace=False)] = True
+            rows, cols = np.nonzero(mask.reshape(n, n))
+            lap = sp.bsr_matrix((rng.normal(size=(50, 3, 3)), cols,
+                                 np.searchsorted(rows, np.arange(n + 1))), shape=(3 * n, 3 * n))
+        else:
+            n = 60
+            a = benchmark_shaped_graph(rng, n, None).edge_arrays
+            lap = _block_laplacian(a, np.arange(n), a.rotation)
+        y = np.stack([np.eye(3)] + [random_rotation(rng) for _ in range(n - 1)])
+        p = _dual_blocks(lap, y)
+        grad, hess = _newton_model(lap, y, p)
+        grad_ref, hess_ref = _reference_newton_model(lap, y, p)
+        assert_same_bits(grad, grad_ref)
+        hess, hess_ref = hess.toarray(), hess_ref.toarray()
+        assert np.abs(hess - hess_ref).max() <= 1e-13 * np.abs(hess_ref).max()
 
     def test_non_finite_step_is_damped(self, monkeypatch):
         """A NaN Newton step counts as a rise: it is solved again with

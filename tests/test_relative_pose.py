@@ -425,6 +425,52 @@ def _reference_normal_equations(points, pixels, k, r, t):
     return j.T @ j, j.T @ res.reshape(-1)
 
 
+def _blocked_normal_equations(res, w, z, t, f):
+    """H and g of a residual state over N points, (r_u | r_v), w and z,
+    summed over consecutive blocks of `_LO_POINTS`."""
+    n = len(z)
+    h, g = np.zeros((6, 6)), np.zeros(6)
+    for lo in range(0, n, relative_pose._LO_POINTS):
+        hi = min(lo + relative_pose._LO_POINTS, n)
+        h_b, g_b = _gn_normal_equations(np.concatenate((res[lo:hi], res[n + lo:n + hi])),
+                                        w[:, lo:hi], z[lo:hi], t, f)
+        h += h_b
+        g += g_b
+    return h, g
+
+
+def _reference_refine(points, pixels, k, r0, t0, max_steps=relative_pose._REFINE_ITERS):
+    """`refine_pose` in one pass: it refines compress copies ``points``
+    (N, 3) and ``pixels`` (N, 2), keeps one residual state over all N
+    between steps, sums the normal equations of that state in blocks
+    (`_blocked_normal_equations`) and E in one product."""
+    pts, pix = np.ascontiguousarray(points.T), np.ascontiguousarray(pixels.T)
+    r, t = r0.copy(), t0.copy()
+    res, w, z = _gn_residuals(pts, pix, k, r, t)
+    if not np.all(z > 0.0):
+        return r, t
+    err = float(res @ res)
+    for _ in range(max_steps):
+        h, g = _blocked_normal_equations(res, w, z, t, k.f)
+        try:
+            delta = np.linalg.solve(h, -g)
+        except np.linalg.LinAlgError:
+            break
+        r_new = axis_angle_matrix(delta[:3], float(np.linalg.norm(delta[:3]))) @ r
+        t_new = t + delta[3:]
+        res_new, w_new, z_new = _gn_residuals(pts, pix, k, r_new, t_new)
+        if not np.all(z_new > 0.0):
+            break
+        err_new = float(res_new @ res_new)
+        if abs(err_new - err) <= relative_pose._REFINE_RTOL * max(err, 1.0):
+            return r_new, t_new
+        if not err_new < err:
+            break
+        r, t, err = r_new, t_new, err_new
+        res, w, z = res_new, w_new, z_new
+    return r, t
+
+
 def _noisy_grid_map(seed: int, width: int, height: int, f: float):
     """A `grid_pointmap_for_pose` map under a `small_pose` with 0.01 point
     noise and 10% gross outliers (unit normal offsets); returns the
@@ -455,7 +501,8 @@ def _reference_pnp_lo(pm: Pointmap, k: CameraIntrinsics, rng_seed: int = 0):
     count, mean_err = int(inl.sum()), float(errs[inl].mean())
     refined = False
     for _ in range(3):
-        r_ref, t_ref = refine_pose(points[:, inl].T, pixels[:, inl].T, k, r, t)
+        r_ref, t_ref = refine_pose(points[:, inl].T, pixels[:, inl].T, k, r, t,
+                                   np.arange(count))
         errs = _reproj_errors(points, pixels, k, r_ref, t_ref)
         inl_ref = errs < thr
         count_ref = int(inl_ref.sum())
@@ -609,24 +656,39 @@ class TestLocalOptimization:
     def test_one_full_resolution_pass_per_pose(self, seed, monkeypatch):
         # Above the subset threshold RANSAC scores on the subset, and the
         # full set is reprojected twice, for the LO pose's inliers and the
-        # polished pose's errors, and refined in one Gauss-Newton step.
+        # polished pose's errors, and refined in one Gauss-Newton step,
+        # whose normal equations are summed over blocks of its inliers.
+        # No residual state spans more than `_LO_POINTS` points.
         pm, k, _ = _noisy_grid_map(seed, 200, 150, 180.0)
         n_valid = pm.n_valid
         stride = -(-n_valid // relative_pose._LO_POINTS)
         assert stride > 1
         n_sub = len(range(0, n_valid, stride))
-        reproj_sizes, normal_sizes = [], []
+        reproj_sizes, residual_sizes, builds = [], [], []
         reproj = relative_pose._reproj_errors
+        residuals = relative_pose._gn_residuals
         normal = relative_pose._gn_normal_equations
+        refine = relative_pose.refine_pose
+
+        def recording_refine(*args):
+            builds.append((len(args[5]), []))
+            return refine(*args)
+
+        monkeypatch.setattr(relative_pose, "refine_pose", recording_refine)
         monkeypatch.setattr(relative_pose, "_reproj_errors",
                             lambda p, *a: reproj_sizes.append(p.shape[1]) or reproj(p, *a))
+        monkeypatch.setattr(relative_pose, "_gn_residuals",
+                            lambda p, *a: residual_sizes.append(p.shape[1]) or residuals(p, *a))
         monkeypatch.setattr(relative_pose, "_gn_normal_equations",
                             lambda r, w, z, t, f:
-                            normal_sizes.append(len(z)) or normal(r, w, z, t, f))
+                            builds[-1][1].append(len(z)) or normal(r, w, z, t, f))
         pnp_ransac(pm, k)
         assert all(n in (n_sub, n_valid) for n in reproj_sizes)
         assert reproj_sizes.count(n_valid) == 2
-        assert sum(n > n_sub for n in normal_sizes) == 1
+        assert max(residual_sizes) <= relative_pose._LO_POINTS
+        (n_lo, _), (n_polish, polish_blocks) = builds
+        assert n_lo <= n_sub < relative_pose._LO_POINTS < n_polish
+        assert polish_blocks == [relative_pose._LO_POINTS, n_polish - relative_pose._LO_POINTS]
 
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("width, height, f, stride",
@@ -659,7 +721,7 @@ class TestLocalOptimization:
             res = pnp_ransac(pm, k)
             r, t = res.transform.rotation, res.transform.translation
             r_conv, t_conv = refine_pose(pm.points[res.inlier_mask], grid[res.inlier_mask],
-                                         k, r, t)
+                                         k, r, t, np.arange(res.inlier_count))
             assert np.abs(r - r_conv).max() <= 1e-6
             assert np.linalg.norm(t - t_conv) <= 1e-6 * np.linalg.norm(t_conv)
 
@@ -705,7 +767,7 @@ def test_dense_pair_working_memory(tmp_path):
     finally:
         tracemalloc.stop()
     assert n_valid == width * height and res.inlier_count > 0.8 * n_valid
-    assert peak <= 250 * width * height
+    assert peak <= 150 * width * height
 
 
 @functools.cache
@@ -742,27 +804,46 @@ class TestKernels:
         assert np.abs(h - h_ref).max() <= 1e-9 * np.abs(h_ref).max()
         assert np.abs(g - g_ref).max() <= 1e-9 * np.abs(g_ref).max()
 
-    @pytest.mark.parametrize("n", [500, relative_pose._LO_POINTS])
-    def test_one_block_normal_equations_are_one_product(self, n):
-        # Up to a block's worth of points the build is the single product
-        # over the whole Jacobian, bit for bit.
-        k, r, t, pts, pix = _perturbed_correspondences(n)
-        res, w, z = _gn_residuals(pts, pix, k, r, t)
-        jac = np.empty((6, 2 * n))
-        relative_pose._fill_jacobian(jac, w, z, t, k.f)
-        h, g = _gn_normal_equations(res, w, z, t, k.f)
-        assert_same_bits(h, jac @ jac.T)
-        assert_same_bits(g, jac @ res)
-
     def test_blocked_normal_equations_match_tensor_reference(self):
         # Two full blocks and a last block of one point.
         n = 2 * relative_pose._LO_POINTS + 1
         k, r, t, pts, pix = _perturbed_correspondences(n)
         res, w, z = _gn_residuals(pts, pix, k, r, t)
-        h, g = _gn_normal_equations(res, w, z, t, k.f)
+        h, g = _blocked_normal_equations(res, w, z, t, k.f)
         h_ref, g_ref = _reference_normal_equations(pts.T, pix.T, k, r, t)
         assert np.abs(h - h_ref).max() <= 1e-12 * np.abs(h_ref).max()
         assert np.abs(g - g_ref).max() <= 1e-12 * np.abs(g_ref).max()
+
+    @pytest.mark.parametrize("n, max_steps, extra", [
+        (500, relative_pose._REFINE_ITERS, 3000),
+        (relative_pose._LO_POINTS, relative_pose._REFINE_ITERS, 3000),
+        (2 * relative_pose._LO_POINTS + 1, relative_pose._REFINE_ITERS, 3000),
+        (2 * relative_pose._LO_POINTS + 1, relative_pose._POLISH_STEPS, 3000),
+        (2 * relative_pose._LO_POINTS + 1, relative_pose._REFINE_ITERS, 0)])
+    def test_refine_with_index_is_the_one_pass_reference(self, n, max_steps, extra,
+                                                         monkeypatch):
+        # ``n`` correspondences selected by index from ``extra`` more (all
+        # of them when there are none): the same bits as refining their
+        # compress copies in one pass, and no residual state spans more
+        # than one block of `_LO_POINTS`.
+        k, r, t, pts, pix = _perturbed_correspondences(n + extra)
+        index = np.sort(np.random.default_rng(n).choice(n + extra, size=n, replace=False))
+        keep = np.zeros(n + extra, dtype=bool)
+        keep[index] = True
+        r_ref, t_ref = _reference_refine(pts.compress(keep, axis=1).T,
+                                         pix.compress(keep, axis=1).T, k, r, t, max_steps)
+        assert np.abs(r_ref - r).max() > 1e-3
+        sizes = []
+        residuals = relative_pose._gn_residuals
+        monkeypatch.setattr(relative_pose, "_gn_residuals",
+                            lambda p, *a: sizes.append(p.shape[1]) or residuals(p, *a))
+        r_got, t_got = refine_pose(pts.T, pix.T, k, r, t, index, max_steps)
+        assert_same_bits(r_got, r_ref)
+        assert_same_bits(t_got, t_ref)
+        # One residual pass per pose tried, over each of its blocks.
+        blocks = -(-n // relative_pose._LO_POINTS)
+        assert max(sizes) == min(n, relative_pose._LO_POINTS)
+        assert len(sizes) % blocks == 0 and len(sizes) <= blocks * (max_steps + 1)
 
     def test_refine_recovers_noiseless_pose(self):
         rng = np.random.default_rng(5)
@@ -774,7 +855,7 @@ class TestKernels:
         w = rng.normal(size=3)
         r0 = axis_angle_matrix(w / np.linalg.norm(w), 0.05) @ pose.rotation
         t0 = pose.translation + rng.normal(scale=0.05, size=3)
-        r, t = refine_pose(points, pixels, k, r0, t0)
+        r, t = refine_pose(points, pixels, k, r0, t0, np.arange(len(points)))
         assert stable_rot_err_deg(r, pose.rotation) <= 1e-8
         assert np.abs(t - pose.translation).max() <= 1e-9
 
@@ -783,12 +864,13 @@ class TestKernels:
             self, seed, monkeypatch):
         k, pose, points, pixels, rng = _seeded_correspondences(seed)
         r0 = axis_angle_matrix(np.array([0.6, 0.0, 0.8]), 0.05) @ pose.rotation
-        converged = refine_pose(points, pixels, k, r0, pose.translation + 0.05)
+        index = np.arange(len(points))
+        converged = refine_pose(points, pixels, k, r0, pose.translation + 0.05, index)
         calls = []
         residuals = relative_pose._gn_residuals
         monkeypatch.setattr(relative_pose, "_gn_residuals",
                             lambda *a: calls.append(1) or residuals(*a))
-        r, t = refine_pose(points, pixels, k, *converged)
+        r, t = refine_pose(points, pixels, k, *converged, index)
         # The start's residual and one step at the rounding floor.
         assert len(calls) <= 2
         assert np.abs(r - converged[0]).max() <= 1e-9
@@ -822,14 +904,23 @@ class TestKernels:
         # The identity start is far from the true pose, so refinement
         # would move it, but points lie on its camera plane or behind it.
         k, _, points, pixels, _ = _seeded_correspondences(0)
-        r0, t0 = np.eye(3), np.zeros(3)
-        assert np.abs(refine_pose(points, pixels, k, r0, t0)[1]).max() > 1e-3
+        r0, t0, index = np.eye(3), np.zeros(3), np.arange(len(points))
+        assert np.abs(refine_pose(points, pixels, k, r0, t0, index)[1]).max() > 1e-3
         points = points.copy()
         for i, z in depths.items():
             points[i, 2] = z
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            r, t = refine_pose(points, pixels, k, r0, t0)
+            r, t = refine_pose(points, pixels, k, r0, t0, index)
+        assert_same_bits(r, r0)
+        assert_same_bits(t, t0)
+
+    def test_refine_of_an_empty_selection_returns_the_start(self):
+        # No correspondence gives a singular H, as it did before the
+        # selection became an index.
+        k, _, points, pixels, _ = _seeded_correspondences(0)
+        r0, t0 = np.eye(3), np.zeros(3)
+        r, t = refine_pose(points, pixels, k, r0, t0, np.arange(0))
         assert_same_bits(r, r0)
         assert_same_bits(t, t0)
 
@@ -843,9 +934,9 @@ class TestKernels:
         # be the unscaled one with its translation scaled by s.
         k, pose, points, pixels, _ = _seeded_correspondences(seed)
         r0 = axis_angle_matrix(np.array([0.6, 0.0, 0.8]), 0.05) @ pose.rotation
-        t0 = pose.translation + 0.05
-        r, t = refine_pose(points, pixels, k, r0, t0)
-        r_s, t_s = refine_pose(points * scale, pixels, k, r0, t0 * scale)
+        t0, index = pose.translation + 0.05, np.arange(len(points))
+        r, t = refine_pose(points, pixels, k, r0, t0, index)
+        r_s, t_s = refine_pose(points * scale, pixels, k, r0, t0 * scale, index)
         assert np.abs(r_s - r).max() <= 1e-9
         assert np.linalg.norm(t_s / scale - t) <= 1e-9 * np.linalg.norm(t)
 
