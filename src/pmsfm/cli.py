@@ -81,7 +81,7 @@ def _cmd_solve(args) -> int:
     result, out = pipeline.run_solve(cfg)
     n = len(result.frame_ids)
     n_rec = int(result.poses.recovered.sum())
-    print(f"solved {n_rec}/{n} frames over {len(result.graph.edges)} edges "
+    print(f"solved {n_rec}/{n} frames over {result.graph.n_edges} edges "
           f"(objective {result.objective:.3e})")
     for msg in result.warnings:
         print(f"warning: {msg}", file=sys.stderr)

@@ -97,12 +97,6 @@ class RigidTransform:
         return cls(so3_project(np.asarray(rotation, dtype=np.float64)),
                    np.asarray(translation, dtype=np.float64))
 
-    def as_matrix(self) -> np.ndarray:
-        m = np.eye(4)
-        m[:3, :3] = self.rotation
-        m[:3, 3] = self.translation
-        return m
-
     def apply(self, points: np.ndarray) -> np.ndarray:
         """Transform points of shape (..., 3)."""
         pts = np.asarray(points, dtype=np.float64)

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import FormatError, ValidationError
 from .geometry import DepthMap, Pointmap
 from .metrics import SequenceReport
-from .pose_graph import Edge, GlobalPoses, PoseGraph
+from .pose_graph import GlobalPoses, PoseGraph
 
 MAGIC_POINTMAP = b"PMAP1"
 MAGIC_DEPTH = b"DMAP1"
@@ -360,12 +360,18 @@ def poses_to_text(poses: GlobalPoses, frame_ids=None) -> str:
     return kv_to_text(doc, "pmsfm poses v2")
 
 
+def _columns(rows: tuple, width: int) -> list[tuple]:
+    """Records of `width` fields as their columns."""
+    return list(zip(*rows)) or [()] * width
+
+
 def poses_from_text(text: str) -> tuple[GlobalPoses, list[int]]:
     doc = kv_from_text(_Poses, text, "poses document")
-    values = np.array([f[2:] for f in doc.frame]).reshape(-1, 12)
+    ids, recovered, *columns = _columns(doc.frame, 14)
+    values = np.array(columns, dtype=np.float64).T
     try:  # a frame that breaks a pose rule is named by its position
         return GlobalPoses(values[:, :9].reshape(-1, 3, 3), values[:, 9:],
-                           np.array([f[1] for f in doc.frame], bool)), [f[0] for f in doc.frame]
+                           np.array(recovered, bool)), list(ids)
     except ValueError as exc:
         raise FormatError(f"invalid poses document: {exc}") from None
 
@@ -384,17 +390,20 @@ class _PoseGraph:
 
 
 def graph_to_text(graph: PoseGraph) -> str:
-    edges = tuple((e.i, e.j, *e.rotation.reshape(-1), *e.translation, e.weight, e.quality)
-                  for e in graph.edges)
+    a = graph.edge_arrays
+    values = np.column_stack([a.rotation.reshape(-1, 9), a.translation, a.weight, a.quality])
+    edges = [(i, j, *v) for i, j, v in zip(a.i.tolist(), a.j.tolist(), values.tolist())]
     return kv_to_text(_PoseGraph(graph.n_frames, edges), "pmsfm pose graph v1")
 
 
 def graph_from_text(text: str) -> PoseGraph:
     doc = kv_from_text(_PoseGraph, text, "pose graph")
+    i, j, *columns = _columns(doc.edges, 16)
+    values = np.array(columns, dtype=np.float64).T
     try:  # every rejection names its edge (i, j)
-        return PoseGraph(doc.frames, tuple(
-            Edge(i, j, rotation=(v[0:3], v[3:6], v[6:9]), translation=v[9:12],
-                 weight=v[12], quality=v[13]) for i, j, *v in doc.edges))
+        return PoseGraph.from_arrays(doc.frames, i, j, values[:, :9].reshape(-1, 3, 3),
+                                     values[:, 9:12], values[:, 12], values[:, 13],
+                                     np.zeros(len(i), dtype=bool))  # no rescue flags
     except ValueError as exc:
         raise FormatError(f"invalid pose graph: {exc}") from None
 
@@ -565,7 +574,3 @@ def read_graph(path) -> PoseGraph:
 
 def write_report(path, report: SequenceReport):
     Path(path).write_text(report_to_text(report), encoding="utf-8")
-
-
-def read_report(path) -> SequenceReport:
-    return report_from_text(Path(path).read_text(encoding="utf-8"))

@@ -445,7 +445,7 @@ def _solve_stages(cfg: PipelineConfig) -> SolveResult:
 
     t0 = time.perf_counter()
     graph = build_graph(results, n_local, validity)
-    if not graph.edges:
+    if not graph.n_edges:
         raise InsufficientDataError("no edges survive filtering")
     timings["graph_s"] = time.perf_counter() - t0
 
@@ -479,8 +479,8 @@ def run_log_text(result: SolveResult) -> str:
            f"n_pairs_attempted {result.n_pairs_attempted}",
            f"n_pairs_failed {result.n_pairs_failed}",
            f"pair_workers {result.pair_workers}",
-           f"n_edges {len(result.graph.edges)}",
-           f"n_rescued {sum(1 for e in result.graph.edges if e.rescued)}",
+           f"n_edges {result.graph.n_edges}",
+           f"n_rescued {int(np.count_nonzero(result.graph.edge_arrays.rescued))}",
            f"n_recovered {int(np.count_nonzero(result.poses.recovered))}",
            f"objective_sra {repr(result.objective)}",
            f"rotation_lambda_min {result.rotation_lambda_min!r}",

@@ -42,6 +42,16 @@ _CERTIFICATE_REL_TOL = 1e-6
 QUALITY_THRESHOLD = 0.25
 
 
+def _edge_fault(i, j, weight) -> str | None:
+    """What an edge shows wrong on its own, if anything: a self-loop, else
+    a weight that is not finite and positive."""
+    if i == j:
+        return f"edge ({i},{j}): self-loop"
+    if not (math.isfinite(weight) and weight > 0):
+        return f"edge ({i},{j}): weight must be finite and positive, got {weight}"
+    return None
+
+
 @dataclass(frozen=True)
 class Edge:
     """Directed measurement: frame-j coordinates -> frame-i coordinates."""
@@ -55,11 +65,9 @@ class Edge:
     rescued: bool = False
 
     def __post_init__(self):
-        if self.i == self.j:
-            raise ValidationError(f"edge ({self.i},{self.j}): self-loop")
-        if not (math.isfinite(self.weight) and self.weight > 0):
-            raise ValidationError(f"edge ({self.i},{self.j}): weight must be finite and"
-                                  f" positive, got {self.weight}")
+        fault = _edge_fault(self.i, self.j, self.weight)
+        if fault:
+            raise ValidationError(fault)
         r, t = _freeze(self.rotation, np.float64), _freeze(self.translation, np.float64)
         if (r.shape, t.shape) != ((3, 3), (3,)):
             raise ShapeMismatchError(f"edge ({self.i},{self.j}): shapes {r.shape}, {t.shape}")
@@ -81,49 +89,120 @@ class EdgeArrays:
     weight: np.ndarray       # (E,)
     rotation: np.ndarray     # (E, 3, 3)
     translation: np.ndarray  # (E, 3)
+    quality: np.ndarray      # (E,)
+    rescued: np.ndarray      # (E,) bool
     covered: np.ndarray      # (n_frames,) bool
     components: tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
+def _frame_column(values) -> np.ndarray:
+    """Frame indices as an intp array; as Python ints where one lies
+    outside intp, so the range check can name it."""
+    try:
+        return np.asarray(values, dtype=np.intp)
+    except OverflowError:
+        return np.asarray(values, dtype=object)
+
+
+def _check_edges(n_frames: int, i: np.ndarray, j: np.ndarray, weight: np.ndarray,
+                 rotation: np.ndarray, translation: np.ndarray):
+    """Raise ValidationError naming the faulty edge (i, j) by the rule of
+    `PoseGraph`: each check runs over the whole stack, in this order."""
+    alone = (i == j) | ~(np.isfinite(weight) & (weight > 0))
+    if alone.any():
+        k = int(np.argmax(alone))
+        raise ValidationError(_edge_fault(i[k], j[k], weight[k]))
+    placed = (i >= 0) & (i < n_frames) & (j >= 0) & (j < n_frames)
+    end = len(i) if placed.all() else int(np.argmin(placed))
+    # Before the first misplaced edge every index lies in 0..n_frames-1.
+    keys = np.ravel_multi_index((i[:end].astype(np.intp), j[:end].astype(np.intp)),
+                                (n_frames, n_frames))
+    repeat = np.ones(end, dtype=bool)
+    repeat[np.unique(keys, return_index=True)[1]] = False
+    if repeat.any():
+        k = int(np.argmax(repeat))
+        raise ValidationError(f"duplicate edge ({i[k]},{j[k]})")
+    if end < len(i):
+        raise ValidationError(f"edge ({i[end]},{j[end]}) outside 0..{n_frames - 1}")
+    check_rigid(rotation, translation, lambda k: f"edge ({i[k]},{j[k]})")
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class PoseGraph:
+    """A pose graph over frames 0..n_frames-1, held as its edges stacked in
+    edge order (`edge_arrays`, read-only, shared by every solve).
+
+    ``PoseGraph(n_frames, edges)`` stacks `Edge` objects and `from_arrays`
+    takes the columns; both run one check, which raises ValidationError
+    naming an edge (i, j). Of several faulty edges it names the first, in
+    edge order, that is a self-loop or whose weight is not finite and
+    positive; failing that, the first whose frame lies outside
+    0..n_frames-1 or that repeats an earlier (i, j); failing that, the
+    first whose transform is not finite or off SO(3). Within one edge a
+    self-loop comes before its weight, and the range before the repeat.
+    """
+
     n_frames: int
-    edges: tuple[Edge, ...]
+    edge_arrays: EdgeArrays
 
-    def __post_init__(self):
-        seen = set()
-        for e in self.edges:
-            if not (0 <= e.i < self.n_frames and 0 <= e.j < self.n_frames):
-                raise ValidationError(f"edge ({e.i},{e.j}) outside 0..{self.n_frames - 1}")
-            if (e.i, e.j) in seen:
-                raise ValidationError(f"duplicate edge ({e.i},{e.j})")
-            seen.add((e.i, e.j))
-        object.__setattr__(self, "edges", tuple(self.edges))
-        a = self.edge_arrays
-        check_rigid(a.rotation, a.translation, lambda k: f"edge ({a.i[k]},{a.j[k]})")
+    def __init__(self, n_frames: int, edges):
+        edges = tuple(edges)
+        self._stack(n_frames, [e.i for e in edges], [e.j for e in edges],
+                    np.array([e.rotation for e in edges]).reshape(-1, 3, 3),
+                    np.array([e.translation for e in edges]).reshape(-1, 3),
+                    [e.weight for e in edges], [e.quality for e in edges],
+                    [e.rescued for e in edges])
+        self.__dict__["edges"] = edges
 
-    @functools.cached_property
-    def edge_arrays(self) -> EdgeArrays:
-        """The edges stacked once per graph, with its connected
-        components; the arrays are read-only, so every solve shares them."""
-        i = np.array([e.i for e in self.edges], dtype=np.intp)
-        j = np.array([e.j for e in self.edges], dtype=np.intp)
-        covered = np.zeros(self.n_frames, dtype=bool)
+    @classmethod
+    def from_arrays(cls, n_frames: int, i, j, rotation, translation, weight, quality,
+                    rescued) -> PoseGraph:
+        """The graph of the edge columns: frame indices ``i``, ``j`` (E,),
+        ``rotation`` (E, 3, 3), ``translation`` (E, 3), and ``weight``,
+        ``quality`` and the ``rescued`` flags (E,)."""
+        graph = cls.__new__(cls)
+        graph._stack(n_frames, i, j, rotation, translation, weight, quality, rescued)
+        return graph
+
+    def _stack(self, n_frames, i, j, rotation, translation, weight, quality, rescued):
+        i, j = _frame_column(i), _frame_column(j)
+        weight = np.asarray(weight, dtype=np.float64)
+        rotation = np.asarray(rotation, dtype=np.float64)
+        translation = np.asarray(translation, dtype=np.float64)
+        quality = np.asarray(quality, dtype=np.float64)
+        rescued = np.asarray(rescued, dtype=bool)
+        e = len(i)
+        shapes = [a.shape for a in (j, rotation, translation, weight, quality, rescued)]
+        if shapes != [(e,), (e, 3, 3), (e, 3), (e,), (e,), (e,)]:
+            raise ShapeMismatchError(f"edge columns of {e} edges: shapes {shapes}")
+        _check_edges(n_frames, i, j, weight, rotation, translation)
+        i, j = i.astype(np.intp), j.astype(np.intp)
+        covered = np.zeros(n_frames, dtype=bool)
         covered[i] = covered[j] = True
-        support = sp.coo_matrix((np.ones(len(i)), (i, j)), shape=(self.n_frames,) * 2)
+        support = sp.coo_matrix((np.ones(e), (i, j)), shape=(n_frames,) * 2)
         labels = connected_components(support, directed=False)[1][covered]
         order = np.argsort(labels, kind="stable")  # stable: each group stays ascending
         groups = np.split(np.flatnonzero(covered)[order],
                           np.flatnonzero(np.diff(labels[order])) + 1)
         components = sorted(tuple(g.tolist()) for g in groups if len(g))
-        return EdgeArrays(
-            i=_freeze(i), j=_freeze(j),
-            weight=_freeze(np.array([e.weight for e in self.edges], dtype=np.float64)),
-            rotation=_freeze(np.array([e.rotation for e in self.edges]).reshape(-1, 3, 3)),
-            translation=_freeze(np.array([e.translation for e in self.edges]).reshape(-1, 3)),
-            covered=_freeze(covered),
-            components=tuple(components),
-        )
+        object.__setattr__(self, "n_frames", n_frames)
+        object.__setattr__(self, "edge_arrays", EdgeArrays(
+            i=_freeze(i), j=_freeze(j), weight=_freeze(weight), rotation=_freeze(rotation),
+            translation=_freeze(translation), quality=_freeze(quality),
+            rescued=_freeze(rescued), covered=_freeze(covered),
+            components=tuple(components)))
+
+    @functools.cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        """One `Edge` per edge: those the graph was built from, or else
+        built on first read, as views of `edge_arrays`, and kept."""
+        a = self.edge_arrays
+        return tuple(map(Edge, a.i.tolist(), a.j.tolist(), a.rotation, a.translation,
+                         a.weight.tolist(), a.quality.tolist(), a.rescued.tolist()))
+
+    @property
+    def n_edges(self) -> int:
+        return len(self.edge_arrays.i)
 
     def covered_vertices(self) -> np.ndarray:
         return self.edge_arrays.covered.copy()
@@ -203,18 +282,16 @@ def build_graph(pair_results: list[tuple[int, int, RelativePoseResult, int]],
     if not kept:
         return PoseGraph(n_frames=n_frames, edges=())
 
-    max_inliers = max(res.inlier_count for res, _, _ in kept.values())
-    items = sorted(kept.items())
-    rt = np.array([res.transform.rotation for _, (res, _, _) in items]).transpose(0, 2, 1)
-    trans = np.array([res.transform.translation for _, (res, _, _) in items])
-    inverses = zip(so3_project(rt), ((-rt) @ trans[:, :, None])[:, :, 0])  # j -> i coords
-    edges = []
-    for ((i, j), (res, quality, rescued)), (r, t) in zip(items, inverses):
-        weight = max(res.inlier_count / max(max_inliers, 1), 1e-12)
-        edges.append(Edge(i=i, j=j, rotation=r, translation=t,
-                          weight=weight, quality=quality, rescued=rescued))
-
-    graph = PoseGraph(n_frames=n_frames, edges=tuple(edges))
+    pairs = sorted(kept)
+    results, quality, rescued = zip(*(kept[p] for p in pairs))
+    max_inliers = max(res.inlier_count for res in results)
+    rt = np.array([res.transform.rotation for res in results]).transpose(0, 2, 1)
+    trans = np.array([res.transform.translation for res in results])
+    i, j = zip(*pairs)
+    graph = PoseGraph.from_arrays(  # the inverse of each pair pose: j -> i coords
+        n_frames, i, j, so3_project(rt), ((-rt) @ trans[:, :, None])[:, :, 0],
+        [max(res.inlier_count / max(max_inliers, 1), 1e-12) for res in results],
+        quality, rescued)
     _check_connected(graph)
     return graph
 
@@ -231,7 +308,7 @@ def rotation_objective(graph: PoseGraph, rotations: np.ndarray) -> float:
 
 def _check_connected(graph: PoseGraph) -> EdgeArrays:
     a = graph.edge_arrays
-    if not graph.edges:
+    if not graph.n_edges:
         raise InsufficientDataError("pose graph has no edges")
     if len(a.components) > 1:
         comps = [list(c) for c in a.components]

@@ -130,15 +130,17 @@ class TestChangeFrame:
         np.testing.assert_allclose(out.points, pm.points + t0, atol=1e-15)
 
     @pytest.mark.parametrize("seed", range(8))
-    def test_homogeneous_matrix_oracle(self, seed):
+    def test_rotation_translation_product_oracle(self, seed):
+        """x -> R_d R_s^T (x - t_s) + t_d, one point at a time."""
         rng = np.random.default_rng(seed)
         pm = self.make_pm(rng)
         src, dst = random_rigid(rng), random_rigid(rng)
         out = change_frame(pm, src, dst)
-        m = dst.as_matrix() @ np.linalg.inv(src.as_matrix())
+        rot = dst.rotation @ src.rotation.T
+        trans = dst.translation - rot @ src.translation
         for idx in range(pm.width):
-            homo = m @ np.append(pm.points[0, idx], 1.0)
-            np.testing.assert_allclose(out.points[0, idx], homo[:3], atol=1e-10)
+            np.testing.assert_allclose(out.points[0, idx], rot @ pm.points[0, idx] + trans,
+                                       atol=1e-10)
 
     def test_composition_property(self, rng):
         pm = self.make_pm(rng)
@@ -167,10 +169,13 @@ class TestComposeInverse:
         a, b, c = (random_rigid(rng) for _ in range(3))
         left = compose(compose(a, b), c)
         right = compose(a, compose(b, c))
-        assert np.max(np.abs(left.as_matrix() - right.as_matrix())) <= 1e-12
-        # direct 4x4 product oracle
-        m = a.as_matrix() @ b.as_matrix() @ c.as_matrix()
-        assert np.max(np.abs(left.as_matrix() - m)) <= 1e-12
+        assert np.max(np.abs(left.rotation - right.rotation)) <= 1e-12
+        assert np.max(np.abs(left.translation - right.translation)) <= 1e-12
+        # direct product oracle: R = R_a R_b R_c, t = R_a (R_b t_c + t_b) + t_a
+        rot = a.rotation @ b.rotation @ c.rotation
+        trans = a.rotation @ (b.rotation @ c.translation + b.translation) + a.translation
+        assert np.max(np.abs(left.rotation - rot)) <= 1e-12
+        assert np.max(np.abs(left.translation - trans)) <= 1e-12
 
 
 class TestGeodesic:

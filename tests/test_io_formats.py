@@ -28,7 +28,7 @@ from pmsfm.io_formats import (
 from pmsfm.metrics import SequenceReport
 from pmsfm.pose_graph import Edge, GlobalPoses, PoseGraph
 
-from conftest import cut_planes
+from conftest import assert_same_bits, cut_planes
 
 
 def random_pointmap(rng, width=16, height=12, with_mask=True):
@@ -418,7 +418,75 @@ class TestPosesDocument:
         assert poses_to_text(back, back_ids) == text
 
 
+def _reference_graph_text(graph: PoseGraph) -> str:
+    """The graph document written one `Edge` at a time, each number by repr."""
+    lines = ["# pmsfm pose graph v1", f"frames {graph.n_frames}"]
+    for e in graph.edges:
+        numbers = [*e.rotation.reshape(-1).tolist(), *e.translation.tolist(), e.weight, e.quality]
+        lines.append(f"edge {e.i} {e.j} " + " ".join(repr(float(x)) for x in numbers))
+    return "\n".join(lines) + "\n"
+
+
+_GOOD = "1 0 0 0 1 0 0 0 1 1 0 0"  # an edge transform, then one off SO(3)
+_OFF_SO3 = "1 0 0 0 1 0 0 0 1.5 1 0 0"
+
+
 class TestGraphDocument:
+    @given(st.data())
+    @settings(deadline=None, max_examples=60)
+    def test_stacked_codec_matches_edge_by_edge_property(self, data):
+        """Random graphs write the bytes of a per-edge repr writer, read
+        back bit for bit, and their `edges` rebuild every array."""
+        n = data.draw(st.integers(2, 12))
+        pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                                   .filter(lambda p: p[0] != p[1]), unique=True, max_size=24))
+        m = len(pairs)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        rotation = np.array([random_rotation(rng) for _ in range(m)]).reshape(-1, 3, 3)
+        finite = st.floats(-1e300, 1e300)
+        translation = data.draw(st.lists(st.tuples(finite, finite, finite),
+                                         min_size=m, max_size=m))
+        # from subnormals to 1e308, so the weights span over 600 orders of magnitude
+        weight = data.draw(st.lists(st.floats(0.0, exclude_min=True, allow_infinity=False),
+                                    min_size=m, max_size=m))
+        quality = data.draw(st.lists(st.floats(0.0, 1.0), min_size=m, max_size=m))
+        rescued = data.draw(st.lists(st.booleans(), min_size=m, max_size=m))
+        g = PoseGraph.from_arrays(n, [p[0] for p in pairs], [p[1] for p in pairs], rotation,
+                                  np.reshape(translation, (m, 3)), weight, quality, rescued)
+        text = graph_to_text(g)
+        assert text == _reference_graph_text(g)
+        back = graph_from_text(text)
+        rebuilt = PoseGraph(n, g.edges)
+        assert back.n_frames == rebuilt.n_frames == n
+        for name in ("i", "j", "weight", "rotation", "translation", "quality", "rescued",
+                     "covered"):
+            assert_same_bits(getattr(rebuilt.edge_arrays, name), getattr(g.edge_arrays, name))
+            if name != "rescued":  # the document holds no rescue flags
+                assert_same_bits(getattr(back.edge_arrays, name), getattr(g.edge_arrays, name))
+        assert not back.edge_arrays.rescued.any()
+        assert back.edge_arrays.components == rebuilt.edge_arrays.components == \
+            g.edge_arrays.components
+
+    @pytest.mark.parametrize("edges, message", [
+        ([f"0 1 {_OFF_SO3} 1 1", f"1 2 {_GOOD} 0 1", f"3 3 {_GOOD} 1 1"],
+         "edge (1,2): weight must be finite and positive, got 0.0"),
+        ([f"2 2 {_GOOD} -1 1", f"1 2 {_GOOD} nan 1"], "edge (2,2): self-loop"),
+        ([f"0 1 {_OFF_SO3} 1 1", f"1 4 {_GOOD} 1 1", f"0 1 {_GOOD} 1 1"],
+         "edge (1,4) outside 0..3"),
+        ([f"0 1 {_GOOD} 1 1", f"0 1 {_GOOD} 1 1", f"-1 2 {_GOOD} 1 1"],
+         "duplicate edge (0,1)"),
+        ([f"0 5 {_GOOD} 1 1", f"0 5 {_GOOD} 1 1"], "edge (0,5) outside 0..3"),
+        ([f"0 1 {_GOOD} 1 1", f"1 -100000000000000000000 {_GOOD} 1 1"],
+         "edge (1,-100000000000000000000) outside 0..3"),
+    ], ids=["so3-weight-self-loop", "self-loop-before-weight", "range-before-later-repeat",
+            "repeat-before-later-range", "range-before-repeat", "frame-beyond-int64"])
+    def test_fault_precedence(self, edges, message):
+        """The fault named among several is the one `PoseGraph` documents:
+        self-loop or weight, then range or repeat, then the transform."""
+        text = "# pmsfm pose graph v1\nframes 4\n" + "".join(f"edge {e}\n" for e in edges)
+        with pytest.raises(FormatError, match=f"^invalid pose graph: {re.escape(message)}$"):
+            graph_from_text(text)
+
     @pytest.mark.parametrize("seed", range(5))
     def test_round_trip_exact(self, seed):
         rng = np.random.default_rng(seed)
@@ -451,6 +519,24 @@ class TestGraphDocument:
     ], ids=["no-frames", "repeated-frames", "bad-field", "self-loop"])
     def test_rejects_by_locator(self, text, message):
         with pytest.raises(FormatError, match=re.escape(message)):
+            graph_from_text(text)
+
+    @pytest.mark.parametrize("lines, message", [
+        ([f"edge 0 1 {_GOOD} 1_0 1", "frames 4"], "line 3: edge: '1_0' is not a decimal number"),
+        ([f"edge 0 1 {_GOOD} 1 x", "edge 0 1"],
+         "line 3: edge: could not convert string to float: 'x'"),
+        ([f"edge 0 1 {_GOOD} 1 +1", f"edge 0 x {_GOOD} 1 1"],
+         "line 3: edge: '+1' is not a decimal number"),
+        ([f"edge 0 1.5 {_GOOD} nan 1"], "line 3: edge: '1.5' is not a decimal number"),
+        ([f"edge 0 1.5 {_GOOD} 1 1"],
+         "line 3: edge: invalid literal for int() with base 10: '1.5'"),
+    ], ids=["bad-word-before-repeated-key", "bad-word-before-field-count",
+            "first-of-two-bad-lines", "int-word-outside-grammar", "int-word-unreadable"])
+    def test_first_bad_line_named(self, lines, message):
+        """The error names the first bad line, ahead of any fault on a
+        later line."""
+        text = "# pmsfm pose graph v1\nframes 4\n" + "".join(f"{line}\n" for line in lines)
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
             graph_from_text(text)
 
     def test_text_layout(self):

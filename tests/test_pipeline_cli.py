@@ -29,7 +29,13 @@ from pmsfm.geometry import (
     inverse,
     pointmap_from_depth,
 )
-from pmsfm.pose_graph import GlobalPoses, rotation_objective
+from pmsfm.pose_graph import (
+    GlobalPoses,
+    assemble_global,
+    rotation_averaging,
+    rotation_objective,
+    translation_averaging,
+)
 from pmsfm.synth import PairPointmaps, SceneSpec, generate, make_pair_pointmaps
 
 from conftest import random_rigid, winding_cycle
@@ -252,8 +258,13 @@ class TestConfigAndManifest:
         ("manifest", "mode pairs\nn_frames -1\n", "invalid manifest: n_frames: -1 is negative"),
         ("pair-validity", "pair 0 9 1\n",
          "invalid pair-validity document: pair record 0 9: frame outside 0..3"),
+        ("manifest", "mode pairs\nn_frames 3\npair 0 x a b\nview y d\n",
+         "line 3: pair: invalid literal for int() with base 10: 'x'"),
+        ("manifest", "pair 0 x a b\nmode pairs\nmode pairs\n",
+         "line 1: pair: invalid literal for int() with base 10: 'x'"),
     ], ids=["graph-no-frames", "graph-frames", "poses-no-frames", "poses-frames",
-            "manifest-no-mode", "manifest-no-n-frames", "manifest-n-frames", "pair-validity"])
+            "manifest-no-mode", "manifest-no-n-frames", "manifest-n-frames", "pair-validity",
+            "manifest-first-of-two-record-keys", "manifest-record-before-repeated-key"])
     def test_rejection_names_the_key_or_the_document(self, tmp_path, document, text, message):
         (tmp_path / "validity.txt").write_text(text, encoding="utf-8")
         read = {"graph": io_formats.graph_from_text, "poses": io_formats.poses_from_text,
@@ -500,6 +511,24 @@ class TestSolveStage:
         for f in tracked:
             assert (tmp_path / "run" / f).read_bytes() == first[f]
 
+    def test_averaging_reruns_from_persisted_graph(self, bundle_dir, tmp_path):
+        """Averaging the run's graph.txt again writes its poses_est.txt
+        byte for byte, as the CI job checks through the installed package."""
+        cfg = pipeline.PipelineConfig(manifest=str(bundle_dir / "manifest.txt"),
+                                      output_dir=str(tmp_path / "run"), jobs=1)
+        result, out = pipeline.run_solve(cfg)
+        graph = io_formats.read_graph(out / pipeline.GRAPH_FILENAME)
+        rotations = rotation_averaging(graph)
+        translations = translation_averaging(graph, rotations)
+        io_formats.write_poses(tmp_path / "again.txt", assemble_global(
+            rotations, translations, graph.covered_vertices()))
+        assert (tmp_path / "again.txt").read_bytes() == \
+            (out / pipeline.POSES_FILENAME).read_bytes()
+        assert run_log_value(out, "n_edges") == str(graph.n_edges) == \
+            str(len(result.graph.edges))
+        assert run_log_value(out, "n_rescued") == \
+            str(sum(e.rescued for e in result.graph.edges))
+
     def test_subsampling(self, tmp_path):
         out = tmp_path / "b"
         pipeline.synthesize(small_spec(n_views=9), out)
@@ -630,7 +659,8 @@ class TestCli:
         assert main(["eval", "--est", str(tmp_path / "run" / "poses_est.txt"),
                      "--gt", str(tmp_path / "bundle" / "gt_poses.txt"),
                      "--out", str(tmp_path / "report.txt")]) == 0
-        report = io_formats.read_report(tmp_path / "report.txt")
+        report = io_formats.report_from_text(
+            (tmp_path / "report.txt").read_text(encoding="utf-8"))
         assert report.det_rate_pct == 100.0
         out = capsys.readouterr().out
         assert "rot_error_deg trans_error det_rate_pct" in out
@@ -852,7 +882,8 @@ class TestCli:
                                                      gt.recovered), ids)
         assert main(["eval", "--est", str(est_path), "--gt", str(gt_path), "--mode", mode,
                      "--out", str(tmp_path / "report.txt")]) == 0
-        report = io_formats.read_report(tmp_path / "report.txt")
+        report = io_formats.report_from_text(
+            (tmp_path / "report.txt").read_text(encoding="utf-8"))
         if mode == "similarity":  # the similarity gauge absorbs the scale
             assert report.trans_error <= 1e-12
             assert report.acc_15_15_pct == 100.0

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 
@@ -740,6 +741,26 @@ class TestEdgeValidation:
         with pytest.raises(ValidationError, match=r"^edge \(2,3\): not finite or off SO\(3\)"):
             PoseGraph(5, tuple(edges))
 
+    @pytest.mark.parametrize("pairs, message", [
+        ([(0, 1), (1, 5), (0, 1)], "edge (1,5) outside 0..3"),
+        ([(0, 1), (0, 1), (1, 5)], "duplicate edge (0,1)"),
+        ([(0, 1), (10**20, 1)], "edge (100000000000000000000,1) outside 0..3"),
+        ([(0, 1), (2, 1)], "edge (0,1): not finite or off SO(3)"),
+    ], ids=["range-before-repeat", "repeat-before-range", "frame-beyond-int64", "transform"])
+    def test_graph_of_edges_names_first_fault(self, pairs, message):
+        """Edges passed as objects go through the graph's one stacked check;
+        the first edge is off SO(3), so only a range or repeat fault beats it."""
+        off = np.diag([1.0, 1.0, 1.5])
+        edges = [Edge(i, j, off if k == 0 else np.eye(3), np.zeros(3), 1.0, 1.0)
+                 for k, (i, j) in enumerate(pairs)]
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}"):
+            PoseGraph(4, edges)
+
+    def test_from_arrays_checks_column_shapes(self):
+        with pytest.raises(ShapeMismatchError, match="edge columns of 2 edges"):
+            PoseGraph.from_arrays(3, [0, 1], [1, 2], np.tile(np.eye(3), (2, 1, 1)),
+                                  np.zeros((2, 3)), [1.0], [1.0, 1.0], [False, False])
+
     def test_edge_checks_shapes(self):
         with pytest.raises(ShapeMismatchError, match=r"edge \(0,1\)"):
             Edge(0, 1, np.eye(4), np.zeros(3), 1.0, 1.0)
@@ -940,13 +961,37 @@ class TestStackedSolvers:
         g = PoseGraph(5, tuple(consistent_edges(poses, [(0, 1), (2, 1), (2, 3)])))
         arrays = g.edge_arrays
         assert g.edge_arrays is arrays
-        for name in ("i", "j", "weight", "rotation", "translation", "covered"):
+        for name in ("i", "j", "weight", "rotation", "translation", "quality", "rescued",
+                     "covered"):
             assert not getattr(arrays, name).flags.writeable
         np.testing.assert_array_equal(arrays.j, [1, 1, 3])
         np.testing.assert_array_equal(arrays.rotation[1], g.edges[1].rotation)
         covered = g.covered_vertices()
         covered[0] = False  # a caller's copy, not the cache
         assert list(g.covered_vertices()) == [True, True, True, True, False]
+
+
+def test_edges_built_on_first_read_as_views(rng):
+    """A graph from columns builds its `Edge` objects once, on request, as
+    read-only views of its arrays; the caller's columns are copied."""
+    rotation = np.stack([random_rotation(rng) for _ in range(3)])
+    translation = rng.normal(size=(3, 3))
+    g = PoseGraph.from_arrays(4, [0, 1, 3], [1, 2, 2], rotation, translation,
+                              [1.0, 0.5, 0.25], [0.9, 0.8, 0.1], [False, True, False])
+    assert "edges" not in vars(g)
+    edges = g.edges
+    assert g.edges is edges
+    assert [(e.i, e.j, e.weight, e.quality, e.rescued) for e in edges] == [
+        (0, 1, 1.0, 0.9, False), (1, 2, 0.5, 0.8, True), (3, 2, 0.25, 0.1, False)]
+    assert all(type(e.i) is int and type(e.weight) is float for e in edges)
+    assert np.shares_memory(edges[2].rotation, g.edge_arrays.rotation)
+    assert not edges[2].translation.flags.writeable
+    rotation[0] = np.eye(3)  # the caller's array, not the graph's
+    assert_same_bits(g.edge_arrays.rotation[0], edges[0].rotation)
+    assert not np.array_equal(edges[0].rotation, np.eye(3))
+    again = PoseGraph(4, edges)
+    assert again.edges is edges and again.n_edges == 3
+    assert_same_bits(again.edge_arrays.rescued, g.edge_arrays.rescued)
 
 
 def _reference_chordal_start(lap):
