@@ -139,13 +139,14 @@ Manifest ("pmsfm manifest v1")
     pair <i> <j> <ref.pmap> <src.pmap>             record, pairs mode
 A record of the other mode is rejected, naming the record.
 A views-mode key off its default in a pairs manifest is rejected.
-Paths are relative to the manifest's directory. A pair record's
-source map is expressed in its reference view's camera frame. Record
-frames lie in 0..n_frames-1; a view frame appears at most once, and a
-pair (i, j) at most once with i != j ((i, j) and (j, i) are distinct
-pairs). Views manifests written by earlier versions carry a third
-view field, a pointmap file no stage read; such a record is rejected
-by its field count. Regenerate the bundle with
+Paths are relative to the manifest's directory. A pair record's source
+map is expressed in its reference view's camera frame and has the
+reference map's size; a pair whose maps differ in size is skipped and
+logged. Record frames lie in 0..n_frames-1; a view frame appears at
+most once, and a pair (i, j) at most once with i != j ((i, j) and
+(j, i) are distinct pairs). Views manifests written by earlier versions
+carry a third view field, a pointmap file no stage read; such a record
+is rejected by its field count. Regenerate the bundle with
 `pmsfm synth --spec <old>/scene_spec.txt --out <new>`, which writes the
 same depth maps and poses.
 

@@ -351,14 +351,17 @@ def _read_pair(base: Path, ref_file: str, src_file: str):
 
 
 def _solve_pair(load, rng_seed: int):
-    """PnP result and valid source pixels for the (reference, source)
-    pointmaps that `load()` returns. The reference map is released once
-    its focal is known, so PnP runs without it in memory."""
+    """PnP result for the (reference, source) pointmaps that `load()`
+    returns, which must be the same size. The reference map is released
+    once its focal is known, so PnP runs without it in memory."""
     ref, src = load()
+    if (ref.width, ref.height) != (src.width, src.height):
+        raise FormatError(f"maps differ in size: reference {ref.width}x{ref.height},"
+                          f" source {src.width}x{src.height}")
     focal = estimate_focal(ref)
     del ref
     k = make_intrinsics(src.width, src.height, focal)
-    return pnp_ransac(src, k, rng_seed), src.n_valid
+    return pnp_ransac(src, k, rng_seed)
 
 
 def solve(cfg: PipelineConfig) -> SolveResult:
@@ -398,12 +401,9 @@ def _solve_stages(cfg: PipelineConfig) -> SolveResult:
     local_of = {int(f): i for i, f in enumerate(kept)}
     n_local = len(kept)
 
-    validity = {}
-    if cfg.pair_validity:
-        raw = load_pair_validity(cfg.pair_validity, manifest.n_frames)
-        for (i, j), ok in raw.items():
-            if i in local_of and j in local_of:
-                validity[(local_of[i], local_of[j])] = ok
+    raw = load_pair_validity(cfg.pair_validity, manifest.n_frames) if cfg.pair_validity else {}
+    validity = {(local_of[i], local_of[j]): ok for (i, j), ok in raw.items()
+                if i in local_of and j in local_of}
 
     # The pair source: (a, b, load) per candidate pair, in manifest order,
     # and the pixels per pair map that size the pool: the views' mean
@@ -434,7 +434,7 @@ def _solve_stages(cfg: PipelineConfig) -> SolveResult:
     n_failed = 0
     for (a, b, _), fut in zip(source, futures):  # manifest order, schedule-independent
         try:
-            results.append((a, b, *fut.result()))
+            results.append((a, b, fut.result()))
         except (PmsfmError, OSError, np.linalg.LinAlgError) as exc:
             n_failed += 1
             warnings_log.append(f"pair ({kept[a]},{kept[b]}) skipped: {exc}")
@@ -445,8 +445,6 @@ def _solve_stages(cfg: PipelineConfig) -> SolveResult:
 
     t0 = time.perf_counter()
     graph = build_graph(results, n_local, validity)
-    if not graph.n_edges:
-        raise InsufficientDataError("no edges survive filtering")
     timings["graph_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

@@ -247,29 +247,29 @@ class GlobalPoses:
         return RigidTransform(self.rotations[k], self.translations[k])
 
 
-def build_graph(pair_results: list[tuple[int, int, RelativePoseResult, int]],
+def build_graph(pair_results: list[tuple[int, int, RelativePoseResult]],
                 n_frames: int, pair_validity: dict[tuple[int, int], bool] | None = None
                 ) -> PoseGraph:
     """Filter pairwise measurements into a connected pose graph.
 
-    ``pair_results`` entries are (i, j, result, n_valid) with ``result``
-    the PnP output for reference view i and ``n_valid`` the pair's valid
-    pixel count. Edges keep pairs whose inlier fraction reaches
-    `QUALITY_THRESHOLD` and that ``pair_validity`` (keyed by either
-    order of the pair) does not mark invalid; temporal-neighbor edges
-    (i, i+1) are force-included (flagged rescued) so a weak but measured
-    neighbor never disconnects the sequence. Each edge is weighted by its
-    inlier count over the largest kept one. Vertices with no measurement
-    at all are tolerated and left for assemble_global to flag; two or
-    more measured components raise DisconnectedGraphError.
+    ``pair_results`` entries are (i, j, result) with ``result`` the PnP
+    output for reference view i. Edges keep pairs whose inlier fraction
+    (``inlier_count / n_valid``) reaches `QUALITY_THRESHOLD` and that
+    ``pair_validity`` (keyed by either order of the pair) does not mark
+    invalid; temporal-neighbor edges (i, i+1) are force-included (flagged
+    rescued) so a weak but measured neighbor never disconnects the
+    sequence. Each edge is weighted by its inlier count over the largest
+    kept one. No edge kept raises InsufficientDataError. Vertices with
+    no measurement at all are tolerated and left for assemble_global to
+    flag; two or more measured components raise DisconnectedGraphError.
     """
     validity = pair_validity or {}
     kept: dict[tuple[int, int], tuple[RelativePoseResult, float, bool]] = {}
     candidates: dict[tuple[int, int], tuple[RelativePoseResult, float]] = {}
-    for i, j, res, n_valid in pair_results:
+    for i, j, res in pair_results:
         if i == j:
             raise ValidationError(f"pair ({i},{j}) is a self-pair")
-        quality = res.inlier_count / max(n_valid, 1)
+        quality = res.inlier_count / max(res.n_valid, 1)
         candidates[(i, j)] = (res, quality)
         valid_pair = validity.get((i, j), validity.get((j, i), True))
         if valid_pair and quality >= QUALITY_THRESHOLD:
@@ -280,7 +280,7 @@ def build_graph(pair_results: list[tuple[int, int, RelativePoseResult, int]],
             kept[(i, j)] = (res, quality, True)
 
     if not kept:
-        return PoseGraph(n_frames=n_frames, edges=())
+        raise InsufficientDataError("no edges survive filtering")
 
     pairs = sorted(kept)
     results, quality, rescued = zip(*(kept[p] for p in pairs))

@@ -131,9 +131,9 @@ def solve_with_jobs(manifest: Path, out: Path, jobs: int):
     return runs[0]
 
 
-def pair_key(a, b, res, n_valid):
+def pair_key(a, b, res):
     """The bits of one pair result as it reaches `build_graph`."""
-    return (a, b, n_valid, res.inlier_count, res.focal, res.mean_inlier_reproj_err,
+    return (a, b, res.n_valid, res.inlier_count, res.focal, res.mean_inlier_reproj_err,
             res.transform.rotation.tobytes(), res.transform.translation.tobytes(),
             res.inlier_mask.tobytes())
 
@@ -613,6 +613,29 @@ class TestSolveStage:
         result, _ = pipeline.run_solve(cfg)
         assert result.n_pairs_failed == 1
         assert any("skipped" in w for w in result.warnings)
+        assert result.poses.recovered.all()
+
+    def test_pair_of_two_sizes_skipped(self, tmp_path):
+        # A source map at half the reference's size (every other row and
+        # column) is refused, not solved on two grids; the others solve.
+        bundle = generate(small_spec(n_views=3))
+        manifest = write_pairs_bundle(bundle, tmp_path / "pairs", [(0, 1), (0, 2), (1, 2)])
+        f = manifest.parent / "p01_src.pmap"
+        pm = io_formats.read_pointmap(f)
+        half = Pointmap(-(-pm.width // 2), -(-pm.height // 2), pm.points[::2, ::2],
+                        pm.confidence[::2, ::2], pm.mask[::2, ::2])
+        io_formats.write_pointmap(f, half)
+
+        cfg = pipeline.PipelineConfig(manifest=str(manifest),
+                                      output_dir=str(tmp_path / "run"), jobs=1)
+        result, _ = pipeline.run_solve(cfg)
+        assert result.n_pairs_failed == 1
+        skipped = [w for w in result.warnings if "skipped" in w]
+        assert len(skipped) == 1 and skipped[0].startswith("pair (0,1) skipped")
+        assert f"{pm.width}x{pm.height}" in skipped[0]
+        assert f"{half.width}x{half.height}" in skipped[0]
+        a = result.graph.edge_arrays
+        assert sorted(zip(a.i.tolist(), a.j.tolist())) == [(0, 2), (1, 2)]
         assert result.poses.recovered.all()
 
     def test_empty_manifest_insufficient(self, tmp_path):

@@ -52,11 +52,11 @@ from pmsfm.relative_pose import RelativePoseResult
 from conftest import assert_same_bits, random_rigid, stable_rot_err_deg, winding_cycle
 
 
-def fake_result(transform: RigidTransform, inlier_count: int,
+def fake_result(transform: RigidTransform, inlier_count: int, n_valid: int,
                 shape=(4, 4)) -> RelativePoseResult:
     return RelativePoseResult(transform=transform,
                               inlier_mask=np.zeros(shape, dtype=bool),
-                              inlier_count=inlier_count, focal=100.0,
+                              inlier_count=inlier_count, n_valid=n_valid, focal=100.0,
                               mean_inlier_reproj_err=0.1)
 
 
@@ -293,16 +293,16 @@ class TestBuildGraph:
         # Inlier fractions at and just above QUALITY_THRESHOLD = 0.25.
         results = []
         for (i, j), inliers in zip([(0, 1), (0, 2), (1, 2)], [25, 26, 90]):
-            results.append((i, j, fake_result(random_rigid(rng), inliers), 100))
+            results.append((i, j, fake_result(random_rigid(rng), inliers, 100)))
         g = build_graph(results, 3)
         assert len(g.edges) == 3
         assert not any(e.rescued for e in g.edges)
 
     def test_chain_filtering(self, rng):
         results = [
-            (0, 1, fake_result(random_rigid(rng), 26), 100),
-            (1, 2, fake_result(random_rigid(rng), 80), 100),
-            (0, 2, fake_result(random_rigid(rng), 24), 100),  # fails threshold
+            (0, 1, fake_result(random_rigid(rng), 26, 100)),
+            (1, 2, fake_result(random_rigid(rng), 80, 100)),
+            (0, 2, fake_result(random_rigid(rng), 24, 100)),  # fails threshold
         ]
         g = build_graph(results, 3)
         assert sorted((e.i, e.j) for e in g.edges) == [(0, 1), (1, 2)]
@@ -314,7 +314,7 @@ class TestBuildGraph:
         for i in range(10):
             for j in range(i + 1, 10):
                 quality = 24 if (i == 7 or j == 7) else 26
-                results.append((i, j, fake_result(random_rigid(rng), quality), 100))
+                results.append((i, j, fake_result(random_rigid(rng), quality, 100)))
         g = build_graph(results, 10)
         rescued = sorted((e.i, e.j) for e in g.edges if e.rescued)
         assert rescued == [(6, 7), (7, 8)]
@@ -322,14 +322,14 @@ class TestBuildGraph:
 
     def test_disconnected_names_components(self, rng):
         results = [
-            (0, 1, fake_result(random_rigid(rng), 90), 100),
-            (2, 3, fake_result(random_rigid(rng), 90), 100),
+            (0, 1, fake_result(random_rigid(rng), 90, 100)),
+            (2, 3, fake_result(random_rigid(rng), 90, 100)),
         ]
         with pytest.raises(DisconnectedGraphError) as exc:
             build_graph(results, 4)
         assert exc.value.components == [[0, 1], [2, 3]]
         # pairs listed out of vertex order, frames 4 and 6 unmeasured
-        results = [(i, j, fake_result(random_rigid(rng), 90), 100)
+        results = [(i, j, fake_result(random_rigid(rng), 90, 100))
                    for i, j in [(5, 2), (3, 0), (7, 2), (1, 3)]]
         with pytest.raises(DisconnectedGraphError) as exc:
             build_graph(results, 8)
@@ -346,22 +346,22 @@ class TestBuildGraph:
         assert [list(c) for c in g.edge_arrays.components] == _reference_components(pairs)
 
     def test_isolated_vertex_tolerated(self, rng):
-        results = [(0, 1, fake_result(random_rigid(rng), 90), 100)]
+        results = [(0, 1, fake_result(random_rigid(rng), 90, 100))]
         g = build_graph(results, 3)
         assert list(g.covered_vertices()) == [True, True, False]
 
     def test_edge_measurement_is_inverted_pnp(self, rng):
         t = random_rigid(rng)
-        g = build_graph([(0, 1, fake_result(t, 90), 100)], 2)
+        g = build_graph([(0, 1, fake_result(t, 90, 100))], 2)
         inv = inverse(t)
         np.testing.assert_allclose(g.edges[0].rotation, inv.rotation, atol=1e-12)
         np.testing.assert_allclose(g.edges[0].translation, inv.translation, atol=1e-12)
 
     def test_weights_normalized_to_max(self, rng):
         results = [
-            (0, 1, fake_result(random_rigid(rng), 50), 190),  # fraction 0.263
-            (1, 2, fake_result(random_rigid(rng), 100), 100),
-            (0, 2, fake_result(random_rigid(rng), 240), 1000),  # dropped at 0.24
+            (0, 1, fake_result(random_rigid(rng), 50, 190)),  # fraction 0.263
+            (1, 2, fake_result(random_rigid(rng), 100, 100)),
+            (0, 2, fake_result(random_rigid(rng), 240, 1000)),  # dropped at 0.24
         ]
         g = build_graph(results, 3)
         weights = {(e.i, e.j): e.weight for e in g.edges}
@@ -371,16 +371,27 @@ class TestBuildGraph:
 
     def test_validity_injection_drops_pair(self, rng):
         results = [
-            (0, 1, fake_result(random_rigid(rng), 90), 100),
-            (1, 2, fake_result(random_rigid(rng), 90), 100),
-            (0, 2, fake_result(random_rigid(rng), 90), 100),
+            (0, 1, fake_result(random_rigid(rng), 90, 100)),
+            (1, 2, fake_result(random_rigid(rng), 90, 100)),
+            (0, 2, fake_result(random_rigid(rng), 90, 100)),
         ]
         g = build_graph(results, 3, pair_validity={(0, 2): False})
         assert sorted((e.i, e.j) for e in g.edges) == [(0, 1), (1, 2)]
 
+    def test_no_kept_pair_raises(self, rng):
+        # Every pair below QUALITY_THRESHOLD and none a temporal neighbor,
+        # so nothing is rescued either; a pair marked invalid keeps nothing.
+        results = [(0, 2, fake_result(random_rigid(rng), 24, 100)),
+                   (1, 3, fake_result(random_rigid(rng), 10, 100))]
+        with pytest.raises(InsufficientDataError, match="no edges survive filtering"):
+            build_graph(results, 4)
+        with pytest.raises(InsufficientDataError, match="no edges survive filtering"):
+            build_graph([(0, 2, fake_result(random_rigid(rng), 90, 100))], 3,
+                        pair_validity={(2, 0): False})
+
     def test_self_pair_rejected(self, rng):
         with pytest.raises(ValidationError):
-            build_graph([(1, 1, fake_result(random_rigid(rng), 9), 10)], 2)
+            build_graph([(1, 1, fake_result(random_rigid(rng), 9, 10))], 2)
 
 
 class TestRotationAveraging:
@@ -673,11 +684,11 @@ class TestAssembleGlobal:
 
     def test_flags_match_edge_incidence(self, rng):
         # set-union oracle over a mixed fixture
-        results = [(0, 1, fake_result(random_rigid(rng), 90), 100),
-                   (1, 3, fake_result(random_rigid(rng), 90), 100)]
+        results = [(0, 1, fake_result(random_rigid(rng), 90, 100)),
+                   (1, 3, fake_result(random_rigid(rng), 90, 100))]
         g = build_graph(results, 5)
         incident = set()
-        for i, j, _, _ in results:
+        for i, j, _ in results:
             incident |= {i, j}
         expected = np.array([k in incident for k in range(5)])
         np.testing.assert_array_equal(g.covered_vertices(), expected)
@@ -1019,11 +1030,11 @@ class TestStackedProjections:
     per-vertex and per-frame loops, bit for bit."""
 
     def test_build_graph_inverse_bit_equal_to_edge_loop(self, rng):
-        results = [(i, j, fake_result(random_rigid(rng, t_scale=3.0), int(rng.integers(25, 90))),
-                    100) for i, j in random_connected_pairs(9, rng, extra=1.5)]
+        results = [(i, j, fake_result(random_rigid(rng, t_scale=3.0), int(rng.integers(25, 90)),
+                                      100)) for i, j in random_connected_pairs(9, rng, extra=1.5)]
         g = build_graph(results, 9)
         assert len(g.edges) == len(results)
-        by_pair = {(i, j): res for i, j, res, _ in results}
+        by_pair = {(i, j): res for i, j, res in results}
         for e in g.edges:
             ref = inverse(by_pair[(e.i, e.j)].transform)
             assert_same_bits(e.rotation, ref.rotation)

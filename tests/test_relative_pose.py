@@ -441,12 +441,11 @@ def _blocked_normal_equations(res, w, z, t, f):
 
 def _reference_refine(points, pixels, k, r0, t0, max_steps=relative_pose._REFINE_ITERS):
     """`refine_pose` in one pass: it refines compress copies ``points``
-    (N, 3) and ``pixels`` (N, 2), keeps one residual state over all N
+    (3, N) and ``pixels`` (2, N), keeps one residual state over all N
     between steps, sums the normal equations of that state in blocks
     (`_blocked_normal_equations`) and E in one product."""
-    pts, pix = np.ascontiguousarray(points.T), np.ascontiguousarray(pixels.T)
     r, t = r0.copy(), t0.copy()
-    res, w, z = _gn_residuals(pts, pix, k, r, t)
+    res, w, z = _gn_residuals(points, pixels, k, r, t)
     if not np.all(z > 0.0):
         return r, t
     err = float(res @ res)
@@ -458,7 +457,7 @@ def _reference_refine(points, pixels, k, r0, t0, max_steps=relative_pose._REFINE
             break
         r_new = axis_angle_matrix(delta[:3], float(np.linalg.norm(delta[:3]))) @ r
         t_new = t + delta[3:]
-        res_new, w_new, z_new = _gn_residuals(pts, pix, k, r_new, t_new)
+        res_new, w_new, z_new = _gn_residuals(points, pixels, k, r_new, t_new)
         if not np.all(z_new > 0.0):
             break
         err_new = float(res_new @ res_new)
@@ -501,8 +500,7 @@ def _reference_pnp_lo(pm: Pointmap, k: CameraIntrinsics, rng_seed: int = 0):
     count, mean_err = int(inl.sum()), float(errs[inl].mean())
     refined = False
     for _ in range(3):
-        r_ref, t_ref = refine_pose(points[:, inl].T, pixels[:, inl].T, k, r, t,
-                                   np.arange(count))
+        r_ref, t_ref = refine_pose(points[:, inl], pixels[:, inl], k, r, t, np.arange(count))
         errs = _reproj_errors(points, pixels, k, r_ref, t_ref)
         inl_ref = errs < thr
         count_ref = int(inl_ref.sum())
@@ -526,7 +524,7 @@ def _seeded_correspondences(seed, n=500):
     idx = rng.choice(64 * 48, size=n, replace=False)
     points = pm.points.reshape(-1, 3)[idx]
     pixels = pixel_grid(64, 48).reshape(-1, 2)[idx] + rng.normal(scale=0.5, size=(n, 2))
-    return k, pose, points, pixels, rng
+    return k, pose, np.ascontiguousarray(points.T), np.ascontiguousarray(pixels.T), rng
 
 
 def _perturbed_correspondences(n):
@@ -720,8 +718,9 @@ class TestLocalOptimization:
             pm, k, _ = _noisy_grid_map(seed, 200, 150, 180.0)
             res = pnp_ransac(pm, k)
             r, t = res.transform.rotation, res.transform.translation
-            r_conv, t_conv = refine_pose(pm.points[res.inlier_mask], grid[res.inlier_mask],
-                                         k, r, t, np.arange(res.inlier_count))
+            # Coordinate rows of the inliers, in pixel order.
+            points, pixels = pm.points[res.inlier_mask].T, grid[res.inlier_mask].T
+            r_conv, t_conv = refine_pose(points, pixels, k, r, t, np.arange(res.inlier_count))
             assert np.abs(r - r_conv).max() <= 1e-6
             assert np.linalg.norm(t - t_conv) <= 1e-6 * np.linalg.norm(t_conv)
 
@@ -762,11 +761,11 @@ def test_dense_pair_working_memory(tmp_path):
     load = functools.partial(pipeline._read_pair, tmp_path, "ref.pmap", "src.pmap")
     tracemalloc.start()
     try:
-        res, n_valid = pipeline._solve_pair(load, 0)
+        res = pipeline._solve_pair(load, 0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert n_valid == width * height and res.inlier_count > 0.8 * n_valid
+    assert res.n_valid == width * height and res.inlier_count > 0.8 * res.n_valid
     assert peak <= 150 * width * height
 
 
@@ -797,10 +796,9 @@ class TestKernels:
         k, pose, points, pixels, rng = _seeded_correspondences(seed)
         r = axis_angle_matrix(rng.normal(size=3) * 0.05, 0.05) @ pose.rotation
         t = pose.translation + rng.normal(scale=0.05, size=3)
-        pts, pix = np.ascontiguousarray(points.T), np.ascontiguousarray(pixels.T)
-        res, w, z = _gn_residuals(pts, pix, k, r, t)
+        res, w, z = _gn_residuals(points, pixels, k, r, t)
         h, g = _gn_normal_equations(res, w, z, t, k.f)
-        h_ref, g_ref = _reference_normal_equations(points, pixels, k, r, t)
+        h_ref, g_ref = _reference_normal_equations(points.T, pixels.T, k, r, t)
         assert np.abs(h - h_ref).max() <= 1e-9 * np.abs(h_ref).max()
         assert np.abs(g - g_ref).max() <= 1e-9 * np.abs(g_ref).max()
 
@@ -830,14 +828,14 @@ class TestKernels:
         index = np.sort(np.random.default_rng(n).choice(n + extra, size=n, replace=False))
         keep = np.zeros(n + extra, dtype=bool)
         keep[index] = True
-        r_ref, t_ref = _reference_refine(pts.compress(keep, axis=1).T,
-                                         pix.compress(keep, axis=1).T, k, r, t, max_steps)
+        r_ref, t_ref = _reference_refine(pts.compress(keep, axis=1),
+                                         pix.compress(keep, axis=1), k, r, t, max_steps)
         assert np.abs(r_ref - r).max() > 1e-3
         sizes = []
         residuals = relative_pose._gn_residuals
         monkeypatch.setattr(relative_pose, "_gn_residuals",
                             lambda p, *a: sizes.append(p.shape[1]) or residuals(p, *a))
-        r_got, t_got = refine_pose(pts.T, pix.T, k, r, t, index, max_steps)
+        r_got, t_got = refine_pose(pts, pix, k, r, t, index, max_steps)
         assert_same_bits(r_got, r_ref)
         assert_same_bits(t_got, t_ref)
         # One residual pass per pose tried, over each of its blocks.
@@ -850,12 +848,12 @@ class TestKernels:
         k = make_intrinsics(48, 36, 60.0)
         pose = small_pose(rng)
         pm = grid_pointmap_for_pose(k, 48, 36, pose, rng)
-        points = pm.points.reshape(-1, 3)
-        pixels = pixel_grid(48, 36).reshape(-1, 2)
+        points = pm.points.reshape(-1, 3).T
+        pixels = pixel_grid(48, 36).reshape(-1, 2).T
         w = rng.normal(size=3)
         r0 = axis_angle_matrix(w / np.linalg.norm(w), 0.05) @ pose.rotation
         t0 = pose.translation + rng.normal(scale=0.05, size=3)
-        r, t = refine_pose(points, pixels, k, r0, t0, np.arange(len(points)))
+        r, t = refine_pose(points, pixels, k, r0, t0, np.arange(points.shape[1]))
         assert stable_rot_err_deg(r, pose.rotation) <= 1e-8
         assert np.abs(t - pose.translation).max() <= 1e-9
 
@@ -864,7 +862,7 @@ class TestKernels:
             self, seed, monkeypatch):
         k, pose, points, pixels, rng = _seeded_correspondences(seed)
         r0 = axis_angle_matrix(np.array([0.6, 0.0, 0.8]), 0.05) @ pose.rotation
-        index = np.arange(len(points))
+        index = np.arange(points.shape[1])
         converged = refine_pose(points, pixels, k, r0, pose.translation + 0.05, index)
         calls = []
         residuals = relative_pose._gn_residuals
@@ -904,11 +902,11 @@ class TestKernels:
         # The identity start is far from the true pose, so refinement
         # would move it, but points lie on its camera plane or behind it.
         k, _, points, pixels, _ = _seeded_correspondences(0)
-        r0, t0, index = np.eye(3), np.zeros(3), np.arange(len(points))
+        r0, t0, index = np.eye(3), np.zeros(3), np.arange(points.shape[1])
         assert np.abs(refine_pose(points, pixels, k, r0, t0, index)[1]).max() > 1e-3
         points = points.copy()
         for i, z in depths.items():
-            points[i, 2] = z
+            points[2, i] = z
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             r, t = refine_pose(points, pixels, k, r0, t0, index)
@@ -934,7 +932,7 @@ class TestKernels:
         # be the unscaled one with its translation scaled by s.
         k, pose, points, pixels, _ = _seeded_correspondences(seed)
         r0 = axis_angle_matrix(np.array([0.6, 0.0, 0.8]), 0.05) @ pose.rotation
-        t0, index = pose.translation + 0.05, np.arange(len(points))
+        t0, index = pose.translation + 0.05, np.arange(points.shape[1])
         r, t = refine_pose(points, pixels, k, r0, t0, index)
         r_s, t_s = refine_pose(points * scale, pixels, k, r0, t0 * scale, index)
         assert np.abs(r_s - r).max() <= 1e-9
@@ -1086,6 +1084,26 @@ class TestKernels:
         assert np.array_equal(cand[0], cand[2]) and cand[0].any()
         assert_same_bits(rot[0][cand[0]], rot[2][cand[2]])
         assert np.all(np.isfinite(rot)) and np.all(np.isfinite(trans))
+
+    def test_p3p_batch_non_candidate_slots_are_identity(self):
+        # Slots without a root, of valid and degenerate samples alike,
+        # hold exactly R = I and t = 0; a batch without any root is one.
+        rng = np.random.default_rng(4)
+        problems = [_resection_problem(rng.normal(size=3), rng.normal(size=3),
+                                       rng.uniform([-1, -1, 2.0], [1, 1, 6.0], size=(3, 3)))
+                    for _ in range(16)]
+        world = np.stack([w for w, _ in problems])
+        bearings = np.stack([b for _, b in problems])
+        world[3, 2] = world[3, 0]
+        bearings[5, 1] = 0.0
+        rot, trans, cand = _p3p_batch(world, bearings)
+        assert not cand[3].any() and not cand[5].any() and (~cand).sum() > 16
+        assert np.array_equal(rot[~cand], np.broadcast_to(np.eye(3), rot[~cand].shape))
+        assert np.array_equal(trans[~cand], np.zeros_like(trans[~cand]))
+        rot, trans, cand = _p3p_batch(world[3:4], bearings[3:4])
+        assert not cand.any()
+        assert np.array_equal(rot, np.broadcast_to(np.eye(3), (1, 4, 3, 3)))
+        assert np.array_equal(trans, np.zeros((1, 4, 3)))
 
     def test_pnp_ransac_pinned_on_views_pair(self):
         # Inlier count and pose of one noisy views pair, as the scalar
