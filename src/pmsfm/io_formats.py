@@ -63,7 +63,9 @@ are forbidden in masked-in point entries. Writers always write both
 optional planes. Readers accept files without them: without a mask
 plane every pixel counts as valid; without a confidence plane
 confidence reads as 1. A bad value is reported at a byte offset inside
-its pixel's entry in its plane.
+its pixel's entry in its plane. The solver checks the confidence plane
+but no stage reads it: the focal and PnP treat every masked-in pixel
+alike.
 
 Depth container (magic "DMAP1")
 -------------------------------

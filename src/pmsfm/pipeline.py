@@ -265,11 +265,11 @@ class SolveResult:
     objective: float
     rotation_lambda_min: float
     rotation_certified: bool
-    warnings: list[str]
     timings: dict[str, float]
     n_pairs_attempted: int = 0
     n_pairs_failed: int = 0
     pair_workers: int = 0
+    warnings: list[str] = field(default_factory=list)  # in the order raised
 
 
 # Pixels per pair map from which `jobs 0` runs the pair stage on one pool
@@ -364,27 +364,13 @@ def _solve_pair(load, rng_seed: int):
     return pnp_ransac(src, k, rng_seed)
 
 
-def solve(cfg: PipelineConfig) -> SolveResult:
+def _solve_stages(cfg: PipelineConfig) -> SolveResult:
     """Run subsample -> pairwise relative poses -> graph -> averaging.
 
-    Failed pairs are logged and skipped; they only abort the run if the
-    surviving graph splits. Every warning raised on the way, in the pair
-    pool's threads too, is appended to the result's warnings. Outputs are
-    written by `run_solve`.
+    Failed pairs are skipped with a warning; they only abort the run if
+    the surviving graph splits. `run_solve` records the warnings.
     """
-    # One recording block, entered once in the calling thread: the
-    # warnings filters and hook it installs are process-global, so pool
-    # threads report into it while it is open.
-    with _warnings.catch_warnings(record=True) as caught:
-        _warnings.simplefilter("always")
-        result = _solve_stages(cfg)
-    result.warnings.extend(str(w.message) for w in caught)
-    return result
-
-
-def _solve_stages(cfg: PipelineConfig) -> SolveResult:
     timings = {}
-    warnings_log = []
     t0 = time.perf_counter()
 
     manifest = load_manifest(cfg.manifest)
@@ -392,10 +378,8 @@ def _solve_stages(cfg: PipelineConfig) -> SolveResult:
         raise InsufficientDataError(
             f"need at least 2 frames, manifest declares {manifest.n_frames}"
         )
-    if cfg.n_keep:
-        kept = subsample_frames(manifest.n_frames, cfg.n_keep)
-    else:
-        kept = np.arange(manifest.n_frames)
+    kept = (subsample_frames(manifest.n_frames, cfg.n_keep) if cfg.n_keep
+            else np.arange(manifest.n_frames))
     if len(kept) < 2:
         raise InsufficientDataError("fewer than 2 frames after subsampling")
     local_of = {int(f): i for i, f in enumerate(kept)}
@@ -437,7 +421,7 @@ def _solve_stages(cfg: PipelineConfig) -> SolveResult:
             results.append((a, b, fut.result()))
         except (PmsfmError, OSError, np.linalg.LinAlgError) as exc:
             n_failed += 1
-            warnings_log.append(f"pair ({kept[a]},{kept[b]}) skipped: {exc}")
+            _warnings.warn(f"pair ({kept[a]},{kept[b]}) skipped: {exc}")
     timings["pairs_s"] = time.perf_counter() - t0
 
     if not results:
@@ -450,49 +434,55 @@ def _solve_stages(cfg: PipelineConfig) -> SolveResult:
     t0 = time.perf_counter()
     rotations = rotation_averaging(graph)
     timings["rotation_s"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
     lambda_min = rotation_certificate(graph, rotations)
     certified = rotation_certified(graph, lambda_min)
+    timings["certificate_s"] = time.perf_counter() - t0
     if not certified:
-        warnings_log.append("rotation averaging stopped at a stationary point not"
-                            f" certified globally optimal (lambda_min {lambda_min!r})")
+        _warnings.warn("rotation averaging stopped at a stationary point not"
+                       f" certified globally optimal (lambda_min {lambda_min!r})")
     t0 = time.perf_counter()
     translations = translation_averaging(graph, rotations)
     timings["translation_s"] = time.perf_counter() - t0
 
-    recovered = graph.covered_vertices()
-    poses = assemble_global(rotations, translations, recovered)
+    poses = assemble_global(rotations, translations, graph.covered_vertices())
     objective = rotation_objective(graph, rotations)
     return SolveResult(
         poses=poses, graph=graph, frame_ids=[int(f) for f in kept],
         objective=objective, rotation_lambda_min=lambda_min,
-        rotation_certified=certified, warnings=warnings_log, timings=timings,
+        rotation_certified=certified, timings=timings,
         n_pairs_attempted=len(source), n_pairs_failed=n_failed, pair_workers=workers,
     )
 
 
-def run_log_text(result: SolveResult) -> str:
-    out = ["# pmsfm run log",
-           f"n_frames_solved {len(result.frame_ids)}",
-           "frames_kept " + " ".join(str(f) for f in result.frame_ids),
-           f"n_pairs_attempted {result.n_pairs_attempted}",
-           f"n_pairs_failed {result.n_pairs_failed}",
-           f"pair_workers {result.pair_workers}",
-           f"n_edges {result.graph.n_edges}",
-           f"n_rescued {int(np.count_nonzero(result.graph.edge_arrays.rescued))}",
-           f"n_recovered {int(np.count_nonzero(result.poses.recovered))}",
-           f"objective_sra {repr(result.objective)}",
-           f"rotation_lambda_min {result.rotation_lambda_min!r}",
-           f"rotation_certified {int(result.rotation_certified)}"]
-    for stage, seconds in result.timings.items():
-        out.append(f"timing_{stage} {seconds:.6f}")
-    for msg in result.warnings:
-        out.append(f"# warning: {msg}")
-    return "\n".join(out) + "\n"
+def _write_run_log(out_dir: Path, warnings: list[str], result: SolveResult | None = None,
+                   error: Exception | None = None):
+    """Write the run log into `out_dir`: the finished `result`'s counts and
+    timings, then the warnings in the order raised, then the `error`."""
+    out = ["# pmsfm run log"]
+    if result is not None:
+        out += [f"n_frames_solved {len(result.frame_ids)}",
+                "frames_kept " + " ".join(str(f) for f in result.frame_ids),
+                f"n_pairs_attempted {result.n_pairs_attempted}",
+                f"n_pairs_failed {result.n_pairs_failed}",
+                f"pair_workers {result.pair_workers}",
+                f"n_edges {result.graph.n_edges}",
+                f"n_rescued {int(np.count_nonzero(result.graph.edge_arrays.rescued))}",
+                f"n_recovered {int(np.count_nonzero(result.poses.recovered))}",
+                f"objective_sra {repr(result.objective)}",
+                f"rotation_lambda_min {result.rotation_lambda_min!r}",
+                f"rotation_certified {int(result.rotation_certified)}"]
+        out += [f"timing_{stage} {seconds:.6f}" for stage, seconds in result.timings.items()]
+    out += [f"# warning: {msg}" for msg in warnings]
+    if error is not None:
+        out.append(f"# error: {error}")
+    (out_dir / RUN_LOG_FILENAME).write_text("\n".join(out) + "\n", encoding="utf-8")
 
 
 def run_solve(cfg: PipelineConfig) -> tuple[SolveResult, Path]:
-    """Solve and persist poses, graph, run log and config into the output dir;
-    the config's paths are absolute, so it repeats the run from any directory."""
+    """Persist config, then solve and persist poses, graph and run log; the
+    config's paths are absolute, so it repeats the run from any directory.
+    A PmsfmError or OSError of the solve is logged before it propagates."""
     if not cfg.manifest:
         raise ConfigError("manifest: no input manifest configured")
     if not cfg.output_dir:
@@ -503,11 +493,21 @@ def run_solve(cfg: PipelineConfig) -> tuple[SolveResult, Path]:
     config_text = config_to_text(cfg)  # refuses a config that would not read back
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    result = solve(cfg)
+    (out / "config_used.txt").write_text(config_text, encoding="utf-8")
+    # One recording block, entered once in the calling thread: the
+    # warnings filters and hook it installs are process-global, so pool
+    # threads report into it while it is open.
+    with _warnings.catch_warnings(record=True) as caught:
+        _warnings.simplefilter("always")
+        try:
+            result = _solve_stages(cfg)
+        except (PmsfmError, OSError) as exc:
+            _write_run_log(out, [str(w.message) for w in caught], error=exc)
+            raise
+    result.warnings = [str(w.message) for w in caught]
     io_formats.write_poses(out / POSES_FILENAME, result.poses, result.frame_ids)
     io_formats.write_graph(out / GRAPH_FILENAME, result.graph)
-    (out / RUN_LOG_FILENAME).write_text(run_log_text(result), encoding="utf-8")
-    (out / "config_used.txt").write_text(config_text, encoding="utf-8")
+    _write_run_log(out, result.warnings, result)
     return result, out
 
 

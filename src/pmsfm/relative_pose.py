@@ -66,7 +66,6 @@ class RelativePoseResult:
     """Pose of view 2 with view 1's camera frame acting as world."""
 
     transform: RigidTransform
-    inlier_mask: np.ndarray
     inlier_count: int
     n_valid: int  # valid source pixels; inlier_count / n_valid is the pair's quality
     focal: float
@@ -564,8 +563,8 @@ def pnp_ransac(pm2_in_1: Pointmap, k: CameraIntrinsics,
     At s = 1 the subset is the full set and the LO pose is returned. When
     s > 1, one full-resolution reprojection of the LO pose gives its
     inliers, and `_POLISH_STEPS` (one) Gauss-Newton step on them polishes
-    it. The returned pose comes with the inliers of one full-resolution
-    reprojection. Both refinements get their inliers as indices into the
+    it. The returned pose comes with the count and mean error of its
+    inliers in one full-resolution reprojection. Both refinements get their inliers as indices into the
     coordinate rows, which `refine_pose` gathers in blocks of
     `_LO_POINTS`, so above s = 1 no inlier copy or full-resolution
     residual state is held beside the rows. Refinement and polish take
@@ -606,12 +605,8 @@ def pnp_ransac(pm2_in_1: Pointmap, k: CameraIntrinsics,
                            _POLISH_STEPS)
     errs = _reproj_errors(points, pixels, k, *pose)
     inl = errs < thr
-
-    full_mask = np.zeros(pm2_in_1.height * pm2_in_1.width, dtype=bool)
-    full_mask[valid_idx[inl]] = True
     return RelativePoseResult(
         transform=RigidTransform.from_matrix_parts(pose[0], pose[1]),
-        inlier_mask=full_mask.reshape(pm2_in_1.height, pm2_in_1.width),
         inlier_count=int(np.count_nonzero(inl)),
         n_valid=n_valid,
         focal=k.f,

@@ -4,7 +4,14 @@ import struct
 import numpy as np
 import pytest
 
-from pmsfm.geometry import RigidTransform, axis_angle_matrix, random_rotation
+from pmsfm import relative_pose
+from pmsfm.geometry import (
+    CameraIntrinsics,
+    Pointmap,
+    RigidTransform,
+    axis_angle_matrix,
+    random_rotation,
+)
 from pmsfm.pose_graph import Edge, PoseGraph
 
 
@@ -40,6 +47,21 @@ def cut_planes(data: bytes, with_confidence: bool, with_mask: bool) -> bytes:
     flags = int(with_confidence and pointmap) | int(with_mask) << 1
     return (data[:13] + flags.to_bytes(4, "little") + data[17:first]
             + (conf if with_confidence else b"") + (mask if with_mask else b""))
+
+
+def inlier_mask(pm: Pointmap, k: CameraIntrinsics,
+                res: relative_pose.RelativePoseResult) -> np.ndarray:
+    """The (H, W) inliers of the `pnp_ransac` result `res` on `pm`: the
+    valid pixels whose reprojection under `res.transform` lies within
+    `_INLIER_THRESHOLD_PX` of the pixel."""
+    valid_idx = np.flatnonzero(pm.mask.reshape(-1))
+    points = np.ascontiguousarray(pm.points.reshape(-1, 3)[valid_idx].T)
+    pixels = np.stack([valid_idx % pm.width, valid_idx // pm.width]).astype(float)
+    errs = relative_pose._reproj_errors(points, pixels, k, res.transform.rotation,
+                                        res.transform.translation)
+    mask = np.zeros(pm.height * pm.width, dtype=bool)
+    mask[valid_idx[errs < relative_pose._INLIER_THRESHOLD_PX]] = True
+    return mask.reshape(pm.height, pm.width)
 
 
 def random_rigid(rng: np.random.Generator, t_scale: float = 1.0) -> RigidTransform:

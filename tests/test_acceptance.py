@@ -35,7 +35,7 @@ from pmsfm.pose_graph import (
 from pmsfm.relative_pose import estimate_focal, make_intrinsics, pnp_ransac
 from pmsfm.synth import SceneSpec, _sample_points, generate, make_pair_pointmaps
 
-from conftest import cut_planes, random_rigid, stable_rot_err_deg
+from conftest import cut_planes, inlier_mask, random_rigid, stable_rot_err_deg
 from test_losses import make_pm, random_batch, conf_oracle
 from test_pose_graph import (
     aligned_mean_rot_err,
@@ -164,7 +164,8 @@ def test_criterion_4_pnp_exactness_robustness():
             geodesic_deg(res_c.transform.rotation, res.transform.rotation))
         out_mask = np.zeros(n, dtype=bool)
         out_mask[out_idx] = True
-        leaked += int(np.count_nonzero(res_c.inlier_mask.reshape(-1) & out_mask))
+        leaked += int(np.count_nonzero(inlier_mask(contaminated, k, res_c).reshape(-1)
+                                       & out_mask))
     assert worst_rot <= 1e-4
     assert worst_t <= 1e-6
     assert worst_rot_contaminated <= 0.1
@@ -177,7 +178,7 @@ def test_criterion_4_pnp_exactness_robustness():
     a, b = pnp_ransac(pm, k, rng_seed=0), pnp_ransac(pm, k, rng_seed=0)
     assert a.transform.rotation.tobytes() == b.transform.rotation.tobytes()
     assert a.transform.translation.tobytes() == b.transform.translation.tobytes()
-    assert np.array_equal(a.inlier_mask, b.inlier_mask)
+    assert np.array_equal(inlier_mask(pm, k, a), inlier_mask(pm, k, b))
     report_pass(4, f"PnP exact noiseless (worst {worst_rot:.2e} deg / {worst_t:.2e} "
                    f"rel t), robust at 30% outliers (worst {worst_rot_contaminated:.2e} "
                    f"deg, 0 leaked), bitwise deterministic")

@@ -134,8 +134,7 @@ def solve_with_jobs(manifest: Path, out: Path, jobs: int):
 def pair_key(a, b, res):
     """The bits of one pair result as it reaches `build_graph`."""
     return (a, b, res.n_valid, res.inlier_count, res.focal, res.mean_inlier_reproj_err,
-            res.transform.rotation.tobytes(), res.transform.translation.tobytes(),
-            res.inlier_mask.tobytes())
+            res.transform.rotation.tobytes(), res.transform.translation.tobytes())
 
 
 def solve_capturing_pairs(cfg, fail_pair=None):
@@ -378,6 +377,26 @@ class TestSolveStage:
         assert result.n_pairs_failed == 0
         assert len(budget_lines) == result.n_pairs_attempted == 15
 
+    def test_pool_and_pipeline_warnings_in_the_order_raised(self, tmp_path, monkeypatch):
+        # Two pool threads raise the focal budget warning of the two
+        # pairs that load; the pair whose source map is missing is
+        # skipped afterwards, in the calling thread.
+        bundle = generate(small_spec(n_views=3, point_noise_sigma=0.01))
+        manifest = write_pairs_bundle(bundle, tmp_path / "pairs", [(0, 1), (0, 2), (1, 2)])
+        (manifest.parent / "p02_src.pmap").unlink()
+        monkeypatch.setattr(relative_pose, "_FOCAL_ITERS", 1)
+        cfg = pipeline.PipelineConfig(manifest=str(manifest),
+                                      output_dir=str(tmp_path / "run"), jobs=2)
+        result, run_dir = pipeline.run_solve(cfg)
+        assert result.pair_workers == 2 and result.n_pairs_failed == 1
+        budget = "focal IRLS hit its iteration budget; returning best iterate"
+        assert result.warnings[:2] == [budget, budget]
+        assert result.warnings[2].startswith("pair (0,2) skipped: ")
+        assert len(result.warnings) == 3
+        log = (run_dir / pipeline.RUN_LOG_FILENAME).read_text(encoding="utf-8")
+        assert [line[len("# warning: "):] for line in log.splitlines()
+                if line.startswith("# warning: ")] == result.warnings
+
     @pytest.fixture(scope="class")
     def clean_solve(self, tmp_path_factory):
         """A 6-view bundle, its clean solve's pair results and a directory
@@ -480,6 +499,10 @@ class TestSolveStage:
         assert run_log_value(out, "rotation_certified") == "1"
         assert float(run_log_value(out, "rotation_lambda_min")) == result.rotation_lambda_min
         assert not any("certified" in w for w in result.warnings)
+        # The certificate has its own timer, between rotation and translation.
+        assert list(result.timings) == ["load_s", "pairs_s", "graph_s", "rotation_s",
+                                        "certificate_s", "translation_s"]
+        assert float(run_log_value(out, "timing_certificate_s")) >= 0.0
 
     def test_uncertified_rotations_warn_in_run_log(self, tmp_path, monkeypatch):
         # The solve's graph and rotations are replaced by the winding
@@ -706,6 +729,46 @@ class TestCli:
         missing = tmp_path / "missing_manifest.txt"
         assert main(["solve", "--manifest", str(missing),
                      "--out", str(cfg_out)]) == 5
+
+    def test_missing_pair_maps_exit_3_with_run_log(self, tmp_path, capsys):
+        # Every pair fails on its missing map files: the run log keeps
+        # each pair's reason and the error, beside the config it ran.
+        bundle = generate(small_spec(n_views=4))
+        pairs = [(0, 1), (0, 2), (1, 3)]
+        manifest = write_pairs_bundle(bundle, tmp_path / "pairs", pairs)
+        for pmap in manifest.parent.glob("*.pmap"):
+            pmap.unlink()
+        run_dir = tmp_path / "run"
+        assert main(["solve", "--manifest", str(manifest), "--out", str(run_dir)]) == 3
+        assert capsys.readouterr().err == "error: every candidate pair failed\n"
+        lines = (run_dir / pipeline.RUN_LOG_FILENAME).read_text(encoding="utf-8").splitlines()
+        assert lines[0] == "# pmsfm run log"
+        assert [line.split(" skipped: ")[0] for line in lines[1:-1]] == [
+            f"# warning: pair ({i},{j})" for i, j in pairs]
+        assert all("No such file or directory" in line for line in lines[1:-1])
+        assert lines[-1] == "# error: every candidate pair failed"
+        assert pipeline.load_config(run_dir / "config_used.txt").manifest == str(manifest)
+        assert not (run_dir / pipeline.POSES_FILENAME).exists()
+        assert not (run_dir / pipeline.GRAPH_FILENAME).exists()
+
+    def test_invalid_views_exit_2_with_run_log(self, bundle_dir, tmp_path, capsys):
+        # One-pixel-wide depth maps pass the manifest's checks and fail
+        # the pair simulation's inside the solve; the frame-count warning
+        # raised before it stays in the log.
+        manifest = pipeline.load_manifest(bundle_dir / "manifest.txt")
+        for _, depth_file in manifest.views:
+            io_formats.write_depthmap(bundle_dir / depth_file, DepthMap(
+                1, 2, np.ones((2, 1)), np.ones((2, 1), dtype=bool)))
+        run_dir = tmp_path / "run"
+        assert main(["solve", "--manifest", str(bundle_dir / "manifest.txt"),
+                     "--out", str(run_dir), "--n-keep", "99"]) == 2
+        message = "image_size: need at least 2x2 pixels"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert (run_dir / pipeline.RUN_LOG_FILENAME).read_text(encoding="utf-8") == (
+            "# pmsfm run log\n"
+            "# warning: requested 99 frames from 6; keeping all\n"
+            f"# error: {message}\n")
+        assert (run_dir / "config_used.txt").exists()
 
     @pytest.mark.parametrize("manifest, validity, where", [
         ("mode pairs\nn_frames 2\npair x 1 a.pmap b.pmap\n", "", "line 3:"),

@@ -52,12 +52,10 @@ from pmsfm.relative_pose import RelativePoseResult
 from conftest import assert_same_bits, random_rigid, stable_rot_err_deg, winding_cycle
 
 
-def fake_result(transform: RigidTransform, inlier_count: int, n_valid: int,
-                shape=(4, 4)) -> RelativePoseResult:
-    return RelativePoseResult(transform=transform,
-                              inlier_mask=np.zeros(shape, dtype=bool),
-                              inlier_count=inlier_count, n_valid=n_valid, focal=100.0,
-                              mean_inlier_reproj_err=0.1)
+def fake_result(transform: RigidTransform, inlier_count: int,
+                n_valid: int) -> RelativePoseResult:
+    return RelativePoseResult(transform=transform, inlier_count=inlier_count,
+                              n_valid=n_valid, focal=100.0, mean_inlier_reproj_err=0.1)
 
 
 def consistent_edges(poses, pairs, weight=1.0, noise_deg=0.0, rng=None):

@@ -41,7 +41,7 @@ from pmsfm.relative_pose import (
     refine_pose,
 )
 
-from conftest import assert_same_bits, stable_rot_err_deg
+from conftest import assert_same_bits, inlier_mask, stable_rot_err_deg
 
 
 def grid_pointmap_for_pose(k: CameraIntrinsics, width, height, pose: RigidTransform,
@@ -238,7 +238,7 @@ class TestPnPRansac:
         assert geodesic_deg(res.transform.rotation, clean.transform.rotation) <= 0.1
         out_mask = np.zeros(n, dtype=bool)
         out_mask[out_idx] = True
-        assert not np.any(res.inlier_mask.reshape(-1) & out_mask)
+        assert not np.any(inlier_mask(contaminated, k, res).reshape(-1) & out_mask)
 
     def test_determinism_bitwise(self, rng):
         k = make_intrinsics(32, 24, 100.0)
@@ -253,7 +253,7 @@ class TestPnPRansac:
         b = pnp_ransac(pm, k, rng_seed=0)
         assert a.transform.rotation.tobytes() == b.transform.rotation.tobytes()
         assert a.transform.translation.tobytes() == b.transform.translation.tobytes()
-        assert np.array_equal(a.inlier_mask, b.inlier_mask)
+        assert np.array_equal(inlier_mask(pm, k, a), inlier_mask(pm, k, b))
         assert a.inlier_count == b.inlier_count
         assert a.mean_inlier_reproj_err == b.mean_inlier_reproj_err
 
@@ -280,7 +280,7 @@ class TestPnPRansac:
         proj_v = k.f * cam[front, 1] / cam[front, 2] + k.c_y
         errs[front] = np.hypot(proj_u - px[front, 0], proj_v - px[front, 1])
 
-        inl = res.inlier_mask.reshape(-1)
+        inl = inlier_mask(pm, k, res).reshape(-1)
         valid = pm.mask.reshape(-1)
         thr = relative_pose._INLIER_THRESHOLD_PX
         assert np.all(errs[inl] < thr)
@@ -719,7 +719,8 @@ class TestLocalOptimization:
             res = pnp_ransac(pm, k)
             r, t = res.transform.rotation, res.transform.translation
             # Coordinate rows of the inliers, in pixel order.
-            points, pixels = pm.points[res.inlier_mask].T, grid[res.inlier_mask].T
+            inl = inlier_mask(pm, k, res)
+            points, pixels = pm.points[inl].T, grid[inl].T
             r_conv, t_conv = refine_pose(points, pixels, k, r, t, np.arange(res.inlier_count))
             assert np.abs(r - r_conv).max() <= 1e-6
             assert np.linalg.norm(t - t_conv) <= 1e-6 * np.linalg.norm(t_conv)
@@ -736,12 +737,13 @@ class TestLocalOptimization:
         # scales the translation and moves nothing else, on both sides of
         # the subset threshold.
         pm, k, res = _unscaled_pnp(size)
-        scaled = pnp_ransac(Pointmap(pm.width, pm.height, pm.points * scale,
-                                     pm.confidence, pm.mask), k)
+        scaled_pm = Pointmap(pm.width, pm.height, pm.points * scale, pm.confidence, pm.mask)
+        scaled = pnp_ransac(scaled_pm, k)
         assert np.abs(scaled.transform.rotation - res.transform.rotation).max() <= 1e-9
         t = res.transform.translation
         assert np.linalg.norm(scaled.transform.translation / scale - t) <= 1e-9 * np.linalg.norm(t)
-        np.testing.assert_array_equal(scaled.inlier_mask, res.inlier_mask)
+        np.testing.assert_array_equal(inlier_mask(scaled_pm, k, scaled),
+                                      inlier_mask(pm, k, res))
 
 
 def test_dense_pair_working_memory(tmp_path):
