@@ -181,10 +181,14 @@ scene_scale, n_views, trajectory, focal_range <lo> <hi>,
 image_size <width> <height>, depth_noise_sigma, point_noise_sigma,
 outlier_fraction, occlusion_fraction, rng_seed (>= 0).
 
-Sequence report ("pmsfm sequence report v1")
+Sequence report ("pmsfm sequence report v2")
 All required: rot_error_deg, trans_error, det_rate_pct, acc_15_15_pct,
-acc_30_30_pct, n_frames, trans_rmse, partial (0/1). Error means cover
-recovered frames only when partial is 1.
+acc_30_30_pct, n_frames, trans_rmse, partial (0/1), rot_only_deg. Error
+means cover recovered frames only when partial is 1. rot_only_deg is
+the mean rotation error (degrees) after the one global rotation that
+best aligns the estimated rotations to the reference, fitted on the
+rotations alone; nan when no frame is recovered in both. A v1 report
+lacks rot_only_deg and is rejected as missing that key.
 """
 
 
@@ -552,7 +556,7 @@ def kv_from_text(cls, text: str, what: str, **given):
 
 
 def report_to_text(report: SequenceReport) -> str:
-    return kv_to_text(report, "pmsfm sequence report v1")
+    return kv_to_text(report, "pmsfm sequence report v2")
 
 
 def report_from_text(text: str) -> SequenceReport:

@@ -3,9 +3,12 @@
 Rotation error is the geodesic distance in degrees; translation error is
 the squared distance between camera centers c = -R^T t (its mean over
 recovered frames is the reported MSE, with RMSE as an auxiliary column).
-Threshold accuracies count over ALL frames, so an unrecovered frame
-fails its thresholds; error means cover recovered frames only and the
-report is flagged partial when the detection rate is below 100.
+`rot_only_deg` scores the rotations under the one global rotation that
+best aligns them, so translation error cannot tilt it the way it tilts
+a gauge fitted on camera centers. Threshold accuracies count over ALL
+frames, so an unrecovered frame fails its thresholds; error means cover
+recovered frames only and the report is flagged partial when the
+detection rate is below 100.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ class SequenceReport:
     n_frames: int
     trans_rmse: float
     partial: bool  # error means cover recovered frames only
+    rot_only_deg: float  # rotation error under the best global rotation alone
 
     def __post_init__(self):
         for name in ("det_rate_pct", "acc_15_15_pct", "acc_30_30_pct"):
@@ -154,9 +158,12 @@ def evaluate(est: GlobalPoses, gt: GlobalPoses,
     if n_rec > 0:
         mean_rot = float(rot_err[rec].mean())
         mse = float((dist[rec] ** 2).mean())
+        # Q = proj_SO(3)(sum_k R_gt,k^T R_est,k) maximizes sum_k tr(R_gt,k^T R_est,k Q^T).
+        r_est, r_gt = est.rotations[rec], gt.rotations[rec]
+        q = so3_project((r_gt.transpose(0, 2, 1) @ r_est).sum(axis=0))
+        rot_only = float(np.mean([geodesic_deg(r @ q.T, g) for r, g in zip(r_est, r_gt)]))
     else:
-        mean_rot = math.nan
-        mse = math.nan
+        mean_rot = mse = rot_only = math.nan
 
     accs = []
     for thr_dist, thr_deg in thresholds:
@@ -173,6 +180,7 @@ def evaluate(est: GlobalPoses, gt: GlobalPoses,
         n_frames=n,
         trans_rmse=math.sqrt(mse) if n_rec > 0 else math.nan,
         partial=det_rate < 100.0,
+        rot_only_deg=rot_only,
     )
 
 

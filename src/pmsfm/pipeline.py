@@ -482,7 +482,9 @@ def _write_run_log(out_dir: Path, warnings: list[str], result: SolveResult | Non
 def run_solve(cfg: PipelineConfig) -> tuple[SolveResult, Path]:
     """Persist config, then solve and persist poses, graph and run log; the
     config's paths are absolute, so it repeats the run from any directory.
-    A PmsfmError or OSError of the solve is logged before it propagates."""
+    Poses and graph of an earlier run in the same directory are deleted
+    before the solve, so a failed solve leaves none behind. A PmsfmError
+    or OSError of the solve is logged before it propagates."""
     if not cfg.manifest:
         raise ConfigError("manifest: no input manifest configured")
     if not cfg.output_dir:
@@ -494,6 +496,8 @@ def run_solve(cfg: PipelineConfig) -> tuple[SolveResult, Path]:
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config_used.txt").write_text(config_text, encoding="utf-8")
+    for name in (POSES_FILENAME, GRAPH_FILENAME):
+        (out / name).unlink(missing_ok=True)
     # One recording block, entered once in the calling thread: the
     # warnings filters and hook it installs are process-global, so pool
     # threads report into it while it is open.

@@ -9,6 +9,10 @@ the ordered pair (i, j) is the pose of camera j with frame i acting as
 world, so the edge measurement is its SE(3) inverse.
 ``assemble_global`` converts the averaged variables back to
 world-to-camera poses.
+
+scipy is imported inside the functions that call it, not here: its
+import takes about twice as long as the rest of the package's, and
+commands that build no pose graph (eval, synth, formats) never need it.
 """
 
 from __future__ import annotations
@@ -20,10 +24,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.linalg import eigh
-from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     ConvergenceWarning,
@@ -165,6 +165,9 @@ class PoseGraph:
         return graph
 
     def _stack(self, n_frames, i, j, rotation, translation, weight, quality, rescued):
+        import scipy.sparse as sp
+        from scipy.sparse.csgraph import connected_components
+
         i, j = _frame_column(i), _frame_column(j)
         weight = np.asarray(weight, dtype=np.float64)
         rotation = np.asarray(rotation, dtype=np.float64)
@@ -330,6 +333,8 @@ def _block_laplacian(a: EdgeArrays, vertices: np.ndarray,
     objective, and with C_k = I it is the normal matrix of translation
     averaging. Blocks are stored row by row, each row's in column order.
     """
+    import scipy.sparse as sp
+
     m = len(vertices)
     i, j = np.searchsorted(vertices, a.i), np.searchsorted(vertices, a.j)
     w = a.weight[:, None, None]
@@ -375,6 +380,8 @@ def _chordal_start(lap: sp.bsr_matrix) -> np.ndarray:
     """Blocks Y minimizing tr(Y^T L Y) with the anchor block fixed to I,
     each projected to SO(3): L_ff X = -L_fa, three right-hand sides
     sharing one factorization."""
+    import scipy.sparse.linalg as spla
+
     free = _free_system(lap)
     rhs = -lap.tocsr()[3:, :3].toarray()
     y = np.tile(np.eye(3), (lap.shape[0] // 3, 1, 1))
@@ -396,6 +403,8 @@ def _newton_model(lap: sp.bsr_matrix, y: np.ndarray,
     <X, Y> = sum_ij X_ij Y_ij. Each diagonal block also gets
     2 (sym P_v - tr(P_v) I), the curvature of the retraction.
     """
+    import scipy.sparse as sp
+
     rows = _block_rows(lap)
     x = lap.data
     x_t = x.transpose(0, 2, 1)
@@ -427,6 +436,9 @@ def _newton(lap: sp.bsr_matrix, y: np.ndarray,
     against `_MAX_ITERATIONS`; the flag tells whether the descent ended
     before it.
     """
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     eye = sp.identity(lap.shape[0] - 3, format="csc")
     p = _dual_blocks(lap, y)
     f = float(np.trace(p, axis1=1, axis2=2).sum())
@@ -490,6 +502,8 @@ def rotation_certificate(graph: PoseGraph, rotations: np.ndarray) -> float:
     value does (Eriksson et al., "Rotation Averaging and Strong
     Duality", CVPR 2018).
     """
+    from scipy.linalg import eigh
+
     a = graph.edge_arrays
     vertices = np.flatnonzero(a.covered)
     lap = _block_laplacian(a, vertices, a.rotation)
@@ -516,6 +530,8 @@ def translation_averaging(graph: PoseGraph, rotations: np.ndarray) -> np.ndarray
     The graph is connected and every weight positive, so the system is
     positive definite; a relative residual above 1e-10 warns.
     """
+    import scipy.sparse.linalg as spla
+
     a = _check_connected(graph)
     vertices = np.flatnonzero(a.covered)
     lap = _block_laplacian(a, vertices, np.broadcast_to(np.eye(3), a.rotation.shape)).tocsr()

@@ -582,21 +582,22 @@ class TestGraphDocument:
 
 class TestReportDocument:
     def test_round_trip(self):
-        r = SequenceReport(1.5, 0.01, 95.0, 80.0, 90.0, 20, 0.1, True)
+        r = SequenceReport(1.5, 0.01, 95.0, 80.0, 90.0, 20, 0.1, True, 0.25)
         back = report_from_text(report_to_text(r))
         assert back == r
 
     def test_nan_fields_survive(self):
         r = SequenceReport(float("nan"), float("nan"), 0.0, 0.0, 0.0, 3,
-                           float("nan"), True)
+                           float("nan"), True, float("nan"))
         text = report_to_text(r)
         back = report_from_text(text)
-        assert np.isnan([back.rot_error_deg, back.trans_error, back.trans_rmse]).all()
+        assert np.isnan([back.rot_error_deg, back.trans_error, back.trans_rmse,
+                        back.rot_only_deg]).all()
         assert (back.det_rate_pct, back.n_frames, back.partial) == (0.0, 3, True)
         assert report_to_text(back) == text
 
     def test_rejects_non_flag_and_repeated_key(self):
-        text = report_to_text(SequenceReport(1.5, 0.01, 95.0, 80.0, 90.0, 20, 0.1, True))
+        text = report_to_text(SequenceReport(1.5, 0.01, 95.0, 80.0, 90.0, 20, 0.1, True, 0.25))
         with pytest.raises(FormatError, match="expected 0 or 1"):
             report_from_text(text.replace("partial 1", "partial 7"))
         with pytest.raises(FormatError, match="repeated key 'n_frames'"):
@@ -605,10 +606,14 @@ class TestReportDocument:
     def test_missing_field(self):
         with pytest.raises(FormatError):
             report_from_text("n_frames 3\n")
+        v1 = report_to_text(SequenceReport(1.5, 0.01, 95.0, 80.0, 90.0, 20, 0.1, True, 0.25))
+        v1 = v1.replace("report v2", "report v1").replace("rot_only_deg 0.25\n", "")
+        with pytest.raises(FormatError, match="missing key 'rot_only_deg'"):
+            report_from_text(v1)
 
 
 _REPORT = report_to_text(SequenceReport(float("inf"), -float("inf"), 95.0, 80.0, 90.0, 20,
-                                        float("nan"), True))
+                                        float("nan"), True, 0.5))
 _GRAPH = "frames 3\nedge 0 1 1 0 0 0 1 0 0 0 1 0 0 1 1.5 1\n"
 
 

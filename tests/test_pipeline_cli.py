@@ -28,7 +28,9 @@ from pmsfm.geometry import (
     geodesic_deg,
     inverse,
     pointmap_from_depth,
+    so3_project,
 )
+from pmsfm.metrics import align_gauge, evaluate
 from pmsfm.pose_graph import (
     GlobalPoses,
     assemble_global,
@@ -670,6 +672,70 @@ class TestSolveStage:
             pipeline.run_solve(cfg)
 
 
+class TestPairsManifestProperties:
+    """End-to-end facts of a pairs manifest, on 4 frames and all 6 pairs of
+    64x48 `dense_pair_maps`. The tolerances stand on seeds 0-19 of this
+    setup, measured before these tests were written."""
+
+    N = 4
+
+    @pytest.fixture(params=range(3))
+    def pairs_run(self, request, tmp_path):
+        """The manifest's directory, header and records, and its solve."""
+        pairs = [(i, j) for i in range(self.N) for j in range(i + 1, self.N)]
+        maps = dense_pair_maps(self.N, pairs, size=(64, 48), seed=request.param)
+        manifest = write_pair_maps(tmp_path / "pairs", self.N, maps)
+        lines = manifest.read_text(encoding="utf-8").splitlines()
+        result, run_dir = self.solve(manifest, tmp_path / "run")
+        assert result.poses.recovered.all()
+        return manifest.parent, lines[:3], lines[3:], result, run_dir
+
+    @staticmethod
+    def solve(manifest: Path, out: Path):
+        return pipeline.run_solve(pipeline.PipelineConfig(
+            manifest=str(manifest), output_dir=str(out), jobs=1))
+
+    def solve_records(self, pair_dir: Path, head, records, out: Path):
+        manifest = pair_dir / f"{out.name}.txt"
+        manifest.write_text("\n".join(head + records) + "\n", encoding="utf-8")
+        return self.solve(manifest, out)
+
+    def test_record_order_does_not_change_outputs(self, pairs_run, tmp_path):
+        pair_dir, head, records, _, run_dir = pairs_run
+        _, reversed_dir = self.solve_records(pair_dir, head, records[::-1], tmp_path / "rev")
+        for name in (pipeline.POSES_FILENAME, pipeline.GRAPH_FILENAME):
+            assert (reversed_dir / name).read_bytes() == (run_dir / name).read_bytes()
+
+    def test_relabelled_frames_give_the_same_poses(self, pairs_run, tmp_path):
+        # Frame k becomes n-1-k on the same files. The anchor moves to the
+        # other end, so the poses agree after rigid gauge alignment:
+        # within 6.2e-15 on seeds 0-19.
+        pair_dir, head, records, result, _ = pairs_run
+        n = self.N
+        relabelled = [f"pair {n - 1 - int(i)} {n - 1 - int(j)} {ref} {src}"
+                      for _, i, j, ref, src in (r.split() for r in records)]
+        other, _ = self.solve_records(pair_dir, head, relabelled, tmp_path / "relabel")
+        p = other.poses
+        back = GlobalPoses(p.rotations[::-1], p.translations[::-1], p.recovered[::-1])
+        aligned, _ = align_gauge(back, result.poses)
+        assert np.abs(aligned.rotations - result.poses.rotations).max() <= 1e-12
+        assert np.abs(aligned.translations - result.poses.translations).max() <= 1e-12
+
+    def test_one_pair_in_another_unit_moves_no_rotation(self, pairs_run, tmp_path):
+        # Pair (0, 1)'s two maps times 7: the rotations move by at most
+        # 3.9e-9 on seeds 0-19. The translations move by up to 5.2 (|t| up
+        # to 2.0), a defect of translation averaging this test leaves out.
+        pair_dir, head, records, result, _ = pairs_run
+        for name in ("p01_ref.pmap", "p01_src.pmap"):
+            pm = io_formats.read_pointmap(pair_dir / name)
+            io_formats.write_pointmap(pair_dir / f"x7_{name}", Pointmap(
+                pm.width, pm.height, 7.0 * pm.points, pm.confidence, pm.mask))
+        scaled = [r.replace(" p01_", " x7_p01_") for r in records]
+        assert scaled != records
+        other, _ = self.solve_records(pair_dir, head, scaled, tmp_path / "scaled")
+        assert np.abs(other.poses.rotations - result.poses.rotations).max() <= 1e-8
+
+
 class TestEvalStage:
     def test_est_equals_gt_files(self, bundle_dir, tmp_path):
         gt_path = bundle_dir / "gt_poses.txt"
@@ -750,6 +816,25 @@ class TestCli:
         assert pipeline.load_config(run_dir / "config_used.txt").manifest == str(manifest)
         assert not (run_dir / pipeline.POSES_FILENAME).exists()
         assert not (run_dir / pipeline.GRAPH_FILENAME).exists()
+
+    def test_failed_resolve_leaves_no_earlier_outputs(self, bundle_dir, tmp_path, capsys):
+        # A second solve into a directory holding a run, failing on a
+        # missing view, deletes that run's poses and graph: the directory
+        # holds only what the failed run wrote.
+        run_dir = tmp_path / "run"
+        args = ["solve", "--manifest", str(bundle_dir / "manifest.txt"), "--out", str(run_dir)]
+        assert main(args) == 0
+        assert (run_dir / pipeline.POSES_FILENAME).exists()
+        assert (run_dir / pipeline.GRAPH_FILENAME).exists()
+        (bundle_dir / "view_000.dmap").unlink()
+        capsys.readouterr()
+        assert main(args) == 5
+        assert not (run_dir / pipeline.POSES_FILENAME).exists()
+        assert not (run_dir / pipeline.GRAPH_FILENAME).exists()
+        log = (run_dir / pipeline.RUN_LOG_FILENAME).read_text(encoding="utf-8").splitlines()
+        assert log[-1].startswith("# error: ") and "view_000.dmap" in log[-1]
+        assert sorted(p.name for p in run_dir.iterdir()) == [
+            "config_used.txt", pipeline.RUN_LOG_FILENAME]
 
     def test_invalid_views_exit_2_with_run_log(self, bundle_dir, tmp_path, capsys):
         # One-pixel-wide depth maps pass the manifest's checks and fail
@@ -1032,19 +1117,62 @@ class TestCli:
         assert exc.value.code == 2
         assert "the following arguments are required: --out" in capsys.readouterr().err
 
-    def test_entry_point_subprocess(self, tmp_path):
-        # The child finds the package where this process imported it from,
-        # installed or not.
+    @staticmethod
+    def child_env() -> dict:
+        """The environment of a child interpreter that finds the package
+        where this process imported it from, installed or not."""
         src = str(Path(pipeline.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        return dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def test_entry_point_subprocess(self, tmp_path):
         proc = subprocess.run([sys.executable, "-m", "pmsfm.cli", "formats"],
-                              capture_output=True, text=True, env=env)
+                              capture_output=True, text=True, env=self.child_env())
         assert proc.returncode == 0
         assert "DMAP1" in proc.stdout
 
+    def test_short_commands_import_no_scipy(self, tmp_path):
+        # scipy loads only with the first pose graph: importing the
+        # package, synthesizing, reading a manifest and scoring poses in a
+        # fresh interpreter leave no scipy module behind.
+        script = (
+            "import sys\n"
+            "from pathlib import Path\n"
+            "import pmsfm\n"
+            "from pmsfm import pipeline\n"
+            "from pmsfm.synth import SceneSpec\n"
+            "out = Path(sys.argv[1])\n"
+            "pipeline.synthesize(SceneSpec(n_views=3, n_points=200, image_size=(32, 24)), out)\n"
+            "pipeline.load_manifest(out / 'manifest.txt')\n"
+            "pipeline.evaluate_pose_files(out / 'gt_poses.txt', out / 'gt_poses.txt')\n"
+            "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n")
+        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "b")],
+                              capture_output=True, text=True, env=self.child_env(), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "\n"
+        assert (tmp_path / "b" / "gt_poses.txt").exists()
+
 
 class TestDegradedEval:
+    def test_rotation_only_path_scores_rot_only_deg(self, tmp_path, rng):
+        # Similarity alignment needs 3 common frames; with 2 the report
+        # degrades to rotation-only metrics and still carries the
+        # rotation-only score, which no gauge moves.
+        from pmsfm.geometry import random_rotation
+        n = 4
+        rot = np.stack([random_rotation(rng) for _ in range(n)])
+        t = rng.normal(size=(n, 3))
+        gt = GlobalPoses(rot, t, np.ones(n, dtype=bool))
+        noisy = so3_project(rot + rng.normal(scale=0.05, size=(n, 3, 3))) @ random_rotation(rng)
+        est = GlobalPoses(noisy, t, np.array([True, True, False, False]))
+        io_formats.write_poses(tmp_path / "gt.txt", gt)
+        io_formats.write_poses(tmp_path / "est.txt", est)
+        report = pipeline.evaluate_pose_files(tmp_path / "est.txt", tmp_path / "gt.txt",
+                                              mode="similarity")
+        assert np.isnan(report.trans_error)
+        assert report.rot_only_deg > 0.5
+        assert report.rot_only_deg == pytest.approx(evaluate(est, gt).rot_only_deg, abs=1e-9)
+
     def test_rotation_only_when_single_common_frame(self, tmp_path, rng):
         from pmsfm.geometry import random_rotation
         n = 4

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -876,14 +877,14 @@ class TestStackedSolvers:
         damping, and the descent still reaches the undamped optimum."""
         g = benchmark_shaped_graph(np.random.default_rng(4), 14, 4)
         expected = rotation_averaging(g)
-        solve, calls = pose_graph.spla.spsolve, []
+        solve, calls = spla.spsolve, []
 
         def first_step_nan(mat, rhs):
             calls.append(mat.shape)
             x = solve(mat, rhs)
             return np.full_like(x, np.nan) if len(calls) == 2 else x  # 1 is the start
 
-        monkeypatch.setattr(pose_graph.spla, "spsolve", first_step_nan)
+        monkeypatch.setattr(spla, "spsolve", first_step_nan)
         rot = rotation_averaging(g)
         assert len(calls) >= 3
         assert np.max(np.abs(rot - expected)) <= 1e-9
@@ -947,13 +948,13 @@ class TestStackedSolvers:
         objective = float(np.trace(_dual_blocks(lap, y), axis1=1, axis2=2).sum())
         assert abs(objective - _reference_objective(g, rot)) <= 1e-12 * objective
 
-        solve, systems = pose_graph.spla.spsolve, []
+        solve, systems = spla.spsolve, []
 
         def capture(mat, rhs):
             systems.append((mat.copy(), rhs.copy()))
             return solve(mat, rhs)
 
-        monkeypatch.setattr(pose_graph.spla, "spsolve", capture)
+        monkeypatch.setattr(spla, "spsolve", capture)
         translation_averaging(g, rot)
         (mat, rhs), = systems
         ref_a, ref_b, _ = _reference_translation_system(g, rot, covered, anchor)
@@ -1005,7 +1006,7 @@ def test_edges_built_on_first_read_as_views(rng):
 
 def _reference_chordal_start(lap):
     """`_chordal_start` projecting one vertex block at a time."""
-    blocks = pose_graph.spla.spsolve(_free_system(lap), -lap.tocsr()[3:, :3].toarray())
+    blocks = spla.spsolve(_free_system(lap), -lap.tocsr()[3:, :3].toarray())
     y = np.tile(np.eye(3), (lap.shape[0] // 3, 1, 1))
     for v, block in enumerate(np.asarray(blocks).reshape(-1, 3, 3)):
         y[v + 1] = so3_project(block)
