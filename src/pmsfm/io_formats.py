@@ -90,7 +90,7 @@ reader rejects. Every entry is finite and each rotation lies in SO(3)
 (||R'R - I||_F and |det R - 1| at most 1e-9); the reader names a frame
 that breaks this by its position, counted from 0. Version 1 documents
 hold each frame as a header line and four matrix rows, and are rejected
-at their first frame line by its field count. Regenerate gt_poses.txt
+at their title line. Regenerate gt_poses.txt
 with `pmsfm synth --spec <old>/scene_spec.txt --out <new>`, and
 poses_est.txt by running solve again.
 
@@ -125,9 +125,12 @@ absent is rejected as missing, and other absent keys take their
 defaults. Record lines repeat their key, one record per line, each with
 a fixed number of whitespace-separated fields. Every read error names
 its line, its missing key or its document. Writers emit a
-"# pmsfm <document> v<version>" comment, then the keys in the
+"# pmsfm <document> v<version>" title, then the keys in the
 order listed below, leaving out empty strings. They refuse a string
 with a line break or edge whitespace, or a record field with any space.
+A reader rejects a document whose first non-blank line is such a title
+but not its own, naming that line; a document without a title line
+(pair validity has none) is read by its keys alone.
 
 Manifest ("pmsfm manifest v1")
     mode <views|pairs>             required
@@ -188,7 +191,7 @@ means cover recovered frames only when partial is 1. rot_only_deg is
 the mean rotation error (degrees) after the one global rotation that
 best aligns the estimated rotations to the reference, fitted on the
 rotations alone; nan when no frame is recovered in both. A v1 report
-lacks rot_only_deg and is rejected as missing that key.
+is rejected at its title line.
 """
 
 
@@ -334,6 +337,7 @@ def check_frame_count(name: str, n: int):
         raise ValidationError(f"{name}: {n} is over the {MAX_FRAMES}-frame cap")
 
 
+_POSES_TITLE = "pmsfm poses v2"
 # id, recovered, the world-to-camera rotation row-major, the translation
 _FrameRecord = tuple[(int, bool) + (float,) * 12]
 
@@ -364,7 +368,7 @@ def poses_to_text(poses: GlobalPoses, frame_ids=None) -> str:
     rows = zip(frame_ids, poses.recovered.tolist(),
                poses.rotations.reshape(-1, 9).tolist(), poses.translations.tolist())
     doc = _Poses(poses.n_frames, tuple((fid, rec, *r, *t) for fid, rec, r, t in rows))
-    return kv_to_text(doc, "pmsfm poses v2")
+    return kv_to_text(doc, _POSES_TITLE)
 
 
 def _columns(rows: tuple, width: int) -> list[tuple]:
@@ -373,7 +377,7 @@ def _columns(rows: tuple, width: int) -> list[tuple]:
 
 
 def poses_from_text(text: str) -> tuple[GlobalPoses, list[int]]:
-    doc = kv_from_text(_Poses, text, "poses document")
+    doc = kv_from_text(_Poses, text, "poses document", _POSES_TITLE)
     ids, recovered, *columns = _columns(doc.frame, 14)
     values = np.array(columns, dtype=np.float64).T
     try:  # a frame that breaks a pose rule is named by its position
@@ -383,6 +387,7 @@ def poses_from_text(text: str) -> tuple[GlobalPoses, list[int]]:
         raise FormatError(f"invalid poses document: {exc}") from None
 
 
+_GRAPH_TITLE = "pmsfm pose graph v1"
 # i, j, the rotation row-major, the translation, weight, quality
 _EdgeRecord = tuple[(int, int) + (float,) * 14]
 
@@ -400,11 +405,11 @@ def graph_to_text(graph: PoseGraph) -> str:
     a = graph.edge_arrays
     values = np.column_stack([a.rotation.reshape(-1, 9), a.translation, a.weight, a.quality])
     edges = [(i, j, *v) for i, j, v in zip(a.i.tolist(), a.j.tolist(), values.tolist())]
-    return kv_to_text(_PoseGraph(graph.n_frames, edges), "pmsfm pose graph v1")
+    return kv_to_text(_PoseGraph(graph.n_frames, edges), _GRAPH_TITLE)
 
 
 def graph_from_text(text: str) -> PoseGraph:
-    doc = kv_from_text(_PoseGraph, text, "pose graph")
+    doc = kv_from_text(_PoseGraph, text, "pose graph", _GRAPH_TITLE)
     i, j, *columns = _columns(doc.edges, 16)
     values = np.array(columns, dtype=np.float64).T
     try:  # every rejection names its edge (i, j)
@@ -474,6 +479,7 @@ def kv_to_text(obj, title: str, omit=()) -> str:
 
 
 _INT_WORD = re.compile(r"-?[0-9]+")
+_TITLE = re.compile(r"# pmsfm .+ v[0-9]+")
 
 
 def _number_word_ok(kind, word: str) -> bool:
@@ -489,9 +495,11 @@ def _number_word_ok(kind, word: str) -> bool:
     return True
 
 
-def kv_from_text(cls, text: str, what: str, **given):
+def kv_from_text(cls, text: str, what: str, title: str | None, **given):
     """Read a key-value document, named `what` in its errors, into the
-    dataclass `cls`.
+    dataclass `cls`. A first non-blank line that is a
+    ``# pmsfm <document> v<n>`` title other than ``# <title>`` is rejected;
+    with `title` None no title is checked.
 
     Each value is read by its field's type: int, float, str (the rest of
     the line), bool as 0/1, or a fixed tuple of those as whitespace-separated
@@ -513,9 +521,15 @@ def kv_from_text(cls, text: str, what: str, **given):
             required.append(f.name)
     values = dict(given)
     records = {name: [] for name, _, _, is_record in slots.values() if is_record}
+    first = True
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
-        if not line or line.startswith("#"):
+        if not line:
+            continue
+        if first and title and line != f"# {title}" and _TITLE.fullmatch(line):
+            raise FormatError(f"line {lineno}: expected the title '# {title}', got {line!r}")
+        first = False
+        if line.startswith("#"):
             continue
         parts = line.split(None, 1)
         if len(parts) != 2:
@@ -555,12 +569,15 @@ def kv_from_text(cls, text: str, what: str, **given):
         raise FormatError(f"invalid {what}: {exc}") from None
 
 
+_REPORT_TITLE = "pmsfm sequence report v2"
+
+
 def report_to_text(report: SequenceReport) -> str:
-    return kv_to_text(report, "pmsfm sequence report v2")
+    return kv_to_text(report, _REPORT_TITLE)
 
 
 def report_from_text(text: str) -> SequenceReport:
-    return kv_from_text(SequenceReport, text, "sequence report")
+    return kv_from_text(SequenceReport, text, "sequence report", _REPORT_TITLE)
 
 
 def write_poses(path, poses: GlobalPoses, frame_ids=None):

@@ -85,16 +85,21 @@ class PipelineConfig:
 # manifest, pair validity
 
 
+_CONFIG_TITLE = "pmsfm pipeline config v1"
+_SCENE_SPEC_TITLE = "pmsfm scene spec v1"
+_MANIFEST_TITLE = "pmsfm manifest v1"
+
+
 def config_to_text(cfg: PipelineConfig) -> str:
     try:
-        return io_formats.kv_to_text(cfg, "pmsfm pipeline config v1")
+        return io_formats.kv_to_text(cfg, _CONFIG_TITLE)
     except FormatError as exc:
         raise ConfigError(f"unwritable config: {exc}") from None
 
 
 def config_from_text(text: str) -> PipelineConfig:
     try:
-        return io_formats.kv_from_text(PipelineConfig, text, "config")
+        return io_formats.kv_from_text(PipelineConfig, text, "config", _CONFIG_TITLE)
     except FormatError as exc:
         # A value the config rejects already reads "invalid config: ...";
         # only a fault in the text itself gets the file's prefix.
@@ -108,11 +113,11 @@ def load_config(path) -> PipelineConfig:
 
 
 def scene_spec_to_text(spec: SceneSpec) -> str:
-    return io_formats.kv_to_text(spec, "pmsfm scene spec v1")
+    return io_formats.kv_to_text(spec, _SCENE_SPEC_TITLE)
 
 
 def scene_spec_from_text(text: str) -> SceneSpec:
-    return io_formats.kv_from_text(SceneSpec, text, "scene spec")
+    return io_formats.kv_from_text(SceneSpec, text, "scene spec", _SCENE_SPEC_TITLE)
 
 
 def load_scene_spec(path) -> SceneSpec:
@@ -187,11 +192,12 @@ def _check_records(kind: str, keys, n_frames: int):
 
 
 def manifest_to_text(m: Manifest) -> str:
-    return io_formats.kv_to_text(m, "pmsfm manifest v1", omit=("base_dir",))
+    return io_formats.kv_to_text(m, _MANIFEST_TITLE, omit=("base_dir",))
 
 
 def manifest_from_text(text: str, base_dir: Path) -> Manifest:
-    return io_formats.kv_from_text(Manifest, text, "manifest", base_dir=base_dir)
+    return io_formats.kv_from_text(Manifest, text, "manifest", _MANIFEST_TITLE,
+                                   base_dir=base_dir)
 
 
 def load_manifest(path) -> Manifest:
@@ -213,7 +219,7 @@ def load_pair_validity(path, n_frames: int) -> dict[tuple[int, int], bool]:
     """Pair verdicts whose records pass the manifest's record checks
     for `n_frames` frames."""
     doc = io_formats.kv_from_text(_PairValidity, Path(path).read_text(encoding="utf-8"),
-                                  "pair-validity document", n_frames=n_frames)
+                                  "pair-validity document", None, n_frames=n_frames)
     return {(i, j): ok for i, j, ok in doc.pairs}
 
 

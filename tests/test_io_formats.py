@@ -390,9 +390,10 @@ class TestPosesDocument:
         assert poses_to_text(poses, [4]) == ("# pmsfm poses v2\nframes 1\nframe 4 1 1.0 0.0 0.0"
                                              " 0.0 1.0 0.0 0.0 0.0 1.0 0.5 0.0 -1.0\n")
 
-    def test_version_1_document_rejected_by_field_count(self):
+    def test_version_1_document_rejected_by_title(self):
         identity = "1.0 0.0 0.0 0.0\n0.0 1.0 0.0 0.0\n0.0 0.0 1.0 0.0\n0.0 0.0 0.0 1.0\n"
-        with pytest.raises(FormatError, match="^line 3: expected 14 frame fields, got 3$"):
+        with pytest.raises(FormatError, match="^line 1: expected the title '# pmsfm poses v2',"
+                                              " got '# pmsfm poses v1'$"):
             poses_from_text(f"# pmsfm poses v1\nframes 1\nframe 0 recovered 1\n{identity}")
 
     @given(st.data())
@@ -606,9 +607,11 @@ class TestReportDocument:
     def test_missing_field(self):
         with pytest.raises(FormatError):
             report_from_text("n_frames 3\n")
-        v1 = report_to_text(SequenceReport(1.5, 0.01, 95.0, 80.0, 90.0, 20, 0.1, True, 0.25))
-        v1 = v1.replace("report v2", "report v1").replace("rot_only_deg 0.25\n", "")
+        v2 = report_to_text(SequenceReport(1.5, 0.01, 95.0, 80.0, 90.0, 20, 0.1, True, 0.25))
         with pytest.raises(FormatError, match="missing key 'rot_only_deg'"):
+            report_from_text(v2.replace("rot_only_deg 0.25\n", ""))
+        v1 = v2.replace("report v2", "report v1").replace("rot_only_deg 0.25\n", "")
+        with pytest.raises(FormatError, match="^line 1: expected the title"):
             report_from_text(v1)
 
 
@@ -685,6 +688,30 @@ class TestFuzzRoundTrips:
         back, _ = poses_from_text(text)
         assert np.max(np.abs(back.rotations - poses.rotations)) <= 1e-15
         assert np.max(np.abs(back.translations - poses.translations)) <= 1e-15
+
+
+_POSES = poses_to_text(GlobalPoses(np.eye(3)[None], [[0.5, 0, -1]], [True]))
+
+
+@pytest.mark.parametrize("read, text, title", [
+    (report_from_text, _REPORT, "# pmsfm sequence report v1"),
+    (poses_from_text, _POSES, "# pmsfm pose graph v1"),
+    (graph_from_text, "# pmsfm pose graph v1\n" + _GRAPH, "# pmsfm poses v2"),
+], ids=["report", "poses", "graph"])
+def test_document_titles_checked(read, text, title):
+    """A document read under another document's or version's title is
+    rejected at that line, even when it holds every key of its own; one
+    with no title line, or with another comment first, reads."""
+    own = text.splitlines()[0]
+    body = text[len(own) + 1:]
+    read(text)
+    for untitled in (body, f"# notes\n{own}\n{body}", f"# pmsfm notes\n{body}"):
+        read(untitled)
+    with pytest.raises(FormatError, match=f"^line 1: expected the title '{re.escape(own)}', "
+                                          f"got '{re.escape(title)}'$"):
+        read(f"{title}\n{body}")
+    with pytest.raises(FormatError, match=f"^line 3: expected the title '{re.escape(own)}'"):
+        read(f"\n  \n{title}\n{body}")
 
 
 def test_format_doc_matches_repo_file():

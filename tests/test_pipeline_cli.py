@@ -308,6 +308,26 @@ class TestConfigAndManifest:
             again = pipeline.manifest_from_text(pipeline.manifest_to_text(m), m.base_dir)
             assert again == m
 
+    @pytest.mark.parametrize("document", ["config", "scene spec", "manifest"])
+    def test_title_of_another_document_rejected(self, bundle_dir, document):
+        """Each document reads under its own writer's title, and under
+        another document's title is rejected at line 1."""
+        write, read = {
+            "config": (pipeline.config_to_text, pipeline.config_from_text),
+            "scene spec": (pipeline.scene_spec_to_text, pipeline.scene_spec_from_text),
+            "manifest": (pipeline.manifest_to_text,
+                         lambda text: pipeline.manifest_from_text(text, bundle_dir)),
+        }[document]
+        doc = {"config": pipeline.PipelineConfig(n_keep=3), "scene spec": small_spec(),
+               "manifest": pipeline.load_manifest(bundle_dir / "manifest.txt")}[document]
+        text = write(doc)
+        assert read(text) == doc
+        own, body = text.split("\n", 1)
+        with pytest.raises((FormatError, ConfigError),
+                           match=f"line 1: expected the title '{re.escape(own)}', "
+                                 "got '# pmsfm poses v2'$"):
+            read(f"# pmsfm poses v2\n{body}")
+
     def test_repeated_key_rejected(self, tmp_path):
         with pytest.raises(FormatError, match="line 2: repeated key 'mode'"):
             pipeline.manifest_from_text("mode pairs\nmode views\nn_frames 2\n", tmp_path)
@@ -961,7 +981,8 @@ class TestCli:
                        "0.0 1.0 0.0 0.0\n0.0 0.0 1.0 0.0\n0.0 0.0 0.0 1.0\n", encoding="utf-8")
         assert main(["eval", "--est", str(est),
                      "--gt", str(bundle_dir / "gt_poses.txt")]) == 5
-        assert "line 3: expected 14 frame fields, got 3" in capsys.readouterr().err
+        assert ("line 1: expected the title '# pmsfm poses v2', got '# pmsfm poses v1'"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("line", ["staircase 0", "ransac_min_sample 4",
                                       "weight_mode inlier", "acc1_dist 0.15",
@@ -1151,6 +1172,28 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "\n"
         assert (tmp_path / "b" / "gt_poses.txt").exists()
+
+    def test_small_solve_imports_no_scipy(self, tmp_path):
+        # A pose graph of at most 60 frames is built, averaged and
+        # certified with numpy alone: a whole solve of a synthetic bundle
+        # in a fresh interpreter leaves no scipy module behind.
+        script = (
+            "import sys\n"
+            "from pathlib import Path\n"
+            "from pmsfm import pipeline\n"
+            "from pmsfm.synth import SceneSpec\n"
+            "out = Path(sys.argv[1])\n"
+            "manifest = pipeline.synthesize(SceneSpec(n_views=6, rng_seed=12, image_size=(64, 48),"
+            " focal_range=(60.0, 90.0), n_points=800), out / 'b')\n"
+            "result, _ = pipeline.run_solve(pipeline.PipelineConfig(manifest=str(manifest),"
+            " output_dir=str(out / 'run')))\n"
+            "print(result.rotation_certified)\n"
+            "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n")
+        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                              capture_output=True, text=True, env=self.child_env(), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "True\n\n"
+        assert (tmp_path / "run" / "poses_est.txt").exists()
 
 
 class TestDegradedEval:

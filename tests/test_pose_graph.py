@@ -42,10 +42,12 @@ from pmsfm.pose_graph import (
     _SKEW,
     _block_laplacian,
     _block_rows,
+    _BlockRows,
     _chordal_start,
+    _dense,
     _dual_blocks,
-    _free_system,
     _newton_model,
+    _solve,
     _vee,
 )
 from pmsfm.relative_pose import RelativePoseResult
@@ -166,8 +168,7 @@ def _reference_newton_model(lap, y, p):
     blocks = 2.0 * _vee(lap.data[:, None] @ _SKEW @ pair).transpose(0, 2, 1)
     trace = np.trace(p, axis1=1, axis2=2)[:, None, None]
     blocks[lap.indices == rows] += (p + p.transpose(0, 2, 1)) - 2.0 * trace * np.eye(3)
-    hess = sp.bsr_matrix((blocks, lap.indices, lap.indptr), shape=lap.shape)
-    return 2.0 * _vee(p[1:]).reshape(-1), _free_system(hess)
+    return 2.0 * _vee(p[1:]).reshape(-1), _BlockRows(blocks, lap.indices, lap.indptr)
 
 
 def _reference_block_descent(graph, rotations, covered):
@@ -333,6 +334,7 @@ class TestBuildGraph:
         with pytest.raises(DisconnectedGraphError) as exc:
             build_graph(results, 8)
         assert exc.value.components == [[0, 1, 3], [2, 5, 7]]
+        assert str(exc.value) == "pose graph splits into 2 components: [[0, 1, 3], [2, 5, 7]]"
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(2, 12), data=st.data())
@@ -343,6 +345,37 @@ class TestBuildGraph:
         g = PoseGraph(n, tuple(Edge(i, j, np.eye(3), np.zeros(3), 1.0, 1.0)
                                for i, j in pairs))
         assert [list(c) for c in g.edge_arrays.components] == _reference_components(pairs)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 80), data=st.data())
+    def test_components_match_scipy(self, n, data):
+        """The components against scipy's connected_components, on graphs
+        with isolated frames and edges in both orientations; a graph of
+        several components reports them in the DisconnectedGraphError
+        text."""
+        from scipy.sparse import coo_matrix
+        from scipy.sparse.csgraph import connected_components
+
+        frame = st.integers(0, n - 1)
+        pairs = data.draw(st.lists(st.tuples(frame, frame).filter(lambda p: p[0] != p[1]),
+                                   unique=True, max_size=n))
+        i = np.array([p[0] for p in pairs], dtype=np.intp)
+        j = np.array([p[1] for p in pairs], dtype=np.intp)
+        e = len(pairs)
+        g = PoseGraph.from_arrays(n, i, j, np.tile(np.eye(3), (e, 1, 1)), np.zeros((e, 3)),
+                                  np.ones(e), np.ones(e), np.zeros(e, dtype=bool))
+        labels = connected_components(coo_matrix((np.ones(e), (i, j)), shape=(n, n)),
+                                      directed=False)[1]
+        groups = {}
+        for v in sorted(set(i.tolist()) | set(j.tolist())):
+            groups.setdefault(labels[v], []).append(v)
+        expected = sorted(groups.values())
+        assert [list(c) for c in g.edge_arrays.components] == expected
+        if len(expected) > 1:
+            with pytest.raises(DisconnectedGraphError) as exc:
+                rotation_averaging(g)
+            assert str(exc.value) == (f"pose graph splits into {len(expected)} components: "
+                                      f"{expected}")
 
     def test_isolated_vertex_tolerated(self, rng):
         results = [(0, 1, fake_result(random_rigid(rng), 90, 100))]
@@ -836,7 +869,7 @@ class TestStackedSolvers:
             return _reference_objective(g, moved.transpose(0, 2, 1))
 
         grad, hess = _newton_model(lap, y, _dual_blocks(lap, y))
-        hess = hess.toarray()
+        hess = _dense(hess)[3:, 3:]
         basis = np.eye(12).reshape(12, 4, 3)
         h = 1e-5
         numeric = [(objective(h * e) - objective(-h * e)) / (2 * h) for e in basis]
@@ -858,8 +891,8 @@ class TestStackedSolvers:
             mask = np.eye(n, dtype=bool).reshape(-1)
             mask[rng.choice(np.flatnonzero(~mask), size=38, replace=False)] = True
             rows, cols = np.nonzero(mask.reshape(n, n))
-            lap = sp.bsr_matrix((rng.normal(size=(50, 3, 3)), cols,
-                                 np.searchsorted(rows, np.arange(n + 1))), shape=(3 * n, 3 * n))
+            lap = _BlockRows(rng.normal(size=(50, 3, 3)), cols,
+                             np.searchsorted(rows, np.arange(n + 1)))
         else:
             n = 60
             a = benchmark_shaped_graph(rng, n, None).edge_arrays
@@ -869,36 +902,100 @@ class TestStackedSolvers:
         grad, hess = _newton_model(lap, y, p)
         grad_ref, hess_ref = _reference_newton_model(lap, y, p)
         assert_same_bits(grad, grad_ref)
-        hess, hess_ref = hess.toarray(), hess_ref.toarray()
+        hess, hess_ref = _dense(hess), _dense(hess_ref)
         assert np.abs(hess - hess_ref).max() <= 1e-13 * np.abs(hess_ref).max()
 
-    def test_non_finite_step_is_damped(self, monkeypatch):
-        """A NaN Newton step counts as a rise: it is solved again with
-        damping, and the descent still reaches the undamped optimum."""
+    @pytest.mark.parametrize("fault", ["nan step", "dense LinAlgError", "sparse nan step"])
+    def test_non_finite_step_is_damped(self, monkeypatch, fault):
+        """A NaN Newton step, or a dense factorization that raises
+        LinAlgError, counts as a rise: it is solved again with damping, and
+        the descent still reaches the undamped optimum. The 14-frame graph
+        solves densely unless the size rule is forced below it."""
         g = benchmark_shaped_graph(np.random.default_rng(4), 14, 4)
+        if fault == "sparse nan step":
+            monkeypatch.setattr(pose_graph, "_DENSE_MAX_FRAMES", 0)
         expected = rotation_averaging(g)
-        solve, calls = spla.spsolve, []
+        calls = []
+        if fault == "dense LinAlgError":
+            solve = np.linalg.solve
 
-        def first_step_nan(mat, rhs):
-            calls.append(mat.shape)
-            x = solve(mat, rhs)
-            return np.full_like(x, np.nan) if len(calls) == 2 else x  # 1 is the start
+            def first_step_fails(mat, rhs):
+                calls.append(mat.shape)
+                if len(calls) == 2:  # 1 is the start
+                    raise np.linalg.LinAlgError("Singular matrix")
+                return solve(mat, rhs)
 
-        monkeypatch.setattr(spla, "spsolve", first_step_nan)
+            monkeypatch.setattr(np.linalg, "solve", first_step_fails)
+        else:
+            solve = pose_graph._solve
+
+            def first_step_nan(lap, rhs, shift=0.0):
+                calls.append(shift)
+                x = solve(lap, rhs, shift)
+                return np.full_like(x, np.nan) if len(calls) == 2 else x  # 1 is the start
+
+            monkeypatch.setattr(pose_graph, "_solve", first_step_nan)
         rot = rotation_averaging(g)
         assert len(calls) >= 3
         assert np.max(np.abs(rot - expected)) <= 1e-9
         assert rotation_certified(g, rotation_certificate(g, rot))
 
-    def test_long_chain_converges_and_certifies(self):
+    def test_long_chain_converges_and_certifies(self, monkeypatch):
         """A 400-frame window-10 chain, the shape a video gives, averages
         within the iteration cap (the Gauss-Seidel descent ran out of its
-        500 sweeps here) and the result certifies."""
+        500 sweeps here) and the result certifies. Its systems go to
+        SuperLU."""
         g = benchmark_shaped_graph(np.random.default_rng(2), 400, 10)
+        solve, calls = spla.spsolve, []
+
+        def counted(mat, rhs):
+            calls.append(mat.shape)
+            return solve(mat, rhs)
+
+        monkeypatch.setattr(spla, "spsolve", counted)
         with warnings.catch_warnings():
             warnings.simplefilter("error", ConvergenceWarning)
             rot = rotation_averaging(g)
         assert rotation_certified(g, rotation_certificate(g, rot))
+        assert calls and all(shape == (1197, 1197) for shape in calls)
+
+    @pytest.mark.parametrize("n, window", [(40, None), (60, None), (61, None), (80, 10)])
+    def test_dense_and_sparse_solves_agree(self, n, window, monkeypatch):
+        """Graphs on both sides of `_DENSE_MAX_FRAMES`, each solved with
+        the dense and with the sparse branch forced: rotations and
+        translations agree within 1e-9, and the certificate gives the same
+        verdict."""
+        g = benchmark_shaped_graph(np.random.default_rng([n, 5]), n, window)
+        solved = []
+        for limit in (n, n - 1):  # dense, then sparse
+            monkeypatch.setattr(pose_graph, "_DENSE_MAX_FRAMES", limit)
+            rot = rotation_averaging(g)
+            solved.append((rot, translation_averaging(g, rot),
+                           rotation_certified(g, rotation_certificate(g, rot))))
+        (rot_d, u_d, certified_d), (rot_s, u_s, certified_s) = solved
+        assert np.max(np.abs(rot_d - rot_s)) <= 1e-9
+        assert np.max(np.abs(u_d - u_s)) <= 1e-9
+        assert certified_d == certified_s
+
+    @pytest.mark.parametrize("n", [60, 61])
+    def test_size_rule_picks_the_branch(self, n, monkeypatch):
+        """By default a graph of 60 covered frames solves with numpy alone
+        and one of 61 with SuperLU alone."""
+        g = benchmark_shaped_graph(np.random.default_rng(n), n, 10)
+        calls = {"dense": 0, "sparse": 0}
+
+        def counted(module, name, branch):
+            solve = getattr(module, name)
+
+            def count(*args):
+                calls[branch] += 1
+                return solve(*args)
+            monkeypatch.setattr(module, name, count)
+
+        counted(np.linalg, "solve", "dense")
+        counted(spla, "spsolve", "sparse")
+        translation_averaging(g, rotation_averaging(g))
+        assert (calls["dense"] > 0, calls["sparse"] > 0) == (n <= 60, n > 60)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_objective_bit_equal_to_edge_loop(self, seed):
@@ -913,10 +1010,11 @@ class TestStackedSolvers:
     @pytest.mark.parametrize("seed", range(4))
     def test_sparse_systems_equal_edge_loop(self, seed, monkeypatch):
         """The free block of `_block_laplacian` is A^T A of the edge-loop
-        tall systems (C = R_ij for rotations, C = I for translations),
-        and its right-hand sides are A^T b, to 1e-14 of the largest
-        entry: sqrt(w)^2 and w differ in the last bits. The translation
-        matrix has A^T A's sparsity pattern, explicit zeros dropped."""
+        tall systems (C = R_ij for rotations; for translations C = 1,
+        shared by the three coordinates, so A^T A = L_ff kron I), and
+        its right-hand sides are A^T b, to 1e-14 of the largest entry:
+        sqrt(w)^2 and w differ in the last bits. The sparse translation
+        matrix, so expanded, has A^T A's sparsity pattern."""
         # frame 0 is isolated, so the anchor is frame 1; edges run both
         # into and out of it
         rng = np.random.default_rng(seed)
@@ -940,31 +1038,43 @@ class TestStackedSolvers:
         lap = _block_laplacian(a, vertices, a.rotation)
         ref_a, ref_rhs, ref_vertices = _reference_chordal_system(g, covered, anchor)
         assert list(vertices[1:]) == ref_vertices
-        assert_close(_free_system(lap).toarray(), (ref_a.T @ ref_a).toarray())
-        assert_close(-lap.tocsr()[3:, :3].toarray(), ref_a.T @ ref_rhs)
+        assert_close(_dense(lap)[3:, 3:], (ref_a.T @ ref_a).toarray())
+        assert_close(-_dense(lap)[3:, :3], ref_a.T @ ref_rhs)
 
         rot = np.stack([random_rotation(rng) for _ in range(n)])
         y = rot[vertices].transpose(0, 2, 1)
         objective = float(np.trace(_dual_blocks(lap, y), axis1=1, axis2=2).sum())
         assert abs(objective - _reference_objective(g, rot)) <= 1e-12 * objective
 
-        solve, systems = spla.spsolve, []
-
-        def capture(mat, rhs):
-            systems.append((mat.copy(), rhs.copy()))
-            return solve(mat, rhs)
-
-        monkeypatch.setattr(spla, "spsolve", capture)
-        translation_averaging(g, rot)
-        (mat, rhs), = systems
         ref_a, ref_b, _ = _reference_translation_system(g, rot, covered, anchor)
         ref_mat = (ref_a.T @ ref_a).tocsc()
+        systems = []
+
+        def capture(solve):
+            def solve_and_keep(mat, rhs):
+                systems.append((mat.copy(), rhs.copy()))
+                return solve(mat, rhs)
+            return solve_and_keep
+
+        # 9 frames solve densely, and with SuperLU when the size rule is
+        # forced below them.
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "solve", capture(np.linalg.solve))
+            translation_averaging(g, rot)
+        with monkeypatch.context() as m:
+            m.setattr(pose_graph, "_DENSE_MAX_FRAMES", 0)
+            m.setattr(spla, "spsolve", capture(spla.spsolve))
+            translation_averaging(g, rot)
+        (dense, dense_rhs), (mat, rhs) = systems
+        assert_close(np.kron(dense, np.eye(3)), ref_mat.toarray())
+        assert_close(dense_rhs.reshape(-1), ref_a.T @ ref_b)
+        mat = sp.kron(mat, sp.identity(3), format="csc")
         mat.sort_indices()
         ref_mat.sort_indices()
         np.testing.assert_array_equal(mat.indptr, ref_mat.indptr)
         np.testing.assert_array_equal(mat.indices, ref_mat.indices)
         assert_close(mat.data, ref_mat.data)
-        assert_close(rhs, ref_a.T @ ref_b)
+        assert_close(rhs.reshape(-1), ref_a.T @ ref_b)
 
     def test_edge_arrays_built_once_and_read_only(self, rng):
         poses = [random_rigid(rng) for _ in range(4)]
@@ -1006,8 +1116,8 @@ def test_edges_built_on_first_read_as_views(rng):
 
 def _reference_chordal_start(lap):
     """`_chordal_start` projecting one vertex block at a time."""
-    blocks = spla.spsolve(_free_system(lap), -lap.tocsr()[3:, :3].toarray())
-    y = np.tile(np.eye(3), (lap.shape[0] // 3, 1, 1))
+    blocks = _solve(lap, -_dense(lap)[3:, :3])
+    y = np.tile(np.eye(3), (len(lap.indptr) - 1, 1, 1))
     for v, block in enumerate(np.asarray(blocks).reshape(-1, 3, 3)):
         y[v + 1] = so3_project(block)
     return y
@@ -1039,11 +1149,17 @@ class TestStackedProjections:
             assert_same_bits(e.rotation, ref.rotation)
             assert_same_bits(e.translation, ref.translation)
 
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "sparse"])
     @pytest.mark.parametrize("seed", range(3))
-    def test_chordal_init_and_gauge_fix_bit_equal_to_vertex_loop(self, seed):
+    def test_chordal_init_and_gauge_fix_bit_equal_to_vertex_loop(self, seed, dense,
+                                                                 monkeypatch):
         """The stacked start against a per-vertex projection loop; the
         anchor block is the identity exactly, at the start and in the
-        averaged rotations, with no gauge-fixing pass."""
+        averaged rotations, with no gauge-fixing pass. The 12 covered
+        frames solve densely, or with SuperLU when the size rule is forced
+        below them."""
+        if not dense:
+            monkeypatch.setattr(pose_graph, "_DENSE_MAX_FRAMES", 0)
         # frame 0 is isolated, so the anchor is frame 1
         rng = np.random.default_rng(seed)
         g = benchmark_shaped_graph(rng, 12, 3)
