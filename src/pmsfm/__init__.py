@@ -26,6 +26,7 @@ from .geometry import (
     CameraIntrinsics,
     DepthMap,
     Pointmap,
+    PointmapRows,
     RigidTransform,
     change_frame,
     compose,

@@ -35,12 +35,15 @@ def _freeze(given, dtype=None) -> np.ndarray:
     return a
 
 
-def _check_pixels(bad: np.ndarray, array: str, values: np.ndarray, message: str):
-    """Raise ValidationError for the first pixel, flat index k, of the grid
-    `bad` that holds, naming `array` and k; `message` shows values[k] as {v}."""
+def _check_pixels(bad: np.ndarray, array: str, values: np.ndarray, message: str,
+                  pixels: np.ndarray | None = None):
+    """Raise ValidationError for the first entry k of `bad` that holds, naming
+    `array` and its flat pixel index: k itself for a grid, pixels[k] for rows;
+    `message` shows values[k] as {v}."""
     if bad.any():
         k = int(np.flatnonzero(bad)[0])
-        raise ValidationError(f"{message.format(v=values[k])} at pixel {k}", array, k)
+        pixel = k if pixels is None else int(pixels[k])
+        raise ValidationError(f"{message.format(v=values[k])} at pixel {pixel}", array, pixel)
 
 
 def so3_project(m: np.ndarray) -> np.ndarray:
@@ -205,6 +208,51 @@ class Pointmap:
     @property
     def n_valid(self) -> int:
         return int(np.count_nonzero(self.mask))
+
+
+@dataclass(frozen=True)
+class PointmapRows:
+    """The valid pixels of a W x H pointmap, one row each: ``index`` (N,)
+    holds their flat pixel indices j * W + i in strictly ascending order,
+    ``points`` (N, 3) their 3D points and ``confidence`` (N,) their
+    confidences.
+
+    It runs the checks `Pointmap` runs on its valid pixels: points are
+    finite and confidence is strictly positive and finite. A failed check
+    names the flat pixel index.
+    """
+
+    width: int
+    height: int
+    index: np.ndarray
+    points: np.ndarray
+    confidence: np.ndarray
+
+    def __post_init__(self):
+        idx = _freeze(self.index, np.intp)
+        p = _freeze(self.points, np.float64)
+        c = _freeze(self.confidence, np.float64)
+        n = idx.shape[0] if idx.ndim == 1 else -1
+        if p.shape != (n, 3) or c.shape != (n,):
+            raise ShapeMismatchError(f"index, points and confidence must have shapes (N,),"
+                                     f" (N, 3) and (N,), got {idx.shape}, {p.shape}"
+                                     f" and {c.shape}")
+        if n and not (idx[0] >= 0 and idx[-1] < self.width * self.height
+                      and (idx[1:] > idx[:-1]).all()):
+            raise ValidationError("index: flat pixel indices must ascend strictly inside"
+                                  f" the {self.width}x{self.height} grid")
+        _check_pixels(~(np.isfinite(c) & (c > 0)), "confidence", c,
+                      "confidence value {v} is not strictly positive and finite", idx)
+        if not np.isfinite(p).all():
+            _check_pixels(~np.isfinite(p).all(axis=1), "points", p,
+                          "valid points must be finite: NaN/inf in a masked-in point {v}", idx)
+        object.__setattr__(self, "index", idx)
+        object.__setattr__(self, "points", p)
+        object.__setattr__(self, "confidence", c)
+
+    @property
+    def n_valid(self) -> int:
+        return len(self.index)
 
 
 def pixel_grid(width: int, height: int) -> np.ndarray:

@@ -282,8 +282,9 @@ class SolveResult:
 # thread per core. Below it a pair is many short numpy calls that hold the
 # GIL, so a second thread only queues for it; above it the O(N) kernels
 # release the GIL for long enough to overlap. On a 2-vCPU VM two threads
-# lost to one by 6-33% at 700-2500 valid pixels, tied at 2600-7000 and won
-# by 15-33% from 3400 on.
+# took 77-119% longer than one at the ~730 valid pixels of a `views-sparse`
+# pair, lost by 6-33% up to 2500, tied at 2600-7000 and won by 15-33% from
+# 3400 on.
 POOL_MIN_PIXELS_PER_MAP = 3_000
 
 
@@ -348,7 +349,7 @@ def _load_views_bundle(manifest: Manifest, kept: np.ndarray) -> SceneBundle:
 
 def _simulate_pair(bundle: SceneBundle, a: int, b: int):
     pair = make_pair_pointmaps(bundle, a, b)
-    return pair.view1, pair.view2
+    return pair.rows1, pair.rows2
 
 
 def _read_pair(base: Path, ref_file: str, src_file: str):
@@ -357,9 +358,10 @@ def _read_pair(base: Path, ref_file: str, src_file: str):
 
 
 def _solve_pair(load, rng_seed: int):
-    """PnP result for the (reference, source) pointmaps that `load()`
-    returns, which must be the same size. The reference map is released
-    once its focal is known, so PnP runs without it in memory."""
+    """PnP result for the (reference, source) pointmaps, or their valid
+    rows, that `load()` returns, which must be the same size. The
+    reference map is released once its focal is known, so PnP runs
+    without it in memory."""
     ref, src = load()
     if (ref.width, ref.height) != (src.width, src.height):
         raise FormatError(f"maps differ in size: reference {ref.width}x{ref.height},"

@@ -379,12 +379,21 @@ def _block_laplacian(a: EdgeArrays, vertices: np.ndarray,
     m, k = len(vertices), coupling.shape[-1]
     i, j = np.searchsorted(vertices, a.i), np.searchsorted(vertices, a.j)
     w = a.weight[:, None, None]
-    diagonal = np.broadcast_to(w * np.eye(k), (len(i), k, k))
-    rows, cols = np.concatenate([i, j, i, j]), np.concatenate([i, j, j, i])
-    keys, slot = np.unique(rows * m + cols, return_inverse=True)
+    diagonal, upper, lower = np.arange(m) * (m + 1), i * m + j, j * m + i
+    # Sorted distinct keys: np.unique took 370 us, this 26 us (60-frame
+    # complete graph, numpy 2.4).
+    keys = np.sort(np.concatenate([diagonal, upper, lower]))
+    keys = keys[np.concatenate([[True], keys[1:] != keys[:-1]])]
+    # Each block sums its terms from 0.0 in the order np.add.at over the 4E
+    # terms would: bincount adds a vertex's weights in edge order, first
+    # where it is i, then where it is j, and no (i, j) repeats among the
+    # edges, so an off-diagonal block takes at most one term from each of
+    # the two adds below, in that order.
     data = np.zeros((len(keys), k, k))
-    np.add.at(data, slot.reshape(-1), np.concatenate(
-        [diagonal, diagonal, -w * coupling, -w * coupling.transpose(0, 2, 1)]))
+    degree = np.bincount(np.concatenate([i, j]), np.tile(a.weight, 2), m)
+    data[np.searchsorted(keys, diagonal)] = degree[:, None, None] * np.eye(k)
+    data[np.searchsorted(keys, upper)] += -w * coupling
+    data[np.searchsorted(keys, lower)] += -w * coupling.transpose(0, 2, 1)
     return _BlockRows(data, keys % m, np.searchsorted(keys // m, np.arange(m + 1)))
 
 

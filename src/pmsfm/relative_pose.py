@@ -23,6 +23,7 @@ from .errors import (
 from .geometry import (
     CameraIntrinsics,
     Pointmap,
+    PointmapRows,
     RigidTransform,
     axis_angle_matrix,
     so3_project,
@@ -79,8 +80,9 @@ def make_intrinsics(width: int, height: int, f: float) -> CameraIntrinsics:
     return CameraIntrinsics(f=float(f), c_x=width / 2.0, c_y=height / 2.0)
 
 
-def estimate_focal(pm: Pointmap) -> float:
-    """Recover the focal length from a pointmap in its own camera frame.
+def estimate_focal(pm: Pointmap | PointmapRows) -> float:
+    """Recover the focal length from a pointmap, or its valid rows, in its
+    own camera frame.
 
     Minimizes the convex robust objective F(f) = sum_i ||b_i - f * d_i||
     with b_i = pixel - center and d_i = (x/z, y/z), from a
@@ -90,11 +92,16 @@ def estimate_focal(pm: Pointmap) -> float:
     usable pixel, s = ceil(n / _LO_POINTS), so a dense map costs about
     what a map of `_LO_POINTS` pixels does.
     """
+    # Rows and their flat pixels: a grid's rows are its pixels, so only
+    # the strided subset of it is gathered below.
+    if isinstance(pm, PointmapRows):
+        pts, valid, pixel = pm.points, True, pm.index
+    else:
+        pts, valid, pixel = pm.points.reshape(-1, 3), pm.mask.reshape(-1), None
     c_x, c_y = pm.width / 2.0, pm.height / 2.0
-    pts = pm.points.reshape(-1, 3)
     x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
     on_axis = (x == 0.0) & (y == 0.0)
-    idx = np.flatnonzero(pm.mask.reshape(-1) & (z > 0) & ~on_axis)
+    idx = np.flatnonzero(valid & (z > 0) & ~on_axis)
     if len(idx) < 8:
         raise InsufficientDataError(
             f"focal estimation needs >= 8 usable pixels, got {len(idx)}"
@@ -103,8 +110,9 @@ def estimate_focal(pm: Pointmap) -> float:
     # Contiguous per-coordinate columns of b and d on the strided subset.
     stride = -(-len(idx) // _LO_POINTS)
     idx = idx[::stride]
-    bx = idx % pm.width - c_x
-    by = idx // pm.width - c_y
+    flat = idx if pixel is None else pixel[idx]
+    bx = flat % pm.width - c_x
+    by = flat // pm.width - c_y
     z_u = z[idx]
     dx = x[idx] / z_u
     dy = y[idx] / z_u
@@ -169,9 +177,11 @@ def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _dot2(x0, x1, y0, y1) -> np.ndarray:
-    """x0 y0 + x1 y1 per row, summed by the BLAS dot (see `_dot`)."""
-    return _dot(np.stack(np.broadcast_arrays(x0, x1), axis=1),
-                np.stack(np.broadcast_arrays(y0, y1), axis=1))
+    """x0 y0 + x1 y1 per row, summed by the BLAS dot (see `_dot`); ``y0``
+    is an array of K rows, and the others are arrays like it or scalars."""
+    x, y = np.empty((2, len(y0), 2))
+    x[:, 0], x[:, 1], y[:, 0], y[:, 1] = x0, x1, y0, y1
+    return _dot(x, y)
 
 
 def _p3p_batch(world: np.ndarray, bearings: np.ndarray):
@@ -549,9 +559,10 @@ def _ransac_hypothesis(points: np.ndarray, pixels: np.ndarray, k: CameraIntrinsi
     return best_pose, best_errs
 
 
-def pnp_ransac(pm2_in_1: Pointmap, k: CameraIntrinsics,
+def pnp_ransac(pm2_in_1: Pointmap | PointmapRows, k: CameraIntrinsics,
                rng_seed: int = 0) -> RelativePoseResult:
-    """Robust world-to-camera pose of view 2 from its pointmap in view 1's frame.
+    """Robust world-to-camera pose of view 2 from its pointmap, or its valid
+    rows, in view 1's frame.
 
     2D correspondences are view 2's own pixel grid at the pointmap's
     valid pixels. RANSAC (`_ransac_hypothesis`) and local optimization
@@ -575,16 +586,21 @@ def pnp_ransac(pm2_in_1: Pointmap, k: CameraIntrinsics,
     LO pose, which scores no worse than the hypothesis. Deterministic for
     a fixed ``rng_seed``.
     """
-    valid_idx = np.flatnonzero(pm2_in_1.mask.reshape(-1))
+    if isinstance(pm2_in_1, PointmapRows):
+        valid_idx, rows = pm2_in_1.index, pm2_in_1.points
+    else:
+        # `take` gathers from the (H*W, 3) rows: on the transposed view it
+        # would first copy the whole map.
+        valid_idx = np.flatnonzero(pm2_in_1.mask.reshape(-1))
+        rows = pm2_in_1.points.reshape(-1, 3).take(valid_idx, axis=0)
     n_valid = len(valid_idx)
     if n_valid < _MIN_SAMPLE:
         raise InsufficientDataError(
             f"PnP needs >= {_MIN_SAMPLE} valid pixels, got {n_valid}"
         )
     # Coordinate rows (3, N) and (2, N): scoring and refinement run one
-    # contiguous pass per coordinate. `take` gathers from the (H*W, 3)
-    # rows: on the transposed view it would first copy the whole map.
-    points = pm2_in_1.points.reshape(-1, 3).take(valid_idx, axis=0).T.copy()
+    # contiguous pass per coordinate.
+    points = rows.T.copy()
     pixels = np.empty((2, n_valid))
     pixels[0] = valid_idx % pm2_in_1.width
     pixels[1] = valid_idx // pm2_in_1.width

@@ -29,6 +29,7 @@ from .geometry import (
     CameraIntrinsics,
     DepthMap,
     Pointmap,
+    PointmapRows,
     RigidTransform,
     change_frame,
     compose,
@@ -125,6 +126,24 @@ class SceneBundle:
         frame, computed once per bundle; the maps are read-only, so every
         pair shares them."""
         return tuple(pointmap_from_depth(v.depth, v.intrinsics) for v in self.views)
+
+    @functools.cached_property
+    def view_rows(self) -> tuple[PointmapRows, ...]:
+        """The valid pixels of each of `view_pointmaps`, gathered once per
+        bundle with their bits unchanged."""
+        out = []
+        for pm in self.view_pointmaps:
+            index = np.flatnonzero(pm.mask.reshape(-1))
+            points = pm.points.reshape(-1, 3)[index]
+            conf = np.ones(len(index))
+            index.flags.writeable = points.flags.writeable = conf.flags.writeable = False
+            out.append(PointmapRows(pm.width, pm.height, index, points, conf))
+        return tuple(out)
+
+    @functools.cached_property
+    def inverse_poses(self) -> tuple[RigidTransform, ...]:
+        """Each view's camera-to-world pose, computed once per bundle."""
+        return tuple(inverse(v.pose) for v in self.views)
 
 
 def _rng(*key: int) -> np.random.Generator:
@@ -305,58 +324,95 @@ def generate(spec: SceneSpec) -> SceneBundle:
 
 @dataclass(frozen=True)
 class PairPointmaps:
-    """Simulated network output for an ordered view pair, both maps in
-    the reference view's frame. Outlier masks record which valid pixels
-    were corrupted."""
+    """Simulated network output for an ordered view pair (i, j), both maps
+    in view i's frame, kept as the valid pixels of each map: `rows1` and
+    `rows2`, and `outliers1` and `outliers2`, the ascending positions in
+    them of the corrupted pixels. The full-grid maps `view1` and `view2`
+    and the (H, W) outlier masks are built when read."""
 
-    view1: Pointmap
-    view2: Pointmap
-    outlier_mask1: np.ndarray = field(repr=False, default=None)
-    outlier_mask2: np.ndarray = field(repr=False, default=None)
+    rows1: PointmapRows
+    rows2: PointmapRows
+    outliers1: np.ndarray = field(repr=False)
+    outliers2: np.ndarray = field(repr=False)
+    bundle: SceneBundle = field(repr=False, compare=False)
+    pair: tuple[int, int]
+
+    @functools.cached_property
+    def view1(self) -> Pointmap:
+        return _grid(self.bundle.view_pointmaps[self.pair[0]], self.rows1)
+
+    @functools.cached_property
+    def view2(self) -> Pointmap:
+        i, j = self.pair
+        views = self.bundle.views
+        return _grid(change_frame(self.bundle.view_pointmaps[j], views[j].pose, views[i].pose),
+                     self.rows2)
+
+    @property
+    def outlier_mask1(self) -> np.ndarray:
+        return _outlier_mask(self.rows1, self.outliers1)
+
+    @property
+    def outlier_mask2(self) -> np.ndarray:
+        return _outlier_mask(self.rows2, self.outliers2)
 
 
-def _corrupt(pm: Pointmap, fraction: float, noise_sigma: float,
-             bbox: tuple[np.ndarray, np.ndarray],
-             rng: np.random.Generator, guard=None) -> tuple[Pointmap, np.ndarray]:
-    """Add isotropic 3D noise to valid points, then replace a fraction
-    of them with uniform bbox samples.
+def _grid(base: Pointmap, rows: PointmapRows) -> Pointmap:
+    """``base`` with its valid pixels replaced by ``rows`` and confidence 1
+    elsewhere."""
+    points = base.points.copy()
+    points.reshape(-1, 3)[rows.index] = rows.points
+    conf = np.ones(base.height * base.width)
+    conf[rows.index] = rows.confidence
+    points.flags.writeable = conf.flags.writeable = False  # so Pointmap keeps them uncopied
+    return Pointmap(base.width, base.height, points, conf.reshape(base.height, base.width),
+                    base.mask)
+
+
+def _outlier_mask(rows: PointmapRows, outliers: np.ndarray) -> np.ndarray:
+    mask = np.zeros(rows.height * rows.width, dtype=bool)
+    mask[rows.index[outliers]] = True
+    return mask.reshape(rows.height, rows.width)
+
+
+def _corrupt(rows: PointmapRows, points: np.ndarray, fraction: float, noise_sigma: float,
+             bbox: tuple[np.ndarray, np.ndarray], rng: np.random.Generator,
+             guard=None) -> tuple[PointmapRows, np.ndarray]:
+    """Add isotropic 3D noise to ``points``, the (N, 3) points of the
+    pixels of ``rows``, then replace a fraction of them with uniform bbox
+    samples. Returns the corrupted rows and the ascending positions of the
+    replaced ones.
 
     `guard(points, flat_idx)` marks samples that are genuine outliers for
     this map; rejected samples are redrawn (a few rounds suffice since
     the bbox is much larger than the acceptance region).
     """
-    valid_idx = np.flatnonzero(pm.mask.reshape(-1))
-    n_out = int(math.floor(fraction * len(valid_idx)))
-    points = pm.points.copy()
-    if noise_sigma > 0 and len(valid_idx):
-        flat = points.reshape(-1, 3)
-        flat[valid_idx] += rng.normal(0.0, noise_sigma, size=(len(valid_idx), 3))
-    conf = np.ones(pm.height * pm.width)
-    conf[valid_idx] = rng.uniform(0.5, 1.0, size=len(valid_idx))
-    out_mask = np.zeros(pm.height * pm.width, dtype=bool)
+    n = len(points)
+    n_out = int(math.floor(fraction * n))
+    if noise_sigma > 0 and n:
+        points = points + rng.normal(0.0, noise_sigma, size=(n, 3))
+    conf = rng.uniform(0.5, 1.0, size=n)
+    chosen = np.empty(0, dtype=np.intp)
     if n_out > 0:
-        chosen = valid_idx[rng.choice(len(valid_idx), size=n_out, replace=False)]
+        chosen = rng.choice(n, size=n_out, replace=False)
         lo, hi = bbox
-        flat = points.reshape(-1, 3)
         samples = rng.uniform(lo, hi, size=(n_out, 3))
         if guard is not None:
             for _ in range(50):
-                bad = ~guard(samples, chosen)
+                bad = ~guard(samples, rows.index[chosen])
                 if not np.any(bad):
                     break
                 samples[bad] = rng.uniform(lo, hi, size=(int(bad.sum()), 3))
             else:
-                good = guard(samples, chosen)  # drop stragglers, keep pairs aligned
+                good = guard(samples, rows.index[chosen])  # drop stragglers, keep pairs aligned
                 samples = samples[good]
                 chosen = chosen[good]
-        flat[chosen] = samples
+        points = points.copy() if points is rows.points else points
+        points[chosen] = samples
         conf[chosen] = rng.uniform(0.01, 0.05, size=len(chosen))
-        out_mask[chosen] = True
-    points.flags.writeable = conf.flags.writeable = False  # so Pointmap keeps them uncopied
-    return (
-        Pointmap(pm.width, pm.height, points, conf.reshape(pm.height, pm.width), pm.mask),
-        out_mask.reshape(pm.height, pm.width),
-    )
+    points.flags.writeable = conf.flags.writeable = False  # so PointmapRows keeps them uncopied
+    return (PointmapRows(rows.width, rows.height, rows.index, points, conf),
+            np.sort(chosen))
 
 
 def make_pair_pointmaps(bundle: SceneBundle, i: int, j: int) -> PairPointmaps:
@@ -372,25 +428,36 @@ def make_pair_pointmaps(bundle: SceneBundle, i: int, j: int) -> PairPointmaps:
     pose, and all corrupted pixels get confidences below every clean
     pixel. Per-map RNG streams are keyed by view id, so the pair (i, i)
     yields two identical maps.
+
+    Only the valid pixels are moved and corrupted: each point is computed
+    as the full-grid `change_frame` and corruption would compute it, so
+    the grids built from the rows on reading hold the same bytes.
     """
     spec = bundle.spec
     noise_abs = spec.point_noise_sigma * spec.scene_scale
-    view_i, view_j = bundle.views[i], bundle.views[j]
-    pm1 = bundle.view_pointmaps[i]
-    pm2 = change_frame(bundle.view_pointmaps[j], view_j.pose, view_i.pose)
+    pose_i, pose_j = bundle.views[i].pose, bundle.views[j].pose
+    rows1, rows2 = bundle.view_rows[i], bundle.view_rows[j]
+    points1, points2 = rows1.points, rows2.points
+    if not (np.array_equal(pose_j.rotation, pose_i.rotation)
+            and np.array_equal(pose_j.translation, pose_i.translation)):
+        # As `change_frame`, whose identical poses leave the map as it is.
+        points2 = compose(pose_i, bundle.inverse_poses[j]).apply(points2)
 
-    all_valid = np.concatenate([pm1.points[pm1.mask], pm2.points[pm2.mask]], axis=0)
+    all_valid = np.concatenate([points1, points2], axis=0)
     if len(all_valid):
         center = all_valid.mean(axis=0)
-        half = np.maximum((all_valid.max(axis=0) - all_valid.min(axis=0)) / 2.0,
+        # The extremes are read along contiguous coordinate rows: 20x faster
+        # than down the columns of the (N, 3) rows, and exact either way.
+        coords = all_valid.T.copy()
+        half = np.maximum((coords.max(axis=1) - coords.min(axis=1)) / 2.0,
                           1e-3 * spec.scene_scale)
         bbox = (center - 1.5 * half, center + 1.5 * half)
     else:
         bbox = (np.zeros(3), np.ones(3))
 
-    rel = compose(view_j.pose, inverse(view_i.pose))  # view-i frame -> view-j frame
-    k2 = view_j.intrinsics
-    width = pm2.width
+    rel = compose(pose_j, bundle.inverse_poses[i])  # view-i frame -> view-j frame
+    k2 = bundle.views[j].intrinsics
+    width = rows2.width
 
     def far_from_pixel(samples: np.ndarray, flat_idx: np.ndarray) -> np.ndarray:
         cam = rel.apply(samples)
@@ -405,11 +472,10 @@ def make_pair_pointmaps(bundle: SceneBundle, i: int, j: int) -> PairPointmaps:
             ok[front] = err > _OUTLIER_MIN_REPROJ_PX
         return ok
 
-    pm1_c, out1 = _corrupt(pm1, spec.outlier_fraction, noise_abs, bbox,
-                           _rng(spec.rng_seed, _TAG_PAIR, i, j, i))
-    pm2_c, out2 = _corrupt(pm2, spec.outlier_fraction, noise_abs, bbox,
-                           _rng(spec.rng_seed, _TAG_PAIR, i, j, j),
-                           guard=None if i == j else far_from_pixel)
-    return PairPointmaps(view1=pm1_c, view2=pm2_c,
-                         outlier_mask1=out1, outlier_mask2=out2)
-
+    rows1_c, out1 = _corrupt(rows1, points1, spec.outlier_fraction, noise_abs, bbox,
+                             _rng(spec.rng_seed, _TAG_PAIR, i, j, i))
+    rows2_c, out2 = _corrupt(rows2, points2, spec.outlier_fraction, noise_abs, bbox,
+                             _rng(spec.rng_seed, _TAG_PAIR, i, j, j),
+                             guard=None if i == j else far_from_pixel)
+    return PairPointmaps(rows1=rows1_c, rows2=rows2_c, outliers1=out1, outliers2=out2,
+                         bundle=bundle, pair=(i, j))

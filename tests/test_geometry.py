@@ -9,6 +9,7 @@ from pmsfm.geometry import (
     CameraIntrinsics,
     DepthMap,
     Pointmap,
+    PointmapRows,
     RigidTransform,
     axis_angle_matrix,
     change_frame,
@@ -316,6 +317,27 @@ class TestTypeValidation:
         pts[1, 2, 0] = value  # a later, masked-in pixel
         with pytest.raises(ValidationError, match="valid points must be finite"):
             Pointmap(3, 2, pts, np.ones((2, 3)), mask)
+
+    @pytest.mark.parametrize("array, value", [("points", np.nan), ("points", -np.inf),
+                                              ("confidence", 0.0), ("confidence", np.inf)])
+    def test_pointmap_rows_checks_name_the_pixel(self, array, value):
+        # Rows of the valid pixels 1, 4 and 5 of a 3 x 2 map; row 1 is pixel 4.
+        rows = {"points": np.zeros((3, 3)), "confidence": np.ones(3)}
+        rows[array][1] = value
+        with pytest.raises(ValidationError, match="at pixel 4$") as exc:
+            PointmapRows(3, 2, np.array([1, 4, 5]), **rows)
+        assert (exc.value.array, exc.value.pixel) == (array, 4)
+
+    @pytest.mark.parametrize("index", [[1, 1, 5], [4, 1, 5], [-1, 1, 5], [1, 4, 6]])
+    def test_pointmap_rows_index_ascends_inside_the_grid(self, index):
+        with pytest.raises(ValidationError, match="^index: "):
+            PointmapRows(3, 2, np.array(index), np.zeros((3, 3)), np.ones(3))
+
+    def test_pointmap_rows_shape_mismatch(self):
+        with pytest.raises(ShapeMismatchError):
+            PointmapRows(3, 2, np.array([1, 4]), np.zeros((3, 3)), np.ones(3))
+        with pytest.raises(ShapeMismatchError):
+            PointmapRows(3, 2, np.array([[1, 4, 5]]), np.zeros((3, 3)), np.ones(3))
 
     def test_depthmap_rejects_negative(self):
         d = np.array([[1.0, -0.5]])

@@ -38,9 +38,10 @@ from pmsfm.pose_graph import (
     rotation_objective,
     translation_averaging,
 )
-from pmsfm.synth import PairPointmaps, SceneSpec, generate, make_pair_pointmaps
+from pmsfm.synth import SceneSpec, generate, make_pair_pointmaps
 
 from conftest import random_rigid, winding_cycle
+from test_synth import reference_pair_pointmaps
 
 
 def tree_digest(root: Path) -> dict:
@@ -67,7 +68,7 @@ def bundle_dir(tmp_path):
 
 def write_pair_maps(pair_dir: Path, n_frames: int, maps) -> Path:
     """Pair pointmap files plus a pairs-mode manifest listing them; `maps`
-    holds the `PairPointmaps` of each pair (i, j)."""
+    holds the `PairPointmaps` or `MapPair` of each pair (i, j)."""
     pair_dir.mkdir()
     lines = ["# pairs", "mode pairs", f"n_frames {n_frames}"]
     for (i, j), pair in maps.items():
@@ -83,6 +84,13 @@ def write_pairs_bundle(bundle, pair_dir: Path, pairs) -> Path:
     """The bundle's simulated pair pointmaps as a pairs-mode manifest."""
     return write_pair_maps(pair_dir, bundle.n_views,
                            {(i, j): make_pair_pointmaps(bundle, i, j) for i, j in pairs})
+
+
+class MapPair(typing.NamedTuple):
+    """A pair's reference and source pointmaps."""
+
+    view1: Pointmap
+    view2: Pointmap
 
 
 def dense_pair_maps(n_frames: int, pairs, size=(200, 150), f=180.0, seed=0):
@@ -104,8 +112,7 @@ def dense_pair_maps(n_frames: int, pairs, size=(200, 150), f=180.0, seed=0):
         pts[out] += rng.normal(size=(int(out.sum()), 3))
         return Pointmap(w, h, pts, pm.confidence, pm.mask)
 
-    return {(i, j): PairPointmaps(corrupt(own[i]),
-                                  corrupt(change_frame(own[j], poses[j], poses[i])))
+    return {(i, j): MapPair(corrupt(own[i]), corrupt(change_frame(own[j], poses[j], poses[i])))
             for i, j in pairs}
 
 
@@ -149,7 +156,7 @@ def solve_capturing_pairs(cfg, fail_pair=None):
     def simulating(bundle, a, b):
         made = simulate(bundle, a, b)
         if (a, b) == fail_pair:
-            doomed.append(made.view2)
+            doomed.append(made.rows2)
         return made
 
     def solving(pm, k, rng_seed):
@@ -372,6 +379,27 @@ class TestSolveStage:
         assert report.rot_error_deg <= 1e-3
         assert report.trans_error <= 1e-8
         assert report.det_rate_pct == 100.0
+
+    def test_views_pair_results_equal_reference_maps(self, tmp_path):
+        # Every pair result of a views solve is, bit for bit, the focal and
+        # PnP of the full-grid reference simulation of that pair.
+        bundle_dir = tmp_path / "bundle"
+        pipeline.synthesize(small_spec(outlier_fraction=0.1, point_noise_sigma=0.004,
+                                       depth_noise_sigma=0.002, occlusion_fraction=0.05),
+                            bundle_dir)
+        cfg = pipeline.PipelineConfig(manifest=str(bundle_dir / "manifest.txt"),
+                                      output_dir=str(tmp_path / "run"), rng_seed=3, jobs=2)
+        result, _, pairs = solve_capturing_pairs(cfg)
+        assert result.n_pairs_failed == 0
+        bundle = pipeline._load_views_bundle(pipeline.load_manifest(cfg.manifest),
+                                             np.arange(6))
+        expected = []
+        for a, b in pipeline._candidate_pairs(6):
+            view1, view2, _, _ = reference_pair_pointmaps(bundle, a, b)
+            k = relative_pose.make_intrinsics(view2.width, view2.height,
+                                              relative_pose.estimate_focal(view1))
+            expected.append(pair_key(a, b, relative_pose.pnp_ransac(view2, k, 3)))
+        assert pairs == expected
 
     def test_minimal_two_view_bundle(self, tmp_path):
         out = tmp_path / "b2"
@@ -1127,6 +1155,23 @@ class TestCli:
                                       [(0, 1), (2, 3)])  # two islands
         assert main(["solve", "--manifest", str(manifest),
                      "--out", str(tmp_path / "run")]) == 4
+
+    def test_failed_bridge_pair_splits_the_window_graph(self, tmp_path):
+        # A window-1 pairs manifest whose bridge pair (1, 2) cannot be read
+        # splits into two components: the solve exits 4 with no poses, and
+        # its run log names the skipped pair and the components formed.
+        bundle = generate(small_spec(n_views=4))
+        manifest = write_pairs_bundle(bundle, tmp_path / "pairs", [(0, 1), (1, 2), (2, 3)])
+        (manifest.parent / "p12_src.pmap").unlink()
+        run_dir = tmp_path / "run"
+        assert main(["solve", "--manifest", str(manifest), "--out", str(run_dir)]) == 4
+        log = (run_dir / pipeline.RUN_LOG_FILENAME).read_text(encoding="utf-8").splitlines()
+        warned = [line for line in log if line.startswith("# warning: ")]
+        assert len(warned) == 1 and warned[0].startswith("# warning: pair (1,2) skipped: ")
+        assert log[-1] == ("# error: pose graph splits into 2 components:"
+                           " [[0, 1], [2, 3]]")
+        assert not (run_dir / pipeline.POSES_FILENAME).exists()
+        assert not (run_dir / pipeline.GRAPH_FILENAME).exists()
 
     def test_formats_prints_doc(self, capsys):
         assert main(["formats"]) == 0

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import tracemalloc
 import warnings
@@ -832,8 +833,44 @@ class TestEdgeValidation:
             assert not a.flags.writeable
 
 
+def _reference_block_laplacian(a, vertices, coupling):
+    """`_block_laplacian` summed by np.add.at into zeros, in edge order."""
+    m, k = len(vertices), coupling.shape[-1]
+    i, j = np.searchsorted(vertices, a.i), np.searchsorted(vertices, a.j)
+    w = a.weight[:, None, None]
+    diagonal = np.broadcast_to(w * np.eye(k), (len(i), k, k))
+    rows, cols = np.concatenate([i, j, i, j]), np.concatenate([i, j, j, i])
+    keys, slot = np.unique(rows * m + cols, return_inverse=True)
+    data = np.zeros((len(keys), k, k))
+    np.add.at(data, slot.reshape(-1), np.concatenate(
+        [diagonal, diagonal, -w * coupling, -w * coupling.transpose(0, 2, 1)]))
+    return data, keys % m, np.searchsorted(keys // m, np.arange(m + 1))
+
+
 class TestStackedSolvers:
     """The block-matrix solvers against the per-edge references above."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 16), seed=st.integers(0, 2**16), identity=st.booleans())
+    def test_block_laplacian_bits_equal_add_at(self, n, seed, identity):
+        # Blocks sum their edges in edge order, whatever the weights, the
+        # edge orientations and the edges (i, j) and (j, i) both present;
+        # identity couplings give -0.0 terms, which sum to 0.0 from zero.
+        rng = np.random.default_rng(seed)
+        pairs = [(j, i) if rng.uniform() < 0.5 else (i, j)
+                 for i, j in random_connected_pairs(n, rng)]
+        pairs += [(j, i) for i, j in pairs if rng.uniform() < 0.3]
+        order = rng.permutation(len(pairs))
+        poses = [RigidTransform(np.eye(3), rng.normal(size=3)) if identity
+                 else random_rigid(rng) for _ in range(n)]
+        edges = consistent_edges(poses, [pairs[k] for k in order])
+        a = PoseGraph(n, [dataclasses.replace(e, weight=float(rng.uniform(0.1, 2.0)))
+                          for e in edges]).edge_arrays
+        vertices = np.flatnonzero(a.covered)
+        for coupling in (a.rotation, np.ones((len(a.i), 1, 1))):
+            lap = _block_laplacian(a, vertices, coupling)
+            for got, want in zip(lap, _reference_block_laplacian(a, vertices, coupling)):
+                assert_same_bits(got, want)
 
     SHAPES = {"complete": (14, None), "chain": (30, 4)}
 

@@ -21,6 +21,7 @@ from pmsfm.geometry import (
     CameraIntrinsics,
     DepthMap,
     Pointmap,
+    PointmapRows,
     RigidTransform,
     axis_angle_matrix,
     geodesic_deg,
@@ -319,6 +320,26 @@ class TestPnPRansac:
                 assert np.count_nonzero(errs < relative_pose._INLIER_THRESHOLD_PX) < 4
         with pytest.raises(NoPoseFoundError, match="no consensus set of >= 4 inliers"):
             pnp_ransac(pm, k)
+
+
+@pytest.mark.parametrize("size, mask_p", [((64, 48), 0.3), ((200, 150), 0.9)])
+def test_valid_rows_give_the_grid_results_bit_for_bit(size, mask_p):
+    # The same pixels as a grid or as its valid rows: the focal and the
+    # PnP record agree in every bit, on a sparse map and on a dense one
+    # whose iterative work runs on a strided subset.
+    pm, k, _ = _noisy_grid_map(5, *size, 150.0)
+    mask = pm.mask & (np.random.default_rng(1).uniform(size=pm.mask.shape) < mask_p)
+    pm = Pointmap(pm.width, pm.height, pm.points, pm.confidence, mask)
+    rows = PointmapRows(pm.width, pm.height, np.flatnonzero(mask), pm.points[mask],
+                        pm.confidence[mask])
+    if size == (200, 150):
+        assert rows.n_valid > relative_pose._LO_POINTS
+    assert_same_bits(estimate_focal(rows), estimate_focal(pm))
+    got, want = pnp_ransac(rows, k, 4), pnp_ransac(pm, k, 4)
+    for name in ("inlier_count", "n_valid", "focal", "mean_inlier_reproj_err"):
+        assert_same_bits(getattr(got, name), getattr(want, name))
+    assert_same_bits(got.transform.rotation, want.transform.rotation)
+    assert_same_bits(got.transform.translation, want.transform.translation)
 
 
 def test_pnp_with_exactly_min_sample_pixels():

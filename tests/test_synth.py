@@ -1,12 +1,23 @@
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pmsfm import synth
 from pmsfm.errors import ValidationError
-from pmsfm.geometry import change_frame, compose, geodesic_deg, inverse, pointmap_from_depth
+from pmsfm.geometry import (
+    Pointmap,
+    change_frame,
+    compose,
+    geodesic_deg,
+    inverse,
+    pointmap_from_depth,
+)
 from pmsfm.relative_pose import estimate_focal, make_intrinsics, pnp_ransac
 from pmsfm.synth import SceneSpec, _sample_points, generate, make_pair_pointmaps
 
@@ -38,6 +49,96 @@ def shown_points(spec: SceneSpec, view) -> np.ndarray:
     assert np.count_nonzero(hit) == depth.mask.sum()
     assert np.array_equal(ids >= 0, depth.mask)
     return ids
+
+
+def _reference_corrupt(pm, fraction, noise_sigma, bbox, rng, guard=None):
+    """`_reference_pair_pointmaps`' corruption of one full-grid map."""
+    valid_idx = np.flatnonzero(pm.mask.reshape(-1))
+    n_out = int(math.floor(fraction * len(valid_idx)))
+    points = pm.points.copy()
+    if noise_sigma > 0 and len(valid_idx):
+        flat = points.reshape(-1, 3)
+        flat[valid_idx] += rng.normal(0.0, noise_sigma, size=(len(valid_idx), 3))
+    conf = np.ones(pm.height * pm.width)
+    conf[valid_idx] = rng.uniform(0.5, 1.0, size=len(valid_idx))
+    out_mask = np.zeros(pm.height * pm.width, dtype=bool)
+    if n_out > 0:
+        chosen = valid_idx[rng.choice(len(valid_idx), size=n_out, replace=False)]
+        lo, hi = bbox
+        flat = points.reshape(-1, 3)
+        samples = rng.uniform(lo, hi, size=(n_out, 3))
+        if guard is not None:
+            for _ in range(50):
+                bad = ~guard(samples, chosen)
+                if not np.any(bad):
+                    break
+                samples[bad] = rng.uniform(lo, hi, size=(int(bad.sum()), 3))
+            else:
+                good = guard(samples, chosen)
+                samples = samples[good]
+                chosen = chosen[good]
+        flat[chosen] = samples
+        conf[chosen] = rng.uniform(0.01, 0.05, size=len(chosen))
+        out_mask[chosen] = True
+    return (Pointmap(pm.width, pm.height, points, conf.reshape(pm.height, pm.width), pm.mask),
+            out_mask.reshape(pm.height, pm.width))
+
+
+def reference_pair_pointmaps(bundle, i, j):
+    """The pair simulation on full W x H grids, as `make_pair_pointmaps`
+    computed it before it kept only valid pixels: (view1, view2,
+    outlier_mask1, outlier_mask2), which its grids must equal byte for
+    byte."""
+    spec = bundle.spec
+    noise_abs = spec.point_noise_sigma * spec.scene_scale
+    view_i, view_j = bundle.views[i], bundle.views[j]
+    pm1 = pointmap_from_depth(view_i.depth, view_i.intrinsics)
+    pm2 = change_frame(pointmap_from_depth(view_j.depth, view_j.intrinsics),
+                       view_j.pose, view_i.pose)
+    all_valid = np.concatenate([pm1.points[pm1.mask], pm2.points[pm2.mask]], axis=0)
+    if len(all_valid):
+        center = all_valid.mean(axis=0)
+        half = np.maximum((all_valid.max(axis=0) - all_valid.min(axis=0)) / 2.0,
+                          1e-3 * spec.scene_scale)
+        bbox = (center - 1.5 * half, center + 1.5 * half)
+    else:
+        bbox = (np.zeros(3), np.ones(3))
+    rel = compose(view_j.pose, inverse(view_i.pose))
+    k2 = view_j.intrinsics
+
+    def far_from_pixel(samples, flat_idx):
+        cam = rel.apply(samples)
+        z = cam[:, 2]
+        ok = z <= 0
+        front = ~ok
+        if np.any(front):
+            u = k2.f * cam[front, 0] / z[front] + k2.c_x
+            v = k2.f * cam[front, 1] / z[front] + k2.c_y
+            pix = flat_idx[front]
+            err = np.hypot(u - pix % pm2.width, v - pix // pm2.width)
+            ok[front] = err > synth._OUTLIER_MIN_REPROJ_PX
+        return ok
+
+    pm1_c, out1 = _reference_corrupt(pm1, spec.outlier_fraction, noise_abs, bbox,
+                                     synth._rng(spec.rng_seed, synth._TAG_PAIR, i, j, i))
+    pm2_c, out2 = _reference_corrupt(pm2, spec.outlier_fraction, noise_abs, bbox,
+                                     synth._rng(spec.rng_seed, synth._TAG_PAIR, i, j, j),
+                                     guard=None if i == j else far_from_pixel)
+    return pm1_c, pm2_c, out1, out2
+
+
+def assert_pair_equals_reference(bundle, i, j):
+    pair = make_pair_pointmaps(bundle, i, j)
+    view1, view2, out1, out2 = reference_pair_pointmaps(bundle, i, j)
+    for got, want in ((pair.view1, view1), (pair.view2, view2)):
+        assert (got.width, got.height) == (want.width, want.height)
+        for name in ("points", "confidence", "mask"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+            assert a.tobytes() == b.tobytes(), name
+    for got, want in ((pair.outlier_mask1, out1), (pair.outlier_mask2, out2)):
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestGenerate:
@@ -185,6 +286,36 @@ class TestMakePairPointmaps:
             axis=1)
         # isotropic 3-sigma: mean |dev| ~ sigma * sqrt(8/pi)
         assert 0.005 <= float(dev.mean()) <= 0.05
+
+
+class TestPairMatchesFullGridReference:
+    """The pair maps, read as full grids, equal the full-grid simulation
+    byte for byte, across corruption settings and pair orders."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**16), outliers=st.sampled_from([0.0, 0.1, 0.3]),
+           point_noise=st.sampled_from([0.0, 0.01]), depth_noise=st.sampled_from([0.0, 0.005]),
+           occlusion=st.sampled_from([0.0, 0.1]), shape=st.sampled_from(synth._OBJECT_SHAPES),
+           data=st.data())
+    def test_grids_and_outlier_masks_byte_equal(self, seed, outliers, point_noise,
+                                                depth_noise, occlusion, shape, data):
+        bundle = generate(SceneSpec(
+            n_views=3, n_points=500, image_size=(48, 36), focal_range=(40.0, 70.0),
+            object_shape=shape, trajectory="random-hemisphere", rng_seed=seed,
+            outlier_fraction=outliers, point_noise_sigma=point_noise,
+            depth_noise_sigma=depth_noise, occlusion_fraction=occlusion))
+        i = data.draw(st.integers(0, 2), label="i")
+        j = data.draw(st.integers(0, 2), label="j")
+        assert_pair_equals_reference(bundle, i, j)
+        assert_pair_equals_reference(bundle, j, i)
+        assert_pair_equals_reference(bundle, i, i)
+
+    def test_default_size_pairs_byte_equal(self):
+        bundle = generate(SceneSpec(n_views=4, rng_seed=3, outlier_fraction=0.1,
+                                    point_noise_sigma=0.002, occlusion_fraction=0.05))
+        for i in range(4):
+            for j in range(4):
+                assert_pair_equals_reference(bundle, i, j)
 
 
 def pair_bytes(pair) -> bytes:
