@@ -28,10 +28,8 @@ from .errors import ValidationError
 from .geometry import (
     CameraIntrinsics,
     DepthMap,
-    Pointmap,
     PointmapRows,
     RigidTransform,
-    change_frame,
     compose,
     inverse,
     pointmap_from_depth,
@@ -121,18 +119,13 @@ class SceneBundle:
         return len(self.views)
 
     @functools.cached_property
-    def view_pointmaps(self) -> tuple[Pointmap, ...]:
-        """Each view's stored depth back-projected into its own camera
-        frame, computed once per bundle; the maps are read-only, so every
-        pair shares them."""
-        return tuple(pointmap_from_depth(v.depth, v.intrinsics) for v in self.views)
-
-    @functools.cached_property
     def view_rows(self) -> tuple[PointmapRows, ...]:
-        """The valid pixels of each of `view_pointmaps`, gathered once per
-        bundle with their bits unchanged."""
+        """Each view's stored depth back-projected into its own camera
+        frame, kept as its valid pixels; computed once per bundle and
+        read-only, so every pair shares them."""
         out = []
-        for pm in self.view_pointmaps:
+        for v in self.views:
+            pm = pointmap_from_depth(v.depth, v.intrinsics)
             index = np.flatnonzero(pm.mask.reshape(-1))
             points = pm.points.reshape(-1, 3)[index]
             conf = np.ones(len(index))
@@ -325,54 +318,14 @@ def generate(spec: SceneSpec) -> SceneBundle:
 @dataclass(frozen=True)
 class PairPointmaps:
     """Simulated network output for an ordered view pair (i, j), both maps
-    in view i's frame, kept as the valid pixels of each map: `rows1` and
-    `rows2`, and `outliers1` and `outliers2`, the ascending positions in
-    them of the corrupted pixels. The full-grid maps `view1` and `view2`
-    and the (H, W) outlier masks are built when read."""
+    in view i's frame, kept as their valid pixels: `rows1` and `rows2`,
+    and `outliers1` and `outliers2`, the ascending positions in them of
+    the corrupted pixels."""
 
     rows1: PointmapRows
     rows2: PointmapRows
     outliers1: np.ndarray = field(repr=False)
     outliers2: np.ndarray = field(repr=False)
-    bundle: SceneBundle = field(repr=False, compare=False)
-    pair: tuple[int, int]
-
-    @functools.cached_property
-    def view1(self) -> Pointmap:
-        return _grid(self.bundle.view_pointmaps[self.pair[0]], self.rows1)
-
-    @functools.cached_property
-    def view2(self) -> Pointmap:
-        i, j = self.pair
-        views = self.bundle.views
-        return _grid(change_frame(self.bundle.view_pointmaps[j], views[j].pose, views[i].pose),
-                     self.rows2)
-
-    @property
-    def outlier_mask1(self) -> np.ndarray:
-        return _outlier_mask(self.rows1, self.outliers1)
-
-    @property
-    def outlier_mask2(self) -> np.ndarray:
-        return _outlier_mask(self.rows2, self.outliers2)
-
-
-def _grid(base: Pointmap, rows: PointmapRows) -> Pointmap:
-    """``base`` with its valid pixels replaced by ``rows`` and confidence 1
-    elsewhere."""
-    points = base.points.copy()
-    points.reshape(-1, 3)[rows.index] = rows.points
-    conf = np.ones(base.height * base.width)
-    conf[rows.index] = rows.confidence
-    points.flags.writeable = conf.flags.writeable = False  # so Pointmap keeps them uncopied
-    return Pointmap(base.width, base.height, points, conf.reshape(base.height, base.width),
-                    base.mask)
-
-
-def _outlier_mask(rows: PointmapRows, outliers: np.ndarray) -> np.ndarray:
-    mask = np.zeros(rows.height * rows.width, dtype=bool)
-    mask[rows.index[outliers]] = True
-    return mask.reshape(rows.height, rows.width)
 
 
 def _corrupt(rows: PointmapRows, points: np.ndarray, fraction: float, noise_sigma: float,
@@ -429,9 +382,8 @@ def make_pair_pointmaps(bundle: SceneBundle, i: int, j: int) -> PairPointmaps:
     pixel. Per-map RNG streams are keyed by view id, so the pair (i, i)
     yields two identical maps.
 
-    Only the valid pixels are moved and corrupted: each point is computed
-    as the full-grid `change_frame` and corruption would compute it, so
-    the grids built from the rows on reading hold the same bytes.
+    Only the valid pixels are moved and corrupted, each to the bits the
+    full-grid `change_frame` and corruption would give it.
     """
     spec = bundle.spec
     noise_abs = spec.point_noise_sigma * spec.scene_scale
@@ -477,5 +429,4 @@ def make_pair_pointmaps(bundle: SceneBundle, i: int, j: int) -> PairPointmaps:
     rows2_c, out2 = _corrupt(rows2, points2, spec.outlier_fraction, noise_abs, bbox,
                              _rng(spec.rng_seed, _TAG_PAIR, i, j, j),
                              guard=None if i == j else far_from_pixel)
-    return PairPointmaps(rows1=rows1_c, rows2=rows2_c, outliers1=out1, outliers2=out2,
-                         bundle=bundle, pair=(i, j))
+    return PairPointmaps(rows1=rows1_c, rows2=rows2_c, outliers1=out1, outliers2=out2)

@@ -109,12 +109,12 @@ def test_criterion_3_focal_recovery():
         pair = make_pair_pointmaps(clean, 0, 1)
         f_true = clean.views[0].intrinsics.f
         worst_clean = max(worst_clean,
-                          abs(estimate_focal(pair.view1) - f_true) / f_true)
+                          abs(estimate_focal(pair.rows1) - f_true) / f_true)
 
         noisy = generate(SceneSpec(n_views=2, rng_seed=seed, point_noise_sigma=0.01))
         pair_n = make_pair_pointmaps(noisy, 0, 1)
         f_true_n = noisy.views[0].intrinsics.f
-        noisy_errs.append(abs(estimate_focal(pair_n.view1) - f_true_n) / f_true_n)
+        noisy_errs.append(abs(estimate_focal(pair_n.rows1) - f_true_n) / f_true_n)
     median = float(np.median(noisy_errs))
     assert worst_clean <= 1e-6
     # 0.005 frozen from the Monte-Carlo oracle (observed median 0.0022,

@@ -38,7 +38,7 @@ from pmsfm.pose_graph import (
     rotation_objective,
     translation_averaging,
 )
-from pmsfm.synth import SceneSpec, generate, make_pair_pointmaps
+from pmsfm.synth import SceneSpec, generate
 
 from conftest import random_rigid, winding_cycle
 from test_synth import reference_pair_pointmaps
@@ -68,7 +68,7 @@ def bundle_dir(tmp_path):
 
 def write_pair_maps(pair_dir: Path, n_frames: int, maps) -> Path:
     """Pair pointmap files plus a pairs-mode manifest listing them; `maps`
-    holds the `PairPointmaps` or `MapPair` of each pair (i, j)."""
+    holds the `MapPair` of each pair (i, j)."""
     pair_dir.mkdir()
     lines = ["# pairs", "mode pairs", f"n_frames {n_frames}"]
     for (i, j), pair in maps.items():
@@ -81,9 +81,11 @@ def write_pair_maps(pair_dir: Path, n_frames: int, maps) -> Path:
 
 
 def write_pairs_bundle(bundle, pair_dir: Path, pairs) -> Path:
-    """The bundle's simulated pair pointmaps as a pairs-mode manifest."""
+    """The bundle's simulated pair pointmaps, as full grids in a pairs-mode
+    manifest."""
     return write_pair_maps(pair_dir, bundle.n_views,
-                           {(i, j): make_pair_pointmaps(bundle, i, j) for i, j in pairs})
+                           {(i, j): MapPair(*reference_pair_pointmaps(bundle, i, j)[:2])
+                            for i, j in pairs})
 
 
 class MapPair(typing.NamedTuple):

@@ -99,7 +99,7 @@ class TestEstimateFocal:
             bundle = generate(spec)
             pair = make_pair_pointmaps(bundle, 0, 1)
             f_true = bundle.views[0].intrinsics.f
-            errs.append(abs(estimate_focal(pair.view1) - f_true) / f_true)
+            errs.append(abs(estimate_focal(pair.rows1) - f_true) / f_true)
         assert float(np.median(errs)) <= 0.005
         assert max(errs) <= 0.02
 
@@ -1135,8 +1135,8 @@ class TestKernels:
         bundle = generate(SceneSpec(n_views=6, point_noise_sigma=0.005,
                                     outlier_fraction=0.1, rng_seed=3))
         pair = make_pair_pointmaps(bundle, 1, 4)
-        k = make_intrinsics(pair.view2.width, pair.view2.height, estimate_focal(pair.view1))
-        res = pnp_ransac(pair.view2, k, rng_seed=0)
+        k = make_intrinsics(pair.rows2.width, pair.rows2.height, estimate_focal(pair.rows1))
+        res = pnp_ransac(pair.rows2, k, rng_seed=0)
         assert res.inlier_count == PINNED_INLIERS
         np.testing.assert_allclose(res.transform.rotation, PINNED_R, rtol=0, atol=1e-8)
         np.testing.assert_allclose(res.transform.translation, PINNED_T, rtol=0,

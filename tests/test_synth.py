@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -87,8 +88,8 @@ def _reference_corrupt(pm, fraction, noise_sigma, bbox, rng, guard=None):
 def reference_pair_pointmaps(bundle, i, j):
     """The pair simulation on full W x H grids, as `make_pair_pointmaps`
     computed it before it kept only valid pixels: (view1, view2,
-    outlier_mask1, outlier_mask2), which its grids must equal byte for
-    byte."""
+    outlier_mask1, outlier_mask2), whose valid pixels its rows must equal
+    byte for byte."""
     spec = bundle.spec
     noise_abs = spec.point_noise_sigma * spec.scene_scale
     view_i, view_j = bundle.views[i], bundle.views[j]
@@ -130,15 +131,16 @@ def reference_pair_pointmaps(bundle, i, j):
 def assert_pair_equals_reference(bundle, i, j):
     pair = make_pair_pointmaps(bundle, i, j)
     view1, view2, out1, out2 = reference_pair_pointmaps(bundle, i, j)
-    for got, want in ((pair.view1, view1), (pair.view2, view2)):
-        assert (got.width, got.height) == (want.width, want.height)
-        for name in ("points", "confidence", "mask"):
-            a, b = getattr(got, name), getattr(want, name)
-            assert (a.dtype, a.shape) == (b.dtype, b.shape), name
-            assert a.tobytes() == b.tobytes(), name
-    for got, want in ((pair.outlier_mask1, out1), (pair.outlier_mask2, out2)):
-        assert (got.dtype, got.shape) == (want.dtype, want.shape)
-        assert got.tobytes() == want.tobytes()
+    for rows, outliers, want, want_out in ((pair.rows1, pair.outliers1, view1, out1),
+                                           (pair.rows2, pair.outliers2, view2, out2)):
+        assert (rows.width, rows.height) == (want.width, want.height)
+        assert np.array_equal(rows.index, np.flatnonzero(want.mask))
+        for name, grid in (("points", want.points.reshape(-1, 3)),
+                           ("confidence", want.confidence.reshape(-1))):
+            got, expected = getattr(rows, name), grid[rows.index]
+            assert (got.dtype, got.shape) == (expected.dtype, expected.shape), name
+            assert got.tobytes() == expected.tobytes(), name
+        assert np.array_equal(rows.index[outliers], np.flatnonzero(want_out))
 
 
 class TestGenerate:
@@ -154,13 +156,13 @@ class TestGenerate:
         assert len(shown[0]) > 50  # covisibility is substantial by construction
         # Pixels showing the same point agree after a frame change up to the
         # back-projection's offset from the point, at most z / (f sqrt 2).
-        moved = change_frame(b.view_pointmaps[0], b.views[0].pose, b.views[1].pose)
+        own = [pointmap_from_depth(v.depth, v.intrinsics) for v in b.views]
+        moved = change_frame(own[0], b.views[0].pose, b.views[1].pose)
         valid0 = ids[0] >= 0
         pixel_of = np.zeros(spec.n_points, dtype=int)
         pixel_of[ids[1][ids[1] >= 0]] = np.flatnonzero(ids[1] >= 0)
         q = pixel_of[ids[0][valid0]]
-        gap = np.linalg.norm(moved.points[valid0]
-                             - b.view_pointmaps[1].points.reshape(-1, 3)[q], axis=1)
+        gap = np.linalg.norm(moved.points[valid0] - own[1].points.reshape(-1, 3)[q], axis=1)
         depths = b.views[0].depth.depth[valid0] + b.views[1].depth.depth.reshape(-1)[q]
         assert np.all(gap <= depths / (b.views[0].intrinsics.f * np.sqrt(2.0)))
 
@@ -226,9 +228,9 @@ class TestMakePairPointmaps:
         spec = SceneSpec(n_views=4, rng_seed=9)
         b = generate(spec)
         pair = make_pair_pointmaps(b, 0, 2)
-        k = make_intrinsics(pair.view2.width, pair.view2.height,
-                            estimate_focal(pair.view1))
-        res = pnp_ransac(pair.view2, k)
+        k = make_intrinsics(pair.rows2.width, pair.rows2.height,
+                            estimate_focal(pair.rows1))
+        res = pnp_ransac(pair.rows2, k)
         gt = compose(b.views[2].pose, inverse(b.views[0].pose))
         assert geodesic_deg(res.transform.rotation, gt.rotation) <= 1e-4
         t_err = np.linalg.norm(res.transform.translation - gt.translation)
@@ -238,30 +240,30 @@ class TestMakePairPointmaps:
         b = generate(SceneSpec(n_views=3, rng_seed=4, outlier_fraction=0.2,
                                point_noise_sigma=0.01))
         pair = make_pair_pointmaps(b, 1, 1)
-        assert np.array_equal(pair.view1.points, pair.view2.points)
-        assert np.array_equal(pair.view1.confidence, pair.view2.confidence)
-        assert np.array_equal(pair.view1.mask, pair.view2.mask)
+        for name in ("index", "points", "confidence"):
+            assert np.array_equal(getattr(pair.rows1, name), getattr(pair.rows2, name))
+        assert np.array_equal(pair.outliers1, pair.outliers2)
 
     def test_corrupted_pixels_lowest_confidence(self):
         b = generate(SceneSpec(n_views=3, rng_seed=8, outlier_fraction=0.1))
         pair = make_pair_pointmaps(b, 0, 1)
-        for pm, out in ((pair.view1, pair.outlier_mask1),
-                        (pair.view2, pair.outlier_mask2)):
+        for rows, outliers in ((pair.rows1, pair.outliers1), (pair.rows2, pair.outliers2)):
+            out = np.zeros(rows.n_valid, dtype=bool)
+            out[outliers] = True
             assert out.sum() > 0
-            clean = pm.mask & ~out
-            assert pm.confidence[out].max() < pm.confidence[clean].min()
+            conf = rows.confidence
+            assert conf[out].max() < conf[~out].min()
             # corrupted pixels occupy the lowest confidence decile
-            frac = out.sum() / pm.mask.sum()
-            decile = np.quantile(pm.confidence[pm.mask], frac)
-            assert np.all(pm.confidence[out] <= decile)
+            decile = np.quantile(conf, out.sum() / rows.n_valid)
+            assert np.all(conf[out] <= decile)
 
     def test_outliers_reproject_far(self):
         b = generate(SceneSpec(n_views=3, rng_seed=8, outlier_fraction=0.15))
         pair = make_pair_pointmaps(b, 0, 1)
         rel = compose(b.views[1].pose, inverse(b.views[0].pose))
         k = b.views[1].intrinsics
-        pts = pair.view2.points[pair.outlier_mask2]
-        jj, ii = np.nonzero(pair.outlier_mask2)
+        pts = pair.rows2.points[pair.outliers2]
+        jj, ii = np.divmod(pair.rows2.index[pair.outliers2], pair.rows2.width)
         cam = rel.apply(pts)
         z = cam[:, 2]
         front = z > 0
@@ -274,22 +276,22 @@ class TestMakePairPointmaps:
         b = generate(SceneSpec(n_views=3, rng_seed=6, outlier_fraction=0.2))
         p1 = make_pair_pointmaps(b, 0, 2)
         p2 = make_pair_pointmaps(b, 0, 2)
-        assert np.array_equal(p1.view2.points, p2.view2.points)
-        assert np.array_equal(p1.view2.confidence, p2.view2.confidence)
+        assert np.array_equal(p1.rows2.points, p2.rows2.points)
+        assert np.array_equal(p1.rows2.confidence, p2.rows2.confidence)
+        assert np.array_equal(p1.outliers2, p2.outliers2)
 
     def test_point_noise_applied(self):
         clean = make_pair_pointmaps(generate(SceneSpec(n_views=2, rng_seed=3)), 0, 1)
         noisy = make_pair_pointmaps(
             generate(SceneSpec(n_views=2, rng_seed=3, point_noise_sigma=0.01)), 0, 1)
-        dev = np.linalg.norm(
-            noisy.view1.points[noisy.view1.mask] - clean.view1.points[clean.view1.mask],
-            axis=1)
+        assert np.array_equal(noisy.rows1.index, clean.rows1.index)
+        dev = np.linalg.norm(noisy.rows1.points - clean.rows1.points, axis=1)
         # isotropic 3-sigma: mean |dev| ~ sigma * sqrt(8/pi)
         assert 0.005 <= float(dev.mean()) <= 0.05
 
 
 class TestPairMatchesFullGridReference:
-    """The pair maps, read as full grids, equal the full-grid simulation
+    """The pair rows equal the valid pixels of the full-grid simulation
     byte for byte, across corruption settings and pair orders."""
 
     @settings(max_examples=40, deadline=None)
@@ -319,8 +321,9 @@ class TestPairMatchesFullGridReference:
 
 
 def pair_bytes(pair) -> bytes:
-    return b"".join(a.tobytes() for pm in (pair.view1, pair.view2)
-                    for a in (pm.points, pm.confidence, pm.mask))
+    return b"".join(a.tobytes() for rows, outliers in ((pair.rows1, pair.outliers1),
+                                                       (pair.rows2, pair.outliers2))
+                    for a in (rows.index, rows.points, rows.confidence, outliers))
 
 
 class TestViewPointmapReuse:
@@ -342,25 +345,44 @@ class TestViewPointmapReuse:
         b = generate(self.SPEC)
         for k, view in enumerate(b.views):
             own = pointmap_from_depth(view.depth, view.intrinsics)
-            cached = b.view_pointmaps[k]
-            for name in ("points", "confidence", "mask"):
-                assert getattr(cached, name).tobytes() == getattr(own, name).tobytes()
+            rows = b.view_rows[k]
+            assert np.array_equal(rows.index, np.flatnonzero(own.mask))
+            assert rows.points.tobytes() == own.points[own.mask].tobytes()
+            assert rows.confidence.tobytes() == own.confidence[own.mask].tobytes()
         uncorrupted = replace(b.spec, outlier_fraction=0.0, point_noise_sigma=0.0)
         clean = make_pair_pointmaps(replace(b, spec=uncorrupted), 2, 1)
         own = pointmap_from_depth(b.views[2].depth, b.views[2].intrinsics)
-        assert clean.view1.points.tobytes() == own.points.tobytes()
+        assert clean.rows1.points.tobytes() == own.points[own.mask].tobytes()
         moved = change_frame(pointmap_from_depth(b.views[1].depth, b.views[1].intrinsics),
                              b.views[1].pose, b.views[2].pose)
-        assert clean.view2.points.tobytes() == moved.points.tobytes()
+        assert clean.rows2.points.tobytes() == moved.points[moved.mask].tobytes()
 
     def test_cached_arrays_read_only(self):
         b = generate(self.SPEC)
         make_pair_pointmaps(b, 0, 1)
-        for pm in b.view_pointmaps:
-            for arr in (pm.points, pm.confidence, pm.mask):
+        for rows in b.view_rows:
+            for arr in (rows.index, rows.points, rows.confidence):
                 assert not arr.flags.writeable
                 with pytest.raises(ValueError):
                     arr.reshape(-1)[0] = 1
+
+    def test_pairs_leave_the_bundle_holding_only_its_rows(self):
+        # Once every pair of a 20-view bundle is simulated and dropped, the
+        # bundle keeps its views' valid rows and no full-grid copy of them.
+        b = generate(SceneSpec(n_views=20, rng_seed=5, point_noise_sigma=0.005,
+                               outlier_fraction=0.1))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for i in range(20):
+                for j in range(i + 1, 20):
+                    make_pair_pointmaps(b, i, j)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        rows_bytes = sum(a.nbytes for rows in b.view_rows
+                         for a in (rows.index, rows.points, rows.confidence))
+        assert held < 2 * rows_bytes, (held, rows_bytes)
 
     def test_bundles_built_in_turn_never_share_maps(self):
         # Bundles built and dropped one after another can reuse an object
@@ -370,9 +392,9 @@ class TestViewPointmapReuse:
             b = generate(SceneSpec(n_views=2, rng_seed=seed))  # no corruption
             pair = make_pair_pointmaps(b, 0, 1)
             own = pointmap_from_depth(b.views[0].depth, b.views[0].intrinsics)
-            assert pair.view1.points.tobytes() == own.points.tobytes()
-            assert not any(np.shares_memory(pair.view1.points, p) for p in previous)
-            previous.append(pair.view1.points)
+            assert pair.rows1.points.tobytes() == own.points[own.mask].tobytes()
+            assert not any(np.shares_memory(pair.rows1.points, p) for p in previous)
+            previous.append(pair.rows1.points)
             del b, pair
 
     def test_concurrent_first_use_gives_serial_maps(self):
