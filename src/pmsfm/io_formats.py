@@ -192,6 +192,20 @@ the mean rotation error (degrees) after the one global rotation that
 best aligns the estimated rotations to the reference, fitted on the
 rotations alone; nan when no frame is recovered in both. A v1 report
 is rejected at its title line.
+
+Run log ("# pmsfm run log")
+---------------------------
+A solve writes run_log.txt into its output directory on every exit:
+for a finished solve one `<key> <value>` line per count and timing,
+then one `# warning: <message>` line per warning in the order raised,
+then `# error: <message>` when the solve failed. rotation_certified is
+1 when the averaged rotations are certified globally optimal: the
+smallest eigenvalue of the strong-duality certificate matrix is at
+least -1e-6 times the largest weighted vertex degree. Else it is 0, and
+a warning says so. rotation_lambda_min is that eigenvalue when the
+graph covers at most 100 frames, and nan above: there the verdict comes
+from the pivot signs of a sparse factorization of the matrix shifted by
+the floor, and no eigenvalue is computed.
 """
 
 

@@ -45,7 +45,6 @@ from .pose_graph import (
     build_graph,
     rotation_averaging,
     rotation_certificate,
-    rotation_certified,
     rotation_objective,
     translation_averaging,
 )
@@ -443,8 +442,7 @@ def _solve_stages(cfg: PipelineConfig) -> SolveResult:
     rotations = rotation_averaging(graph)
     timings["rotation_s"] = time.perf_counter() - t0
     t0 = time.perf_counter()
-    lambda_min = rotation_certificate(graph, rotations)
-    certified = rotation_certified(graph, lambda_min)
+    lambda_min, certified = rotation_certificate(graph, rotations)
     timings["certificate_s"] = time.perf_counter() - t0
     if not certified:
         _warnings.warn("rotation averaging stopped at a stationary point not"

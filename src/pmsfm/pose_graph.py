@@ -13,9 +13,11 @@ world-to-camera poses.
 Every averaging system is a block Laplacian held as numpy block rows
 (`_BlockRows`) and solved by `_solve`: with numpy's dense LAPACK when it
 spans at most `_DENSE_MAX_FRAMES` frames, with scipy's SuperLU above
-that. scipy is imported only on that sparse side, inside the functions
-that use it, so a graph of up to 60 frames is built, averaged and
-certified without loading it (its import costs about 0.2 s and 31 MiB).
+that. The certificate follows the same size rule: numpy's full spectrum
+up to it, SuperLU's pivot signs above. scipy is imported only on that
+sparse side, inside the functions that use it, so a graph of up to 100
+frames is built, averaged and certified without loading it (its import
+costs about 0.25 s and 32 MiB).
 """
 
 from __future__ import annotations
@@ -45,12 +47,16 @@ _CERTIFICATE_REL_TOL = 1e-6
 # Least inlier fraction of a pair that becomes an edge without rescue.
 QUALITY_THRESHOLD = 0.25
 # Largest number of covered frames whose averaging systems `_solve`
-# factors densely with numpy; larger ones go to scipy's SuperLU. One Newton
-# system through `_solve`, SuperLU against numpy (2-vCPU VM, one BLAS
-# thread): complete graphs 0.34 vs 0.07 ms at 20 frames and 1.67 vs 0.49 ms
-# at 60; window-10 chains 0.69 vs 0.44 ms at 60 frames, 0.80 vs 0.79 ms at
-# 80, 1.26 vs 2.03 ms at 120. The crossover lies between 60 and 80 frames.
-_DENSE_MAX_FRAMES = 60
+# factors densely with numpy, and whose certificate takes numpy's full
+# spectrum; larger ones go to scipy's SuperLU. One warm Newton system
+# through `_solve`, numpy against SuperLU (2-vCPU Xeon VM, one BLAS
+# thread, best of 7x20): window-10 chains 0.46 vs 0.82 ms at 60 frames,
+# 0.83 vs 0.94 at 80, 1.33 vs 1.20 at 100, 2.05 vs 1.36 at 120, 4.52 vs
+# 1.66 at 160 and 7.40 vs 2.10 at 200; complete graphs 0.89 vs 3.05 ms at
+# 80 frames and 1.46 vs 5.64 at 100. At 100 frames a chain loses 0.13 ms
+# per system to numpy, and a process that has not loaded scipy yet
+# saves its 0.25 s import.
+_DENSE_MAX_FRAMES = 100
 
 
 def _edge_fault(i, j, weight) -> str | None:
@@ -419,8 +425,8 @@ def _product(lap: _BlockRows, y: np.ndarray) -> np.ndarray:
 def _solve(lap: _BlockRows, rhs: np.ndarray, shift: float = 0.0) -> np.ndarray:
     """x solving (L_ff + shift I) x = rhs, L_ff being ``lap`` without the
     anchor's (first) block row and column: factored densely by numpy up
-    to `_DENSE_MAX_FRAMES` vertices, else by scipy's SuperLU. A singular
-    system gives NaN on either side."""
+    to `_DENSE_MAX_FRAMES` vertices, else by scipy's SuperLU. An exactly
+    singular system gives NaN on either side, and neither warns."""
     m, k = len(lap.indptr) - 1, lap.data.shape[-1]
     if m <= _DENSE_MAX_FRAMES:
         mat = _dense(lap)[k:, k:]
@@ -435,7 +441,11 @@ def _solve(lap: _BlockRows, rhs: np.ndarray, shift: float = 0.0) -> np.ndarray:
     mat = sp.bsr_matrix(lap, shape=(k * m, k * m)).tocsc()[k:, k:]
     if shift:
         mat = mat + shift * sp.identity(k * m - k, format="csc")
-    return spla.spsolve(mat, rhs)
+    try:
+        factor = spla.splu(mat)
+    except RuntimeError:  # SuperLU's "Factor is exactly singular"
+        return np.full(rhs.shape, np.nan)
+    return factor.solve(rhs)
 
 
 def _dual_blocks(lap: _BlockRows, y: np.ndarray) -> np.ndarray:
@@ -479,21 +489,35 @@ def _newton_model(lap: _BlockRows, y: np.ndarray,
 
         2 (X^T Y + Y X^T - tr(Y) X^T - tr(X) Y - (<X, Y> - tr X tr Y) I),
 
-    <X, Y> = sum_ij X_ij Y_ij. Each diagonal block also gets
+    <X, Y> = sum_ij X_ij Y_ij. L is symmetric, as every
+    `_block_laplacian` is, so block (v, u) is the transpose of block
+    (u, v), and each is formed once, above the diagonal. On the diagonal
+    Y = I and the block is 2 (tr(X) I - X^T), plus
     2 (sym P_v - tr(P_v) I), the curvature of the retraction. The
     Hessian spans every block, the anchor's too; `_solve` drops it.
     """
+    m = len(lap.indptr) - 1
     rows = _block_rows(lap)
-    x = lap.data
-    x_t = x.transpose(0, 2, 1)
-    pair = y[lap.indices] @ y[rows].transpose(0, 2, 1)
-    tr_x = np.trace(x, axis1=1, axis2=2)[:, None, None]
-    tr_pair = np.trace(pair, axis1=1, axis2=2)[:, None, None]
-    inner = (x * pair).sum(axis=(1, 2))[:, None, None]
-    blocks = 2.0 * (x_t @ pair + pair @ x_t - tr_pair * x_t - tr_x * pair
-                    - (inner - tr_x * tr_pair) * np.eye(3))
-    trace = np.trace(p, axis1=1, axis2=2)[:, None, None]
-    blocks[lap.indices == rows] += (p + p.transpose(0, 2, 1)) - 2.0 * trace * np.eye(3)
+    upper = np.flatnonzero(lap.indices > rows)
+    u, v = rows[upper], lap.indices[upper]
+    lower = np.searchsorted(rows * m + lap.indices, v * m + u)
+    x_t = lap.data[lower]  # L_vu = L_uv^T
+    # Stacked matmul on contiguous operands: on transposed views it took
+    # twice as long (1770 blocks, numpy 2.4).
+    pair = y[v] @ np.ascontiguousarray(y.transpose(0, 2, 1))[u]
+    tr_x = np.einsum("kii->k", x_t)[:, None, None]
+    tr_pair = np.einsum("kii->k", pair)[:, None, None]
+    inner = np.einsum("kji,kij->k", x_t, pair)[:, None, None]
+    blocks = np.empty_like(lap.data)
+    blocks[upper] = 2.0 * (x_t @ pair + pair @ x_t - tr_pair * x_t - tr_x * pair
+                           - (inner - tr_x * tr_pair) * np.eye(3))
+    blocks[lower] = blocks[upper].transpose(0, 2, 1)
+    diagonal = lap.indices == rows
+    x = lap.data[diagonal]
+    trace = np.einsum("kii->k", p)[:, None, None]
+    blocks[diagonal] = (2.0 * (np.einsum("kii->k", x)[:, None, None] * np.eye(3)
+                               - x.transpose(0, 2, 1))
+                        + (p + p.transpose(0, 2, 1)) - 2.0 * trace * np.eye(3))
     return 2.0 * _vee(p[1:]).reshape(-1), _BlockRows(blocks, lap.indices, lap.indptr)
 
 
@@ -561,43 +585,63 @@ def rotation_averaging(graph: PoseGraph) -> np.ndarray:
     return rotations
 
 
-def rotation_certificate(graph: PoseGraph, rotations: np.ndarray) -> float:
-    """lambda_min(Lambda - A) at the camera-to-world ``rotations``, over
-    the covered vertices: A is symmetric with block (i, j) = w R_ij and
-    block (j, i) = w R_ij^T summed over the edges, Y stacks the R_k^T,
-    and Lambda is block diagonal with Lambda_k = sym((A Y)_k Y_k^T).
-    It is computed as L - blockdiag(sym P_v) for the `_block_laplacian`
-    L with C = R_ij and P_v = (L Y)_v Y_v^T, which is the same matrix, by
-    numpy's full spectrum up to `_DENSE_MAX_FRAMES` covered frames and by
-    scipy's lowest eigenvalue alone above.
+class Certificate(NamedTuple):
+    """`rotation_certificate`'s verdict and, up to `_DENSE_MAX_FRAMES`
+    covered frames, the eigenvalue it rests on (NaN above)."""
 
-    At a stationary point (Lambda - A) Y = 0, so the value is about zero
-    or below. The rotations are certified globally optimal when it is at
-    least -1e-6 times the largest weighted vertex degree (see
-    `rotation_certified`), a floor that scales with the weights as the
-    value does (Eriksson et al., "Rotation Averaging and Strong
-    Duality", CVPR 2018).
+    lambda_min: float
+    certified: bool
+
+
+def rotation_certificate(graph: PoseGraph, rotations: np.ndarray) -> Certificate:
+    """Whether the camera-to-world ``rotations`` are certified globally
+    optimal: whether lambda_min(Lambda - A), over the covered vertices,
+    is at least -1e-6 times the largest weighted vertex degree (the sum
+    of a vertex's edge weights), a floor that scales with the weights as
+    the eigenvalue does (Eriksson et al., "Rotation Averaging and Strong
+    Duality", CVPR 2018). A is symmetric with block (i, j) = w R_ij and
+    block (j, i) = w R_ij^T summed over the edges, Y stacks the R_k^T,
+    and Lambda is block diagonal with Lambda_k = sym((A Y)_k Y_k^T). At a
+    stationary point (Lambda - A) Y = 0, so lambda_min is about zero or
+    below.
+
+    The matrix S = Lambda - A is built as L - blockdiag(sym P_v) for the
+    `_block_laplacian` L with C = R_ij and P_v = (L Y)_v Y_v^T. Up to
+    `_DENSE_MAX_FRAMES` covered frames lambda_min is the lowest of numpy's
+    full spectrum. Above, no eigenvalue is computed (lambda_min is NaN):
+    the rotations are certified when S + floor I is positive definite,
+    which SuperLU's symmetric factorization tells by its pivots' signs
+    (Sylvester's law of inertia, as SE-Sync verifies its certificate:
+    Rosen et al., IJRR 2019). With no pivoting threshold, SuperLU leaves
+    the diagonal only for an exactly zero pivot, so a row order that
+    differs from the column order, like a singular factor, reads as
+    uncertified: a positive definite matrix has neither.
     """
     a = graph.edge_arrays
     vertices = np.flatnonzero(a.covered)
     lap = _block_laplacian(a, vertices, a.rotation)
     p = _dual_blocks(lap, np.asarray(rotations)[vertices].transpose(0, 2, 1))
-    lap.data[lap.indices == _block_rows(lap)] -= (p + p.transpose(0, 2, 1)) / 2.0
-    mat = _dense(lap)
-    if len(vertices) <= _DENSE_MAX_FRAMES:
-        return float(np.linalg.eigvalsh(mat)[0])
-    from scipy.linalg import eigh
-
-    return float(eigh(mat, subset_by_index=[0, 0], eigvals_only=True)[0])
-
-
-def rotation_certified(graph: PoseGraph, lambda_min: float) -> bool:
-    """Whether a `rotation_certificate` value is at least -1e-6 times the
-    largest weighted vertex degree (the sum of a vertex's edge weights)."""
-    a = graph.edge_arrays
+    diagonal = lap.indices == _block_rows(lap)
+    lap.data[diagonal] -= (p + p.transpose(0, 2, 1)) / 2.0
     degree = np.bincount(np.concatenate([a.i, a.j]),
                          weights=np.concatenate([a.weight, a.weight]))
-    return lambda_min >= -_CERTIFICATE_REL_TOL * float(degree.max())
+    floor = _CERTIFICATE_REL_TOL * float(degree.max())
+    if len(vertices) <= _DENSE_MAX_FRAMES:
+        lambda_min = float(np.linalg.eigvalsh(_dense(lap))[0])
+        return Certificate(lambda_min, lambda_min >= -floor)
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
+    lap.data[diagonal] += floor * np.eye(3)
+    size = 3 * len(vertices)
+    try:
+        factor = spla.splu(sp.bsr_matrix(lap, shape=(size, size)).tocsc(),
+                           permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                           options={"SymmetricMode": True})
+    except RuntimeError:  # SuperLU's "Factor is exactly singular"
+        return Certificate(math.nan, False)
+    return Certificate(math.nan, bool(np.array_equal(factor.perm_r, factor.perm_c)
+                                      and (factor.U.diagonal() > 0.0).all()))
 
 
 def translation_averaging(graph: PoseGraph, rotations: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pmsfm import io_formats, pipeline, relative_pose
+from pmsfm import io_formats, pipeline, pose_graph, relative_pose
 from pmsfm.cli import _build_parser, main
 from pmsfm.errors import ConfigError, FormatError, InsufficientDataError
 from pmsfm.geometry import (
@@ -556,19 +556,30 @@ class TestSolveStage:
                                         "certificate_s", "translation_s"]
         assert float(run_log_value(out, "timing_certificate_s")) >= 0.0
 
-    def test_uncertified_rotations_warn_in_run_log(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("side", ["spectrum", "pivot signs"])
+    def test_uncertified_rotations_warn_in_run_log(self, tmp_path, monkeypatch, side):
         # The solve's graph and rotations are replaced by the winding
-        # 12-cycle and its stationary point, which the certificate rejects.
+        # 12-cycle and its stationary point, which the certificate rejects;
+        # with the size rule forced below 12 frames it rejects them by the
+        # pivot signs and logs no eigenvalue.
         out = tmp_path / "bundle"
         pipeline.synthesize(small_spec(n_views=12), out)
         graph, rotations = winding_cycle(12)
         monkeypatch.setattr(pipeline, "build_graph", lambda *args: graph)
         monkeypatch.setattr(pipeline, "rotation_averaging", lambda g: rotations)
+        if side == "pivot signs":
+            monkeypatch.setattr(pose_graph, "_DENSE_MAX_FRAMES", 11)
         cfg = pipeline.PipelineConfig(manifest=str(out / "manifest.txt"),
                                       output_dir=str(tmp_path / "run"), jobs=1)
         result, run_dir = pipeline.run_solve(cfg)
         assert not result.rotation_certified
-        assert abs(result.rotation_lambda_min - (np.sqrt(3.0) - 2.0)) <= 1e-6
+        if side == "spectrum":
+            assert abs(result.rotation_lambda_min - (np.sqrt(3.0) - 2.0)) <= 1e-6
+            assert float(run_log_value(run_dir, "rotation_lambda_min")) == (
+                result.rotation_lambda_min)
+        else:
+            assert math.isnan(result.rotation_lambda_min)
+            assert run_log_value(run_dir, "rotation_lambda_min") == "nan"
         assert run_log_value(run_dir, "rotation_certified") == "0"
         log = (run_dir / pipeline.RUN_LOG_FILENAME).read_text(encoding="utf-8")
         assert sum(line.startswith("# warning: rotation averaging stopped at a stationary"
@@ -1221,7 +1232,7 @@ class TestCli:
         assert (tmp_path / "b" / "gt_poses.txt").exists()
 
     def test_small_solve_imports_no_scipy(self, tmp_path):
-        # A pose graph of at most 60 frames is built, averaged and
+        # A pose graph of at most 100 frames is built, averaged and
         # certified with numpy alone: a whole solve of a synthetic bundle
         # in a fresh interpreter leaves no scipy module behind.
         script = (
@@ -1241,6 +1252,33 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "True\n\n"
         assert (tmp_path / "run" / "poses_est.txt").exists()
+
+    def test_100_frame_chain_averages_without_scipy(self):
+        # Up to 100 covered frames the averaging solves and the
+        # certificate run in numpy: averaging and certifying a noisy
+        # 100-frame window-10 chain in a fresh interpreter leaves no scipy
+        # module behind.
+        script = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from pmsfm import pose_graph\n"
+            "from pmsfm.geometry import random_rotation, so3_project\n"
+            "rng = np.random.default_rng(3)\n"
+            "n = 100\n"
+            "a = np.stack([random_rotation(rng) for _ in range(n)])\n"
+            "i, j = np.array([(i, j) for i in range(n) for j in range(i + 1, min(n, i + 11))]).T\n"
+            "rot = so3_project(a[i].transpose(0, 2, 1) @ a[j]"
+            " + rng.normal(0.0, 0.02, (len(i), 3, 3)))\n"
+            "graph = pose_graph.PoseGraph.from_arrays(n, i, j, rot, rng.normal(size=(len(i), 3)),"
+            " np.ones(len(i)), np.ones(len(i)), np.zeros(len(i), dtype=bool))\n"
+            "rotations = pose_graph.rotation_averaging(graph)\n"
+            "pose_graph.translation_averaging(graph, rotations)\n"
+            "print(pose_graph.rotation_certificate(graph, rotations).certified)\n"
+            "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=self.child_env(), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "True\n\n"
 
 
 class TestDegradedEval:

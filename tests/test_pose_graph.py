@@ -35,7 +35,6 @@ from pmsfm.pose_graph import (
     build_graph,
     rotation_averaging,
     rotation_certificate,
-    rotation_certified,
     rotation_objective,
     translation_averaging,
 )
@@ -554,11 +553,11 @@ def _reference_certificate(graph, rotations):
 class TestRotationCertificate:
     def test_winding_cycle_fails(self):
         g, rot = winding_cycle(12)
-        lam = rotation_certificate(g, rot)
+        lam, certified = rotation_certificate(g, rot)
         assert abs(lam - (2.0 * np.cos(2.0 * np.pi / 12) - 2.0)) <= 1e-6
-        assert not rotation_certified(g, lam)
+        assert not certified
         # the identity is the global minimum of the same graph
-        assert rotation_certified(g, rotation_certificate(g, rotation_averaging(g)))
+        assert rotation_certificate(g, rotation_averaging(g)).certified
 
     @pytest.mark.parametrize("seed", range(3))
     def test_noisy_consistent_graph_certifies(self, seed):
@@ -572,9 +571,9 @@ class TestRotationCertificate:
         g = PoseGraph(n, tuple(Edge(e.i, e.j, e.rotation, e.translation,
                                     float(rng.uniform(0.2, 2.0)), 1.0) for e in edges))
         rot = rotation_averaging(g)
-        lam = rotation_certificate(g, rot)
+        lam, certified = rotation_certificate(g, rot)
         assert abs(lam - _reference_certificate(g, rot)) <= 1e-9
-        assert rotation_certified(g, lam)
+        assert certified
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**16), n=st.integers(3, 9),
@@ -598,8 +597,61 @@ class TestRotationCertificate:
                    else chordal_start_rotations(g))
         h = PoseGraph(n, tuple(Edge(e.i, e.j, e.rotation, e.translation,
                                     scale * e.weight, e.quality) for e in g.edges))
-        assert (rotation_certified(g, rotation_certificate(g, rot))
-                == rotation_certified(h, rotation_certificate(h, rot)))
+        assert (rotation_certificate(g, rot).certified
+                == rotation_certificate(h, rot).certified)
+
+    @pytest.mark.parametrize("n", [101, 150, 200])
+    def test_inertia_verdict_equals_dense_verdict(self, n, monkeypatch):
+        """Above `_DENSE_MAX_FRAMES` the verdict comes from SuperLU's pivot
+        signs, with lambda_min NaN; on window-10 chains it equals the
+        verdict of numpy's full spectrum, at the averaged rotations (which
+        certify) and at the chordal start (which does not)."""
+        g = benchmark_shaped_graph(np.random.default_rng([n, 9]), n, 10)
+        verdicts = []
+        for rot in (rotation_averaging(g), chordal_start_rotations(g)):
+            lam, certified = rotation_certificate(g, rot)
+            assert np.isnan(lam)
+            with monkeypatch.context() as m:
+                m.setattr(pose_graph, "_DENSE_MAX_FRAMES", n)
+                dense = rotation_certificate(g, rot)
+            assert certified == dense.certified
+            verdicts.append(certified)
+        assert verdicts == [True, False]
+
+    @pytest.mark.parametrize("n", [101, 240])
+    def test_winding_cycle_above_boundary_fails(self, n):
+        """The winding stationary point of a cycle longer than
+        `_DENSE_MAX_FRAMES` reads uncertified by the pivot signs
+        (lambda_min 2 cos(2 pi / n) - 2 lies below the floor, -2e-6), and
+        the identity, its global minimum, certifies."""
+        g, rot = winding_cycle(n)
+        assert 2.0 * np.cos(2.0 * np.pi / n) - 2.0 < -1e-4
+        assert not rotation_certificate(g, rot).certified
+        assert rotation_certificate(g, rotation_averaging(g)).certified
+
+    @pytest.mark.parametrize("fault", ["rows reordered", "singular"])
+    def test_factor_off_the_diagonal_reads_uncertified(self, fault, monkeypatch):
+        """A SuperLU factor whose row order left the column order, or that
+        is exactly singular, shows a zero pivot, which no positive
+        definite matrix has: the verdict is uncertified, on rotations
+        that otherwise certify."""
+        g = benchmark_shaped_graph(np.random.default_rng(3), 101, 10)
+        rot = rotation_averaging(g)
+        assert rotation_certificate(g, rot).certified
+        factor = spla.splu
+
+        class Reordered:
+            def __init__(self, mat, **options):
+                lu = factor(mat, **options)
+                self.perm_c, self.U = lu.perm_c, lu.U
+                self.perm_r = np.roll(lu.perm_r, 1)
+
+        def singular(mat, **options):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(spla, "splu", Reordered if fault == "rows reordered" else singular)
+        lam, certified = rotation_certificate(g, rot)
+        assert np.isnan(lam) and not certified
 
     def test_memory_scales_with_covered_frames(self, rng):
         """A million frames of which three are measured certify in a few
@@ -613,11 +665,11 @@ class TestRotationCertificate:
                                for i, j in [(a, b), (b, c), (a, c)]))
         tracemalloc.start()
         try:
-            lam = rotation_certificate(g, rot)
+            certified = rotation_certificate(g, rot).certified
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert rotation_certified(g, lam)
+        assert certified
         assert peak < 50 * 2**20
 
 
@@ -886,7 +938,7 @@ class TestStackedSolvers:
         rot = rotation_averaging(g)
         assert rotation_objective(g, rot) <= rotation_objective(g, ref_rot)
         for r in (rot, ref_rot):
-            assert rotation_certified(g, rotation_certificate(g, r))
+            assert rotation_certificate(g, r).certified
 
     @pytest.mark.parametrize("seed", range(3))
     def test_gradient_and_hessian_match_central_differences(self, seed):
@@ -919,17 +971,23 @@ class TestStackedSolvers:
     @pytest.mark.parametrize("case", ["random blocks", "complete graph"])
     def test_closed_form_hessian_matches_broadcast_reference(self, case):
         """The closed-form Hessian blocks of `_newton_model` agree with
-        the broadcast product, on 50 arbitrary blocks and on the
-        Laplacian of a 60-frame complete graph."""
+        the broadcast product, on 50 random blocks of a symmetric matrix
+        and on the Laplacian of a 60-frame complete graph."""
         rng = np.random.default_rng(7)
         if case == "random blocks":
-            # Every diagonal block, as in a Laplacian, and 38 others.
+            # Every diagonal block, as in a Laplacian, and 19 others above
+            # the diagonal, each mirrored below it as its transpose.
             n = 12
-            mask = np.eye(n, dtype=bool).reshape(-1)
-            mask[rng.choice(np.flatnonzero(~mask), size=38, replace=False)] = True
-            rows, cols = np.nonzero(mask.reshape(n, n))
-            lap = _BlockRows(rng.normal(size=(50, 3, 3)), cols,
-                             np.searchsorted(rows, np.arange(n + 1)))
+            r, c = np.unravel_index(rng.choice(np.flatnonzero(np.triu(np.ones((n, n)), 1)),
+                                               size=19, replace=False), (n, n))
+            blocks = np.zeros((n, n, 3, 3))
+            blocks[r, c] = rng.normal(size=(19, 3, 3))
+            blocks[c, r] = blocks[r, c].transpose(0, 2, 1)
+            blocks[np.arange(n), np.arange(n)] = rng.normal(size=(n, 3, 3))
+            mask = np.eye(n, dtype=bool)
+            mask[r, c] = mask[c, r] = True
+            rows, cols = np.nonzero(mask)
+            lap = _BlockRows(blocks[rows, cols], cols, np.searchsorted(rows, np.arange(n + 1)))
         else:
             n = 60
             a = benchmark_shaped_graph(rng, n, None).edge_arrays
@@ -941,6 +999,18 @@ class TestStackedSolvers:
         assert_same_bits(grad, grad_ref)
         hess, hess_ref = _dense(hess), _dense(hess_ref)
         assert np.abs(hess - hess_ref).max() <= 1e-13 * np.abs(hess_ref).max()
+
+    @pytest.mark.parametrize("limit", [100, 0], ids=["dense", "sparse"])
+    def test_singular_system_gives_nan_without_warning(self, limit, monkeypatch):
+        """An exactly singular system gives NaN on both sides of the size
+        rule, and neither warns."""
+        monkeypatch.setattr(pose_graph, "_DENSE_MAX_FRAMES", limit)
+        # L = [[1, 0, 0], [0, 1, 1], [0, 1, 1]], so L_ff = [[1, 1], [1, 1]].
+        lap = _BlockRows(np.ones((5, 1, 1)), np.array([0, 1, 2, 1, 2]), np.array([0, 1, 3, 5]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = _solve(lap, np.ones((2, 3)))
+        assert x.shape == (2, 3) and np.isnan(x).all()
 
     @pytest.mark.parametrize("fault", ["nan step", "dense LinAlgError", "sparse nan step"])
     def test_non_finite_step_is_damped(self, monkeypatch, fault):
@@ -975,7 +1045,7 @@ class TestStackedSolvers:
         rot = rotation_averaging(g)
         assert len(calls) >= 3
         assert np.max(np.abs(rot - expected)) <= 1e-9
-        assert rotation_certified(g, rotation_certificate(g, rot))
+        assert rotation_certificate(g, rot).certified
 
     def test_long_chain_converges_and_certifies(self, monkeypatch):
         """A 400-frame window-10 chain, the shape a video gives, averages
@@ -983,20 +1053,20 @@ class TestStackedSolvers:
         500 sweeps here) and the result certifies. Its systems go to
         SuperLU."""
         g = benchmark_shaped_graph(np.random.default_rng(2), 400, 10)
-        solve, calls = spla.spsolve, []
+        factor, calls = spla.splu, []
 
-        def counted(mat, rhs):
+        def counted(mat, *args, **kwargs):
             calls.append(mat.shape)
-            return solve(mat, rhs)
+            return factor(mat, *args, **kwargs)
 
-        monkeypatch.setattr(spla, "spsolve", counted)
+        monkeypatch.setattr(spla, "splu", counted)
         with warnings.catch_warnings():
             warnings.simplefilter("error", ConvergenceWarning)
             rot = rotation_averaging(g)
-        assert rotation_certified(g, rotation_certificate(g, rot))
         assert calls and all(shape == (1197, 1197) for shape in calls)
+        assert rotation_certificate(g, rot).certified
 
-    @pytest.mark.parametrize("n, window", [(40, None), (60, None), (61, None), (80, 10)])
+    @pytest.mark.parametrize("n, window", [(40, None), (80, None), (100, 10), (101, 10)])
     def test_dense_and_sparse_solves_agree(self, n, window, monkeypatch):
         """Graphs on both sides of `_DENSE_MAX_FRAMES`, each solved with
         the dense and with the sparse branch forced: rotations and
@@ -1008,31 +1078,34 @@ class TestStackedSolvers:
             monkeypatch.setattr(pose_graph, "_DENSE_MAX_FRAMES", limit)
             rot = rotation_averaging(g)
             solved.append((rot, translation_averaging(g, rot),
-                           rotation_certified(g, rotation_certificate(g, rot))))
+                           rotation_certificate(g, rot).certified))
         (rot_d, u_d, certified_d), (rot_s, u_s, certified_s) = solved
         assert np.max(np.abs(rot_d - rot_s)) <= 1e-9
         assert np.max(np.abs(u_d - u_s)) <= 1e-9
         assert certified_d == certified_s
 
-    @pytest.mark.parametrize("n", [60, 61])
+    @pytest.mark.parametrize("n", [100, 101])
     def test_size_rule_picks_the_branch(self, n, monkeypatch):
-        """By default a graph of 60 covered frames solves with numpy alone
-        and one of 61 with SuperLU alone."""
+        """By default a graph of 100 covered frames is averaged and
+        certified with numpy alone, and one of 101 with SuperLU alone."""
         g = benchmark_shaped_graph(np.random.default_rng(n), n, 10)
         calls = {"dense": 0, "sparse": 0}
 
         def counted(module, name, branch):
             solve = getattr(module, name)
 
-            def count(*args):
+            def count(*args, **kwargs):
                 calls[branch] += 1
-                return solve(*args)
+                return solve(*args, **kwargs)
             monkeypatch.setattr(module, name, count)
 
         counted(np.linalg, "solve", "dense")
-        counted(spla, "spsolve", "sparse")
-        translation_averaging(g, rotation_averaging(g))
-        assert (calls["dense"] > 0, calls["sparse"] > 0) == (n <= 60, n > 60)
+        counted(np.linalg, "eigvalsh", "dense")
+        counted(spla, "splu", "sparse")
+        rot = rotation_averaging(g)
+        translation_averaging(g, rot)
+        assert rotation_certificate(g, rot).certified
+        assert (calls["dense"] > 0, calls["sparse"] > 0) == (n <= 100, n > 100)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_objective_bit_equal_to_edge_loop(self, seed):
@@ -1086,21 +1159,30 @@ class TestStackedSolvers:
         ref_a, ref_b, _ = _reference_translation_system(g, rot, covered, anchor)
         ref_mat = (ref_a.T @ ref_a).tocsc()
         systems = []
+        solve, factor = np.linalg.solve, spla.splu
 
-        def capture(solve):
-            def solve_and_keep(mat, rhs):
-                systems.append((mat.copy(), rhs.copy()))
-                return solve(mat, rhs)
-            return solve_and_keep
+        def solve_and_keep(mat, rhs):
+            systems.append((mat.copy(), rhs.copy()))
+            return solve(mat, rhs)
+
+        class KeptFactor:
+            """SuperLU's factor of ``mat``, keeping it with each right-hand side."""
+
+            def __init__(self, mat):
+                self.mat, self.factor = mat.copy(), factor(mat)
+
+            def solve(self, rhs):
+                systems.append((self.mat, rhs.copy()))
+                return self.factor.solve(rhs)
 
         # 9 frames solve densely, and with SuperLU when the size rule is
         # forced below them.
         with monkeypatch.context() as m:
-            m.setattr(np.linalg, "solve", capture(np.linalg.solve))
+            m.setattr(np.linalg, "solve", solve_and_keep)
             translation_averaging(g, rot)
         with monkeypatch.context() as m:
             m.setattr(pose_graph, "_DENSE_MAX_FRAMES", 0)
-            m.setattr(spla, "spsolve", capture(spla.spsolve))
+            m.setattr(spla, "splu", KeptFactor)
             translation_averaging(g, rot)
         (dense, dense_rhs), (mat, rhs) = systems
         assert_close(np.kron(dense, np.eye(3)), ref_mat.toarray())
