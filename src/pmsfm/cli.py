@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+from importlib import resources
 from pathlib import Path
 
 from . import io_formats, pipeline
@@ -45,8 +46,9 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="subsample to this many evenly spaced frames")
     p_solve.add_argument("--seed", type=int, dest="rng_seed")
     p_solve.add_argument("--jobs", type=int,
-                         help="pair-solver pool size (0 = auto: one thread per core"
-                              " for pair maps of at least 3000 pixels, else one)")
+                         help="pair-solver pool size (0 = auto: one thread per core for"
+                              f" pair maps of at least {pipeline.POOL_MIN_PIXELS_PER_MAP}"
+                              " pixels, else one)")
     p_solve.add_argument("--pair-validity", dest="pair_validity",
                          help="external pair-validity verdict file")
 
@@ -120,7 +122,8 @@ def main(argv=None) -> int:
         if args.command == "eval":
             return _cmd_eval(args)
         if args.command == "formats":
-            print(io_formats.FORMAT_DOC, end="")
+            print(resources.files("pmsfm").joinpath("FORMATS.md").read_text(encoding="utf-8"),
+                  end="")
             return pipeline.EXIT_OK
         raise ConfigError(f"unknown command {args.command!r}")
     except (PmsfmError, OSError) as exc:

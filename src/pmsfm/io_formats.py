@@ -34,180 +34,6 @@ MAX_FRAMES = 1_000_000
 _HEADER = struct.Struct("<III")
 _HEADER_END = 5 + _HEADER.size  # magic + width/height/flags
 
-FORMAT_DOC = """\
-pmsfm on-disk formats
-=====================
-
-Pixel convention: (i, j) = (column/x, row/y), zero-indexed. "Row-major"
-payloads iterate rows (j) outer, columns (i) inner. All binary numbers
-are little-endian regardless of host. All text files are UTF-8, one
-record per line, with '#' starting a comment line and a stable field
-order; floats print with shortest-round-trip decimals so reading them
-back is value-exact.
-
-Pointmap container (magic "PMAP1")
-----------------------------------
-offset  size          field
-0       5             magic bytes "PMAP1"
-5       4             width  (u32 LE)
-9       4             height (u32 LE)
-13      4             flags  (u32 LE): bit 0 = has confidence plane,
-                      bit 1 = has mask plane
-17      W*H*3*4       points, float32 LE, row-major, (x, y, z) per pixel
-...     W*H*4         confidence plane, float32 LE (if flag bit 0)
-...     W*H           mask plane, bytes 0/1 (if flag bit 1)
-
-The file length must match the header exactly. Confidence values must
-be strictly positive and finite; mask bytes must be 0 or 1; NaN and inf
-are forbidden in masked-in point entries. Writers always write both
-optional planes. Readers accept files without them: without a mask
-plane every pixel counts as valid; without a confidence plane
-confidence reads as 1. A bad value is reported at a byte offset inside
-its pixel's entry in its plane. The solver checks the confidence plane
-but no stage reads it: the focal and PnP treat every masked-in pixel
-alike.
-
-Depth container (magic "DMAP1")
--------------------------------
-Same 17-byte header; bit 1 (mask plane) is its only flag bit, so bit 0
-is rejected as unknown. The payload is one float32 depth plane, then
-the mask plane, which writers always write; without it a pixel is
-masked in where its depth is > 0. Masked-in depths must be strictly
-positive and finite; masked-out pixels must carry depth 0.
-
-Poses document ("pmsfm poses v2")
----------------------------------
-    # pmsfm poses v2
-    frames <count>
-    frame <id> <0|1> <r00 r01 r02 r10 r11 r12 r20 r21 r22> <t0 t1 t2>
-A key-value document (below): frames is required, lies in 0..1000000
-(MAX_FRAMES) and equals the number of frame records. frame is a record,
-one line per frame: its id, 1 if it was recovered, then its
-world-to-camera transform as the pose graph's edge record holds one.
-Frame ids may be any non-negative integers (e.g. original video frame
-numbers); an id appears at most once. The writer refuses what the
-reader rejects. Every entry is finite and each rotation lies in SO(3)
-(||R'R - I||_F and |det R - 1| at most 1e-9); the reader names a frame
-that breaks this by its position, counted from 0. Version 1 documents
-hold each frame as a header line and four matrix rows, and are rejected
-at their title line. Regenerate gt_poses.txt
-with `pmsfm synth --spec <old>/scene_spec.txt --out <new>`, and
-poses_est.txt by running solve again.
-
-Pose graph document ("pmsfm pose graph v1")
--------------------------------------------
-    # pmsfm pose graph v1
-    frames <n_frames>
-    edge <i> <j> <r00 r01 r02 r10 r11 r12 r20 r21 r22> <t0 t1 t2> <weight> <quality>
-A key-value document (below): frames is required and lies in
-0..1000000 (MAX_FRAMES); edge is a record, one line per edge. The edge
-transform maps frame-j camera coordinates to frame-i camera
-coordinates; an edge whose rotation is not in SO(3) (the poses
-document's tolerance) or whose entries are not finite is rejected,
-naming its (i, j). weight is the averaging concentration, a finite
-positive number (an edge with any other weight is rejected, naming its
-(i, j)), and quality the inlier fraction that passed filtering.
-
-Key-value documents
--------------------
-The manifest, pair-validity, config, scene-spec, sequence-report, pose
-graph and poses documents share one grammar. A content line is
-`<key> <value>`: the key is the first word, the value the rest of the
-line. A value is read by the type of the field it fills: integers as
--?[0-9]+; floats with shortest-round-trip decimals (Python repr, so nan
-and inf too); strings as the rest of the line; booleans as 0 or 1,
-nothing else; fixed pairs as two words (`focal_range 110.0 180.0`). A
-float word may not start with '+', and a non-finite float is exactly
-nan, inf or -inf, as repr writes them (not Infinity, NaN or -nan). A
-number word holding '_' or a non-ASCII character is rejected. A key
-appears at most once, unknown keys are rejected, a required key that is
-absent is rejected as missing, and other absent keys take their
-defaults. Record lines repeat their key, one record per line, each with
-a fixed number of whitespace-separated fields. Every read error names
-its line, its missing key or its document. Writers emit a
-"# pmsfm <document> v<version>" title, then the keys in the
-order listed below, leaving out empty strings. They refuse a string
-with a line break or edge whitespace, or a record field with any space.
-A reader rejects a document whose first non-blank line is such a title
-but not its own, naming that line; a document without a title line
-(pair validity has none) is read by its keys alone.
-
-Manifest ("pmsfm manifest v1")
-    mode <views|pairs>             required
-    n_frames <int>                 required, 0..1000000 (MAX_FRAMES)
-    focal <float>                  views mode: the shared focal, finite, > 0
-    gt_poses <path>                views mode: poses document
-    scene_scale, outlier_fraction, point_noise_sigma <float>
-    rng_seed <int>                 views mode: pair simulation settings,
-                                   under the scene spec's rules
-    view <frame> <depth.dmap>                      record, views mode
-    pair <i> <j> <ref.pmap> <src.pmap>             record, pairs mode
-A record of the other mode is rejected, naming the record.
-A views-mode key off its default in a pairs manifest is rejected.
-Paths are relative to the manifest's directory. A pair record's source
-map is expressed in its reference view's camera frame and has the
-reference map's size; a pair whose maps differ in size is skipped and
-logged. Record frames lie in 0..n_frames-1; a view frame appears at
-most once, and a pair (i, j) at most once with i != j ((i, j) and
-(j, i) are distinct pairs). Views manifests written by earlier versions
-carry a third view field, a pointmap file no stage read; such a record
-is rejected by its field count. Regenerate the bundle with
-`pmsfm synth --spec <old>/scene_spec.txt --out <new>`, which writes the
-same depth maps and poses.
-
-Pair validity (no header)
-    pair <i> <j> <0|1>             record; 0 keeps the pair out of the
-                                   graph unless it is a rescued
-                                   temporal neighbor (|i - j| = 1)
-Its records follow the manifest's pair record rules, with the
-manifest's n_frames.
-
-Config ("pmsfm pipeline config v1")
-The fields of PipelineConfig, all optional: manifest, output_dir,
-n_keep, rng_seed, jobs (pair-stage pool size; 0 = one thread per core
-when a pair map has at least 3000 pixels, else one), pair_validity.
-n_keep, rng_seed and jobs are >= 0. A solve writes the config it ran
-as config_used.txt in its output directory, with manifest, output_dir
-and pair_validity as absolute paths, so it repeats the run from any
-working directory. Config files written by earlier versions carry
-lines for removed options: staircase, ransac_min_sample, weight_mode,
-acc1_dist, acc1_deg, acc2_dist, acc2_deg, ransac_max_iterations,
-ransac_inlier_threshold_px, ransac_confidence, quality_threshold,
-pair_policy, window and align_mode. Each is rejected as an unknown
-key, so delete those lines. ransac_max_iterations through window are
-now solver constants, fixed at their former defaults; the alignment
-that align_mode chose is `pmsfm eval --mode`.
-
-Scene spec ("pmsfm scene spec v1")
-The fields of SceneSpec, all optional: n_points, object_shape,
-scene_scale, n_views, trajectory, focal_range <lo> <hi>,
-image_size <width> <height>, depth_noise_sigma, point_noise_sigma,
-outlier_fraction, occlusion_fraction, rng_seed (>= 0).
-
-Sequence report ("pmsfm sequence report v2")
-All required: rot_error_deg, trans_error, det_rate_pct, acc_15_15_pct,
-acc_30_30_pct, n_frames, trans_rmse, partial (0/1), rot_only_deg. Error
-means cover recovered frames only when partial is 1. rot_only_deg is
-the mean rotation error (degrees) after the one global rotation that
-best aligns the estimated rotations to the reference, fitted on the
-rotations alone; nan when no frame is recovered in both. A v1 report
-is rejected at its title line.
-
-Run log ("# pmsfm run log")
----------------------------
-A solve writes run_log.txt into its output directory on every exit:
-for a finished solve one `<key> <value>` line per count and timing,
-then one `# warning: <message>` line per warning in the order raised,
-then `# error: <message>` when the solve failed. rotation_certified is
-1 when the averaged rotations are certified globally optimal: the
-smallest eigenvalue of the strong-duality certificate matrix is at
-least -1e-6 times the largest weighted vertex degree. Else it is 0, and
-a warning says so. rotation_lambda_min is that eigenvalue when the
-graph covers at most 100 frames, and nan above: there the verdict comes
-from the pivot signs of a sparse factorization of the matrix shifted by
-the floor, and no eigenvalue is computed.
-"""
-
 
 def _fmt(x: float) -> str:
     return repr(float(x))

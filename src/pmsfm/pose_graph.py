@@ -622,10 +622,10 @@ def rotation_certificate(graph: PoseGraph, rotations: np.ndarray) -> Certificate
     lap = _block_laplacian(a, vertices, a.rotation)
     p = _dual_blocks(lap, np.asarray(rotations)[vertices].transpose(0, 2, 1))
     diagonal = lap.indices == _block_rows(lap)
+    # L's diagonal blocks are degree * I, so their largest entry is the
+    # largest weighted degree.
+    floor = _CERTIFICATE_REL_TOL * float(lap.data[diagonal].max())
     lap.data[diagonal] -= (p + p.transpose(0, 2, 1)) / 2.0
-    degree = np.bincount(np.concatenate([a.i, a.j]),
-                         weights=np.concatenate([a.weight, a.weight]))
-    floor = _CERTIFICATE_REL_TOL * float(degree.max())
     if len(vertices) <= _DENSE_MAX_FRAMES:
         lambda_min = float(np.linalg.eigvalsh(_dense(lap))[0])
         return Certificate(lambda_min, lambda_min >= -floor)

@@ -9,7 +9,6 @@ from scipy.spatial.transform import Rotation
 from pmsfm.errors import FormatError, ValidationError
 from pmsfm.geometry import DepthMap, Pointmap, random_rotation
 from pmsfm.io_formats import (
-    FORMAT_DOC,
     MAX_FRAMES,
     depthmap_from_bytes,
     depthmap_to_bytes,
@@ -713,8 +712,3 @@ def test_document_titles_checked(read, text, title):
     with pytest.raises(FormatError, match=f"^line 3: expected the title '{re.escape(own)}'"):
         read(f"\n  \n{title}\n{body}")
 
-
-def test_format_doc_matches_repo_file():
-    from pathlib import Path
-    formats_md = Path(__file__).resolve().parent.parent / "FORMATS.md"
-    assert formats_md.read_text(encoding="utf-8") == FORMAT_DOC

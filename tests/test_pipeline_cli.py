@@ -838,6 +838,11 @@ class TestCli:
         out = capsys.readouterr().out
         assert "rot_error_deg trans_error det_rate_pct" in out
 
+    def test_formats_prints_the_packaged_file(self, capsys):
+        assert main(["formats"]) == 0
+        formats_md = Path(io_formats.__file__).with_name("FORMATS.md")
+        assert capsys.readouterr().out.encode("utf-8") == formats_md.read_bytes()
+
     def test_exit_code_config_error(self, tmp_path, capsys):
         assert main(["solve", "--manifest", str(tmp_path / "nope.txt")]) == 2
 
