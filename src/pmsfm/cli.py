@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 from importlib import resources
 from pathlib import Path
@@ -102,6 +103,15 @@ def _cmd_eval(args) -> int:
     return pipeline.EXIT_OK
 
 
+def _cmd_formats(args) -> int:
+    print(resources.files("pmsfm").joinpath("FORMATS.md").read_text(encoding="utf-8"), end="")
+    return pipeline.EXIT_OK
+
+
+_COMMANDS = {"synth": _cmd_synth, "solve": _cmd_solve, "eval": _cmd_eval,
+             "formats": _cmd_formats}
+
+
 # The first row whose types match an error gives its exit code.
 _EXIT_CODES = (
     ((ConfigError, ValidationError), pipeline.EXIT_CONFIG),
@@ -115,17 +125,14 @@ _EXIT_CODES = (
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "synth":
-            return _cmd_synth(args)
-        if args.command == "solve":
-            return _cmd_solve(args)
-        if args.command == "eval":
-            return _cmd_eval(args)
-        if args.command == "formats":
-            print(resources.files("pmsfm").joinpath("FORMATS.md").read_text(encoding="utf-8"),
-                  end="")
-            return pipeline.EXIT_OK
-        raise ConfigError(f"unknown command {args.command!r}")
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # stdout's reader has gone (`pmsfm formats | head -1`). Pointing
+        # stdout at devnull keeps the flush at exit from raising again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return pipeline.EXIT_OK
     except (PmsfmError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))

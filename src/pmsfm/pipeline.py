@@ -268,7 +268,6 @@ class SolveResult:
     graph: PoseGraph
     frame_ids: list[int]
     objective: float
-    rotation_lambda_min: float
     rotation_certified: bool
     timings: dict[str, float]
     n_pairs_attempted: int = 0
@@ -442,11 +441,11 @@ def _solve_stages(cfg: PipelineConfig) -> SolveResult:
     rotations = rotation_averaging(graph)
     timings["rotation_s"] = time.perf_counter() - t0
     t0 = time.perf_counter()
-    lambda_min, certified = rotation_certificate(graph, rotations)
+    certified = rotation_certificate(graph, rotations)
     timings["certificate_s"] = time.perf_counter() - t0
     if not certified:
         _warnings.warn("rotation averaging stopped at a stationary point not"
-                       f" certified globally optimal (lambda_min {lambda_min!r})")
+                       " certified globally optimal")
     t0 = time.perf_counter()
     translations = translation_averaging(graph, rotations)
     timings["translation_s"] = time.perf_counter() - t0
@@ -455,8 +454,7 @@ def _solve_stages(cfg: PipelineConfig) -> SolveResult:
     objective = rotation_objective(graph, rotations)
     return SolveResult(
         poses=poses, graph=graph, frame_ids=[int(f) for f in kept],
-        objective=objective, rotation_lambda_min=lambda_min,
-        rotation_certified=certified, timings=timings,
+        objective=objective, rotation_certified=certified, timings=timings,
         n_pairs_attempted=len(source), n_pairs_failed=n_failed, pair_workers=workers,
     )
 
@@ -476,7 +474,6 @@ def _write_run_log(out_dir: Path, warnings: list[str], result: SolveResult | Non
                 f"n_rescued {int(np.count_nonzero(result.graph.edge_arrays.rescued))}",
                 f"n_recovered {int(np.count_nonzero(result.poses.recovered))}",
                 f"objective_sra {repr(result.objective)}",
-                f"rotation_lambda_min {result.rotation_lambda_min!r}",
                 f"rotation_certified {int(result.rotation_certified)}"]
         out += [f"timing_{stage} {seconds:.6f}" for stage, seconds in result.timings.items()]
     out += [f"# warning: {msg}" for msg in warnings]

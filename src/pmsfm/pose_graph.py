@@ -13,11 +13,12 @@ world-to-camera poses.
 Every averaging system is a block Laplacian held as numpy block rows
 (`_BlockRows`) and solved by `_solve`: with numpy's dense LAPACK when it
 spans at most `_DENSE_MAX_FRAMES` frames, with scipy's SuperLU above
-that. The certificate follows the same size rule: numpy's full spectrum
-up to it, SuperLU's pivot signs above. scipy is imported only on that
-sparse side, inside the functions that use it, so a graph of up to 100
-frames is built, averaged and certified without loading it (its import
-costs about 0.25 s and 32 MiB).
+that. The certificate has one rule at every size, that S + floor I is
+positive definite (`rotation_certificate`): numpy's Cholesky
+factorization tests it up to the same size, SuperLU's pivot signs above.
+scipy is imported only on the sparse side, inside the functions that use
+it, so a graph of up to 100 frames is built, averaged and certified
+without loading it (its import costs about 0.25 s and 32 MiB).
 """
 
 from __future__ import annotations
@@ -47,15 +48,16 @@ _CERTIFICATE_REL_TOL = 1e-6
 # Least inlier fraction of a pair that becomes an edge without rescue.
 QUALITY_THRESHOLD = 0.25
 # Largest number of covered frames whose averaging systems `_solve`
-# factors densely with numpy, and whose certificate takes numpy's full
-# spectrum; larger ones go to scipy's SuperLU. One warm Newton system
-# through `_solve`, numpy against SuperLU (2-vCPU Xeon VM, one BLAS
-# thread, best of 7x20): window-10 chains 0.46 vs 0.82 ms at 60 frames,
-# 0.83 vs 0.94 at 80, 1.33 vs 1.20 at 100, 2.05 vs 1.36 at 120, 4.52 vs
-# 1.66 at 160 and 7.40 vs 2.10 at 200; complete graphs 0.89 vs 3.05 ms at
-# 80 frames and 1.46 vs 5.64 at 100. At 100 frames a chain loses 0.13 ms
-# per system to numpy, and a process that has not loaded scipy yet
-# saves its 0.25 s import.
+# factors densely with numpy, and whose certificate matrix S + floor I
+# numpy's Cholesky factorization tests for positive definiteness; larger
+# ones go to scipy's SuperLU, which tests it by its pivots' signs. One
+# warm Newton system through `_solve`, numpy against SuperLU (2-vCPU Xeon
+# VM, one BLAS thread, best of 7x20): window-10 chains 0.46 vs 0.82 ms at
+# 60 frames, 0.83 vs 0.94 at 80, 1.33 vs 1.20 at 100, 2.05 vs 1.36 at
+# 120, 4.52 vs 1.66 at 160 and 7.40 vs 2.10 at 200; complete graphs 0.89
+# vs 3.05 ms at 80 frames and 1.46 vs 5.64 at 100. At 100 frames a chain
+# loses 0.13 ms per system to numpy, and a process that has not loaded
+# scipy yet saves its 0.25 s import.
 _DENSE_MAX_FRAMES = 100
 
 
@@ -585,36 +587,28 @@ def rotation_averaging(graph: PoseGraph) -> np.ndarray:
     return rotations
 
 
-class Certificate(NamedTuple):
-    """`rotation_certificate`'s verdict and, up to `_DENSE_MAX_FRAMES`
-    covered frames, the eigenvalue it rests on (NaN above)."""
-
-    lambda_min: float
-    certified: bool
-
-
-def rotation_certificate(graph: PoseGraph, rotations: np.ndarray) -> Certificate:
+def rotation_certificate(graph: PoseGraph, rotations: np.ndarray) -> bool:
     """Whether the camera-to-world ``rotations`` are certified globally
-    optimal: whether lambda_min(Lambda - A), over the covered vertices,
-    is at least -1e-6 times the largest weighted vertex degree (the sum
-    of a vertex's edge weights), a floor that scales with the weights as
-    the eigenvalue does (Eriksson et al., "Rotation Averaging and Strong
-    Duality", CVPR 2018). A is symmetric with block (i, j) = w R_ij and
-    block (j, i) = w R_ij^T summed over the edges, Y stacks the R_k^T,
-    and Lambda is block diagonal with Lambda_k = sym((A Y)_k Y_k^T). At a
-    stationary point (Lambda - A) Y = 0, so lambda_min is about zero or
-    below.
+    optimal: whether S + floor I is positive definite, for S = Lambda - A
+    over the covered vertices and a floor of 1e-6 times the largest
+    weighted vertex degree (the sum of a vertex's edge weights), which
+    scales with the weights as S does (Eriksson et al., "Rotation
+    Averaging and Strong Duality", CVPR 2018). A is symmetric with block
+    (i, j) = w R_ij and block (j, i) = w R_ij^T summed over the edges, Y
+    stacks the R_k^T, and Lambda is block diagonal with Lambda_k =
+    sym((A Y)_k Y_k^T). At a stationary point S Y = 0, and S is positive
+    semidefinite only at the global optimum.
 
-    The matrix S = Lambda - A is built as L - blockdiag(sym P_v) for the
-    `_block_laplacian` L with C = R_ij and P_v = (L Y)_v Y_v^T. Up to
-    `_DENSE_MAX_FRAMES` covered frames lambda_min is the lowest of numpy's
-    full spectrum. Above, no eigenvalue is computed (lambda_min is NaN):
-    the rotations are certified when S + floor I is positive definite,
-    which SuperLU's symmetric factorization tells by its pivots' signs
-    (Sylvester's law of inertia, as SE-Sync verifies its certificate:
-    Rosen et al., IJRR 2019). With no pivoting threshold, SuperLU leaves
-    the diagonal only for an exactly zero pivot, so a row order that
-    differs from the column order, like a singular factor, reads as
+    S is built as L - blockdiag(sym P_v) for the `_block_laplacian` L with
+    C = R_ij and P_v = (L Y)_v Y_v^T. No eigenvalue is computed, as
+    SE-Sync verifies its certificate (Rosen et al., IJRR 2019): up to
+    `_DENSE_MAX_FRAMES` covered frames numpy's Cholesky factorization
+    raises on a pivot that is not positive, and a factor that is not
+    finite (from rotations that are not) reads uncertified too. Above,
+    SuperLU's symmetric factorization tells it by its pivots' signs
+    (Sylvester's law of inertia). With no pivoting threshold, SuperLU
+    leaves the diagonal only for an exactly zero pivot, so a row order
+    that differs from the column order, like a singular factor, reads as
     uncertified: a positive definite matrix has neither.
     """
     a = graph.edge_arrays
@@ -626,22 +620,24 @@ def rotation_certificate(graph: PoseGraph, rotations: np.ndarray) -> Certificate
     # largest weighted degree.
     floor = _CERTIFICATE_REL_TOL * float(lap.data[diagonal].max())
     lap.data[diagonal] -= (p + p.transpose(0, 2, 1)) / 2.0
+    lap.data[diagonal] += floor * np.eye(3)
     if len(vertices) <= _DENSE_MAX_FRAMES:
-        lambda_min = float(np.linalg.eigvalsh(_dense(lap))[0])
-        return Certificate(lambda_min, lambda_min >= -floor)
+        try:
+            return bool(np.isfinite(np.linalg.cholesky(_dense(lap))).all())
+        except np.linalg.LinAlgError:
+            return False
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
-    lap.data[diagonal] += floor * np.eye(3)
     size = 3 * len(vertices)
     try:
         factor = spla.splu(sp.bsr_matrix(lap, shape=(size, size)).tocsc(),
                            permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                            options={"SymmetricMode": True})
     except RuntimeError:  # SuperLU's "Factor is exactly singular"
-        return Certificate(math.nan, False)
-    return Certificate(math.nan, bool(np.array_equal(factor.perm_r, factor.perm_c)
-                                      and (factor.U.diagonal() > 0.0).all()))
+        return False
+    return bool(np.array_equal(factor.perm_r, factor.perm_c)
+                and (factor.U.diagonal() > 0.0).all())
 
 
 def translation_averaging(graph: PoseGraph, rotations: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,20 @@ from pmsfm.geometry import (
     random_rotation,
 )
 from pmsfm.pose_graph import Edge, PoseGraph
+
+# On a failing example hypothesis's pytest plugin imports
+# `hypothesis.extra._patching`, which loads libcst, whose import warns that
+# mypy_extensions.TypedDict is deprecated. The `error::DeprecationWarning`
+# filter would turn that warning into an INTERNALERROR that ends the run,
+# so the module is imported here with that one warning ignored: a failing
+# property test then reports as one failure.
+with warnings.catch_warnings():
+    warnings.filterwarnings("ignore", "mypy_extensions.TypedDict is deprecated",
+                            DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 
 def stable_rot_err_deg(ra: np.ndarray, rb: np.ndarray) -> float:
@@ -73,7 +88,7 @@ def winding_cycle(n: int = 12) -> tuple[PoseGraph, np.ndarray]:
     R_k = Rz(360 k / n degrees): a stationary point of the chordal
     objective that winds once around the cycle, with objective
     n * ||Rz(360/n) - I||_F^2 against 0 at the identity. Its certificate
-    reads 2 cos(2 pi / n) - 2 (-0.268 for n = 12)."""
+    matrix's lowest eigenvalue is 2 cos(2 pi / n) - 2 (-0.268 for n = 12)."""
     graph = PoseGraph(n, tuple(Edge(k, (k + 1) % n, np.eye(3), np.zeros(3), 1.0, 1.0)
                                for k in range(n)))
     return graph, np.stack([axis_angle_matrix([0.0, 0.0, 1.0], math.radians(360.0 * k / n))

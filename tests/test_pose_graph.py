@@ -550,14 +550,43 @@ def _reference_certificate(graph, rotations):
     return np.linalg.eigvalsh(cert)[0]
 
 
+def reference_verdict(graph, rotations) -> bool:
+    """The certificate's verdict from the reference spectrum: lambda_min
+    at least -1e-6 times the largest weighted vertex degree."""
+    degree = np.zeros(graph.n_frames)
+    for e in graph.edges:
+        degree[[e.i, e.j]] += e.weight
+    return bool(_reference_certificate(graph, rotations) >= -1e-6 * degree.max())
+
+
+def certificate_case(seed, n, start):
+    """A graph of n frames and rotations to certify: the winding n-cycle
+    at its winding stationary point, or a noisy random graph at its
+    chordal start (not yet stationary) or its averaged rotations."""
+    if start == "winding":
+        return winding_cycle(n)
+    rng = np.random.default_rng(seed)
+    poses = [random_rigid(rng) for _ in range(n)]
+    edges = consistent_edges(poses, random_connected_pairs(n, rng), noise_deg=10.0, rng=rng)
+    g = PoseGraph(n, tuple(Edge(e.i, e.j, e.rotation, e.translation,
+                                float(rng.uniform(0.2, 2.0)), 1.0) for e in edges))
+    return g, rotation_averaging(g) if start == "averaged" else chordal_start_rotations(g)
+
+
+CERTIFICATE_CASES = dict(seed=st.integers(0, 2**16), n=st.integers(3, 9),
+                         start=st.sampled_from(["chordal", "averaged", "winding"]))
+
+
 class TestRotationCertificate:
     def test_winding_cycle_fails(self):
         g, rot = winding_cycle(12)
-        lam, certified = rotation_certificate(g, rot)
-        assert abs(lam - (2.0 * np.cos(2.0 * np.pi / 12) - 2.0)) <= 1e-6
-        assert not certified
+        assert abs(_reference_certificate(g, rot) - (2.0 * np.cos(2.0 * np.pi / 12) - 2.0)) <= 1e-6
+        assert not reference_verdict(g, rot)
+        assert rotation_certificate(g, rot) is False
         # the identity is the global minimum of the same graph
-        assert rotation_certificate(g, rotation_averaging(g)).certified
+        identity = rotation_averaging(g)
+        assert reference_verdict(g, identity)
+        assert rotation_certificate(g, identity) is True
 
     @pytest.mark.parametrize("seed", range(3))
     def test_noisy_consistent_graph_certifies(self, seed):
@@ -571,50 +600,46 @@ class TestRotationCertificate:
         g = PoseGraph(n, tuple(Edge(e.i, e.j, e.rotation, e.translation,
                                     float(rng.uniform(0.2, 2.0)), 1.0) for e in edges))
         rot = rotation_averaging(g)
-        lam, certified = rotation_certificate(g, rot)
-        assert abs(lam - _reference_certificate(g, rot)) <= 1e-9
-        assert certified
+        assert reference_verdict(g, rot)
+        assert rotation_certificate(g, rot) is True
 
     @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 2**16), n=st.integers(3, 9),
-           scale=st.floats(1e-4, 1e4), start=st.sampled_from(["chordal", "averaged",
-                                                               "winding"]))
+    @given(scale=st.floats(1e-4, 1e4), **CERTIFICATE_CASES)
     def test_verdict_invariant_to_weight_scale(self, seed, n, scale, start):
-        """Rescaling every weight scales lambda_min and the floor alike,
-        at the optimum, at the chordal start (not yet stationary) and at
-        the winding stationary point."""
-        rng = np.random.default_rng(seed)
-        if start == "winding":
-            g, rot = winding_cycle(n)
-        else:
-            poses = [random_rigid(rng) for _ in range(n)]
-            edges = consistent_edges(poses, random_connected_pairs(n, rng),
-                                     noise_deg=10.0, rng=rng)
-            g = PoseGraph(n, tuple(Edge(e.i, e.j, e.rotation, e.translation,
-                                        float(rng.uniform(0.2, 2.0)), 1.0)
-                                   for e in edges))
-            rot = (rotation_averaging(g) if start == "averaged"
-                   else chordal_start_rotations(g))
+        """Rescaling every weight scales S and the floor alike, at the
+        optimum, at the chordal start (not yet stationary) and at the
+        winding stationary point."""
+        g, rot = certificate_case(seed, n, start)
         h = PoseGraph(n, tuple(Edge(e.i, e.j, e.rotation, e.translation,
                                     scale * e.weight, e.quality) for e in g.edges))
-        assert (rotation_certificate(g, rot).certified
-                == rotation_certificate(h, rot).certified)
+        assert rotation_certificate(g, rot) == rotation_certificate(h, rot)
+
+    @settings(max_examples=40, deadline=None)
+    @given(**CERTIFICATE_CASES)
+    def test_verdict_equals_reference_spectrum(self, seed, n, start):
+        """On both sides of the size rule, Cholesky's and SuperLU's
+        verdicts equal the reference spectrum's."""
+        g, rot = certificate_case(seed, n, start)
+        expected = reference_verdict(g, rot)
+        assert rotation_certificate(g, rot) == expected
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(pose_graph, "_DENSE_MAX_FRAMES", n - 1)
+            assert rotation_certificate(g, rot) == expected
 
     @pytest.mark.parametrize("n", [101, 150, 200])
     def test_inertia_verdict_equals_dense_verdict(self, n, monkeypatch):
         """Above `_DENSE_MAX_FRAMES` the verdict comes from SuperLU's pivot
-        signs, with lambda_min NaN; on window-10 chains it equals the
-        verdict of numpy's full spectrum, at the averaged rotations (which
+        signs; on window-10 chains it equals numpy's Cholesky verdict and
+        the reference spectrum's, at the averaged rotations (which
         certify) and at the chordal start (which does not)."""
         g = benchmark_shaped_graph(np.random.default_rng([n, 9]), n, 10)
         verdicts = []
         for rot in (rotation_averaging(g), chordal_start_rotations(g)):
-            lam, certified = rotation_certificate(g, rot)
-            assert np.isnan(lam)
+            certified = rotation_certificate(g, rot)
             with monkeypatch.context() as m:
                 m.setattr(pose_graph, "_DENSE_MAX_FRAMES", n)
-                dense = rotation_certificate(g, rot)
-            assert certified == dense.certified
+                assert rotation_certificate(g, rot) == certified
+            assert reference_verdict(g, rot) == certified
             verdicts.append(certified)
         assert verdicts == [True, False]
 
@@ -626,8 +651,21 @@ class TestRotationCertificate:
         the identity, its global minimum, certifies."""
         g, rot = winding_cycle(n)
         assert 2.0 * np.cos(2.0 * np.pi / n) - 2.0 < -1e-4
-        assert not rotation_certificate(g, rot).certified
-        assert rotation_certificate(g, rotation_averaging(g)).certified
+        assert not rotation_certificate(g, rot)
+        assert rotation_certificate(g, rotation_averaging(g))
+
+    @pytest.mark.parametrize("limit", [100, 0], ids=["dense", "sparse"])
+    def test_nan_rotations_read_uncertified(self, limit, monkeypatch):
+        """Rotations with a NaN read uncertified on both sides of the size
+        rule, and neither side raises or warns."""
+        monkeypatch.setattr(pose_graph, "_DENSE_MAX_FRAMES", limit)
+        g = benchmark_shaped_graph(np.random.default_rng(5), 14, 4)
+        rot = rotation_averaging(g)
+        assert rotation_certificate(g, rot)
+        rot[3, 1, 2] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert rotation_certificate(g, rot) is False
 
     @pytest.mark.parametrize("fault", ["rows reordered", "singular"])
     def test_factor_off_the_diagonal_reads_uncertified(self, fault, monkeypatch):
@@ -637,7 +675,7 @@ class TestRotationCertificate:
         that otherwise certify."""
         g = benchmark_shaped_graph(np.random.default_rng(3), 101, 10)
         rot = rotation_averaging(g)
-        assert rotation_certificate(g, rot).certified
+        assert rotation_certificate(g, rot)
         factor = spla.splu
 
         class Reordered:
@@ -650,8 +688,7 @@ class TestRotationCertificate:
             raise RuntimeError("Factor is exactly singular")
 
         monkeypatch.setattr(spla, "splu", Reordered if fault == "rows reordered" else singular)
-        lam, certified = rotation_certificate(g, rot)
-        assert np.isnan(lam) and not certified
+        assert rotation_certificate(g, rot) is False
 
     def test_memory_scales_with_covered_frames(self, rng):
         """A million frames of which three are measured certify in a few
@@ -665,7 +702,7 @@ class TestRotationCertificate:
                                for i, j in [(a, b), (b, c), (a, c)]))
         tracemalloc.start()
         try:
-            certified = rotation_certificate(g, rot).certified
+            certified = rotation_certificate(g, rot)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -938,7 +975,7 @@ class TestStackedSolvers:
         rot = rotation_averaging(g)
         assert rotation_objective(g, rot) <= rotation_objective(g, ref_rot)
         for r in (rot, ref_rot):
-            assert rotation_certificate(g, r).certified
+            assert rotation_certificate(g, r)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_gradient_and_hessian_match_central_differences(self, seed):
@@ -1045,7 +1082,7 @@ class TestStackedSolvers:
         rot = rotation_averaging(g)
         assert len(calls) >= 3
         assert np.max(np.abs(rot - expected)) <= 1e-9
-        assert rotation_certificate(g, rot).certified
+        assert rotation_certificate(g, rot)
 
     def test_long_chain_converges_and_certifies(self, monkeypatch):
         """A 400-frame window-10 chain, the shape a video gives, averages
@@ -1064,7 +1101,7 @@ class TestStackedSolvers:
             warnings.simplefilter("error", ConvergenceWarning)
             rot = rotation_averaging(g)
         assert calls and all(shape == (1197, 1197) for shape in calls)
-        assert rotation_certificate(g, rot).certified
+        assert rotation_certificate(g, rot)
 
     @pytest.mark.parametrize("n, window", [(40, None), (80, None), (100, 10), (101, 10)])
     def test_dense_and_sparse_solves_agree(self, n, window, monkeypatch):
@@ -1078,7 +1115,7 @@ class TestStackedSolvers:
             monkeypatch.setattr(pose_graph, "_DENSE_MAX_FRAMES", limit)
             rot = rotation_averaging(g)
             solved.append((rot, translation_averaging(g, rot),
-                           rotation_certificate(g, rot).certified))
+                           rotation_certificate(g, rot)))
         (rot_d, u_d, certified_d), (rot_s, u_s, certified_s) = solved
         assert np.max(np.abs(rot_d - rot_s)) <= 1e-9
         assert np.max(np.abs(u_d - u_s)) <= 1e-9
@@ -1100,11 +1137,11 @@ class TestStackedSolvers:
             monkeypatch.setattr(module, name, count)
 
         counted(np.linalg, "solve", "dense")
-        counted(np.linalg, "eigvalsh", "dense")
+        counted(np.linalg, "cholesky", "dense")
         counted(spla, "splu", "sparse")
         rot = rotation_averaging(g)
         translation_averaging(g, rot)
-        assert rotation_certificate(g, rot).certified
+        assert rotation_certificate(g, rot)
         assert (calls["dense"] > 0, calls["sparse"] > 0) == (n <= 100, n > 100)
 
     @pytest.mark.parametrize("seed", range(3))
